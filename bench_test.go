@@ -30,7 +30,7 @@ func benchTable1(b *testing.B, gen func(float64) *Collection, scale float64) {
 	b.ResetTimer()
 	var guides int
 	for i := 0; i < b.N; i++ {
-		dg, err := dataguide.Build(col, 0.40)
+		dg, err := dataguide.Build(col, nil, 0.40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkDataguideSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("threshold=%.1f", th), func(b *testing.B) {
 			var guides int
 			for i := 0; i < b.N; i++ {
-				dg, err := dataguide.Build(col, th)
+				dg, err := dataguide.Build(col, nil, th)
 				if err != nil {
 					b.Fatal(err)
 				}

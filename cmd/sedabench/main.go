@@ -189,7 +189,7 @@ func table1(scale float64) {
 	fmt.Printf("%-22s %12s %12s %14s %14s\n", "Data set", "# docs", "paper docs", "# data guides", "paper guides")
 	for _, r := range rows {
 		col := r.gen(scale)
-		dg, err := dataguide.BuildParallel(col, nil, 0.40, parallelism)
+		dg, err := dataguide.Build(col, nil, 0.40)
 		if err != nil {
 			fatal(err)
 		}
@@ -235,7 +235,7 @@ func sweep(scale float64) {
 		col := c.gen(scale)
 		fmt.Printf("%-22s", c.name)
 		for _, th := range ths {
-			dg, err := dataguide.BuildParallel(col, nil, th, parallelism)
+			dg, err := dataguide.Build(col, nil, th)
 			if err != nil {
 				fatal(err)
 			}

@@ -70,10 +70,10 @@ type Config struct {
 	// need search).
 	SkipDataguides bool
 	// Parallelism bounds the worker goroutines used during construction
-	// (index sharding, dataguide profiling, overlapped phases) and is the
-	// default worker count for the engine's top-k searches. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces fully sequential execution. The
-	// built engine and all query results are identical at every setting.
+	// (index sharding, overlapped phases) and is the default worker count
+	// for the engine's top-k searches. 0 means runtime.GOMAXPROCS(0); 1
+	// forces fully sequential execution. The built engine and all query
+	// results are identical at every setting.
 	Parallelism int
 	// Shards is the number of horizontal index shards: self-contained
 	// fragments over contiguous document ranges that top-k search
@@ -200,15 +200,15 @@ func NewEngine(col *store.Collection, cfg Config) (*Engine, error) {
 	par := resolveParallelism(cfg.Parallelism)
 	e := &Engine{col: col, cfg: cfg, parallelism: par, BuildTimings: make(map[string]time.Duration)}
 
-	// The worker budget is split across the overlapped phases — the index
-	// build gets half, the graph → dataguide chain the rest — so total
+	// The graph → dataguide chain is sequential, so when it overlaps the
+	// index build it takes one worker and the index the rest — total
 	// construction workers never exceed cfg.Parallelism. Without a
 	// dataguide phase there is nothing worth overlapping (graph discovery
-	// is sequential and cheap), so the index keeps the full budget.
+	// is cheap), so the index keeps the full budget.
 	overlap := par > 1 && !cfg.SkipDataguides
-	indexPar, chainPar := par, par
+	indexPar := par
 	if overlap {
-		indexPar, chainPar = (par+1)/2, par/2
+		indexPar = par - 1
 	}
 	var indexDone chan struct{}
 	var indexTime time.Duration
@@ -236,7 +236,7 @@ func NewEngine(col *store.Collection, cfg Config) (*Engine, error) {
 
 	if !cfg.SkipDataguides {
 		t0 = time.Now()
-		dg, err := dataguide.BuildParallel(col, e.g, cfg.DataguideThreshold, chainPar)
+		dg, err := dataguide.Build(col, e.g, cfg.DataguideThreshold)
 		if err != nil {
 			if indexDone != nil {
 				<-indexDone // don't leak the index builder on error

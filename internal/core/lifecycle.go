@@ -14,6 +14,15 @@
 // rebuilding them over the live documents in id order reproduces exactly
 // the state a from-scratch build over the survivors would reach.
 //
+// The re-fold is deliberate, not a missing optimization. Under §6.1 a
+// later document joins the FIRST guide containing it, else the best
+// overlap, both judged against path sets that earlier documents grew; so
+// subtracting a deleted document's paths (even as per-path counts) cannot
+// undo the choices it steered, and the result would drift from the
+// from-scratch build the lifecycle suite pins. The bitset fold re-derives
+// a Mondial-sized summary in a few milliseconds, which leaves delta
+// machinery nothing to win.
+//
 // Compaction is the physical counterpart: it rewrites the masked
 // generation into an unmasked one — dead postings dropped, survivors
 // renumbered contiguously, skewed shard ranges rebalanced — with answers
@@ -164,7 +173,7 @@ func (ne *Engine) rebuildDerived(e *Engine, op string) error {
 
 	if e.dg != nil {
 		t = time.Now()
-		dg, err := dataguide.BuildParallel(ne.col, g, e.cfg.DataguideThreshold, e.parallelism)
+		dg, err := dataguide.Build(ne.col, g, e.cfg.DataguideThreshold)
 		if err != nil {
 			return err
 		}

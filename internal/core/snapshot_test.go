@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"seda/internal/datagen"
 	"seda/internal/snapcodec"
 )
 
@@ -104,6 +106,21 @@ func TestSnapshotDeterminism(t *testing.T) {
 	// And a second save of the original engine is stable too.
 	if !bytes.Equal(data, saveToBytes(t, e, "s")) {
 		t.Error("re-saving the same engine produced different bytes")
+	}
+}
+
+// TestSnapshotBytesPinned pins the whole snapshot of a fixed corpus. The
+// digest was computed before the dataguide fold moved from path maps to
+// bitsets, so it holds only while every layer still writes the same bytes;
+// change it only with a deliberate format change.
+func TestSnapshotBytesPinned(t *testing.T) {
+	e, err := NewEngine(datagen.WorldFactbook(0.1), Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "61a352919beb764e7a4e76b50734927fc17f3265844d7acf2b87e6590a3278c8"
+	if got := fmt.Sprintf("%x", sha256.Sum256(saveToBytes(t, e, ""))); got != want {
+		t.Errorf("WorldFactbook 0.1 snapshot sha256 = %s, want %s", got, want)
 	}
 }
 

@@ -40,13 +40,13 @@ func TestCalibrationReport(t *testing.T) {
 		t.Errorf(`(*, "United States") paths = %d, want 27`, len(us))
 	}
 
-	dgWFB, err := dataguide.Build(wfb, 0.4)
+	dgWFB, err := dataguide.Build(wfb, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("WFB: guides@0.4=%d (paper 500)", len(dgWFB.Guides))
 	inBand(t, "WFB guides@0.4", len(dgWFB.Guides), 500, 0.25)
-	dg0, err := dataguide.Build(wfb, 0)
+	dg0, err := dataguide.Build(wfb, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCalibrationReport(t *testing.T) {
 	if mon.NumDocs() != 5563 {
 		t.Errorf("Mondial docs = %d, want 5563 exactly", mon.NumDocs())
 	}
-	dgMon, err := dataguide.Build(mon, 0.4)
+	dgMon, err := dataguide.Build(mon, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCalibrationReport(t *testing.T) {
 	if gb.NumDocs() != 10000 {
 		t.Errorf("GoogleBase docs = %d, want 10000 exactly", gb.NumDocs())
 	}
-	dgGB, err := dataguide.Build(gb, 0.4)
+	dgGB, err := dataguide.Build(gb, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCalibrationReport(t *testing.T) {
 	if rml.NumDocs() != 10988 {
 		t.Errorf("RecipeML docs = %d, want 10988 exactly", rml.NumDocs())
 	}
-	dgRML, err := dataguide.Build(rml, 0.4)
+	dgRML, err := dataguide.Build(rml, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestScaledCorpora(t *testing.T) {
 		t.Errorf("scaled GoogleBase %d docs, want >= %d (one per type)", gb.NumDocs(), GoogleBaseTypes)
 	}
 	rml := RecipeML(0.01)
-	dg, err := dataguide.Build(rml, 0.4)
+	dg, err := dataguide.Build(rml, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dataguide
 
 import (
 	"fmt"
-	"sort"
 
 	"seda/internal/graph"
 	"seda/internal/pathdict"
@@ -15,8 +14,8 @@ import (
 // with their path sets and repeatability marks, the document→guide
 // assignment, and the aggregated cross-guide links — because the merge
 // algorithm is order-sensitive: rebuilding from documents is the exact
-// cost a snapshot exists to avoid. Path sets and maps are written sorted
-// so identical summaries encode identically.
+// cost a snapshot exists to avoid. Path sets are written in ascending id
+// order so identical summaries encode identically.
 
 // codecVersion is the layer format version written by Encode.
 const codecVersion = 1
@@ -31,21 +30,11 @@ func (s *Set) Encode(w *snapcodec.Writer) {
 		for _, d := range g.Docs {
 			w.Int(int(d))
 		}
-		paths := g.Paths() // sorted
-		w.Int(len(paths))
-		for _, p := range paths {
-			w.Int(int(p))
-		}
-		rep := make([]pathdict.PathID, 0, len(g.repeatable))
-		for p, v := range g.repeatable {
-			if v {
-				rep = append(rep, p)
+		for _, set := range [][]pathdict.PathID{g.Paths(), g.repeatable.ids()} { // ascending
+			w.Int(len(set))
+			for _, p := range set {
+				w.Int(int(p))
 			}
-		}
-		sort.Slice(rep, func(i, j int) bool { return rep[i] < rep[j] })
-		w.Int(len(rep))
-		for _, p := range rep {
-			w.Int(int(p))
 		}
 	}
 	w.Int(len(s.Links))
@@ -70,14 +59,10 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 		return nil, fmt.Errorf("dataguide: unsupported codec version %d", v)
 	}
 	s := &Set{col: col, Threshold: r.F64(), docGuide: make(map[xmldoc.DocID]int)}
-	numDocs := col.NumDocs()
+	numDocs, numPaths := col.NumDocs(), col.Dict().NumPaths()
 	numGuides := r.Count(3)
 	for i := 0; i < numGuides; i++ {
-		g := &Guide{
-			ID:         i,
-			paths:      make(map[pathdict.PathID]struct{}),
-			repeatable: make(map[pathdict.PathID]bool),
-		}
+		g := &Guide{ID: i}
 		nDocs := r.Count(1)
 		for j := 0; j < nDocs; j++ {
 			d := r.Int()
@@ -93,13 +78,12 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 			s.docGuide[xmldoc.DocID(d)] = i
 			g.Docs = append(g.Docs, xmldoc.DocID(d))
 		}
-		nPaths := r.Count(1)
-		for j := 0; j < nPaths; j++ {
-			g.paths[pathdict.PathID(r.Int())] = struct{}{}
+		var err error
+		if g.size, err = decodePaths(r, &g.paths, numPaths); err != nil {
+			return nil, fmt.Errorf("dataguide: decode: guide %d: %w", i, err)
 		}
-		nRep := r.Count(1)
-		for j := 0; j < nRep; j++ {
-			g.repeatable[pathdict.PathID(r.Int())] = true
+		if _, err = decodePaths(r, &g.repeatable, numPaths); err != nil {
+			return nil, fmt.Errorf("dataguide: decode: guide %d: %w", i, err)
 		}
 		s.Guides = append(s.Guides, g)
 	}
@@ -126,4 +110,27 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 		return nil, fmt.Errorf("dataguide: decode: %w", err)
 	}
 	return s, nil
+}
+
+// decodePaths reads a counted path-id list into set and returns the number
+// of distinct members. Ids outside the dictionary are rejected: a bitset
+// is sized by its largest member, so a hostile id would be an allocation
+// bomb.
+//
+//seda:constructor
+func decodePaths(r *snapcodec.Reader, set *pathSet, numPaths int) (int, error) {
+	size := 0
+	for n := r.Count(1); n > 0; n-- {
+		p := r.Int()
+		if r.Err() != nil {
+			break
+		}
+		if p < 1 || p > numPaths {
+			return 0, fmt.Errorf("path id %d outside the dictionary's 1..%d", p, numPaths)
+		}
+		if set.add(pathdict.PathID(p)) {
+			size++
+		}
+	}
+	return size, nil
 }

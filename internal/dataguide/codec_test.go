@@ -27,7 +27,7 @@ func codecFixture(t *testing.T) (*store.Collection, *Set) {
 	}
 	g := graph.New(c)
 	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
-	s, err := BuildWithGraph(c, g, 0.40)
+	s, err := Build(c, g, 0.40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +120,38 @@ func TestCodecHostileInputs(t *testing.T) {
 	wb.Int(99)
 	if _, err := Decode(snapcodec.NewReader(wb.Bytes()), col); err == nil {
 		t.Error("out-of-range document should fail")
+	}
+
+	// Path ids the dictionary never issued, as a guide path or a repeatable
+	// mark, must fail: a bitset is sized by its largest member (1<<30 would
+	// be a 128 MiB set). The dictionary's last path is in range.
+	numPaths := col.Dict().NumPaths()
+	for _, c := range []struct {
+		name       string
+		paths, rep []int
+		ok         bool
+	}{
+		{"huge path", []int{1, 1 << 30}, nil, false},
+		{"invalid path 0", []int{0}, nil, false},
+		{"one past the dictionary", []int{numPaths + 1}, nil, false},
+		{"huge repeatable", []int{1}, []int{1 << 30}, false},
+		{"last path", []int{numPaths}, []int{numPaths}, true},
+	} {
+		var wp snapcodec.Writer
+		wp.Int(codecVersion)
+		wp.F64(0.4)
+		wp.Int(1) // one guide
+		wp.Int(1) // one doc
+		wp.Int(0)
+		for _, ids := range [][]int{c.paths, c.rep} {
+			wp.Int(len(ids))
+			for _, p := range ids {
+				wp.Int(p)
+			}
+		}
+		wp.Int(0) // no links
+		if _, err := Decode(snapcodec.NewReader(wp.Bytes()), col); (err == nil) != c.ok {
+			t.Errorf("%s: decode err = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

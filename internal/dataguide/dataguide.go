@@ -2,15 +2,80 @@ package dataguide
 
 import (
 	"fmt"
-	"runtime"
+	"math/bits"
 	"sort"
-	"sync"
 
 	"seda/internal/graph"
 	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
+
+// pathSet is a dense bitset over PathID: bit p%64 of word p/64 is set when
+// path p is a member. Dictionaries hold a few thousand paths, so a set is
+// a few dozen words and the §6.1 overlap count is a word-parallel
+// popcount. Sets of different lengths compare over the shorter one (the
+// missing words are zero).
+type pathSet []uint64
+
+// has reports whether p is a member.
+func (s pathSet) has(p pathdict.PathID) bool {
+	i := uint(p) >> 6 // a negative id wraps past len(s)
+	return i < uint(len(s)) && s[i]&(1<<(uint(p)&63)) != 0
+}
+
+// common returns |s ∩ o|.
+func (s pathSet) common(o pathSet) int {
+	if len(o) < len(s) {
+		s, o = o, s
+	}
+	o = o[:len(s)]
+	n := 0
+	for i, w := range s {
+		n += bits.OnesCount64(w & o[i])
+	}
+	return n
+}
+
+// ids returns the members in ascending order.
+func (s pathSet) ids() []pathdict.PathID {
+	var out []pathdict.PathID
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, pathdict.PathID(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
+
+// add inserts p, growing the set as needed, and reports whether p is new.
+//
+//seda:constructor
+func (s *pathSet) add(p pathdict.PathID) bool {
+	i := int(p) >> 6
+	if i >= len(*s) {
+		*s = append(*s, make(pathSet, i+1-len(*s))...)
+	}
+	m := uint64(1) << (uint(p) & 63)
+	isNew := (*s)[i]&m == 0
+	(*s)[i] |= m
+	return isNew
+}
+
+// union adds every member of o and returns how many were new.
+//
+//seda:constructor
+func (s *pathSet) union(o pathSet) int {
+	if len(o) > len(*s) {
+		*s = append(*s, make(pathSet, len(o)-len(*s))...)
+	}
+	added := 0
+	for i, w := range o {
+		added += bits.OnesCount64(w &^ (*s)[i])
+		(*s)[i] |= w
+	}
+	return added
+}
 
 // Guide is one merged dataguide: a path set plus the documents it
 // summarizes and per-path occurrence facts needed by connection discovery.
@@ -20,35 +85,26 @@ import (
 type Guide struct {
 	ID    int
 	Docs  []xmldoc.DocID
-	paths map[pathdict.PathID]struct{}
+	paths pathSet
+	size  int // |paths|, kept by the fold
 	// repeatable marks paths that can occur more than once under a single
 	// parent instance (e.g. item under import_partners). Connection
 	// discovery uses it to find alternative join points (§6).
-	repeatable map[pathdict.PathID]bool
+	repeatable pathSet
 }
 
 // Paths returns the guide's path set as a sorted slice.
-func (g *Guide) Paths() []pathdict.PathID {
-	out := make([]pathdict.PathID, 0, len(g.paths))
-	for p := range g.paths {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Guide) Paths() []pathdict.PathID { return g.paths.ids() }
 
 // Size returns the number of distinct paths in the guide.
-func (g *Guide) Size() int { return len(g.paths) }
+func (g *Guide) Size() int { return g.size }
 
 // Contains reports whether the guide has the path.
-func (g *Guide) Contains(p pathdict.PathID) bool {
-	_, ok := g.paths[p]
-	return ok
-}
+func (g *Guide) Contains(p pathdict.PathID) bool { return g.paths.has(p) }
 
 // Repeatable reports whether nodes at path p may repeat under one parent
 // instance somewhere in the guide's documents.
-func (g *Guide) Repeatable(p pathdict.PathID) bool { return g.repeatable[p] }
+func (g *Guide) Repeatable(p pathdict.PathID) bool { return g.repeatable.has(p) }
 
 // TreeConnections enumerates the possible join paths connecting instances
 // of paths a and b within documents of this guide, deepest first. The
@@ -68,7 +124,7 @@ func (g *Guide) TreeConnections(dict *pathdict.Dict, a, b pathdict.PathID) []pat
 	out := []pathdict.PathID{cp}
 	child := cp
 	for q := dict.Parent(cp); ; q = dict.Parent(q) {
-		if g.repeatable[child] {
+		if g.repeatable.has(child) {
 			out = append(out, q) // q == InvalidPath means "distinct documents" and is excluded below
 		}
 		if q == pathdict.InvalidPath {
@@ -148,65 +204,20 @@ func (s *Set) GuidesContaining(p pathdict.PathID) []*Guide {
 	return out
 }
 
-// Build computes the dataguide summary of col at the given overlap
-// threshold (the paper evaluates 0.40).
-func Build(col *store.Collection, threshold float64) (*Set, error) {
-	return BuildParallel(col, nil, threshold, 0)
-}
-
-// BuildWithGraph additionally folds the data graph's link edges into
-// cross-guide Links, so the connection summary can propose IDREF/XLink/
-// value relationships (§6.1: "a set of links between the dataguides
-// corresponding to the external edges between documents").
-func BuildWithGraph(col *store.Collection, g *graph.Graph, threshold float64) (*Set, error) {
-	return BuildParallel(col, g, threshold, 0)
-}
-
-// BuildParallel is BuildWithGraph with an explicit worker count for the
-// per-document profile extraction (the CPU-bound walk). Profiles are then
-// absorbed sequentially in document order — absorption order determines
-// guide merging, so it must stay deterministic. parallelism <= 0 means
-// runtime.GOMAXPROCS(0); 1 forces a fully sequential build.
-func BuildParallel(col *store.Collection, g *graph.Graph, threshold float64, parallelism int) (*Set, error) {
+// Build computes the dataguide summary of col's live documents at the
+// given overlap threshold (the paper evaluates 0.40), absorbing them in id
+// order — absorption order determines guide merging. A non-nil data graph
+// also folds its link edges into cross-guide Links, so the connection
+// summary can propose IDREF/XLink/value relationships (§6.1: "a set of
+// links between the dataguides corresponding to the external edges
+// between documents").
+func Build(col *store.Collection, g *graph.Graph, threshold float64) (*Set, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("dataguide: threshold %v outside [0,1]", threshold)
 	}
 	s := &Set{col: col, Threshold: threshold, docGuide: make(map[xmldoc.DocID]int)}
-	docs := col.LiveDocs() // masked documents get no guide assignment
-	p := parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > len(docs) {
-		p = len(docs)
-	}
-	if p <= 1 {
-		for _, doc := range docs {
-			paths, rep := docProfile(doc)
-			s.absorb(doc.ID, paths, rep)
-		}
-	} else {
-		type profile struct {
-			paths map[pathdict.PathID]struct{}
-			rep   map[pathdict.PathID]bool
-		}
-		profiles := make([]profile, len(docs))
-		var wg sync.WaitGroup
-		for w := 0; w < p; w++ {
-			lo, hi := w*len(docs)/p, (w+1)*len(docs)/p
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					paths, rep := docProfile(docs[i])
-					profiles[i] = profile{paths: paths, rep: rep}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		for i, doc := range docs {
-			s.absorb(doc.ID, profiles[i].paths, profiles[i].rep)
-		}
+	for _, doc := range col.LiveDocs() { // masked documents get no guide assignment
+		s.absorb(doc.ID, docProfile(doc))
 	}
 	if g != nil {
 		s.buildLinks(g)
@@ -214,69 +225,68 @@ func BuildParallel(col *store.Collection, g *graph.Graph, threshold float64, par
 	return s, nil
 }
 
-// docProfile extracts a document's path set and repeatability marks.
-func docProfile(doc *xmldoc.Document) (map[pathdict.PathID]struct{}, map[pathdict.PathID]bool) {
-	paths := make(map[pathdict.PathID]struct{})
-	rep := make(map[pathdict.PathID]bool)
+// profile is one document's path set, its size, and its repeatability
+// marks: the unit the §6.1 fold absorbs.
+type profile struct {
+	paths, rep pathSet
+	size       int
+}
+
+// docProfile extracts a document's profile.
+//
+//seda:constructor
+func docProfile(doc *xmldoc.Document) profile {
+	var pr profile
+	var sib pathSet // child paths seen under the current node
 	doc.Walk(func(n *xmldoc.Node) bool {
-		paths[n.Path] = struct{}{}
-		seen := make(map[pathdict.PathID]int, len(n.Children))
-		for _, c := range n.Children {
-			seen[c.Path]++
-			if seen[c.Path] == 2 {
-				rep[c.Path] = true
+		if pr.paths.add(n.Path) {
+			pr.size++
+		}
+		if len(n.Children) > 1 {
+			for _, c := range n.Children {
+				if !sib.add(c.Path) {
+					pr.rep.add(c.Path)
+				}
+			}
+			for _, c := range n.Children {
+				sib[c.Path>>6] = 0
 			}
 		}
 		return true
 	})
-	return paths, rep
+	return pr
 }
 
 // absorb merges one document profile into the guide set following §6.1:
-// subset/equal guides absorb directly; otherwise the best guide at or above
-// the overlap threshold merges; otherwise a new guide is created.
+// the first guide containing every document path absorbs it unchanged;
+// otherwise the guide with the strictly best overlap at or above the
+// threshold merges it; otherwise it starts a new guide.
 //
 //seda:constructor
-func (s *Set) absorb(doc xmldoc.DocID, paths map[pathdict.PathID]struct{}, rep map[pathdict.PathID]bool) {
+func (s *Set) absorb(doc xmldoc.DocID, pr profile) {
 	bestIdx, bestOverlap := -1, 0.0
 	for i, g := range s.Guides {
-		common := 0
-		for p := range paths {
-			if _, ok := g.paths[p]; ok {
-				common++
-			}
-		}
-		if common == len(paths) {
+		common := pr.paths.common(g.paths)
+		if common == pr.size {
 			// Subset or equal: no further processing needed.
 			g.Docs = append(g.Docs, doc)
-			for p, v := range rep {
-				if v {
-					g.repeatable[p] = true
-				}
-			}
+			g.repeatable.union(pr.rep)
 			s.docGuide[doc] = i
 			return
 		}
-		ov := overlap(common, len(paths), g.Size())
-		if ov > bestOverlap {
+		if ov := overlap(common, pr.size, g.size); ov > bestOverlap {
 			bestIdx, bestOverlap = i, ov
 		}
 	}
 	if bestIdx >= 0 && bestOverlap >= s.Threshold && s.Threshold > 0 {
 		g := s.Guides[bestIdx]
-		for p := range paths {
-			g.paths[p] = struct{}{}
-		}
-		for p, v := range rep {
-			if v {
-				g.repeatable[p] = true
-			}
-		}
+		g.size += g.paths.union(pr.paths)
+		g.repeatable.union(pr.rep)
 		g.Docs = append(g.Docs, doc)
 		s.docGuide[doc] = bestIdx
 		return
 	}
-	g := &Guide{ID: len(s.Guides), Docs: []xmldoc.DocID{doc}, paths: paths, repeatable: rep}
+	g := &Guide{ID: len(s.Guides), Docs: []xmldoc.DocID{doc}, paths: pr.paths, size: pr.size, repeatable: pr.rep}
 	s.Guides = append(s.Guides, g)
 	s.docGuide[doc] = g.ID
 }
@@ -294,47 +304,34 @@ func overlap(common, n1, n2 int) float64 {
 	return o2
 }
 
-// Overlap exposes the §6.1 similarity metric over two path sets, for tests
-// and tooling.
+// Overlap exposes the §6.1 similarity metric over two lists of dictionary
+// path ids (duplicates ignored), for tests and tooling.
 func Overlap(a, b []pathdict.PathID) float64 {
-	sa := make(map[pathdict.PathID]struct{}, len(a))
+	var sa, sb pathSet
 	for _, p := range a {
-		sa[p] = struct{}{}
+		sa.add(p)
 	}
-	common := 0
-	seen := make(map[pathdict.PathID]struct{}, len(b))
 	for _, p := range b {
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		if _, ok := sa[p]; ok {
-			common++
-		}
+		sb.add(p)
 	}
-	return overlap(common, len(sa), len(seen))
+	return overlap(sa.common(sb), sa.common(sa), sb.common(sb))
 }
 
 //seda:constructor
 func (s *Set) buildLinks(g *graph.Graph) {
-	agg := make(map[string]*Link)
+	// A Link without its Count is the aggregation key.
+	agg := make(map[Link]int)
 	for _, e := range g.Edges() {
 		fg, okF := s.docGuide[e.From.Doc]
 		tg, okT := s.docGuide[e.To.Doc]
 		if !okF || !okT {
 			continue
 		}
-		fp := s.col.PathOf(e.From)
-		tp := s.col.PathOf(e.To)
-		k := fmt.Sprintf("%d|%d|%d|%d|%d|%s", fg, tg, fp, tp, e.Kind, e.Label)
-		if l, ok := agg[k]; ok {
-			l.Count++
-			continue
-		}
-		agg[k] = &Link{FromGuide: fg, ToGuide: tg, FromPath: fp, ToPath: tp, Kind: e.Kind, Label: e.Label, Count: 1}
+		agg[Link{FromGuide: fg, ToGuide: tg, FromPath: s.col.PathOf(e.From), ToPath: s.col.PathOf(e.To), Kind: e.Kind, Label: e.Label}]++
 	}
-	for _, l := range agg {
-		s.Links = append(s.Links, *l)
+	for l, n := range agg {
+		l.Count = n
+		s.Links = append(s.Links, l)
 	}
 	// The sort is a total order: the input comes off a map, so any tie left
 	// to the aggregation order would make Links — and the connection

@@ -1,11 +1,16 @@
 package dataguide
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"seda/internal/datagen"
 	"seda/internal/graph"
 	"seda/internal/pathdict"
 	"seda/internal/store"
@@ -28,7 +33,7 @@ func TestSubsetAbsorption(t *testing.T) {
 		`<country><name>B</name><year>2003</year></country>`, // subset
 		`<country><name>C</name></country>`,                  // subset
 	)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestOverlapMergeVsNewGuide(t *testing.T) {
 		`<r><a/><b/><e/><f/></r>`,
 		`<z><q/></z>`,
 	)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestOverlapMergeVsNewGuide(t *testing.T) {
 		t.Errorf("merged size = %d, want 7", s.GuideOf(0).Size())
 	}
 	// At a higher threshold they stay separate.
-	s2, err := Build(c, 0.8)
+	s2, err := Build(c, nil, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestOverlapMergeVsNewGuide(t *testing.T) {
 	}
 	// Threshold 0 means never merge by overlap (only subset absorption) —
 	// the paper's "1600 dataguides for 1600 documents" regime.
-	s0, err := Build(c, 0)
+	s0, err := Build(c, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +96,10 @@ func TestOverlapMergeVsNewGuide(t *testing.T) {
 
 func TestThresholdValidation(t *testing.T) {
 	c := store.NewCollection()
-	if _, err := Build(c, -0.1); err == nil {
+	if _, err := Build(c, nil, -0.1); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	if _, err := Build(c, 1.5); err == nil {
+	if _, err := Build(c, nil, 1.5); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
 }
@@ -180,7 +185,7 @@ func TestPropCoverageAndMonotonicity(t *testing.T) {
 		}
 		prev := -1
 		for _, th := range []float64{0.9, 0.6, 0.3, 0.1} {
-			s, err := Build(c, th)
+			s, err := Build(c, nil, th)
 			if err != nil {
 				return false
 			}
@@ -224,7 +229,7 @@ func TestRepeatableDetection(t *testing.T) {
 			<item><trade_country>Canada</trade_country><percentage>16.9%</percentage></item>
 		 </import_partners></economy></country>`,
 	)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +255,7 @@ func TestTreeConnectionsPaperExample(t *testing.T) {
 			<item><trade_country>Canada</trade_country><percentage>16.9%</percentage></item>
 		 </import_partners></economy></country>`,
 	)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +289,7 @@ func TestLinksAcrossGuides(t *testing.T) {
 	)
 	g := graph.New(c)
 	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
-	s, err := BuildWithGraph(c, g, 0.4)
+	s, err := Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +318,7 @@ func TestStatsShape(t *testing.T) {
 	addDocs(t, c,
 		`<r><a/></r>`, `<r><a/></r>`, `<r><a/></r>`, `<z/>`,
 	)
-	s, _ := Build(c, 0.4)
+	s, _ := Build(c, nil, 0.4)
 	st := s.Stats()
 	if st.Documents != 4 || st.Guides != 2 {
 		t.Errorf("stats = %+v", st)
@@ -321,4 +326,207 @@ func TestStatsShape(t *testing.T) {
 	if st.Reduction != 2 {
 		t.Errorf("reduction = %v", st.Reduction)
 	}
+}
+
+// refGuide is one guide of referenceFold.
+type refGuide struct {
+	docs  []xmldoc.DocID
+	paths map[pathdict.PathID]struct{}
+	rep   map[pathdict.PathID]bool
+}
+
+// referenceFold is the map-based §6.1 fold this package ran before path
+// sets became bitsets: each document's path set and repeatability marks
+// as maps, probed path by path against every guide. It is the oracle the
+// bitset fold must match guide for guide.
+func referenceFold(docs []*xmldoc.Document, threshold float64) ([]*refGuide, map[xmldoc.DocID]int) {
+	var guides []*refGuide
+	docGuide := make(map[xmldoc.DocID]int)
+	for _, doc := range docs {
+		paths := make(map[pathdict.PathID]struct{})
+		rep := make(map[pathdict.PathID]bool)
+		doc.Walk(func(n *xmldoc.Node) bool {
+			paths[n.Path] = struct{}{}
+			seen := make(map[pathdict.PathID]int, len(n.Children))
+			for _, c := range n.Children {
+				seen[c.Path]++
+				if seen[c.Path] == 2 {
+					rep[c.Path] = true
+				}
+			}
+			return true
+		})
+		absorbed := false
+		bestIdx, bestOverlap := -1, 0.0
+		for i, g := range guides {
+			common := 0
+			for p := range paths {
+				if _, ok := g.paths[p]; ok {
+					common++
+				}
+			}
+			if common == len(paths) {
+				g.docs = append(g.docs, doc.ID)
+				for p := range rep {
+					g.rep[p] = true
+				}
+				docGuide[doc.ID] = i
+				absorbed = true
+				break
+			}
+			if ov := overlap(common, len(paths), len(g.paths)); ov > bestOverlap {
+				bestIdx, bestOverlap = i, ov
+			}
+		}
+		switch {
+		case absorbed:
+		case bestIdx >= 0 && bestOverlap >= threshold && threshold > 0:
+			g := guides[bestIdx]
+			for p := range paths {
+				g.paths[p] = struct{}{}
+			}
+			for p := range rep {
+				g.rep[p] = true
+			}
+			g.docs = append(g.docs, doc.ID)
+			docGuide[doc.ID] = bestIdx
+		default:
+			docGuide[doc.ID] = len(guides)
+			guides = append(guides, &refGuide{docs: []xmldoc.DocID{doc.ID}, paths: paths, rep: rep})
+		}
+	}
+	return guides, docGuide
+}
+
+// assertMatchesReference checks s against referenceFold over docs: guide
+// ids, document lists in order, path sets, sizes, repeatable marks, and
+// the document→guide assignment.
+func assertMatchesReference(t *testing.T, s *Set, docs []*xmldoc.Document) {
+	t.Helper()
+	want, wantOf := referenceFold(docs, s.Threshold)
+	if len(s.Guides) != len(want) {
+		t.Fatalf("threshold %v: %d guides, reference %d", s.Threshold, len(s.Guides), len(want))
+	}
+	for i, g := range s.Guides {
+		r := want[i]
+		if g.ID != i || !reflect.DeepEqual(g.Docs, r.docs) {
+			t.Fatalf("threshold %v guide %d: id %d docs %v, reference docs %v", s.Threshold, i, g.ID, g.Docs, r.docs)
+		}
+		if got, ref := g.Paths(), slices.Sorted(maps.Keys(r.paths)); !reflect.DeepEqual(got, ref) || g.Size() != len(ref) {
+			t.Fatalf("threshold %v guide %d: paths %v (size %d), reference %v", s.Threshold, i, got, g.Size(), ref)
+		}
+		if got, ref := g.repeatable.ids(), slices.Sorted(maps.Keys(r.rep)); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("threshold %v guide %d: repeatable %v, reference %v", s.Threshold, i, got, ref)
+		}
+	}
+	for _, d := range docs {
+		if g := s.GuideOf(d.ID); g == nil || g.ID != wantOf[d.ID] {
+			t.Fatalf("threshold %v: doc %d assigned to %v, reference guide %d", s.Threshold, d.ID, g, wantOf[d.ID])
+		}
+	}
+}
+
+// TestFoldMatchesReference pins the bitset fold to the map-based oracle on
+// every generated corpus and the paper's threshold range.
+func TestFoldMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func(float64) *store.Collection
+	}{
+		{"worldfactbook", datagen.WorldFactbook},
+		{"mondial", datagen.Mondial},
+		{"googlebase", datagen.GoogleBase},
+		{"recipeml", datagen.RecipeML},
+		{"random", randomCorpus},
+	} {
+		col := c.gen(0.1)
+		for _, th := range []float64{0, 0.4, 0.7, 1} {
+			s, err := Build(col, nil, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/%v", c.name, th), func(t *testing.T) {
+				assertMatchesReference(t, s, col.LiveDocs())
+			})
+		}
+	}
+}
+
+// randomCorpus draws small documents over a handful of tags with
+// repeated and nested children, so overlap ties, subset absorptions that
+// add repeatable marks, and threshold-boundary merges all occur — shapes
+// the generated corpora rarely produce. scale is ignored.
+func randomCorpus(float64) *store.Collection {
+	r := rand.New(rand.NewSource(7))
+	c := store.NewCollection()
+	tags := []string{"a", "b", "c", "d", "e"}
+	for i := 0; i < 300; i++ {
+		root := xmldoc.Elem([]string{"r", "s"}[r.Intn(2)])
+		for _, tg := range tags {
+			for n := r.Intn(3); n > 0; n-- {
+				child := xmldoc.Elem(tg)
+				for m := r.Intn(3); m > 0; m-- {
+					child.Add(xmldoc.Text(tags[r.Intn(2)], "v"))
+				}
+				root.Add(child)
+			}
+		}
+		c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), root, c.Dict()))
+	}
+	return c
+}
+
+// TestExtendAndRefoldMatchReference covers the two other ways a Set is
+// derived: a 3-step Extend chain (ingest) and a re-fold over survivors
+// after masking every third document (delete/update/compact).
+func TestExtendAndRefoldMatchReference(t *testing.T) {
+	var raw [][]byte
+	for _, doc := range datagen.WorldFactbook(0.1).Docs() {
+		var b bytes.Buffer
+		if err := doc.WriteXML(&b); err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, b.Bytes())
+	}
+	col := store.NewCollection()
+	base := len(raw) / 2
+	for i, x := range raw[:base] {
+		if _, err := col.AddXML(fmt.Sprintf("d%d", i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Build(col, nil, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := raw[base:]
+	for step := 0; step < 3; step++ {
+		var docs []*xmldoc.Document
+		for _, x := range rest[step*len(rest)/3 : (step+1)*len(rest)/3] {
+			d, err := xmldoc.Parse(x, col.Dict())
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, d)
+		}
+		col = col.Extend(docs)
+		if s, err = s.Extend(col, nil, docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertMatchesReference(t, s, col.LiveDocs())
+
+	var dead []xmldoc.DocID
+	for i := 0; i < col.NumDocs(); i += 3 {
+		dead = append(dead, xmldoc.DocID(i))
+	}
+	masked, err := col.WithTombstones(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refold, err := Build(masked, nil, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesReference(t, refold, masked.LiveDocs())
 }

@@ -11,7 +11,8 @@
 //
 // Building the summary processes documents one at a time and merges each
 // document's guide into the accumulated collection using the paper's
-// overlap metric:
+// overlap metric (path sets are dense bitsets over PathID, so |common| is
+// a word-parallel popcount):
 //
 //	overlap(dg1,dg2) = min(|common|/|paths(dg1)|, |common|/|paths(dg2)|)
 //
@@ -28,11 +29,9 @@
 //
 // # Concurrency
 //
-// A Set is immutable once Build/BuildParallel (or Extend) returns, and
-// all read methods are then safe for concurrent use. Extend never
-// modifies its receiver — it returns a new Set for the new engine
-// generation, leaving readers of the old one undisturbed. The
-// construction-time parallelism (BuildParallel's worker pool) is
-// internal; absorption stays sequential in document order because merge
-// results are order-sensitive.
+// A Set is immutable once Build (or Extend) returns, and all read methods
+// are then safe for concurrent use. Extend never modifies its receiver —
+// it returns a new Set for the new engine generation, leaving readers of
+// the old one undisturbed. Construction is sequential in document order
+// because merge results are order-sensitive.
 package dataguide

@@ -1,8 +1,9 @@
 package dataguide
 
 import (
+	"slices"
+
 	"seda/internal/graph"
-	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
@@ -35,23 +36,14 @@ func (s *Set) Extend(col *store.Collection, g *graph.Graph, newDocs []*xmldoc.Do
 	}
 	ns.Guides = make([]*Guide, len(s.Guides))
 	for i, gd := range s.Guides {
-		ng := &Guide{
-			ID:         gd.ID,
-			Docs:       append([]xmldoc.DocID(nil), gd.Docs...),
-			paths:      make(map[pathdict.PathID]struct{}, len(gd.paths)),
-			repeatable: make(map[pathdict.PathID]bool, len(gd.repeatable)),
-		}
-		for p := range gd.paths {
-			ng.paths[p] = struct{}{}
-		}
-		for p, v := range gd.repeatable {
-			ng.repeatable[p] = v
-		}
-		ns.Guides[i] = ng
+		ng := *gd
+		ng.Docs = slices.Clone(gd.Docs)
+		ng.paths = slices.Clone(gd.paths)
+		ng.repeatable = slices.Clone(gd.repeatable)
+		ns.Guides[i] = &ng
 	}
 	for _, doc := range newDocs {
-		paths, rep := docProfile(doc)
-		ns.absorb(doc.ID, paths, rep)
+		ns.absorb(doc.ID, docProfile(doc))
 	}
 	if g != nil {
 		ns.buildLinks(g)

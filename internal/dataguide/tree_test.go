@@ -15,7 +15,7 @@ func TestTreeString(t *testing.T) {
 			<item><trade_country>Y</trade_country></item>
 		</import_partners></economy></country>`,
 	)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTreeString(t *testing.T) {
 func TestSetSummary(t *testing.T) {
 	c := store.NewCollection()
 	addDocs(t, c, `<a><x>1</x></a>`, `<b><y>2</y></b>`)
-	s, err := Build(c, 0.4)
+	s, err := Build(c, nil, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,27 @@ func FuzzContainerDecode(f *testing.F) {
 	}); err != nil {
 		f.Fatal(err)
 	}
+	// A dataguide section (codec version 1, threshold 0.4, one guide over
+	// document 0) naming path id 1<<30: framing accepts it; rejecting the
+	// id is dataguide.Decode's job (see its hostile-input test).
+	var dg Writer
+	dg.Int(1)
+	dg.F64(0.4)
+	for _, v := range []int{1, 1, 0, 1, 1 << 30, 0, 0} {
+		dg.Int(v)
+	}
+	var hostileGuide bytes.Buffer
+	if err := WriteContainer(&hostileGuide, 4, []Section{
+		{Name: "dataguide", Payload: dg.Bytes()},
+	}); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid.Bytes())
 	f.Add(masked.Bytes())
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2]) // truncation
 	f.Add([]byte{})
 	f.Add([]byte("SEDA"))
+	f.Add(hostileGuide.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		version, sections, err := ReadContainer(data, 1<<20)
 		if err != nil {

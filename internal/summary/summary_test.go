@@ -36,7 +36,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph, *data
 	}
 	ix := index.Build(c)
 	g := graph.New(c)
-	dg, err := dataguide.BuildWithGraph(c, g, 0.4)
+	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestConnectionFalsePositives(t *testing.T) {
 	}
 	ix := index.Build(c)
 	g := graph.New(c)
-	dg, err := dataguide.BuildWithGraph(c, g, 0.4)
+	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestConnectionLinkEdges(t *testing.T) {
 	ix := index.Build(c)
 	g := graph.New(c)
 	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
-	dg, err := dataguide.BuildWithGraph(c, g, 0.4)
+	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func RecipeML(scale float64) *Collection { return datagen.RecipeML(scale) }
 // BuildDataguides computes the dataguide summary of a collection at the
 // given overlap threshold (the paper's Table 1 uses 0.40).
 func BuildDataguides(col *Collection, threshold float64) (*DataguideSet, error) {
-	return dataguide.Build(col, threshold)
+	return dataguide.Build(col, nil, threshold)
 }
 
 // Aggregate names re-exported for OLAP calls.
