@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseXML -fuzztime 10s ./internal/xmldoc
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzShardDecode -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz FuzzMatchTerm -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzTombstoneDecode -fuzztime 10s ./internal/store
 
 # Known-vulnerability scan. Skips with a notice when govulncheck is not

@@ -42,6 +42,11 @@ func TreeDistance(a, b xmldoc.NodeRef) int {
 // document it equals TreeDistance; across documents it is computed on the
 // portal graph. Returns Unreachable when no path exists within the caps.
 func (g *Graph) PairDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
+	if len(g.outByDoc[a.Doc]) == 0 && len(g.inByDoc[a.Doc]) == 0 {
+		// No link edge touches a's document, so the portal search could
+		// only close inside it: the tree distance, or nothing.
+		return TreeDistance(a, b)
+	}
 	if a.Doc == b.Doc {
 		d := TreeDistance(a, b)
 		// A link edge may still shortcut within a document, but tree

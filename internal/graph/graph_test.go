@@ -188,6 +188,42 @@ func TestCrossDocDistanceViaLinks(t *testing.T) {
 	}
 }
 
+// TestPairDistanceUnlinkedShortcut pins PairDistance's no-link shortcut to
+// the full portal search: on every node pair of a corpus mixing linked
+// and unlinked documents, at every hop cap, both give the same distance.
+func TestPairDistanceUnlinkedShortcut(t *testing.T) {
+	c, g := fixture(t)
+	for i, d := range []string{
+		`<country id="fr"><name>France</name><economy><item>x</item></economy></country>`,
+		`<sea id="north"><name>North Sea</name></sea>`,
+	} {
+		if _, err := c.AddXML(fmt.Sprintf("extra%d", i), []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	search := func(a, b xmldoc.NodeRef, hops int) int {
+		d := g.portalDistance(a, b, hops)
+		if td := TreeDistance(a, b); td < d {
+			return td
+		}
+		return d
+	}
+	var refs []xmldoc.NodeRef
+	c.EachNode(func(doc *xmldoc.Document, n *xmldoc.Node) {
+		refs = append(refs, store.RefOf(doc, n))
+	})
+	for _, a := range refs {
+		for _, b := range refs {
+			for hops := 0; hops <= 2; hops++ {
+				if got, want := g.PairDistance(a, b, hops), search(a, b, hops); got != want {
+					t.Fatalf("PairDistance(%v, %v, %d) = %d, portal search %d", a, b, hops, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDocsConnected(t *testing.T) {
 	_, g := fixture(t)
 	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})

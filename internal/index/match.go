@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"seda/internal/dewey"
@@ -56,6 +57,11 @@ func (ix *Index) MatchTerm(t query.Term) ([]Match, error) {
 // every lifted node is verified by evaluating the full expression against
 // content(n). For match-all or purely negative expressions the context's
 // paths enumerate candidates directly.
+//
+// Candidates travel as one (doc, Dewey)-sorted, duplicate-free slice:
+// each clause's SLCA output is already in that order, so a single-clause
+// term with an empty context needs no sort at all; otherwise one
+// sort-unique after lifting replaces any keyed set.
 func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
 	ix.shards[s].fetches.Add(1)
 	if fulltext.OpenMatch(t.Search) {
@@ -67,90 +73,181 @@ func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
 	if len(clauses) == 0 {
 		return ix.matchByContextScan(t, s)
 	}
-	anchorSet := make(map[string]xmldoc.NodeRef)
+	var cands []Match
 	for _, clause := range clauses {
 		anchors, err := ix.clauseAnchors(clause, s)
 		if err != nil {
 			return nil, err
 		}
-		for _, ref := range anchors {
-			anchorSet[refKey(ref)] = ref
-		}
-	}
-	candSet := make(map[string]candidate)
-	dict := ix.col.Dict()
-	for _, anchor := range anchorSet {
 		if t.Context.IsEmpty() {
-			candSet[refKey(anchor)] = candidate{ref: anchor}
+			for _, a := range anchors {
+				cands = append(cands, Match{Ref: a})
+			}
 			continue
 		}
-		// Lift to context-matching ancestors-or-self. Ancestor paths are
-		// the step-prefixes of the anchor's path, so the check needs no
-		// tree access.
-		aPath := ix.col.PathOf(anchor)
-		for lvl := anchor.Dewey.Level(); lvl >= 1; lvl-- {
-			p := dict.AncestorAtDepth(aPath, lvl)
-			if p == pathdict.InvalidPath {
-				continue
-			}
-			if t.Context.Matches(dict, p) {
-				ref := xmldoc.NodeRef{Doc: anchor.Doc, Dewey: anchor.Dewey.Prefix(lvl)}
-				candSet[refKey(ref)] = candidate{ref: ref}
-			}
+		for _, a := range anchors {
+			cands = ix.appendLifted(cands, t.Context, a)
 		}
 	}
-	return ix.verify(t, candSet)
+	if len(clauses) > 1 || !t.Context.IsEmpty() {
+		cands = sortUniqueRefs(cands)
+	}
+	return ix.verify(t, cands), nil
 }
 
-type candidate struct {
-	ref xmldoc.NodeRef
+// appendLifted appends the anchor's ancestors-or-self whose path satisfies
+// the context. Ancestor paths are the step-prefixes of the anchor's path,
+// so the check needs no tree access beyond resolving the anchor itself;
+// the lifted Dewey ids share the anchor's (capacity-capped) storage.
+func (ix *Index) appendLifted(cands []Match, ctx query.Context, anchor xmldoc.NodeRef) []Match {
+	dict := ix.col.Dict()
+	aPath := ix.col.PathOf(anchor)
+	for lvl := anchor.Dewey.Level(); lvl >= 1; lvl-- {
+		p := dict.AncestorAtDepth(aPath, lvl)
+		if p == pathdict.InvalidPath {
+			continue
+		}
+		if ctx.Matches(dict, p) {
+			cands = append(cands, Match{Ref: xmldoc.NodeRef{Doc: anchor.Doc, Dewey: anchor.Dewey[:lvl:lvl]}})
+		}
+	}
+	return cands
+}
+
+// sortUniqueRefs sorts candidates into (doc, Dewey) order and drops
+// repeated refs in place.
+func sortUniqueRefs(cands []Match) []Match {
+	slices.SortFunc(cands, func(a, b Match) int { return compareRefs(a.Ref, b.Ref) })
+	return slices.CompactFunc(cands, func(a, b Match) bool { return a.Ref.Equal(b.Ref) })
+}
+
+// compareRefs is the three-way form of xmldoc.NodeRef.Less.
+func compareRefs(a, b xmldoc.NodeRef) int {
+	if a.Doc != b.Doc {
+		if a.Doc < b.Doc {
+			return -1
+		}
+		return 1
+	}
+	return dewey.Compare(a.Dewey, b.Dewey)
 }
 
 // matchByContextScan handles terms whose expression yields no positive index
 // probes — (context, *) and (context, NOT x). Candidates are all of shard
 // s's nodes at context-matching paths; the scan walks the shard's own
 // path set (not the corpus-global list), so the per-term work across all
-// shards stays proportional to the corpus, not shards × corpus. Path
-// iteration order is irrelevant: candidates dedup through a map and
-// verify sorts its output. query.NewTerm guarantees such terms have a
-// context.
+// shards stays proportional to the corpus, not shards × corpus. Each
+// path's node list is already in (doc, Dewey) order and distinct paths
+// never share a node, so merging the lists yields sorted, duplicate-free
+// candidates. A match-all term is answered from the lists alone — every
+// node satisfies "*" and scores the neutral 1 — so it never resolves a
+// node or reads content; other open expressions (NOT x) go through
+// verify. query.NewTerm guarantees such terms have a context.
 func (ix *Index) matchByContextScan(t query.Term, s int) ([]Match, error) {
 	if t.Context.IsEmpty() {
 		return nil, fmt.Errorf("index: term %s has neither positive search terms nor a context", t)
 	}
 	dict := ix.col.Dict()
 	sh := ix.shards[s]
-	candSet := make(map[string]candidate)
-	// Walk the resident path roster and page the shard in only when a
-	// path actually matches the context: a scan that matches nothing in
-	// this shard leaves a cold shard cold.
-	var d *shardData
-	for _, p := range sh.pathIDs {
-		if !t.Context.Matches(dict, p) {
-			continue
-		}
-		if d == nil {
-			var err error
-			if d, err = sh.hot(); err != nil {
-				return nil, err
-			}
-		}
-		for _, ref := range ix.liveRefs(s, d.pathNodes[p]) {
-			candSet[refKey(ref)] = candidate{ref: ref}
+	// Walk the resident path roster, sizing the output from its counts;
+	// the matching paths' runs live on the stack for the common few-path
+	// case.
+	var buf [8]pathRun
+	runs := buf[:0]
+	total := 0
+	for i, p := range sh.pathIDs {
+		if t.Context.Matches(dict, p) {
+			runs = append(runs, pathRun{path: p})
+			total += sh.pathCounts[i]
 		}
 	}
-	return ix.verify(t, candSet)
+	out := make([]Match, 0, total)
+	if len(runs) == 0 {
+		// Nothing matches in this shard: a cold shard stays cold.
+		return out, nil
+	}
+	d, err := sh.hot()
+	if err != nil {
+		return nil, err
+	}
+	for i := range runs {
+		runs[i].refs = ix.liveRefs(s, d.pathNodes[runs[i].path])
+	}
+	out = mergeRuns(out, runs)
+	if fulltext.IsMatchAll(t.Search) {
+		return out, nil
+	}
+	return ix.verify(t, out), nil
+}
+
+// pathRun is the not-yet-emitted tail of one path's node list.
+type pathRun struct {
+	path pathdict.PathID
+	refs []xmldoc.NodeRef
+}
+
+// mergeRuns appends the union of the runs to out in (doc, Dewey) order, as
+// matches with their run's path and the match-all score 1. Each run must
+// be sorted and no two runs may share a node. The runs are consumed. A
+// binary min-heap over the run heads does the k-way merge; a lone run is
+// copied straight through.
+func mergeRuns(out []Match, runs []pathRun) []Match {
+	h := runs[:0]
+	for _, r := range runs {
+		if len(r.refs) > 0 {
+			h = append(h, r)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDownRuns(h, i)
+	}
+	for len(h) > 1 {
+		top := &h[0]
+		out = append(out, Match{Ref: top.refs[0], Path: top.path, Score: 1})
+		if top.refs = top.refs[1:]; len(top.refs) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDownRuns(h, 0)
+	}
+	if len(h) == 1 {
+		for _, ref := range h[0].refs {
+			out = append(out, Match{Ref: ref, Path: h[0].path, Score: 1})
+		}
+	}
+	return out
+}
+
+func siftDownRuns(h []pathRun, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(h) && h[l].refs[0].Less(h[min].refs[0]) {
+			min = l
+		}
+		if r < len(h) && h[r].refs[0].Less(h[min].refs[0]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
 }
 
 // verify evaluates the full search expression against content(n) for every
-// candidate and scores survivors.
-func (ix *Index) verify(t query.Term, cands map[string]candidate) ([]Match, error) {
-	matches := make([]Match, 0, len(cands))
+// candidate and scores the survivors. cands must be sorted and
+// duplicate-free; only their refs are read. Survivors are compacted in
+// place, so the result keeps the candidates' order and storage.
+func (ix *Index) verify(t query.Term, cands []Match) []Match {
+	sc := ix.newScorer(t.Search)
+	out := cands[:0]
 	for _, c := range cands {
-		if ix.dead.Has(c.ref.Doc) {
+		if ix.dead.Has(c.Ref.Doc) {
 			continue // masked documents never match
 		}
-		node := ix.col.Node(c.ref)
+		node := ix.col.Node(c.Ref)
 		if node == nil {
 			continue
 		}
@@ -158,46 +255,74 @@ func (ix *Index) verify(t query.Term, cands map[string]candidate) ([]Match, erro
 		if !t.Search.Matches(content) {
 			continue
 		}
-		matches = append(matches, Match{
-			Ref:   c.ref,
-			Path:  node.Path,
-			Score: ix.contentScore(t.Search, content),
-		})
+		out = append(out, Match{Ref: c.Ref, Path: node.Path, Score: sc.score(content)})
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Ref.Less(matches[j].Ref) })
-	return matches, nil
+	return out
 }
 
-// contentScore is a TF-IDF content score: sum over the expression's
-// positive terms of tf·idf, dampened by content length so that deep
-// containers do not dominate leaf-level matches. MatchAll terms score a
-// neutral 1.
-func (ix *Index) contentScore(e fulltext.Expr, content *fulltext.Content) float64 {
+// scorer holds the per-term set-up of the TF-IDF content score, computed
+// once per evaluation instead of once per candidate: the expression's
+// positive terms in syntax order, each with its IDF and, for a prefix
+// probe, its vocabulary expansions in vocabulary order.
+type scorer []scoredTerm
+
+type scoredTerm struct {
+	term       string
+	prefix     bool
+	expansions []string // vocabulary terms starting with term (prefix probes only)
+	idf        float64
+}
+
+func (ix *Index) newScorer(e fulltext.Expr) scorer {
 	tqs := fulltext.Terms(e)
 	if len(tqs) == 0 {
-		return 1
+		return nil
 	}
 	n := float64(ix.col.NumLive())
-	var s float64
-	for _, tq := range tqs {
-		tf := float64(content.TermFreq(tq.Term))
+	sc := make(scorer, len(tqs))
+	for i, tq := range tqs {
+		st := scoredTerm{term: tq.Term, prefix: tq.Prefix}
 		if tq.Prefix {
-			// Approximate prefix tf by scanning; cheap because content term
-			// maps are small.
-			tf = 0
-			for i := sort.SearchStrings(ix.terms, tq.Term); i < len(ix.terms) && hasPrefix(ix.terms[i], tq.Term); i++ {
-				tf += float64(content.TermFreq(ix.terms[i]))
+			lo := sort.SearchStrings(ix.terms, tq.Term)
+			hi := lo
+			for hi < len(ix.terms) && hasPrefix(ix.terms[hi], tq.Term) {
+				hi++
 			}
-		}
-		if tf == 0 {
-			continue
+			st.expansions = ix.terms[lo:hi]
 		}
 		df := float64(ix.termDocFreq[tq.Term])
 		if df == 0 {
 			df = 1
 		}
-		idf := math.Log(1 + n/df)
-		s += (1 + math.Log(tf)) * idf
+		st.idf = math.Log(1 + n/df)
+		sc[i] = st
+	}
+	return sc
+}
+
+// score is a TF-IDF content score: sum over the expression's positive
+// terms of tf·idf, dampened by content length so that deep containers do
+// not dominate leaf-level matches. MatchAll terms score a neutral 1.
+func (sc scorer) score(content *fulltext.Content) float64 {
+	if len(sc) == 0 {
+		return 1
+	}
+	var s float64
+	for _, st := range sc {
+		var tf float64
+		if st.prefix {
+			// Approximate prefix tf by summing the expansions; cheap because
+			// content term maps are small.
+			for _, w := range st.expansions {
+				tf += float64(content.TermFreq(w))
+			}
+		} else {
+			tf = float64(content.TermFreq(st.term))
+		}
+		if tf == 0 {
+			continue
+		}
+		s += (1 + math.Log(tf)) * st.idf
 	}
 	return s / (1 + 0.3*math.Log(1+float64(content.Len())))
 }
@@ -416,8 +541,4 @@ func slca(lists [][]Posting) []xmldoc.NodeRef {
 	}
 	flushAll()
 	return out
-}
-
-func refKey(r xmldoc.NodeRef) string {
-	return fmt.Sprintf("%d|%s", r.Doc, r.Dewey)
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -230,7 +231,7 @@ func naiveMatch(c *store.Collection, t query.Term) []xmldoc.NodeRef {
 	}
 	var out []xmldoc.NodeRef
 	if !t.Context.IsEmpty() {
-		for _, doc := range c.Docs() {
+		for _, doc := range c.LiveDocs() {
 			d := doc
 			d.Walk(func(n *xmldoc.Node) bool {
 				if t.Context.Matches(dict, n.Path) && satisfies(n) {
@@ -244,7 +245,7 @@ func naiveMatch(c *store.Collection, t query.Term) []xmldoc.NodeRef {
 	}
 	clauses := naiveDNF(t.Search)
 	seen := make(map[string]bool)
-	for _, doc := range c.Docs() {
+	for _, doc := range c.LiveDocs() {
 		d := doc
 		for _, clause := range clauses {
 			if len(clause) == 0 {
@@ -347,45 +348,173 @@ func sameRefs(a []Match, b []xmldoc.NodeRef) bool {
 	return true
 }
 
-// TestPropMatchTermAgainstOracle cross-checks MatchTerm with the naive
-// Definition-3 evaluator on randomized corpora and queries.
-func TestPropMatchTermAgainstOracle(t *testing.T) {
-	vocab := []string{"red", "green", "blue", "gold"}
-	tags := []string{"a", "b", "c"}
-	searches := []string{
-		"red", "red green", "red OR green", `"red green"`,
-		"red AND NOT blue", "g*", "red (green OR gold)",
+// referenceScore is the content score as a per-candidate computation —
+// the terms and prefix expansions re-derived for every node — kept as the
+// oracle for the scorer MatchTermShard sets up once per call. Scores must
+// agree bit for bit.
+func referenceScore(ix *Index, e fulltext.Expr, content *fulltext.Content) float64 {
+	tqs := fulltext.Terms(e)
+	if len(tqs) == 0 {
+		return 1
 	}
-	contexts := []string{"*", "a", "b", "c", "a|b", "/a/b", "/a/b/c", "b*"}
+	n := float64(ix.col.NumLive())
+	var s float64
+	for _, tq := range tqs {
+		tf := float64(content.TermFreq(tq.Term))
+		if tq.Prefix {
+			tf = 0
+			for i := sort.SearchStrings(ix.terms, tq.Term); i < len(ix.terms) && strings.HasPrefix(ix.terms[i], tq.Term); i++ {
+				tf += float64(content.TermFreq(ix.terms[i]))
+			}
+		}
+		if tf == 0 {
+			continue
+		}
+		df := float64(ix.termDocFreq[tq.Term])
+		if df == 0 {
+			df = 1
+		}
+		idf := math.Log(1 + n/df)
+		s += (1 + math.Log(tf)) * idf
+	}
+	return s / (1 + 0.3*math.Log(1+float64(content.Len())))
+}
 
+// checkMatchOracle compares ix.MatchTerm(term) with the naive evaluator
+// over ix's (possibly masked) collection: the same refs in the same
+// order, each match carrying its node's path and a score bit-identical to
+// referenceScore.
+func checkMatchOracle(ix *Index, term query.Term) error {
+	got, err := ix.MatchTerm(term)
+	if err != nil {
+		return err
+	}
+	if want := naiveMatch(ix.col, term); !sameRefs(got, want) {
+		return fmt.Errorf("term %s\n got=%v\nwant=%v", term, got, want)
+	}
+	for _, m := range got {
+		node := ix.col.Node(m.Ref)
+		if m.Path != node.Path {
+			return fmt.Errorf("term %s: %v has path %d, node has %d", term, m.Ref, m.Path, node.Path)
+		}
+		want := referenceScore(ix, term.Search, fulltext.NewContent(node.Content()))
+		if math.Float64bits(m.Score) != math.Float64bits(want) {
+			return fmt.Errorf("term %s: %v scores %v, reference %v", term, m.Ref, m.Score, want)
+		}
+	}
+	return nil
+}
+
+// The oracle's query space: every search form MatchTerm treats
+// differently (word, conjunction, disjunction, phrase, negation, prefix,
+// match-all) crossed with tag, path, disjunctive and tag-prefix contexts.
+var (
+	oracleVocab    = []string{"red", "green", "blue", "gold"}
+	oracleTags     = []string{"a", "b", "c"}
+	oracleSearches = []string{
+		"red", "red green", "red OR green", `"red green"`,
+		"red AND NOT blue", "g*", "red (green OR gold)", "*", "NOT red",
+	}
+	oracleContexts = []string{"*", "a", "b", "c", "a|b", "/a/b", "/a/b/c", "b*"}
+)
+
+// oracleCase draws a corpus of one to six random documents and a term
+// from the oracle's query space. ok is false when query.NewTerm rejects
+// the combination, e.g. (*, *) or (*, NOT red).
+func oracleCase(r *rand.Rand) (c *store.Collection, term query.Term, ok bool) {
+	c = store.NewCollection()
+	nDocs := 1 + r.Intn(6)
+	for i := 0; i < nDocs; i++ {
+		c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), randDoc(r, oracleTags, oracleVocab, 0), c.Dict()))
+	}
+	search := oracleSearches[r.Intn(len(oracleSearches))]
+	ctx := oracleContexts[r.Intn(len(oracleContexts))]
+	term, err := query.NewTerm(ctx, search)
+	return c, term, err == nil
+}
+
+// maskEveryThird masks documents 2, 5, 8, … of ix's collection and returns
+// the masked index, or ix itself when it has fewer than three documents.
+func maskEveryThird(tb testing.TB, ix *Index) *Index {
+	tb.Helper()
+	var dead []xmldoc.DocID
+	for id := 2; id < ix.col.NumDocs(); id += 3 {
+		dead = append(dead, xmldoc.DocID(id))
+	}
+	if len(dead) == 0 {
+		return ix
+	}
+	mc, err := ix.col.WithTombstones(dead)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mix, err := ix.WithTombstones(mc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mix
+}
+
+// TestPropMatchTermAgainstOracle cross-checks MatchTerm with the naive
+// Definition-3 evaluator on randomized corpora and queries, at one and
+// three shards and with every third document masked.
+func TestPropMatchTermAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		c := store.NewCollection()
-		nDocs := 1 + r.Intn(4)
-		for i := 0; i < nDocs; i++ {
-			c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), randDoc(r, tags, vocab, 0), c.Dict()))
+		c, term, ok := oracleCase(rand.New(rand.NewSource(seed)))
+		if !ok {
+			return true
 		}
-		ix := Build(c)
-		search := searches[r.Intn(len(searches))]
-		ctx := contexts[r.Intn(len(contexts))]
-		term, err := query.NewTerm(ctx, search)
-		if err != nil {
-			return true // e.g. (*, NOT ...) combinations are rejected upstream
-		}
-		got, err := ix.MatchTerm(term)
-		if err != nil {
-			return false
-		}
-		want := naiveMatch(c, term)
-		if !sameRefs(got, want) {
-			t.Logf("seed %d: term %s\n got=%v\nwant=%v", seed, term, got, want)
-			return false
+		three := BuildSharded(c, 3, 1)
+		for _, ix := range []*Index{BuildSharded(c, 1, 1), three, maskEveryThird(t, three)} {
+			if err := checkMatchOracle(ix, term); err != nil {
+				t.Logf("seed %d, %d shards, %d masked: %v", seed, ix.NumShards(), ix.dead.Len(), err)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// byteSource is a rand.Source that spends one input byte per draw (the
+// byte replicated across the word, so small Intn ranges see every byte
+// value) and yields zeros once the input runs out. It lets the fuzzer
+// steer every structural choice of oracleCase directly.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63() int64 {
+	var v byte
+	if len(s.b) > 0 {
+		v, s.b = s.b[0], s.b[1:]
+	}
+	return int64(uint64(v) * 0x0101010101010101 >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzMatchTerm decodes the input into an oracle case plus a shard count
+// and a masking choice, and checks MatchTerm against the naive evaluator.
+// The checked-in corpus (testdata/fuzz/FuzzMatchTerm) covers a masked
+// match-all scan, a negation over two shards, a masked phrase, a lifted
+// prefix and a multi-clause expression.
+func FuzzMatchTerm(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := rand.New(&byteSource{b: data})
+		c, term, ok := oracleCase(r)
+		if !ok {
+			return
+		}
+		ix := BuildSharded(c, 1+r.Intn(3), 1)
+		if r.Intn(2) == 1 {
+			ix = maskEveryThird(t, ix)
+		}
+		if err := checkMatchOracle(ix, term); err != nil {
+			t.Fatalf("%d shards, %d masked: %v", ix.NumShards(), ix.dead.Len(), err)
+		}
+	})
 }
 
 func randDoc(r *rand.Rand, tags, vocab []string, depth int) *xmldoc.Node {

@@ -9,9 +9,11 @@
 // cross-twig join edges, which is similar to a join in an RDBMS."
 //
 // Twig results are computed holistically on Dewey-ordered match streams in
-// the spirit of Bruno et al.'s twig joins: matches are bucketed by their
-// Dewey prefix at the connection's join depth, so each sub-result extends
-// only compatible candidates instead of scanning the full match list. The
+// the spirit of Bruno et al.'s twig joins: the matches sharing a bound
+// node's ancestor at the connection's join depth form one contiguous run
+// of the (doc, Dewey)-ordered match list, found by binary search, so each
+// sub-result extends only compatible candidates instead of scanning the
+// full match list. The
 // package also provides a naive nested-loop evaluator used as the ablation
 // baseline and as the test oracle.
 //

@@ -176,26 +176,6 @@ func (e *Evaluator) evalTwig(tw twigSpec, p Plan, matches [][]index.Match) []Tup
 	// Order terms: start from the smallest match list, then expand along
 	// connections (BFS), appending unconnected members last.
 	order := planOrder(tw, matches)
-	// Hash indexes: for (term, joinDepth) -> prefix key -> matches.
-	type bucketKey struct {
-		term, depth int
-	}
-	buckets := make(map[bucketKey]map[string][]index.Match)
-	bucketFor := func(term, depth int) map[string][]index.Match {
-		bk := bucketKey{term, depth}
-		if b, ok := buckets[bk]; ok {
-			return b
-		}
-		b := make(map[string][]index.Match)
-		for _, m := range matches[term] {
-			if m.Ref.Dewey.Level() < depth {
-				continue
-			}
-			b[prefKey(m.Ref, depth)] = append(b[prefKey(m.Ref, depth)], m)
-		}
-		buckets[bk] = b
-		return b
-	}
 
 	var out []Tuple
 	binding := make([]index.Match, len(tw.terms))
@@ -231,7 +211,7 @@ func (e *Evaluator) evalTwig(tw twigSpec, p Plan, matches [][]index.Match) []Tup
 				driven = true
 				break
 			}
-			cands = bucketFor(term, d)[prefKey(xmldoc.NodeRef{Doc: anchor.Doc, Dewey: anchor.Dewey.Prefix(d)}, d)]
+			cands = runUnder(matches[term], xmldoc.NodeRef{Doc: anchor.Doc, Dewey: anchor.Dewey[:d]})
 			driven = true
 			break
 		}
@@ -328,8 +308,17 @@ func planOrder(tw twigSpec, matches [][]index.Match) []int {
 	return order
 }
 
-func prefKey(ref xmldoc.NodeRef, depth int) string {
-	return fmt.Sprintf("%d|%s", ref.Doc, ref.Dewey.Prefix(depth))
+// runUnder returns the matches in the subtree of ref. MatchTerm answers in
+// (doc, Dewey) order, where a subtree is one contiguous run starting at
+// the first match at or after its root, so a binary search plus a forward
+// scan finds it with no index over the matches.
+func runUnder(ms []index.Match, ref xmldoc.NodeRef) []index.Match {
+	i := sort.Search(len(ms), func(i int) bool { return !ms[i].Ref.Less(ref) })
+	j := i
+	for j < len(ms) && ms[j].Ref.Doc == ref.Doc && ref.Dewey.IsAncestorOrSelf(ms[j].Ref.Dewey) {
+		j++
+	}
+	return ms[i:j]
 }
 
 // joinTwigs combines per-twig results along cross-twig link connections,

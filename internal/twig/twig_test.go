@@ -217,20 +217,36 @@ func TestHolisticMatchesNaive(t *testing.T) {
 }
 
 // Property: on random corpora and random same-doc twig plans, holistic
-// equals naive.
+// equals naive. The corpora put several a/b values under one item and
+// several items under one group, plus optional a values directly under a
+// group; the plans chain two or three terms through joins at depth 1–3,
+// and the "grp|a" and "item|b" contexts match nodes shallower than an
+// item-level join, so runs under one ancestor, anchors too shallow to
+// join, and candidates too shallow to match are all exercised.
 func TestPropHolisticEqualsNaive(t *testing.T) {
+	contexts := []string{"a", "b", "/r/grp/item/a", "/r/grp/item/b", "grp|a", "item|b"}
+	searches := []string{"*", "v1", "w0 OR w2"}
+	joins := []string{"/r/grp/item", "/r/grp", "/r"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := store.NewCollection()
-		nd := 1 + r.Intn(3)
+		nd := 1 + r.Intn(2)
 		for i := 0; i < nd; i++ {
 			root := xmldoc.Elem("r")
 			for j := 0; j < 1+r.Intn(3); j++ {
 				grp := xmldoc.Elem("grp")
+				if r.Intn(2) == 0 {
+					grp.Add(xmldoc.Text("a", fmt.Sprintf("v%d", r.Intn(3))))
+				}
 				for k := 0; k < 1+r.Intn(3); k++ {
-					grp.Add(xmldoc.Elem("item",
-						xmldoc.Text("a", fmt.Sprintf("v%d", r.Intn(3))),
-						xmldoc.Text("b", fmt.Sprintf("w%d", r.Intn(3)))))
+					item := xmldoc.Elem("item")
+					for x := 0; x < 1+r.Intn(2); x++ {
+						item.Add(xmldoc.Text("a", fmt.Sprintf("v%d", r.Intn(3))))
+					}
+					for x := 0; x < 1+r.Intn(2); x++ {
+						item.Add(xmldoc.Text("b", fmt.Sprintf("w%d", r.Intn(3))))
+					}
+					grp.Add(item)
 				}
 				root.Add(grp)
 			}
@@ -240,14 +256,16 @@ func TestPropHolisticEqualsNaive(t *testing.T) {
 		g := graph.New(c)
 		e := New(ix, g)
 		dict := c.Dict()
-		joins := []string{"/r/grp/item", "/r/grp", "/r"}
-		join := joins[r.Intn(len(joins))]
-		plan := Plan{
-			Terms: []query.Term{
-				mustTermQuiet("/r/grp/item/a", "*"),
-				mustTermQuiet("/r/grp/item/b", "*"),
-			},
-			Connections: []summary.Connection{treeConn(dict, 0, 1, "/r/grp/item/a", "/r/grp/item/b", join)},
+		plan := Plan{Terms: make([]query.Term, 2+r.Intn(2))}
+		for i := range plan.Terms {
+			plan.Terms[i] = mustTermQuiet(contexts[r.Intn(len(contexts))], searches[r.Intn(len(searches))])
+			if i > 0 {
+				plan.Connections = append(plan.Connections, summary.Connection{
+					TermA: r.Intn(i), TermB: i,
+					Kind:     summary.Tree,
+					JoinPath: dict.LookupPath(joins[r.Intn(len(joins))]),
+				})
+			}
 		}
 		h, err := e.ComputeAll(plan)
 		if err != nil {
@@ -257,9 +275,13 @@ func TestPropHolisticEqualsNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(h, n)
+		if !reflect.DeepEqual(h, n) {
+			t.Logf("seed %d: holistic %d tuples, naive %d", seed, len(h), len(n))
+			return false
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
 }
