@@ -78,8 +78,8 @@ bench-ingest:
 bench-shards:
 	$(GO) run ./cmd/sedabench -exp shards -scale 0.1
 
-# Memory benchmark: SEDASNAP v3 shard compression vs the v2 encoding, plus
-# resident heap and query latency percentiles at resident budgets of
+# Memory benchmark: the encoded index size per corpus, plus resident heap
+# and query latency percentiles at resident budgets of
 # 100%/50%/25% of the index size, refreshing the checked-in
 # BENCH_memory.json (scale 0.1, like the rest of the BENCH trajectory).
 bench-memory:

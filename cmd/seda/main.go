@@ -24,8 +24,7 @@
 //	analyze <measure> <dim> [agg]  aggregate the cube (default SUM)
 //	stats                  collection and dataguide statistics
 //	\save <file>           write the engine as a snapshot (all indexes included)
-//	\load <file>           replace the engine from a snapshot (or a v1
-//	                       collection.gob, which rebuilds the indexes)
+//	\load <file>           replace the engine from a snapshot
 //	help, quit
 package main
 
@@ -86,7 +85,7 @@ func main() {
 		st.NumDocs, st.NumNodes, st.NumPaths, len(eng.Dataguides().Guides), eng.Graph().NumEdges())
 	fmt.Println(`type "help" for commands`)
 
-	repl := &repl{eng: eng, cfg: cfg, k: *k, out: os.Stdout}
+	repl := &repl{eng: eng, k: *k, out: os.Stdout}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Print("seda> ")
@@ -107,7 +106,6 @@ func main() {
 
 type repl struct {
 	eng     *seda.Engine
-	cfg     seda.Config // fallback config for \load of v1 collection streams
 	session *seda.Session
 	conns   []seda.Connection
 	k       int
@@ -138,20 +136,16 @@ func (r *repl) dispatch(line string) error {
 		if rest == "" {
 			return fmt.Errorf(`usage: \load <file>`)
 		}
-		le, err := seda.LoadEngineAuto(rest, r.cfg)
+		le, err := seda.LoadEngineAuto(rest, seda.Config{})
 		if err != nil {
 			return err
 		}
 		r.eng = le.Engine
 		r.session = nil
 		r.conns = nil
-		how := "loaded from snapshot"
-		if !le.FromSnapshot {
-			how = "rebuilt from v1 collection stream"
-		}
 		st := r.eng.Collection().Stats()
-		fmt.Fprintf(r.out, "%s: %d documents, %d nodes, %d distinct paths (%s)\n",
-			rest, st.NumDocs, st.NumNodes, st.NumPaths, how)
+		fmt.Fprintf(r.out, "%s: %d documents, %d nodes, %d distinct paths (loaded from snapshot)\n",
+			rest, st.NumDocs, st.NumNodes, st.NumPaths)
 		return nil
 	case "query":
 		s, err := r.eng.NewSession(rest)

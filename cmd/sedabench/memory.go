@@ -1,11 +1,11 @@
-// The memory experiment: what SEDASNAP v3 buys a larger-than-RAM engine.
-// Per builtin corpus it measures the compressed shard sections against the
-// uncompressed v2 encoding, then loads the snapshot paged at resident
-// budgets of 100%, 50%, and 25% of the index's encoded size — once per
-// paging backstore (heap-held encoded payloads vs disk-backed page-ins vs
-// an mmap of the snapshot) — and records the resident heap and query
-// latency percentiles at each point: the memory/latency trade the `sedad
-// -resident-budget` and `-mmap` flags expose.
+// The memory experiment: what paged residency buys a larger-than-RAM
+// engine. Per builtin corpus it measures the encoded shard sections, then
+// loads the snapshot paged at resident budgets of 100%, 50%, and 25% of
+// the index's encoded size — once per paging backstore (heap-held encoded
+// payloads vs disk-backed page-ins vs an mmap of the snapshot) — and
+// records the resident heap and query latency percentiles at each point:
+// the memory/latency trade the `sedad -resident-budget` and `-mmap` flags
+// expose.
 //
 // Queries are derived from each corpus's own vocabulary (mid-frequency
 // terms, one- and two-term conjunctions), so every corpus exercises the
@@ -42,7 +42,7 @@ func memoryExp(scale float64) *memoryResult {
 	}
 	defer os.RemoveAll(tmp)
 
-	fmt.Printf("%-16s %12s %12s %8s   %s\n", "corpus", "v2 bytes", "v3 bytes", "v3/v2", "per-budget heap / p95")
+	fmt.Printf("%-16s %12s   %s\n", "corpus", "index bytes", "per-budget heap / p95")
 	for _, c := range []struct {
 		name string
 		gen  func(float64) *seda.Collection
@@ -64,24 +64,17 @@ func memoryExp(scale float64) *memoryResult {
 		}
 		row := memoryCorpus{Name: c.name, Docs: source.NumDocs()}
 
-		// Section sizes: the v2 (uncompressed shardCodecV1) encoding each
-		// shard would have occupied in a version-2 container, against the
-		// delta-coded v3 sections the snapshot below actually carries.
+		// Section sizes: the shard sections the snapshot below carries.
 		for s := 0; s < eng.NumShards(); s++ {
-			var lw, cw snapcodec.Writer
-			if err := eng.Index().EncodeShardLegacy(&lw, s); err != nil {
-				fatal(err)
-			}
+			var cw snapcodec.Writer
 			if err := eng.Index().EncodeShard(&cw, s); err != nil {
 				fatal(err)
 			}
-			row.V2Bytes += int64(lw.Len())
-			row.V3Bytes += int64(cw.Len())
+			row.IndexBytes += int64(cw.Len())
 		}
-		if row.V2Bytes == 0 {
+		if row.IndexBytes == 0 {
 			fatal(fmt.Errorf("memory: corpus %s produced an empty index", c.name))
 		}
-		row.Ratio = float64(row.V3Bytes) / float64(row.V2Bytes)
 
 		snap := filepath.Join(tmp, c.name+".snap")
 		if err := seda.SaveEngineFile(snap, eng); err != nil {
@@ -100,14 +93,14 @@ func memoryExp(scale float64) *memoryResult {
 		wantTerms := eng.Index().NumTerms()
 		eng = nil // the paged loads below must not sit on top of the build
 
-		fmt.Printf("%-16s %12d %12d %7.1f%%\n", c.name, row.V2Bytes, row.V3Bytes, 100*row.Ratio)
+		fmt.Printf("%-16s %12d\n", c.name, row.IndexBytes)
 		for _, b := range []struct {
 			label string
 			div   int64
 		}{
 			{"100%", 1}, {"50%", 2}, {"25%", 4},
 		} {
-			budget := row.V3Bytes / b.div
+			budget := row.IndexBytes / b.div
 			fmt.Printf("  %4s ", b.label)
 			for _, bk := range []struct {
 				label string
@@ -231,7 +224,7 @@ func memoryHumanBytes(n int64) string {
 
 // memoryBudget is one resident-budget measurement within a corpus row.
 type memoryBudget struct {
-	Label       string `json:"label"`        // fraction of the v3 index size
+	Label       string `json:"label"`        // fraction of the encoded index size
 	Backing     string `json:"backing"`      // paging backstore: heap, disk, or mmap
 	BudgetBytes int64  `json:"budget_bytes"` // core.Config.ResidentBudget used
 	HeapBytes   int64  `json:"heap_bytes"`   // post-GC heap growth of the loaded engine
@@ -252,14 +245,12 @@ type memoryBudget struct {
 type memoryCorpus struct {
 	Name          string         `json:"name"`
 	Docs          int            `json:"docs"`
-	V2Bytes       int64          `json:"v2_bytes"` // uncompressed shard sections (SEDASNAP v2)
-	V3Bytes       int64          `json:"v3_bytes"` // delta-coded shard sections (SEDASNAP v3)
-	Ratio         float64        `json:"ratio"`    // v3_bytes / v2_bytes
+	IndexBytes    int64          `json:"index_bytes"` // encoded shard sections
 	SnapshotBytes int64          `json:"snapshot_bytes"`
 	Budgets       []memoryBudget `json:"budgets"`
 }
 
-// memoryResult extends the benchResult shape with per-corpus compression
+// memoryResult extends the benchResult shape with per-corpus index size
 // and paged-residency numbers.
 type memoryResult struct {
 	Name    string         `json:"name"`

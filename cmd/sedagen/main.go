@@ -28,7 +28,7 @@ func main() {
 	dataset := flag.String("dataset", "worldfactbook", "corpus to generate: worldfactbook|mondial|googlebase|recipeml|all")
 	scale := flag.Float64("scale", 0.1, "corpus scale (1.0 = paper size)")
 	out := flag.String("out", "corpus", "output directory")
-	snapshot := flag.Bool("snapshot", false, "also write binary snapshots: engine.snap (full engine, loadable with seda.LoadEngineFile — no rebuild on load) and the v1 collection.gob (collection only, loadable with seda.LoadCollection)")
+	snapshot := flag.Bool("snapshot", false, "also write engine.snap, the full engine snapshot (loadable with seda.LoadEngineFile — no rebuild on load)")
 	shards := flag.Int("shards", 0, "horizontal index shards of the engine.snap engine (0 = single shard; the snapshot stores one section group per shard)")
 	flag.Parse()
 	if *shards < 0 {
@@ -76,17 +76,8 @@ func write(name string, col *seda.Collection, dir string, snapshot bool, shards 
 		}
 	}
 	if snapshot {
-		f, err := os.Create(filepath.Join(dir, "collection.gob"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := col.Save(f); err != nil {
-			return err
-		}
 		// The engine snapshot persists every derived layer (indexes, data
-		// graph, dataguide summary), so loading it skips the rebuild the
-		// v1 collection.gob still pays.
+		// graph, dataguide summary), so loading it skips the rebuild.
 		cfg := seda.Config{}
 		if name == "mondial" {
 			cfg = seda.MondialConfig()

@@ -158,7 +158,7 @@ func TestHostileBackstoreEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
+	sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

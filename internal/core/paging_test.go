@@ -9,7 +9,6 @@ import (
 
 	"seda/internal/index"
 	"seda/internal/obs"
-	"seda/internal/snapcodec"
 )
 
 // The tentpole invariant of lazy residency: a paged engine — shards
@@ -210,134 +209,5 @@ func TestPagingMetrics(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "seda_paging_resident_bytes 0\n") {
 		t.Error("replaced metric set kept the engine's resident bytes")
-	}
-}
-
-// saveEngineV2 writes eng in the retired v2 container layout (container
-// version 2, one uncompressed shardCodecV1 section per shard) so the
-// compatibility path stays covered without checked-in binary fixtures.
-func saveEngineV2(t *testing.T, eng *Engine, source string) []byte {
-	t.Helper()
-	var meta snapcodec.Writer
-	meta.Int(metaVersion)
-	meta.String(eng.cfg.Fingerprint())
-	meta.String(source)
-	encodeConfig(&meta, eng.cfg)
-
-	sections := []snapcodec.Section{{Name: secMeta, Payload: meta.Bytes()}}
-	add := func(name string, enc func(*snapcodec.Writer)) {
-		var sw snapcodec.Writer
-		enc(&sw)
-		sections = append(sections, snapcodec.Section{Name: name, Payload: sw.Bytes()})
-	}
-	add(secPathdict, eng.col.Dict().Encode)
-	add(secCollection, eng.col.Encode)
-	add(secGraph, eng.g.Encode)
-	for s := 0; s < eng.ix.NumShards(); s++ {
-		s := s
-		add(fmt.Sprintf("%s%d", secIndexShard, s), func(sw *snapcodec.Writer) {
-			if err := eng.ix.EncodeShardLegacy(sw, s); err != nil {
-				t.Fatalf("legacy encode shard %d: %v", s, err)
-			}
-		})
-	}
-	if eng.dg != nil {
-		add(secDataguide, eng.dg.Encode)
-	}
-	var buf bytes.Buffer
-	if err := snapcodec.WriteContainer(&buf, 2, sections); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV2SnapshotStillLoads: a container written in the v2 layout
-// (uncompressed per-shard sections) loads under the v3 decoder — resident,
-// via LoadEngineAuto, and paged — with byte-identical answers. Legacy
-// sections decode fully resident even under a budget; the pager still
-// attaches and evicts them down.
-func TestV2SnapshotStillLoads(t *testing.T) {
-	c := corpusConfigs()[0]
-	raw := renderXML(t, c.gen(c.scale))
-	cfg := c.cfg
-	cfg.Shards = 4
-	eng := scratchEngine(t, raw, cfg)
-	queries := pickQueries(eng)
-	want := renderAnswers(t, eng, queries)
-
-	data := saveEngineV2(t, eng, "v2-compat")
-
-	loaded, err := LoadEngine(bytes.NewReader(data), cfg, "v2-compat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.NumShards(); got != 4 {
-		t.Fatalf("v2 snapshot loaded with %d shards, want 4", got)
-	}
-	if got := renderAnswers(t, loaded, queries); got != want {
-		t.Errorf("v2-loaded engine diverges\n--- built ---\n%s\n--- loaded ---\n%s", want, got)
-	}
-
-	pcfg := cfg
-	pcfg.ResidentBudget = 1
-	paged, err := LoadEngine(bytes.NewReader(data), pcfg, "v2-compat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := paged.PagerStats(); !ok {
-		t.Fatal("budgeted load of a v2 container attached no pager")
-	}
-	if got := renderAnswers(t, paged, queries); got != want {
-		t.Error("paged load of a v2 container diverges")
-	}
-
-	// A v3 save of the v2-loaded engine is the compressed layout — and
-	// re-saving the original engine must produce the same bytes, so
-	// upgraded snapshots stay deterministic.
-	var up, direct bytes.Buffer
-	if err := SaveEngine(&up, loaded, "v2-compat"); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveEngine(&direct, eng, "v2-compat"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(up.Bytes(), direct.Bytes()) {
-		t.Error("v2→v3 upgrade save differs from a direct v3 save")
-	}
-}
-
-// TestV3ShardCompression pins the headline perf claim: the delta-coded v3
-// shard sections are at least 30% smaller than the uncompressed v2
-// encoding, on every bench corpus.
-func TestV3ShardCompression(t *testing.T) {
-	for _, c := range corpusConfigs() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			raw := renderXML(t, c.gen(c.scale))
-			cfg := c.cfg
-			cfg.Shards = 4
-			eng := scratchEngine(t, raw, cfg)
-			var v2, v3 int64
-			for s := 0; s < eng.ix.NumShards(); s++ {
-				var lw, cw snapcodec.Writer
-				if err := eng.ix.EncodeShardLegacy(&lw, s); err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.ix.EncodeShard(&cw, s); err != nil {
-					t.Fatal(err)
-				}
-				v2 += int64(lw.Len())
-				v3 += int64(cw.Len())
-			}
-			if v2 == 0 {
-				t.Fatal("empty index")
-			}
-			ratio := float64(v3) / float64(v2)
-			t.Logf("%s: v2 %d B, v3 %d B (%.1f%% of v2)", c.name, v2, v3, 100*ratio)
-			if ratio > 0.70 {
-				t.Errorf("v3 shard sections are %.1f%% of v2, want <= 70%%", 100*ratio)
-			}
-		})
 	}
 }

@@ -2,12 +2,8 @@ package core
 
 import (
 	"bytes"
-	"errors"
-	"os"
 	"path/filepath"
 	"testing"
-
-	"seda/internal/snapcodec"
 )
 
 // The tentpole invariant of engine sharding: a multi-shard engine answers
@@ -47,7 +43,7 @@ func TestShardEquivalence(t *testing.T) {
 				t.Errorf("fresh 4-shard build diverges from 1-shard\n--- 1-shard ---\n%s\n--- 4-shard ---\n%s", want, got)
 			}
 
-			// Snapshot round trip: the v2 container persists one section
+			// Snapshot round trip: the container persists one section
 			// group per shard and the loaded engine adopts that layout.
 			path := filepath.Join(t.TempDir(), "sharded.snap")
 			if err := SaveEngineFile(path, sharded, ""); err != nil {
@@ -149,104 +145,5 @@ func TestShardedSnapshotByteDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), third.Bytes()) {
 		t.Error("sequential and parallel snapshot encodes differ")
-	}
-}
-
-// saveEngineV1 writes eng in the retired v1 container layout (container
-// version 1, one flat "index" section) so the compatibility path stays
-// covered without checked-in binary fixtures.
-func saveEngineV1(t *testing.T, eng *Engine, source string) []byte {
-	t.Helper()
-	var meta snapcodec.Writer
-	meta.Int(metaVersion)
-	meta.String(eng.cfg.Fingerprint())
-	meta.String(source)
-	encodeConfig(&meta, eng.cfg)
-
-	sections := []snapcodec.Section{{Name: secMeta, Payload: meta.Bytes()}}
-	add := func(name string, enc func(*snapcodec.Writer)) {
-		var sw snapcodec.Writer
-		enc(&sw)
-		sections = append(sections, snapcodec.Section{Name: name, Payload: sw.Bytes()})
-	}
-	add(secPathdict, eng.col.Dict().Encode)
-	add(secCollection, eng.col.Encode)
-	add(secGraph, eng.g.Encode)
-	add(secIndex, func(w *snapcodec.Writer) {
-		if err := eng.ix.Encode(w); err != nil {
-			t.Fatalf("encode index: %v", err)
-		}
-	})
-	if eng.dg != nil {
-		add(secDataguide, eng.dg.Encode)
-	}
-	var buf bytes.Buffer
-	if err := snapcodec.WriteContainer(&buf, 1, sections); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV1SnapshotStillLoads: a container written in the v1 layout loads as
-// a single-shard engine with byte-identical answers.
-func TestV1SnapshotStillLoads(t *testing.T) {
-	c := corpusConfigs()[0]
-	raw := renderXML(t, c.gen(c.scale))
-	eng := scratchEngine(t, raw, c.cfg)
-	queries := pickQueries(eng)
-	want := renderAnswers(t, eng, queries)
-
-	data := saveEngineV1(t, eng, "v1-compat")
-
-	loaded, err := LoadEngine(bytes.NewReader(data), c.cfg, "v1-compat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.NumShards(); got != 1 {
-		t.Fatalf("v1 snapshot loaded with %d shards, want 1", got)
-	}
-	if got := renderAnswers(t, loaded, queries); got != want {
-		t.Errorf("v1-loaded engine diverges\n--- built ---\n%s\n--- loaded ---\n%s", want, got)
-	}
-
-	// LoadEngineAuto adopts it too.
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	le, err := LoadEngineAuto(path, c.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !le.FromSnapshot {
-		t.Fatal("v1 container not recognized as a snapshot")
-	}
-	if got := renderAnswers(t, le.Engine, queries); got != want {
-		t.Error("LoadEngineAuto of a v1 container diverges")
-	}
-
-	// A v1 container missing its flat index section is corrupt, not a
-	// crash.
-	var bad bytes.Buffer
-	var meta snapcodec.Writer
-	meta.Int(metaVersion)
-	meta.String(eng.cfg.Fingerprint())
-	meta.String("v1-compat")
-	encodeConfig(&meta, eng.cfg)
-	sections := []snapcodec.Section{{Name: secMeta, Payload: meta.Bytes()}}
-	add := func(name string, enc func(*snapcodec.Writer)) {
-		var sw snapcodec.Writer
-		enc(&sw)
-		sections = append(sections, snapcodec.Section{Name: name, Payload: sw.Bytes()})
-	}
-	add(secPathdict, eng.col.Dict().Encode)
-	add(secCollection, eng.col.Encode)
-	add(secGraph, eng.g.Encode)
-	add(secDataguide, eng.dg.Encode)
-	if err := snapcodec.WriteContainer(&bad, 1, sections); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEngine(bytes.NewReader(bad.Bytes()), c.cfg, "v1-compat"); !errors.Is(err, snapcodec.ErrCorrupt) {
-		t.Errorf("v1 container without index section: err = %v, want ErrCorrupt", err)
 	}
 }

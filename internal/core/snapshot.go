@@ -16,13 +16,13 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,16 +39,11 @@ import (
 
 // snapshotFormatVersion is the engine-container format version. Layer
 // payloads carry their own versions; this one gates the container shape
-// and the section roster. Version 2 replaced the single "index" section
-// with one "index.<n>" section per shard, so snapshot encode and decode
-// parallelize across shards; version 3 switched the shard sections to the
-// delta-compressed posting codec (see internal/index); version 4 added
-// the optional "tombstones" section carrying the generation's deletion
-// mask (absent when every document is live, so an unmasked v4 container
-// differs from v3 only in the version field). Version-1 containers still
-// load (as a single-shard engine), version-2 containers load via the
-// shard codec's own version gate, and v3 containers load as tombstone-
-// free v4s.
+// and the section roster: one "index.<n>" section per shard in the
+// delta-compressed shard codec (see internal/index), and an optional
+// "tombstones" section carrying the generation's deletion mask. It is the
+// only version read: a container of any other version is
+// snapcodec.ErrVersion, and the caller rebuilds from source.
 const snapshotFormatVersion = 4
 
 // Section names of the engine container, in write order. The graph and
@@ -60,10 +55,9 @@ const (
 	secPathdict   = "pathdict"
 	secCollection = "collection"
 	secGraph      = "graph"
-	secIndex      = "index"      // v1 only: the whole index as one section
-	secIndexShard = "index."     // v2: one section per shard ("index.0", …)
+	secIndexShard = "index."     // one section per shard ("index.0", …)
 	secDataguide  = "dataguide"  // absent when the engine skipped dataguides
-	secTombstones = "tombstones" // v4: deletion mask; absent when unmasked
+	secTombstones = "tombstones" // deletion mask; absent when unmasked
 )
 
 // metaVersion versions the meta-section payload.
@@ -73,7 +67,7 @@ const metaVersion = 1
 // internal/snapcodec pass through and also match with errors.Is.
 var (
 	// ErrNotSnapshot aliases snapcodec.ErrNotSnapshot: the stream is not
-	// an engine snapshot (likely a v1 collection.gob or unrelated data).
+	// an engine snapshot.
 	ErrNotSnapshot = snapcodec.ErrNotSnapshot
 	// ErrConfigMismatch reports a snapshot whose recorded config
 	// fingerprint (or source tag) differs from what the caller expects.
@@ -252,7 +246,7 @@ func rebindBacking(path string, e *Engine) {
 	if err != nil {
 		return
 	}
-	_, sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
+	sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
 	f.Close()
 	if err != nil {
 		return
@@ -307,72 +301,33 @@ func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
 // LoadedEngine is the result of LoadEngineAuto.
 type LoadedEngine struct {
 	Engine *Engine
-	// Config is the construction config the engine carries: the snapshot's
-	// stored config, or the caller's fallback when a v1 stream was rebuilt.
+	// Config is the construction config the snapshot stored, with the
+	// caller's environment fields applied.
 	Config Config
-	// Source is the snapshot's stored origin tag ("" for v1 streams).
+	// Source is the snapshot's stored origin tag.
 	Source string
-	// FromSnapshot is false when the stream was a v1 collection.gob and
-	// every derived layer had to be rebuilt.
-	FromSnapshot bool
 }
 
-// LoadEngineAuto loads an engine from path without an expectation: an
-// engine snapshot is adopted together with its stored config (no
-// fingerprint check — the snapshot is the authority), while a v1
-// collection.gob stream falls back to store.Load plus a full NewEngine
-// rebuild under fallback. fallback.Parallelism and
-// fallback.ResidentBudget apply in both cases (for a rebuilt v1 stream
-// the budget takes effect via NewEngine).
-func LoadEngineAuto(path string, fallback Config) (*LoadedEngine, error) {
+// LoadEngineAuto loads an engine snapshot from path without an
+// expectation: the snapshot is adopted together with its stored config (no
+// fingerprint check — the snapshot is the authority). Only env's
+// environment fields are read: Parallelism, ResidentBudget and Backing. A
+// file that is not a snapshot is ErrNotSnapshot, and a container of another
+// format version is snapcodec.ErrVersion; either means rebuild from source.
+func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	if len(data) >= len(snapcodec.Magic) && string(data[:len(snapcodec.Magic)]) == snapcodec.Magic {
-		le := &LoadedEngine{FromSnapshot: true}
-		le.Engine, err = loadEngineInto(data, path, nil, "", fallback.ResidentBudget, fallback.Backing, le)
-		if err != nil {
-			return nil, err
-		}
-		le.Config.Parallelism = fallback.Parallelism
-		le.Engine.cfg.Parallelism = fallback.Parallelism
-		le.Engine.parallelism = resolveParallelism(fallback.Parallelism)
-		return le, nil
-	}
-	// v1 compatibility shim: a bare collection stream; derived layers are
-	// rebuilt, which is exactly the cost the snapshot format removes.
-	col, err := store.Load(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("core: load engine %q: %w (and not a v1 collection: %v)", path, ErrNotSnapshot, err)
-	}
-	eng, err := NewEngine(col, fallback)
+	le := &LoadedEngine{}
+	le.Engine, err = loadEngineInto(data, path, nil, "", env.ResidentBudget, env.Backing, le)
 	if err != nil {
 		return nil, err
 	}
-	return &LoadedEngine{Engine: eng, Config: eng.cfg, FromSnapshot: false}, nil
-}
-
-// SniffSnapshotFile reports whether path begins with the engine-snapshot
-// magic: a cheap 8-byte format check distinguishing real snapshots from
-// v1 collection streams without paying a parse or a rebuild. Callers that
-// cannot supply a construction config (a registry discovering files at
-// boot) use it to refuse v1 streams instead of rebuilding under guessed
-// defaults.
-func SniffSnapshotFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("core: sniff snapshot: %w", err)
-	}
-	defer f.Close()
-	magic := make([]byte, len(snapcodec.Magic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, fmt.Errorf("core: sniff snapshot: %w", err)
-	}
-	return string(magic) == snapcodec.Magic, nil
+	le.Config.Parallelism = env.Parallelism
+	le.Engine.cfg.Parallelism = env.Parallelism
+	le.Engine.parallelism = resolveParallelism(env.Parallelism)
+	return le, nil
 }
 
 func resolveParallelism(p int) int {
@@ -415,7 +370,7 @@ func loadEngine(data []byte, path string, want *Config, source string) (*Engine,
 // it becomes the paging backstore (see Config.Backing).
 func loadEngineInto(data []byte, path string, want *Config, source string, budget int64, backing BackingMode, le *LoadedEngine) (*Engine, error) {
 	t0 := time.Now()
-	version, sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
+	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
@@ -487,7 +442,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 	}
 	timings["load-collection"] = time.Since(tp)
 
-	// The v4 tombstone section, when present, attaches the deletion mask
+	// The tombstone section, when present, attaches the deletion mask
 	// before any dependent layer decodes: FromShards re-derives the index
 	// mask from the collection's tombstones, and the graph and dataguide
 	// codecs validate against the masked collection. The persisted
@@ -503,22 +458,19 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		}
 	}
 
-	// The index's shard roster: a v2 container carries index.0 … index.N-1,
-	// a v1 container one flat "index" section (decoded as a single shard).
-	// The full Sections are kept — their Offset/Size/CRC become the shards'
-	// backing refs when the snapshot file doubles as the paging backstore.
+	// The index's shard roster: index.0 … index.N-1. The full Sections are
+	// kept — their Offset/Size/CRC become the shards' backing refs when the
+	// snapshot file doubles as the paging backstore.
 	var shardSections []snapcodec.Section
-	if version >= 2 {
-		for {
-			s, ok := byName[fmt.Sprintf("%s%d", secIndexShard, len(shardSections))]
-			if !ok {
-				break
-			}
-			shardSections = append(shardSections, s)
+	for {
+		s, ok := byName[fmt.Sprintf("%s%d", secIndexShard, len(shardSections))]
+		if !ok {
+			break
 		}
-		if len(shardSections) == 0 {
-			return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secIndexShard+"0")
-		}
+		shardSections = append(shardSections, s)
+	}
+	if len(shardSections) == 0 {
+		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secIndexShard+"0")
 	}
 
 	// The remaining layers depend only on the collection, so they decode
@@ -530,13 +482,10 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		shards     = make([]*index.Shard, len(shardSections))
 		shardErrs  = make([]error, len(shardSections))
 		shardTimes = make([]time.Duration, len(shardSections))
-		ix         *index.Index
 		dg         *dataguide.Set
 		gErr       error
-		ixErr      error
 		dgErr      error
 		gTime      time.Duration
-		ixTime     time.Duration
 		dgTime     time.Duration
 	)
 	dgSection, haveDg := byName[secDataguide]
@@ -557,31 +506,16 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			}
 		},
 	}
-	if version >= 2 {
-		decodeShard := index.DecodeShard
-		if budget > 0 {
-			decodeShard = index.DecodeShardPaged
-		}
-		for i := range shardSections {
-			i := i
-			jobs = append(jobs, func() {
-				t := time.Now()
-				shards[i], shardErrs[i] = decodeShard(snapcodec.NewReader(shardSections[i].Payload), col)
-				shardTimes[i] = time.Since(t)
-			})
-		}
-	} else {
+	decodeShard := index.DecodeShard
+	if budget > 0 {
+		decodeShard = index.DecodeShardPaged
+	}
+	for i := range shardSections {
+		i := i
 		jobs = append(jobs, func() {
 			t := time.Now()
-			defer func() { ixTime = time.Since(t) }()
-			ir, err := need(secIndex)
-			if err != nil {
-				ixErr = err
-				return
-			}
-			if ix, err = index.Decode(ir, col); err != nil {
-				ixErr = fmt.Errorf("core: load engine: %w", err)
-			}
+			shards[i], shardErrs[i] = decodeShard(snapcodec.NewReader(shardSections[i].Payload), col)
+			shardTimes[i] = time.Since(t)
 		})
 	}
 	if haveDg {
@@ -603,27 +537,17 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			return nil, fmt.Errorf("core: load engine: %w", err)
 		}
 	}
-	if ixErr != nil {
-		return nil, ixErr
-	}
 	if dgErr != nil {
 		return nil, dgErr
 	}
-	if version >= 2 {
-		t := time.Now()
-		ix, err = index.FromShards(col, shards)
-		if err != nil {
-			return nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
-		}
-		// Shard decodes run concurrently, so the index layer's wall time is
-		// its slowest shard plus the roster assembly.
-		for _, d := range shardTimes {
-			if d > ixTime {
-				ixTime = d
-			}
-		}
-		ixTime += time.Since(t)
+	t := time.Now()
+	ix, err := index.FromShards(col, shards)
+	if err != nil {
+		return nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
 	}
+	// Shard decodes run concurrently, so the index layer's wall time is its
+	// slowest shard plus the roster assembly.
+	ixTime := slices.Max(shardTimes) + time.Since(t)
 	timings["load-graph"] = gTime
 	timings["load-index"] = ixTime
 	if haveDg {
@@ -656,7 +580,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		// an open or bind failure the affected shards keep their in-heap
 		// encoded payloads (the PR 8 behavior), exactly like a built
 		// not-yet-saved engine or an in-memory load.
-		if path != "" && backing.diskEnabled() && version >= 2 {
+		if path != "" && backing.diskEnabled() {
 			if b, err := index.OpenBacking(path, backing == BackingMmap); err == nil {
 				for i, sec := range shardSections {
 					_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))

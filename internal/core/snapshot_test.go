@@ -110,17 +110,36 @@ func TestSnapshotDeterminism(t *testing.T) {
 }
 
 // TestSnapshotBytesPinned pins the whole snapshot of a fixed corpus. The
-// digest was computed before the dataguide fold moved from path maps to
-// bitsets, so it holds only while every layer still writes the same bytes;
-// change it only with a deliberate format change.
+// one-shard digest was computed before the dataguide fold moved from path
+// maps to bitsets, and the masked four-shard digest (which adds the
+// tombstones section and one index.<n> section per shard) before the
+// retired container versions were deleted, so they hold only while every
+// layer still writes the same bytes; change them only with a deliberate
+// format change.
 func TestSnapshotBytesPinned(t *testing.T) {
-	e, err := NewEngine(datagen.WorldFactbook(0.1), Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "61a352919beb764e7a4e76b50734927fc17f3265844d7acf2b87e6590a3278c8"
-	if got := fmt.Sprintf("%x", sha256.Sum256(saveToBytes(t, e, ""))); got != want {
-		t.Errorf("WorldFactbook 0.1 snapshot sha256 = %s, want %s", got, want)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		delete bool
+		want   string
+	}{
+		{"one-shard", 1, false, "61a352919beb764e7a4e76b50734927fc17f3265844d7acf2b87e6590a3278c8"},
+		{"four-shard-masked", 4, true, "d387a66daaac2f095f3675c81039446494e57dec1afb5ff87aa7d3bb1f1df184"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(datagen.WorldFactbook(0.1), Config{Parallelism: 1, Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.delete {
+				if e, _, err = e.DeleteDocuments(e.Collection().Doc(3).Name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(saveToBytes(t, e, ""))); got != tc.want {
+				t.Errorf("WorldFactbook 0.1 snapshot sha256 = %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -252,52 +271,70 @@ func TestSaveEngineFileAtomic(t *testing.T) {
 	}
 }
 
+// TestLoadEngineAutoV1Compat: LoadEngineAuto adopts a snapshot with its
+// stored config and refuses anything that is not one.
 func TestLoadEngineAutoV1Compat(t *testing.T) {
 	e := newEngine(t)
 	dir := t.TempDir()
-
-	// A v1 collection.gob written by (*Collection).Save.
-	gobPath := filepath.Join(dir, "collection.gob")
-	f, err := os.Create(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Collection().Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	le, err := LoadEngineAuto(gobPath, Config{})
-	if err != nil {
-		t.Fatalf("LoadEngineAuto(v1): %v", err)
-	}
-	if le.FromSnapshot {
-		t.Error("v1 stream reported FromSnapshot")
-	}
-	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
-		t.Error("v1-rebuilt engine behaves differently")
-	}
 
 	// A real snapshot: adopted with its stored config, no rebuild.
 	snapPath := filepath.Join(dir, "col.snap")
 	if err := SaveEngineFile(snapPath, e, "tagged"); err != nil {
 		t.Fatal(err)
 	}
-	le2, err := LoadEngineAuto(snapPath, Config{Parallelism: 2})
+	le, err := LoadEngineAuto(snapPath, Config{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("LoadEngineAuto(snapshot): %v", err)
 	}
-	if !le2.FromSnapshot || le2.Source != "tagged" {
-		t.Errorf("FromSnapshot=%v Source=%q", le2.FromSnapshot, le2.Source)
+	if le.Source != "tagged" {
+		t.Errorf("Source=%q", le.Source)
 	}
-	if le2.Config.Fingerprint() != e.cfg.Fingerprint() {
+	if le.Config.Fingerprint() != e.cfg.Fingerprint() {
 		t.Error("stored config not adopted")
 	}
+	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
+		t.Error("adopted engine behaves differently")
+	}
 
-	// Garbage that is neither format.
+	// Anything that is not a snapshot is refused.
 	junk := filepath.Join(dir, "junk")
 	os.WriteFile(junk, []byte("not anything"), 0o644)
 	if _, err := LoadEngineAuto(junk, Config{}); !errors.Is(err, ErrNotSnapshot) {
 		t.Errorf("junk err = %v, want ErrNotSnapshot", err)
+	}
+}
+
+// TestRetiredVersionsRefused re-frames a valid container's sections at
+// every container version but the current one: each load entry point, and
+// the framing scan the backing re-bind uses, must refuse it with
+// snapcodec.ErrVersion (rebuild from source), not decode it.
+func TestRetiredVersionsRefused(t *testing.T) {
+	sections, err := snapcodec.ReadContainer(saveToBytes(t, newEngine(t), ""), snapshotFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, v := range []int{1, 2, 3, 5} {
+		var buf bytes.Buffer
+		if err := snapcodec.WriteContainer(&buf, v, sections); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("v%d.snap", v))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errLoad := LoadEngine(bytes.NewReader(buf.Bytes()), Config{}, "")
+		_, errFile := LoadEngineFile(path, Config{}, "")
+		_, errAuto := LoadEngineAuto(path, Config{})
+		_, errScan := snapcodec.ScanSections(bytes.NewReader(buf.Bytes()), snapshotFormatVersion)
+		for name, err := range map[string]error{
+			"LoadEngine": errLoad, "LoadEngineFile": errFile,
+			"LoadEngineAuto": errAuto, "ScanSections": errScan,
+		} {
+			if !errors.Is(err, snapcodec.ErrVersion) {
+				t.Errorf("v%d: %s err = %v, want ErrVersion", v, name, err)
+			}
+		}
 	}
 }
 
@@ -315,7 +352,7 @@ func TestMaskedSnapshotHostileInputs(t *testing.T) {
 	data := saveToBytes(t, masked, "")
 
 	// The masked container must actually carry the section under test.
-	_, sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
+	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,170 +13,34 @@ import (
 	"seda/internal/xmldoc"
 )
 
-// Binary codecs (engine snapshots). The index is the most expensive
-// derived layer to rebuild, so the codecs persist both logical indexes in
-// full: node-index postings with positions, the Figure-8 context index,
-// document frequencies, and the per-path node lists. Map-backed structures
-// are written in sorted key order so identical indexes encode identically.
+// Binary codec (engine snapshots). The index is the most expensive derived
+// layer to rebuild, so each shard persists both logical indexes in full:
+// node-index postings with positions, the Figure-8 context index, document
+// frequencies, and the per-path node lists. One payload per shard
+// (SEDASNAP's "index.<n>" sections), written as shardCodecVersion.
 //
-// Three formats exist:
-//
-//   - The flat format (Encode/Decode, SEDASNAP v1's single "index"
-//     section): the whole index as one payload. Encode flattens a
-//     multi-shard index into its corpus-global view; Decode always yields
-//     a single-shard index. Kept for v1 snapshot compatibility and
-//     library callers.
-//
-//   - The legacy shard format (shardCodecV1, SEDASNAP v2's "index.<n>"
-//     section group): one self-contained payload per shard with absolute
-//     refs. Still decoded; written only by EncodeShardLegacy for the
-//     cross-version tests and the v2-vs-v3 size benchmark.
-//
-//   - The compressed shard format (shardCodecV2, SEDASNAP v3): each shard
-//     payload splits into a summary block (vocabulary with document
-//     frequencies and posting counts, context index, path roster — always
-//     decoded) and a lazy block (delta-compressed postings and node refs —
-//     decodable on demand). Doc ids are gap-coded from the shard's lo,
-//     Dewey ids share a prefix with the previous ref of the same document,
-//     positions are gap-coded within a posting, and path ids are gap-coded
-//     within each sorted roster. Encodings are canonical: re-encoding a
-//     decoded shard reproduces the stored bytes, which is what lets
-//     SaveEngine splice a cold shard's lazy block verbatim and stay
-//     byte-deterministic.
+// A shard payload splits into a summary block (vocabulary with document
+// frequencies and posting counts, context index, path roster — always
+// decoded) and a lazy block (delta-compressed postings and node refs —
+// decodable on demand). Doc ids are gap-coded from the shard's lo, Dewey
+// ids share a prefix with the previous ref of the same document, positions
+// are gap-coded within a posting, and path ids are gap-coded within each
+// sorted roster. Map-backed structures are written in sorted key order, and
+// every encoding is canonical: re-encoding a decoded shard reproduces the
+// stored bytes, which is what lets SaveEngine splice a cold shard's lazy
+// block verbatim and stay byte-deterministic.
 
-// codecVersion is the flat-format version written by Encode.
-const codecVersion = 1
+// shardCodecVersion is the shard payload's leading version int. Any other
+// value is refused; the snapshot is rebuilt from source.
+const shardCodecVersion = 2
 
-// Shard-format versions. shardCodecV1 is the uncompressed layout carried
-// by SEDASNAP v2 containers; shardCodecV2 is the compressed summary+lazy
-// layout carried by SEDASNAP v3 containers.
-const (
-	shardCodecV1 = 1
-	shardCodecV2 = 2
-)
-
-// Encode appends the index to w in its versioned flat binary form,
-// flattening shards into the corpus-global view. The backing collection is
-// not included; Decode re-binds the index to it. The error is a
-// disk-backed page-in failure while materializing cold shards.
-func (ix *Index) Encode(w *snapcodec.Writer) error {
-	w.Int(codecVersion)
-
-	// Node index: terms in sorted order with doc freq and postings.
-	w.Int(len(ix.terms))
-	for _, term := range ix.terms {
-		w.String(term)
-		w.Int(ix.termDocFreq[term])
-		ps, err := ix.Lookup(term)
-		if err != nil {
-			return err
-		}
-		encodePostings(w, ps)
-	}
-
-	encodeContextIndex(w, ix.pathTerms)
-
-	// Per-path node lists, sorted by path id.
-	pathIDs := make([]pathdict.PathID, 0, len(ix.allPaths))
-	for _, sh := range ix.shards {
-		pathIDs = append(pathIDs, sh.pathIDs...)
-	}
-	pathIDs = dedupSortedPathIDs(pathIDs)
-	w.Int(len(pathIDs))
-	for _, id := range pathIDs {
-		w.Int(int(id))
-		refs, err := ix.NodesAtPath(id)
-		if err != nil {
-			return err
-		}
-		w.Int(len(refs))
-		for _, ref := range refs {
-			encodeRef(w, ref)
-		}
-	}
-
-	// allPaths is ordered by path string — persist the order rather than
-	// re-deriving it against the dictionary on load.
-	w.Int(len(ix.allPaths))
-	for _, id := range ix.allPaths {
-		w.Int(int(id))
-	}
-	return nil
-}
-
-// Decode reads an index previously written by Encode, binding it to col.
-// The result is always a single-shard index covering every document.
-func Decode(r *snapcodec.Reader, col *store.Collection) (*Index, error) {
-	if v := r.Int(); r.Err() == nil && v != codecVersion {
-		return nil, fmt.Errorf("index: unsupported codec version %d", v)
-	}
-	acc, err := decodeShardBody(r, col, 0, col.NumDocs())
-	if err != nil {
-		return nil, err
-	}
-	sh := sealShard(0, col.NumDocs(), acc)
-
-	numAll := r.Count(1)
-	allPaths := make([]pathdict.PathID, 0, numAll)
-	for i := 0; i < numAll; i++ {
-		allPaths = append(allPaths, pathdict.PathID(r.Int()))
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	ix := &Index{
-		col:         col,
-		shards:      []*Shard{sh},
-		terms:       sh.terms,
-		termDocFreq: sh.termDocFreq,
-		pathTerms:   sh.pathTerms,
-		allPaths:    allPaths,
-	}
-	return ix.maskTombstones(), nil
-}
-
-// EncodeShard appends shard s to w in the current (compressed) shard
-// binary form. A cold shard's lazy block is spliced verbatim — canonical
-// encodings make the splice byte-identical to a re-encode of the decoded
-// state, so SaveEngine stays deterministic whatever the residency. The
-// error is a disk-backed re-read failure on a fully evicted shard.
+// EncodeShard appends shard s to w. A cold shard's lazy block is spliced
+// verbatim — canonical encodings make the splice byte-identical to a
+// re-encode of the decoded state, so SaveEngine stays deterministic
+// whatever the residency. The error is a disk-backed re-read failure on a
+// fully evicted shard.
 func (ix *Index) EncodeShard(w *snapcodec.Writer, s int) error {
 	return ix.shards[s].encodeInto(w)
-}
-
-// EncodeShardLegacy appends shard s in the superseded uncompressed layout
-// (shardCodecV1, as SEDASNAP v2 containers carried). Kept for the
-// cross-version compatibility tests and sedabench's v2-vs-v3 comparison.
-// The shard is paged in if cold.
-func (ix *Index) EncodeShardLegacy(w *snapcodec.Writer, s int) error {
-	sh := ix.shards[s]
-	d, err := sh.hot()
-	if err != nil {
-		return err
-	}
-	w.Int(shardCodecV1)
-	w.Int(sh.lo)
-	w.Int(sh.hi)
-
-	w.Int(len(sh.terms))
-	for _, term := range sh.terms {
-		w.String(term)
-		w.Int(sh.termDocFreq[term])
-		encodePostings(w, d.postings[term])
-	}
-
-	encodeContextIndex(w, sh.pathTerms)
-
-	w.Int(len(sh.pathIDs))
-	for _, id := range sh.pathIDs {
-		w.Int(int(id))
-		refs := d.pathNodes[id]
-		w.Int(len(refs))
-		for _, ref := range refs {
-			encodeRef(w, ref)
-		}
-	}
-	return nil
 }
 
 // encodeInto appends the shard's compressed payload: version and range,
@@ -185,7 +49,7 @@ func (ix *Index) EncodeShardLegacy(w *snapcodec.Writer, s int) error {
 // backing section when cold). The error is a disk re-read failure on a
 // fully evicted disk-backed shard.
 func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
-	w.Int(shardCodecV2)
+	w.Int(shardCodecVersion)
 	w.Int(sh.lo)
 	w.Int(sh.hi)
 
@@ -211,7 +75,7 @@ func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 		}
 	}
 
-	encodeContextIndexV3(w, sh.terms, sh.pathTerms)
+	encodeContextIndex(w, sh.terms, sh.pathTerms)
 
 	w.Int(len(sh.pathIDs))
 	prev := uint64(0)
@@ -434,68 +298,37 @@ func sharedStrPrefixLen(a, b string) int {
 	return n
 }
 
-// DecodeShard reads one shard in either shard format, binding it to col
-// and materializing it fully. Shards decode independently (and hence in
-// parallel); FromShards reassembles and validates the full index.
+// DecodeShard reads one shard, binding it to col and materializing it
+// fully. Shards decode independently (and hence in parallel); FromShards
+// reassembles and validates the full index.
 func DecodeShard(r *snapcodec.Reader, col *store.Collection) (*Shard, error) {
-	return decodeShardVersioned(r, col, false)
+	return decodeShard(r, col, false)
 }
 
-// DecodeShardPaged reads only a compressed shard's summary block,
-// validates the lazy block without materializing it, and keeps a private
-// copy of the encoded bytes for demand paging: the first query touch
-// decodes them (Shard.hot). Legacy-format shards have no lazy block and
-// decode fully resident.
+// DecodeShardPaged reads only a shard's summary block, validates the lazy
+// block without materializing it, and keeps a private copy of the encoded
+// bytes for demand paging: the first query touch decodes them (Shard.hot).
 func DecodeShardPaged(r *snapcodec.Reader, col *store.Collection) (*Shard, error) {
-	return decodeShardVersioned(r, col, true)
+	return decodeShard(r, col, true)
 }
 
-func decodeShardVersioned(r *snapcodec.Reader, col *store.Collection, paged bool) (*Shard, error) {
+// decodeShard reads a shard payload: the summary block is decoded and
+// validated eagerly; the lazy block is either materialized (resident load)
+// or parse-validated and retained as bytes (paged load). Either way a
+// malformed payload is rejected here, never at page-in time.
+//
+//seda:constructor
+func decodeShard(r *snapcodec.Reader, col *store.Collection, paged bool) (*Shard, error) {
 	total := r.Remaining()
-	v := r.Int()
+	if v := r.Int(); r.Err() == nil && v != shardCodecVersion {
+		return nil, fmt.Errorf("index: unsupported shard codec version %d (rebuild from source)", v)
+	}
+	lo, hi := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("index: decode shard: %w", err)
 	}
-	switch v {
-	case shardCodecV1:
-		lo, hi, err := decodeShardRange(r, col)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := decodeShardBody(r, col, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return sealShard(lo, hi, acc), nil
-	case shardCodecV2:
-		return decodeShardV3(r, col, paged, total)
-	default:
-		return nil, fmt.Errorf("index: unsupported shard codec version %d", v)
-	}
-}
-
-func decodeShardRange(r *snapcodec.Reader, col *store.Collection) (lo, hi int, err error) {
-	lo = r.Int()
-	hi = r.Int()
-	if err := r.Err(); err != nil {
-		return 0, 0, fmt.Errorf("index: decode shard: %w", err)
-	}
 	if lo > hi || hi > col.NumDocs() {
-		return 0, 0, fmt.Errorf("index: decode shard: range [%d, %d) outside collection of %d docs", lo, hi, col.NumDocs())
-	}
-	return lo, hi, nil
-}
-
-// decodeShardV3 reads a compressed shard: the summary block is decoded
-// and validated eagerly; the lazy block is either materialized (resident
-// load) or parse-validated and retained as bytes (paged load). Either
-// way a malformed payload is rejected here, never at page-in time.
-//
-//seda:constructor
-func decodeShardV3(r *snapcodec.Reader, col *store.Collection, paged bool, total int) (*Shard, error) {
-	lo, hi, err := decodeShardRange(r, col)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: decode shard: range [%d, %d) outside collection of %d docs", lo, hi, col.NumDocs())
 	}
 	sh := &Shard{
 		lo: lo, hi: hi,
@@ -539,6 +372,7 @@ func decodeShardV3(r *snapcodec.Reader, col *store.Collection, paged bool, total
 		sh.termDocFreq[term] = df
 	}
 
+	var err error
 	numCtx := r.Count(2)
 	var prevCtx string
 	vi := 0
@@ -816,138 +650,14 @@ func FromShards(col *store.Collection, shards []*Shard) (*Index, error) {
 	return finishIndex(col, shards), nil
 }
 
-// decodeShardBody reads the uncompressed body shared by the flat and
-// legacy shard formats: node index, context index, per-path node lists.
-// Decoded refs must name documents inside [lo, hi).
-//
-//seda:constructor
-func decodeShardBody(r *snapcodec.Reader, col *store.Collection, lo, hi int) (*shardAcc, error) {
-	acc := newShardAcc()
-	var terms []string
-
-	numTerms := r.Count(3)
-	terms = make([]string, 0, numTerms)
-	for i := 0; i < numTerms; i++ {
-		term := r.String()
-		df := r.Int()
-		numPostings := r.Count(4)
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := acc.postings[term]; dup {
-			return nil, fmt.Errorf("index: decode: duplicate term %q", term)
-		}
-		ps := make([]Posting, 0, numPostings)
-		for j := 0; j < numPostings; j++ {
-			ref, err := decodeRef(r, lo, hi)
-			if err != nil {
-				return nil, fmt.Errorf("index: decode term %q: %w", term, err)
-			}
-			path := pathdict.PathID(r.Int())
-			numPos := r.Count(1)
-			positions := make([]int32, 0, numPos)
-			pos := int32(0)
-			for k := 0; k < numPos; k++ {
-				pos += int32(r.Int())
-				positions = append(positions, pos)
-			}
-			ps = append(ps, Posting{Ref: ref, Path: path, Positions: positions})
-		}
-		terms = append(terms, term)
-		acc.postings[term] = ps
-		acc.termDocFreq[term] = df
-	}
-
-	numCtx := r.Count(3)
-	for i := 0; i < numCtx; i++ {
-		term := r.String()
-		numPaths := r.Count(2)
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := acc.pathTerms[term]; dup {
-			return nil, fmt.Errorf("index: decode: duplicate context term %q", term)
-		}
-		m := make(map[pathdict.PathID]int, numPaths)
-		for j := 0; j < numPaths; j++ {
-			m[pathdict.PathID(r.Int())] = r.Int()
-		}
-		acc.pathTerms[term] = m
-	}
-
-	numPathNodes := r.Count(3)
-	for i := 0; i < numPathNodes; i++ {
-		id := pathdict.PathID(r.Int())
-		numRefs := r.Count(2)
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := acc.pathNodes[id]; dup {
-			return nil, fmt.Errorf("index: decode: duplicate path id %d", id)
-		}
-		refs := make([]xmldoc.NodeRef, 0, numRefs)
-		for j := 0; j < numRefs; j++ {
-			ref, err := decodeRef(r, lo, hi)
-			if err != nil {
-				return nil, fmt.Errorf("index: decode path %d: %w", id, err)
-			}
-			refs = append(refs, ref)
-		}
-		acc.pathNodes[id] = refs
-	}
-
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
-	}
-	if !sort.StringsAreSorted(terms) {
-		return nil, fmt.Errorf("index: decode: term list not sorted")
-	}
-	return acc, nil
-}
-
-func encodePostings(w *snapcodec.Writer, ps []Posting) {
-	w.Int(len(ps))
-	for _, p := range ps {
-		encodeRef(w, p.Ref)
-		w.Int(int(p.Path))
-		w.Int(len(p.Positions))
-		prev := int32(0) // positions are sorted; delta-encode them
-		for _, pos := range p.Positions {
-			w.Int(int(pos - prev))
-			prev = pos
-		}
-	}
-}
-
-// encodeContextIndex writes a context index with terms sorted (its
-// vocabulary is a superset of the node index's — it also holds tag names).
-func encodeContextIndex(w *snapcodec.Writer, pathTerms map[string]map[pathdict.PathID]int) {
-	ctxTerms := make([]string, 0, len(pathTerms))
-	for t := range pathTerms {
-		ctxTerms = append(ctxTerms, t)
-	}
-	sort.Strings(ctxTerms)
-	w.Int(len(ctxTerms))
-	for _, term := range ctxTerms {
-		w.String(term)
-		paths := pathTerms[term]
-		ids := sortedPathIDs(paths)
-		w.Int(len(ids))
-		for _, id := range ids {
-			w.Int(int(id))
-			w.Int(paths[id])
-		}
-	}
-}
-
-// encodeContextIndexV3 writes the context index with gap-coded path ids
+// encodeContextIndex writes the context index with gap-coded path ids
 // and its term strings deduplicated against the node vocabulary: the
 // context vocabulary is a superset of vocab (it adds tag names), and both
 // are sorted, so most context terms encode as a one-byte reference to the
 // next matching vocab entry (selector gap+1) instead of repeating the
 // string. Terms absent from vocab take selector 0 followed by a
 // front-coded literal.
-func encodeContextIndexV3(w *snapcodec.Writer, vocab []string, pathTerms map[string]map[pathdict.PathID]int) {
+func encodeContextIndex(w *snapcodec.Writer, vocab []string, pathTerms map[string]map[pathdict.PathID]int) {
 	ctxTerms := make([]string, 0, len(pathTerms))
 	for t := range pathTerms {
 		ctxTerms = append(ctxTerms, t)
@@ -980,23 +690,6 @@ func encodeContextIndexV3(w *snapcodec.Writer, vocab []string, pathTerms map[str
 	}
 }
 
-func encodeRef(w *snapcodec.Writer, ref xmldoc.NodeRef) {
-	w.Int(int(ref.Doc))
-	w.Dewey(ref.Dewey)
-}
-
-func decodeRef(r *snapcodec.Reader, lo, hi int) (xmldoc.NodeRef, error) {
-	doc := r.Int()
-	id := r.Dewey()
-	if err := r.Err(); err != nil {
-		return xmldoc.NodeRef{}, err
-	}
-	if doc < lo || doc >= hi {
-		return xmldoc.NodeRef{}, fmt.Errorf("node ref names document %d outside range [%d, %d)", doc, lo, hi)
-	}
-	return xmldoc.NodeRef{Doc: xmldoc.DocID(doc), Dewey: id}, nil
-}
-
 func sortedPathIDs(m map[pathdict.PathID]int) []pathdict.PathID {
 	ids := make([]pathdict.PathID, 0, len(m))
 	for id := range m {
@@ -1004,15 +697,4 @@ func sortedPathIDs(m map[pathdict.PathID]int) []pathdict.PathID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-func dedupSortedPathIDs(ids []pathdict.PathID) []pathdict.PathID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for _, id := range ids {
-		if len(out) == 0 || out[len(out)-1] != id {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -569,7 +569,7 @@ type ShardStats struct {
 	Terms int
 	// Postings is the shard's total posting count.
 	Postings int
-	// Bytes is the shard's exact encoded (SEDASNAP v3 section) size: the
+	// Bytes is the shard's exact encoded (index.<n> section) size: the
 	// deterministic cost unit the resident-budget pager charges for the
 	// shard, derived from the encoded section rather than estimated.
 	Bytes int64

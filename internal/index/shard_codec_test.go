@@ -9,11 +9,12 @@ import (
 	"seda/internal/store"
 )
 
-// The v3 shard codec's contract: the compressed payload round-trips both
+// The shard codec's contract: the compressed payload round-trips both
 // resident and paged decodes to identical shard state, re-encodes
 // byte-identically from any residency (resident, paged-cold, evicted),
-// and rejects malformed payloads at decode time — page-in afterwards is
-// infallible by construction.
+// reassembles through FromShards into an index that answers like the
+// built one, and rejects malformed payloads at decode time — page-in
+// afterwards is infallible by construction.
 
 func encodeShardBytes(tb testing.TB, ix *Index, s int) []byte {
 	tb.Helper()
@@ -25,8 +26,15 @@ func encodeShardBytes(tb testing.TB, ix *Index, s int) []byte {
 }
 
 func TestShardCodecV3RoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		testShardCodecRoundTrip(t, shards)
+	}
+}
+
+func testShardCodecRoundTrip(t *testing.T, shards int) {
 	col, _ := buildFixture(t)
-	ix := BuildSharded(col, 2, 2)
+	ix := BuildSharded(col, shards, 2)
+	decoded := make([]*Shard, ix.NumShards())
 	for s := 0; s < ix.NumShards(); s++ {
 		orig := ix.shards[s]
 		data := encodeShardBytes(t, ix, s)
@@ -38,6 +46,7 @@ func TestShardCodecV3RoundTrip(t *testing.T) {
 		if resident.data.Load() == nil {
 			t.Fatalf("shard %d: resident decode left shard cold", s)
 		}
+		decoded[s] = resident
 		paged, err := DecodeShardPaged(snapcodec.NewReader(data), col)
 		if err != nil {
 			t.Fatalf("shard %d: DecodeShardPaged: %v", s, err)
@@ -101,40 +110,33 @@ func TestShardCodecV3RoundTrip(t *testing.T) {
 			t.Errorf("shard %d: postings differ after evict→page-in", s)
 		}
 	}
-}
 
-// TestShardCodecLegacyStillDecodes: a shardCodecV1 payload (as SEDASNAP v2
-// containers carried) decodes to the same state under both entry points;
-// paged decodes of legacy payloads come up fully resident (no lazy block).
-func TestShardCodecLegacyStillDecodes(t *testing.T) {
-	col, _ := buildFixture(t)
-	ix := BuildSharded(col, 2, 1)
-	for s := 0; s < ix.NumShards(); s++ {
-		orig := ix.shards[s]
-		var w snapcodec.Writer
-		if err := ix.EncodeShardLegacy(&w, s); err != nil {
-			t.Fatalf("EncodeShardLegacy(%d): %v", s, err)
+	// The corpus-global views FromShards re-derives from decoded shards.
+	got, err := FromShards(col, decoded)
+	if err != nil {
+		t.Fatalf("FromShards: %v", err)
+	}
+	for _, term := range ix.terms {
+		if got.DocFreq(term) != ix.DocFreq(term) {
+			t.Errorf("%d shards: DocFreq mismatch for %q", shards, term)
 		}
-		for _, decode := range []func(*snapcodec.Reader, *store.Collection) (*Shard, error){
-			DecodeShard, DecodeShardPaged,
-		} {
-			sh, err := decode(snapcodec.NewReader(w.Bytes()), col)
-			if err != nil {
-				t.Fatalf("shard %d: legacy decode: %v", s, err)
-			}
-			if sh.data.Load() == nil {
-				t.Fatalf("shard %d: legacy payload decoded cold", s)
-			}
-			if !reflect.DeepEqual(mustHot(t, sh).postings, mustHot(t, orig).postings) {
-				t.Errorf("shard %d: legacy postings differ", s)
-			}
-			if !reflect.DeepEqual(mustHot(t, sh).pathNodes, mustHot(t, orig).pathNodes) {
-				t.Errorf("shard %d: legacy path-node lists differ", s)
-			}
-			if !reflect.DeepEqual(sh.termDocFreq, orig.termDocFreq) {
-				t.Errorf("shard %d: legacy doc freqs differ", s)
-			}
+	}
+	for term := range ix.pathTerms {
+		if !reflect.DeepEqual(got.PathsForTerm(term), ix.PathsForTerm(term)) {
+			t.Errorf("%d shards: context index mismatch for %q", shards, term)
 		}
+	}
+	if !reflect.DeepEqual(got.AllPaths(), ix.AllPaths()) {
+		t.Errorf("%d shards: AllPaths mismatch", shards)
+	}
+	// Phrase evaluation exercises positions, which are delta-encoded.
+	phrase := []string{"united", "states"}
+	want := mustPhrasePostings(t, ix, phrase)
+	if len(want) == 0 {
+		t.Fatal("fixture has no \"united states\" phrase")
+	}
+	if !reflect.DeepEqual(mustPhrasePostings(t, got, phrase), want) {
+		t.Errorf("%d shards: phrase postings mismatch", shards)
 	}
 }
 
@@ -203,13 +205,13 @@ func TestShardCodecHostileInputs(t *testing.T) {
 		}
 	}
 	bomb(func(w *snapcodec.Writer) { // vocabulary count far beyond the payload
-		w.Int(shardCodecV2)
+		w.Int(shardCodecVersion)
 		w.Int(0)
 		w.Int(2)
 		w.Int(1 << 30)
 	})
 	bomb(func(w *snapcodec.Writer) { // posting count far beyond the lazy block
-		w.Int(shardCodecV2)
+		w.Int(shardCodecVersion)
 		w.Int(0)
 		w.Int(2)
 		w.Int(1) // one term
@@ -220,7 +222,7 @@ func TestShardCodecHostileInputs(t *testing.T) {
 		w.Int(0)       // empty roster
 	})
 	bomb(func(w *snapcodec.Writer) { // huge dewey suffix inside the lazy block
-		w.Int(shardCodecV2)
+		w.Int(shardCodecVersion)
 		w.Int(0)
 		w.Int(2)
 		w.Int(1)
@@ -234,8 +236,23 @@ func TestShardCodecHostileInputs(t *testing.T) {
 		w.Int(0)       // shared prefix
 		w.Int(1 << 28) // suffix components
 	})
+	bomb(func(w *snapcodec.Writer) { // posting naming a document past the shard
+		w.Int(shardCodecVersion)
+		w.Int(0)
+		w.Int(2)
+		w.Int(1) // one term
+		w.Int(0) // no shared prefix
+		w.String("hello")
+		w.Uvarint(0) // doc freq 1, one posting
+		w.Int(0)     // no context terms
+		w.Int(0)     // empty roster
+		// lazy block: escaped doc gap 3+96 = 99, one Dewey component
+		w.Byte(refEscGap<<6 | 1)
+		w.Int(96)
+		w.Uvarint(1)
+	})
 	bomb(func(w *snapcodec.Writer) { // roster refCount bomb
-		w.Int(shardCodecV2)
+		w.Int(shardCodecVersion)
 		w.Int(0)
 		w.Int(2)
 		w.Int(0) // no terms
@@ -261,13 +278,15 @@ func FuzzShardDecode(f *testing.F) {
 	}
 	ix := BuildSharded(col, 2, 1)
 	for s := 0; s < ix.NumShards(); s++ {
-		var w snapcodec.Writer
-		ix.EncodeShard(&w, s)
-		f.Add(w.Bytes())
-		f.Add(w.Bytes()[:len(w.Bytes())/2])
-		var lw snapcodec.Writer
-		ix.EncodeShardLegacy(&lw, s)
-		f.Add(lw.Bytes())
+		data := encodeShardBytes(f, ix, s)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		// The same payload led by the retired codec int 1 must be refused.
+		retired := append([]byte{1}, data[1:]...)
+		if _, err := DecodeShard(snapcodec.NewReader(retired), col); err == nil {
+			f.Fatalf("shard %d: codec-1 payload decoded", s)
+		}
+		f.Add(retired)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0, 0, 0})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"seda/internal/core"
+	"seda/internal/snapcodec"
 )
 
 // newDiskClient serves from a disk-backed registry rooted at dir — the
@@ -273,53 +275,84 @@ func TestPersistFailureIsObservable(t *testing.T) {
 	}
 }
 
-// TestV1StreamInDataDir: a v1 collection.gob dropped into the data dir as
-// <name>.snap must NOT be rebuilt under guessed defaults — it carries no
-// construction config, and for corpora needing custom link discovery a
-// guess would be silently wrong and then persisted. It errors on use;
-// re-registering the name from source recovers and upgrades the file to
-// real snapshot format.
-func TestV1StreamInDataDir(t *testing.T) {
+// TestRetiredSnapshotInDataDir: a container of a retired format version
+// and a file that is no snapshot at all, dropped into the data dir as
+// <name>.snap, are not served from boot discovery — neither carries a
+// loadable construction, and a boot-discovered entry has no source to
+// rebuild from. Each errors on use and stays cold; re-registering the
+// name from source rebuilds it and rewrites the file in the current
+// format, which the next process then loads.
+func TestRetiredSnapshotInDataDir(t *testing.T) {
 	dir := t.TempDir()
-	col := testCollection(t)
-	f, err := os.Create(filepath.Join(dir, "legacy.snap"))
+	eng, err := core.NewEngine(testCollection(t), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Save(f); err != nil {
+	var cur bytes.Buffer
+	if err := core.SaveEngine(&cur, eng, ""); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	sections, err := snapcodec.ReadContainer(cur.Bytes(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := snapcodec.WriteContainer(&v3, 3, sections); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"retired": v3.Bytes(), "junk": []byte("<not-a-snapshot/>")}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name+".snap"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	r1 := NewRegistry()
 	if _, err := r1.EnableSnapshots(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.Engine("legacy"); err == nil {
-		t.Fatal("v1 stream without a source must not serve from boot discovery")
+	for name := range files {
+		if _, err := r1.Engine(name); err == nil {
+			t.Fatalf("%s: refused file served from boot discovery", name)
+		}
 	}
-	if got := r1.List()[0].State; got != StateCold {
-		t.Errorf("state after refused load = %q, want %q", got, StateCold)
+	for _, info := range r1.List() {
+		if info.State != StateCold {
+			t.Errorf("%s: state after refused load = %q, want %q", info.Name, info.State, StateCold)
+		}
 	}
 
-	// Re-registering from source recovers: the rebuild replaces the v1
-	// file with a real snapshot, which the next process then loads.
-	if err := r1.RegisterCollection("legacy", testCollection(t), core.Config{}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r1.Engine("legacy"); err != nil {
-		t.Fatal(err)
+	// Re-registering from source recovers: the rebuild replaces each file
+	// with a current-version snapshot, which the next process then loads.
+	for name := range files {
+		if err := r1.RegisterCollection(name, testCollection(t), core.Config{}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r1.Engine(name); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snapcodec.ReadContainer(data, 4); err != nil {
+			t.Errorf("%s: rebuilt file is not a v4 container: %v", name, err)
+		}
 	}
 
 	r2 := NewRegistry()
 	if _, err := r2.EnableSnapshots(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.Engine("legacy"); err != nil {
-		t.Fatal(err)
+	for name := range files {
+		if _, err := r2.Engine(name); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := r2.List()[0].State; got != StateLoaded {
-		t.Errorf("state after upgrade = %q, want %q", got, StateLoaded)
+	for _, info := range r2.List() {
+		if info.State != StateLoaded {
+			t.Errorf("%s: state after rebuild = %q, want %q", info.Name, info.State, StateLoaded)
+		}
 	}
 }
 

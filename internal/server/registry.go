@@ -15,6 +15,7 @@ import (
 	"seda/internal/core"
 	"seda/internal/datagen"
 	"seda/internal/index"
+	"seda/internal/snapcodec"
 	"seda/internal/store"
 	"seda/internal/topk"
 )
@@ -70,8 +71,8 @@ type regEntry struct {
 	// RegisterBuiltin/RegisterCollection of the same name.
 	discovered bool
 	// cfg is the construction config: fingerprint validation of the
-	// snapshot cache for source entries, and the parallelism fallback for
-	// discovered entries.
+	// snapshot cache for source entries, and the environment (parallelism,
+	// residency) for discovered entries.
 	cfg core.Config
 
 	buildMu sync.Mutex
@@ -112,18 +113,14 @@ func (e *regEntry) engineLocked(r *Registry) (*core.Engine, error) {
 		return e.eng, nil
 	}
 	if e.discovered {
-		// Boot-discovered entry: the snapshot file IS the source, and a
-		// real snapshot is required. A v1 collection stream carries no
-		// construction config, so rebuilding it here would silently guess
-		// (wrong link discovery for corpora like mondial) and then persist
-		// that guess — refuse instead; re-registering the name from its
-		// source, or converting the file, recovers.
-		if ok, serr := core.SniffSnapshotFile(e.snapshotPath); serr != nil {
-			return nil, serr
-		} else if !ok {
-			return nil, fmt.Errorf("server: %s is not an engine snapshot (v1 collection streams carry no construction config); re-register collection %q from its source, or convert the file with `sedagen -snapshot` or the REPL's \\save", e.snapshotPath, e.name)
-		}
+		// Boot-discovered entry: the snapshot file IS the source, and only
+		// a current-version snapshot is served. Anything else has no source
+		// to rebuild from here — refuse; re-registering the name from its
+		// source rebuilds it and rewrites the file.
 		le, err := core.LoadEngineAuto(e.snapshotPath, e.cfg)
+		if errors.Is(err, core.ErrNotSnapshot) || errors.Is(err, snapcodec.ErrVersion) {
+			return nil, fmt.Errorf("server: %s: %w; re-register collection %q from its source to rebuild it", e.snapshotPath, err, e.name)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -2,19 +2,32 @@ package snapcodec
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
+
+// fuzzVersion is the container version the fuzz target reads: the engine
+// snapshot's current one.
+const fuzzVersion = 4
 
 // FuzzContainerDecode throws arbitrary bytes at the container framing.
 // ReadContainer must never panic or over-allocate on hostile input, and
 // anything it does accept must survive a write/read round trip unchanged.
 func FuzzContainerDecode(f *testing.F) {
-	var valid bytes.Buffer
-	if err := WriteContainer(&valid, 3, []Section{
+	sections := []Section{
 		{Name: "dict", Payload: []byte{1, 2, 3}},
 		{Name: "docs", Payload: nil},
-	}); err != nil {
+	}
+	var valid, retired bytes.Buffer
+	if err := WriteContainer(&valid, fuzzVersion, sections); err != nil {
 		f.Fatal(err)
+	}
+	// The same sections stamped with a retired version must be refused.
+	if err := WriteContainer(&retired, 3, sections); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ReadContainer(retired.Bytes(), fuzzVersion); !errors.Is(err, ErrVersion) {
+		f.Fatalf("v3 container err = %v, want ErrVersion", err)
 	}
 	// A v4-shaped container carrying a gap-encoded tombstones section
 	// (codec version 1, count 2, ids 1 and 3) between graph and shards —
@@ -24,7 +37,7 @@ func FuzzContainerDecode(f *testing.F) {
 		w.Int(v)
 	}
 	var masked bytes.Buffer
-	if err := WriteContainer(&masked, 4, []Section{
+	if err := WriteContainer(&masked, fuzzVersion, []Section{
 		{Name: "graph", Payload: []byte{1}},
 		{Name: "tombstones", Payload: w.Bytes()},
 		{Name: "index.0", Payload: []byte{2, 0}},
@@ -41,7 +54,7 @@ func FuzzContainerDecode(f *testing.F) {
 		dg.Int(v)
 	}
 	var hostileGuide bytes.Buffer
-	if err := WriteContainer(&hostileGuide, 4, []Section{
+	if err := WriteContainer(&hostileGuide, fuzzVersion, []Section{
 		{Name: "dataguide", Payload: dg.Bytes()},
 	}); err != nil {
 		f.Fatal(err)
@@ -52,22 +65,22 @@ func FuzzContainerDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SEDA"))
 	f.Add(hostileGuide.Bytes())
+	f.Add(retired.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		version, sections, err := ReadContainer(data, 1<<20)
+		sections, err := ReadContainer(data, fuzzVersion)
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteContainer(&out, version, sections); err != nil {
+		if err := WriteContainer(&out, fuzzVersion, sections); err != nil {
 			t.Fatalf("re-encoding accepted container: %v", err)
 		}
-		v2, s2, err := ReadContainer(out.Bytes(), 1<<20)
+		s2, err := ReadContainer(out.Bytes(), fuzzVersion)
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded container: %v", err)
 		}
-		if v2 != version || len(s2) != len(sections) {
-			t.Fatalf("round trip changed shape: version %d->%d, sections %d->%d",
-				version, v2, len(sections), len(s2))
+		if len(s2) != len(sections) {
+			t.Fatalf("round trip changed shape: sections %d->%d", len(sections), len(s2))
 		}
 		for i := range sections {
 			if s2[i].Name != sections[i].Name || !bytes.Equal(s2[i].Payload, sections[i].Payload) {

@@ -18,12 +18,13 @@ const Magic = "SEDASNAP"
 // Errors returned by readers. Decoders wrap these so callers can classify
 // failures with errors.Is.
 var (
-	// ErrNotSnapshot reports a stream that does not start with Magic —
-	// likely a v1 collection.gob or an unrelated file.
+	// ErrNotSnapshot reports a stream that does not start with Magic: an
+	// unrelated file, not an engine snapshot.
 	ErrNotSnapshot = errors.New("snapcodec: not an engine snapshot (bad magic)")
-	// ErrVersion reports a container format version newer than this build
-	// understands.
-	ErrVersion = errors.New("snapcodec: unsupported snapshot format version")
+	// ErrVersion reports a container format version other than the one the
+	// caller supports. Only one version is ever read; a file of any other
+	// version is rebuilt from source, not migrated.
+	ErrVersion = errors.New("snapcodec: unsupported snapshot format version (rebuild from source)")
 	// ErrCorrupt reports a truncated stream, an invalid length, or a
 	// checksum mismatch.
 	ErrCorrupt = errors.New("snapcodec: corrupt snapshot")
@@ -315,17 +316,17 @@ func WriteContainer(w io.Writer, formatVersion int, sections []Section) error {
 	return nil
 }
 
-// ReadContainer parses a container from data, verifying the magic, the
-// format version against maxVersion, and every section checksum.
-func ReadContainer(data []byte, maxVersion int) (version int, sections []Section, err error) {
+// ReadContainer parses a container from data, verifying the magic, that
+// the format version is exactly version, and every section checksum.
+func ReadContainer(data []byte, version int) ([]Section, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return 0, nil, ErrNotSnapshot
+		return nil, ErrNotSnapshot
 	}
 	r := NewReader(data[len(Magic):])
-	version = r.Int()
-	if r.Err() == nil && (version < 1 || version > maxVersion) {
-		return 0, nil, fmt.Errorf("%w: have %d, support <= %d", ErrVersion, version, maxVersion)
+	if v := r.Int(); r.Err() == nil && v != version {
+		return nil, fmt.Errorf("%w: have %d, want %d", ErrVersion, v, version)
 	}
+	var sections []Section
 	count := r.Count(6) // minimal section: 1-byte name len + 1-byte payload len + 4-byte crc
 	for i := 0; i < count; i++ {
 		name := r.String()
@@ -334,7 +335,7 @@ func ReadContainer(data []byte, maxVersion int) (version int, sections []Section
 			break
 		}
 		if r.Remaining() < 4+plen {
-			return 0, nil, fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrCorrupt, name, plen, r.Remaining()-4)
+			return nil, fmt.Errorf("%w: section %q claims %d bytes, %d remain", ErrCorrupt, name, plen, r.Remaining()-4)
 		}
 		sum := binary.BigEndian.Uint32(r.buf[r.off:])
 		r.off += 4
@@ -342,17 +343,17 @@ func ReadContainer(data []byte, maxVersion int) (version int, sections []Section
 		payload := r.buf[r.off : r.off+plen]
 		r.off += plen
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return 0, nil, fmt.Errorf("%w: section %q checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, name, sum, got)
+			return nil, fmt.Errorf("%w: section %q checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, name, sum, got)
 		}
 		sections = append(sections, Section{Name: name, Payload: payload, Offset: off, Size: plen, CRC: sum})
 	}
 	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("reading container: %w", err)
+		return nil, fmt.Errorf("reading container: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, r.Remaining())
+		return nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, r.Remaining())
 	}
-	return version, sections, nil
+	return sections, nil
 }
 
 // ScanSections reads only the container framing from rd — magic, version,
@@ -361,12 +362,12 @@ func ReadContainer(data []byte, maxVersion int) (version int, sections []Section
 // the cheap path for re-binding disk-backed shard refs after a snapshot
 // save: the CRCs live in the headers, so no payload is read or verified
 // (page-in re-verifies against the stored CRC anyway).
-func ScanSections(rd io.Reader, maxVersion int) (version int, sections []Section, err error) {
+func ScanSections(rd io.Reader, version int) ([]Section, error) {
 	br := bufio.NewReader(rd)
 	off := int64(0)
 	magic := make([]byte, len(Magic))
 	if err := scanFull(br, magic); err != nil || string(magic) != Magic {
-		return 0, nil, ErrNotSnapshot
+		return nil, ErrNotSnapshot
 	}
 	off += int64(len(Magic))
 	readUvarint := func() (uint64, error) {
@@ -376,33 +377,33 @@ func ScanSections(rd io.Reader, maxVersion int) (version int, sections []Section
 	}
 	v, err := readUvarint()
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated container version", ErrCorrupt)
+		return nil, fmt.Errorf("%w: truncated container version", ErrCorrupt)
 	}
-	version = int(v)
-	if version < 1 || version > maxVersion {
-		return 0, nil, fmt.Errorf("%w: have %d, support <= %d", ErrVersion, version, maxVersion)
+	if v != uint64(version) {
+		return nil, fmt.Errorf("%w: have %d, want %d", ErrVersion, v, version)
 	}
+	var sections []Section
 	count, err := readUvarint()
 	if err != nil || count > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad section count", ErrCorrupt)
 	}
 	for i := uint64(0); i < count; i++ {
 		nlen, err := readUvarint()
 		if err != nil || nlen > 1<<10 {
-			return 0, nil, fmt.Errorf("%w: bad section name length", ErrCorrupt)
+			return nil, fmt.Errorf("%w: bad section name length", ErrCorrupt)
 		}
 		name := make([]byte, nlen)
 		if err := scanFull(br, name); err != nil {
-			return 0, nil, fmt.Errorf("%w: truncated section name", ErrCorrupt)
+			return nil, fmt.Errorf("%w: truncated section name", ErrCorrupt)
 		}
 		off += int64(nlen)
 		plen, err := readUvarint()
 		if err != nil || plen > math.MaxInt32 {
-			return 0, nil, fmt.Errorf("%w: bad section %q payload length", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: bad section %q payload length", ErrCorrupt, name)
 		}
 		var crcBuf [4]byte
 		if err := scanFull(br, crcBuf[:]); err != nil {
-			return 0, nil, fmt.Errorf("%w: truncated section %q checksum", ErrCorrupt, name)
+			return nil, fmt.Errorf("%w: truncated section %q checksum", ErrCorrupt, name)
 		}
 		off += 4
 		sections = append(sections, Section{
@@ -412,14 +413,14 @@ func ScanSections(rd io.Reader, maxVersion int) (version int, sections []Section
 			CRC:    binary.BigEndian.Uint32(crcBuf[:]),
 		})
 		if _, err := br.Discard(int(plen)); err != nil {
-			return 0, nil, fmt.Errorf("%w: section %q claims %d bytes past end", ErrCorrupt, name, plen)
+			return nil, fmt.Errorf("%w: section %q claims %d bytes past end", ErrCorrupt, name, plen)
 		}
 		off += int64(plen)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return 0, nil, fmt.Errorf("%w: trailing bytes after last section", ErrCorrupt)
+		return nil, fmt.Errorf("%w: trailing bytes after last section", ErrCorrupt)
 	}
-	return version, sections, nil
+	return sections, nil
 }
 
 // scanFull fills buf from br one error-checked byte at a time — the

@@ -130,12 +130,12 @@ func TestContainerRoundTrip(t *testing.T) {
 		{Name: "gamma", Payload: bytes.Repeat([]byte{0xFE}, 1000)},
 	}
 	data := container(t, 1, in)
-	version, out, err := ReadContainer(data, 1)
+	out, err := ReadContainer(data, 1)
 	if err != nil {
 		t.Fatalf("ReadContainer: %v", err)
 	}
-	if version != 1 || len(out) != len(in) {
-		t.Fatalf("version=%d sections=%d", version, len(out))
+	if len(out) != len(in) {
+		t.Fatalf("sections=%d", len(out))
 	}
 	for i := range in {
 		if out[i].Name != in[i].Name || !bytes.Equal(out[i].Payload, in[i].Payload) {
@@ -145,28 +145,37 @@ func TestContainerRoundTrip(t *testing.T) {
 }
 
 func TestContainerBadMagic(t *testing.T) {
-	_, _, err := ReadContainer([]byte("NOTASNAPxxxx"), 1)
+	_, err := ReadContainer([]byte("NOTASNAPxxxx"), 1)
 	if !errors.Is(err, ErrNotSnapshot) {
 		t.Errorf("err = %v, want ErrNotSnapshot", err)
 	}
-	_, _, err = ReadContainer([]byte("SE"), 1)
+	_, err = ReadContainer([]byte("SE"), 1)
 	if !errors.Is(err, ErrNotSnapshot) {
 		t.Errorf("short input err = %v, want ErrNotSnapshot", err)
 	}
 }
 
+// TestContainerUnknownVersion: exactly the supported version is read;
+// older and newer stamps alike are ErrVersion, from both readers.
 func TestContainerUnknownVersion(t *testing.T) {
-	data := container(t, 99, nil)
-	_, _, err := ReadContainer(data, 1)
-	if !errors.Is(err, ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	for _, v := range []int{1, 3, 5, 99} {
+		data := container(t, v, nil)
+		if _, err := ReadContainer(data, 4); !errors.Is(err, ErrVersion) {
+			t.Errorf("ReadContainer(v%d) err = %v, want ErrVersion", v, err)
+		}
+		if _, err := ScanSections(bytes.NewReader(data), 4); !errors.Is(err, ErrVersion) {
+			t.Errorf("ScanSections(v%d) err = %v, want ErrVersion", v, err)
+		}
+	}
+	if _, err := ReadContainer(container(t, 4, nil), 4); err != nil {
+		t.Errorf("supported version rejected: %v", err)
 	}
 }
 
 func TestContainerChecksumMismatch(t *testing.T) {
 	data := container(t, 1, []Section{{Name: "s", Payload: []byte("hello world")}})
 	data[len(data)-1] ^= 0x01 // flip a payload byte
-	_, _, err := ReadContainer(data, 1)
+	_, err := ReadContainer(data, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
@@ -180,12 +189,12 @@ func TestContainerTruncation(t *testing.T) {
 		{Name: "two", Payload: []byte{1, 2, 3}},
 	})
 	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := ReadContainer(data[:cut], 1); err == nil {
+		if _, err := ReadContainer(data[:cut], 1); err == nil {
 			t.Errorf("cut=%d: expected an error", cut)
 		}
 	}
 	// Trailing garbage is also corruption.
-	if _, _, err := ReadContainer(append(append([]byte{}, data...), 0x00), 1); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadContainer(append(append([]byte{}, data...), 0x00), 1); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing byte err = %v, want ErrCorrupt", err)
 	}
 }

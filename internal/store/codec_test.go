@@ -17,6 +17,17 @@ func encodeBoth(c *Collection) (dict, col []byte) {
 	return wd.Bytes(), wc.Bytes()
 }
 
+// roundTrip encodes c with encodeBoth and decodes it into a fresh
+// dictionary and collection, as a snapshot load does.
+func roundTrip(c *Collection) (*Collection, error) {
+	dictBytes, colBytes := encodeBoth(c)
+	dict, err := pathdict.Decode(snapcodec.NewReader(dictBytes))
+	if err != nil {
+		return nil, err
+	}
+	return Decode(snapcodec.NewReader(colBytes), dict)
+}
+
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	c := NewCollection()
 	addDocs(t, c,

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"seda/internal/pathdict"
@@ -11,92 +9,12 @@ import (
 	"seda/internal/xmldoc"
 )
 
-// Two persistence formats live here:
-//
-//   - the v1 standalone gob stream (Save/Load) kept as a compatibility
-//     shim for existing collection.gob files — it stores documents only
-//     and derived state is rebuilt after Load;
-//   - the versioned binary codec (Encode/Decode) used inside engine
-//     snapshots, which additionally persists the per-path corpus
-//     statistics so a loaded collection costs O(read), not O(rescan).
-//
-// Both flatten documents to pre-order node lists (parent pointers and
-// Dewey ids are reconstructed on load), which keeps the formats free of
+// The collection's binary codec (Encode/Decode), used inside engine
+// snapshots. Besides the documents it persists the per-path corpus
+// statistics, so a loaded collection costs O(read), not O(rescan).
+// Documents are flattened to pre-order node lists (parent pointers and
+// Dewey ids are reconstructed on load), which keeps the format free of
 // cycles and independent of in-memory layout.
-
-type flatNode struct {
-	Tag      string
-	Kind     uint8
-	Text     string
-	Children int32 // number of direct children following in pre-order
-}
-
-type flatDoc struct {
-	Name  string
-	Nodes []flatNode
-}
-
-type snapshot struct {
-	Version int
-	Docs    []flatDoc
-}
-
-const snapshotVersion = 1
-
-// Save writes the collection to w. Indexes and graphs are derived data and
-// are rebuilt after Load.
-func (c *Collection) Save(w io.Writer) error {
-	snap := snapshot{Version: snapshotVersion, Docs: make([]flatDoc, len(c.docs))}
-	for i, d := range c.docs {
-		fd := flatDoc{Name: d.Name}
-		flatten(d.Root, &fd.Nodes)
-		snap.Docs[i] = fd
-	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a collection previously written by Save.
-func Load(r io.Reader) (*Collection, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: load: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("store: load: unsupported snapshot version %d", snap.Version)
-	}
-	c := NewCollection()
-	for _, fd := range snap.Docs {
-		root, rest, err := unflatten(fd.Nodes)
-		if err != nil {
-			return nil, fmt.Errorf("store: load %q: %w", fd.Name, err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("store: load %q: %d trailing nodes", fd.Name, len(rest))
-		}
-		doc := &xmldoc.Document{Name: fd.Name, Root: root}
-		xmldoc.Finalize(doc, c.dict)
-		c.AddDocument(doc)
-	}
-	if err := c.Verify(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func flatten(n *xmldoc.Node, out *[]flatNode) {
-	*out = append(*out, flatNode{
-		Tag:      n.Tag,
-		Kind:     uint8(n.Kind),
-		Text:     n.Text,
-		Children: int32(len(n.Children)),
-	})
-	for _, ch := range n.Children {
-		flatten(ch, out)
-	}
-}
 
 // codecVersion is the snapshot-layer format version written by Encode.
 const codecVersion = 1
@@ -245,24 +163,4 @@ func decodePathCounts(r *snapcodec.Reader, dict *pathdict.Dict, m map[pathdict.P
 		return fmt.Errorf("store: decode: %w", err)
 	}
 	return nil
-}
-
-func unflatten(nodes []flatNode) (*xmldoc.Node, []flatNode, error) {
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("truncated node stream")
-	}
-	f := nodes[0]
-	n := &xmldoc.Node{Tag: f.Tag, Kind: xmldoc.Kind(f.Kind), Text: f.Text}
-	rest := nodes[1:]
-	for i := int32(0); i < f.Children; i++ {
-		var child *xmldoc.Node
-		var err error
-		child, rest, err = unflatten(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		child.Parent = n
-		n.Children = append(n.Children, child)
-	}
-	return n, rest, nil
 }

@@ -224,7 +224,7 @@ func RefOf(doc *xmldoc.Document, n *xmldoc.Node) xmldoc.NodeRef {
 
 // Verify checks internal consistency: every node's Dewey id resolves back to
 // itself and every path id is renderable. It is used by tests and after
-// Load.
+// Decode.
 func (c *Collection) Verify() error {
 	for _, d := range c.docs {
 		var fail error

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -129,11 +128,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		`<country code="us"><name>United States</name><economy><GDP>10T</GDP></economy></country>`,
 		`<sea><name>Pacific Ocean</name><depth>10911</depth></sea>`,
 	)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := roundTrip(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +149,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Error("loading garbage should fail")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("loading empty stream should fail")
-	}
-}
-
-// Property: save→load preserves per-path statistics for random collections.
+// Property: encode→decode preserves per-path statistics for random
+// collections.
 func TestPropPersistencePreservesStats(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -173,11 +160,7 @@ func TestPropPersistencePreservesStats(t *testing.T) {
 			doc := xmldoc.Build(fmt.Sprintf("d%d", i), randomTree(r, 0), c.Dict())
 			c.AddDocument(doc)
 		}
-		var buf bytes.Buffer
-		if c.Save(&buf) != nil {
-			return false
-		}
-		got, err := Load(&buf)
+		got, err := roundTrip(c)
 		if err != nil {
 			return false
 		}

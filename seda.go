@@ -182,16 +182,15 @@ func NewEngine(col *Collection, cfg Config) (*Engine, error) {
 // (*Collection).AddXML or (*Collection).AddDocument.
 func NewCollection() *Collection { return store.NewCollection() }
 
-// LoadCollection reads a collection saved with (*Collection).Save.
-func LoadCollection(r io.Reader) (*Collection, error) { return store.Load(r) }
-
 // Engine snapshots: every derived layer of an engine — path dictionary,
 // collection with statistics, full-text indexes, link graph, dataguide
 // summary — persisted as one versioned, checksummed container, so a
-// process restart costs O(read) instead of O(rebuild).
+// process restart costs O(read) instead of O(rebuild). Only the current
+// container version is read; any other version, or a file that is not a
+// snapshot, is an error, and the caller rebuilds from source.
 
-// LoadedEngine is the result of LoadEngineAuto: the engine plus where it
-// came from (snapshot vs a rebuilt v1 collection stream).
+// LoadedEngine is the result of LoadEngineAuto: the engine plus the
+// config and source tag the snapshot stored.
 type LoadedEngine = core.LoadedEngine
 
 // ErrSnapshotConfigMismatch reports an engine snapshot built under a
@@ -216,11 +215,11 @@ func LoadEngineFile(path string, cfg Config) (*Engine, error) {
 	return core.LoadEngineFile(path, cfg, "")
 }
 
-// LoadEngineAuto loads an engine from path adopting the snapshot's stored
-// config; a v1 collection stream (written by (*Collection).Save) is
-// rebuilt under fallback instead.
-func LoadEngineAuto(path string, fallback Config) (*LoadedEngine, error) {
-	return core.LoadEngineAuto(path, fallback)
+// LoadEngineAuto loads an engine snapshot from path adopting its stored
+// config. Only env's environment fields apply: Parallelism,
+// ResidentBudget and Backing.
+func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
+	return core.LoadEngineAuto(path, env)
 }
 
 // LoadXMLDir loads every *.xml file under dir (sorted for determinism)
