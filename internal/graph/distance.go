@@ -42,7 +42,7 @@ func TreeDistance(a, b xmldoc.NodeRef) int {
 // document it equals TreeDistance; across documents it is computed on the
 // portal graph. Returns Unreachable when no path exists within the caps.
 func (g *Graph) PairDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
-	if len(g.outByDoc[a.Doc]) == 0 && len(g.inByDoc[a.Doc]) == 0 {
+	if g.TreeOnly(a.Doc) {
 		// No link edge touches a's document, so the portal search could
 		// only close inside it: the tree distance, or nothing.
 		return TreeDistance(a, b)
@@ -57,6 +57,12 @@ func (g *Graph) PairDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 		return d
 	}
 	return g.portalDistance(a, b, maxLinkHops)
+}
+
+// TreeOnly reports whether no link edge touches doc, so that every
+// distance from one of its nodes is the tree distance.
+func (g *Graph) TreeOnly(doc xmldoc.DocID) bool {
+	return len(g.outByDoc[doc]) == 0 && len(g.inByDoc[doc]) == 0
 }
 
 // portalState identifies a Dijkstra vertex.
@@ -141,8 +147,15 @@ func (g *Graph) SteinerWeight(refs []xmldoc.NodeRef, maxLinkHops int) (int, bool
 		return 0, true
 	}
 	const inf = Unreachable
-	inTree := make([]bool, n)
-	distTo := make([]int, n)
+	// Tuples are as wide as a query has terms, so the scratch normally
+	// lives on the stack and scoring a tuple allocates nothing here.
+	var inTreeBuf [8]bool
+	var distBuf [8]int
+	inTree, distTo := inTreeBuf[:], distBuf[:]
+	if n > len(inTreeBuf) {
+		inTree, distTo = make([]bool, n), make([]int, n)
+	}
+	inTree, distTo = inTree[:n], distTo[:n]
 	for i := range distTo {
 		distTo[i] = inf
 	}

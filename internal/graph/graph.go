@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"seda/internal/store"
@@ -113,6 +114,25 @@ func (g *Graph) AddEdge(from, to xmldoc.NodeRef, kind EdgeKind, label string) er
 	g.outByDoc[from.Doc] = append(g.outByDoc[from.Doc], idx)
 	g.inByDoc[to.Doc] = append(g.inByDoc[to.Doc], idx)
 	return nil
+}
+
+// LinkedDocs appends to dst the other documents that at least one link
+// edge joins doc to, in either direction, ascending and without repeats.
+// It reads doc's own edge lists, so it costs doc's degree.
+func (g *Graph) LinkedDocs(dst []xmldoc.DocID, doc xmldoc.DocID) []xmldoc.DocID {
+	start := len(dst)
+	for _, i := range g.outByDoc[doc] {
+		if d := g.edges[i].To.Doc; d != doc {
+			dst = append(dst, d)
+		}
+	}
+	for _, i := range g.inByDoc[doc] {
+		if d := g.edges[i].From.Doc; d != doc {
+			dst = append(dst, d)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // NumEdges returns the number of link edges.

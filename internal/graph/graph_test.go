@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -333,5 +334,36 @@ func TestEdgesOfDoc(t *testing.T) {
 	}
 	if g.EdgesOfDoc(99) != nil {
 		t.Error("unknown doc should have no edges")
+	}
+}
+
+// TestLinkedDocs checks the partner documents the top-k searcher builds
+// pair units from: ascending, without repeats, symmetric, and blind to
+// intra-document edges, appended after whatever dst already holds.
+func TestLinkedDocs(t *testing.T) {
+	_, g := fixture(t)
+	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	root := func(doc xmldoc.DocID) xmldoc.NodeRef { return xmldoc.NodeRef{Doc: doc, Dewey: dewey.Root()} }
+	// A repeated pair and an intra-document edge add no partner.
+	if err := g.AddEdge(root(1), root(0), IDRef, "again"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(root(0), xmldoc.NodeRef{Doc: 0, Dewey: dewey.Root().Child(1)}, IDRef, "self"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[xmldoc.DocID][]xmldoc.DocID{0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}}
+	for doc, w := range want {
+		if got := g.LinkedDocs(nil, doc); !reflect.DeepEqual(got, w) {
+			t.Errorf("LinkedDocs(%d) = %v, want %v", doc, got, w)
+		}
+		if g.TreeOnly(doc) {
+			t.Errorf("TreeOnly(%d) with link edges", doc)
+		}
+	}
+	if got := g.LinkedDocs([]xmldoc.DocID{7}, 3); !reflect.DeepEqual(got, []xmldoc.DocID{7, 2}) {
+		t.Errorf("LinkedDocs after a prefix = %v, want [7 2]", got)
+	}
+	if len(g.LinkedDocs(nil, 99)) != 0 || !g.TreeOnly(99) {
+		t.Error("a document without edges has partners")
 	}
 }

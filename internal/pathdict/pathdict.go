@@ -308,6 +308,22 @@ func (d *Dict) Steps(id PathID) []TagID {
 	return out
 }
 
+// Covered returns, indexed by PathID, whether each interned path or one of
+// its ancestors satisfies match. Extend interns a parent before its
+// children, so one forward pass over the ids decides every path, calling
+// match once per path with the path's leaf tag name. match runs under the
+// dictionary's read lock and must not call back into d.
+func (d *Dict) Covered(match func(p PathID, leaf string) bool) []bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]bool, len(d.nodes))
+	for p := 1; p < len(d.nodes); p++ {
+		n := d.nodes[p]
+		out[p] = out[n.parent] || match(PathID(p), d.tagNames[n.tag])
+	}
+	return out
+}
+
 // NumPaths returns the number of distinct interned paths (the paper reports
 // 1984 distinct paths for World Factbook, §2).
 func (d *Dict) NumPaths() int {

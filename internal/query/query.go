@@ -13,6 +13,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"seda/internal/fulltext"
@@ -74,16 +75,47 @@ func (c Context) Matches(dict *pathdict.Dict, p pathdict.PathID) bool {
 			}
 			continue
 		}
-		leaf := dict.LeafName(p)
-		if a.TagPrefix {
-			if strings.HasPrefix(leaf, a.Tag) {
-				return true
-			}
-		} else if leaf == a.Tag {
+		if a.matchesLeaf(dict.LeafName(p)) {
 			return true
 		}
 	}
 	return false
+}
+
+// matchesLeaf reports whether a tag atom accepts a node named leaf.
+func (a Atom) matchesLeaf(leaf string) bool {
+	if a.TagPrefix {
+		return strings.HasPrefix(leaf, a.Tag)
+	}
+	return leaf == a.Tag
+}
+
+// Covers returns, indexed by PathID, whether the context matches each path
+// of dict or one of its ancestors: the paths a term presents in its context
+// summary. It is nil for the empty context, which covers every path. One
+// pass over the dictionary decides all paths; a path atom is looked up
+// once instead of rendering every path.
+func (c Context) Covers(dict *pathdict.Dict) []bool {
+	if c.IsEmpty() {
+		return nil
+	}
+	var ids []pathdict.PathID
+	for _, a := range c.Atoms {
+		if a.Path != "" {
+			ids = append(ids, dict.LookupPath(a.Path))
+		}
+	}
+	return dict.Covered(func(p pathdict.PathID, leaf string) bool {
+		if slices.Contains(ids, p) {
+			return true
+		}
+		for _, a := range c.Atoms {
+			if a.Path == "" && a.matchesLeaf(leaf) {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // ParseContext parses the context component. Accepted forms: "" or "*"

@@ -6,8 +6,11 @@
 package summary
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
+	"seda/internal/fulltext"
 	"seda/internal/index"
 	"seda/internal/pathdict"
 	"seda/internal/query"
@@ -42,16 +45,24 @@ type ContextBucket struct {
 //     name in conjunction with the search expression;
 //   - tag-name contexts (with wildcards) probe with the tag name in
 //     conjunction with the search expression.
+//
+// Unlike node matching, a term whose search expression anchors below the
+// context (e.g. (country, "Romania")) presents the *context's* candidate
+// paths: a path is kept if the context matches it or one of its ancestor
+// prefixes (the anchor's lift targets).
 func Contexts(ix *index.Index, q query.Query) []ContextBucket {
 	col := ix.Collection()
 	dict := col.Dict()
 	out := make([]ContextBucket, 0, len(q.Terms))
 	for _, t := range q.Terms {
-		paths := ix.PathsForExpr(t.Search)
+		// The context is evaluated once over the dictionary, and the paths
+		// the search can match in are only intersected with it when the
+		// search is not match-all (every path of the index qualifies then).
+		covers := t.Context.Covers(dict)
 		bucket := ContextBucket{Term: t}
-		for p := range paths {
-			if !contextCovers(dict, t.Context, p) {
-				continue
+		add := func(p pathdict.PathID) {
+			if covers != nil && (int(p) >= len(covers) || !covers[p]) {
+				return
 			}
 			bucket.Entries = append(bucket.Entries, ContextEntry{
 				Path:        p,
@@ -60,30 +71,22 @@ func Contexts(ix *index.Index, q query.Query) []ContextBucket {
 				Occurrences: col.PathOccurrences(p),
 			})
 		}
-		sort.Slice(bucket.Entries, func(i, j int) bool {
-			if bucket.Entries[i].DocFreq != bucket.Entries[j].DocFreq {
-				return bucket.Entries[i].DocFreq > bucket.Entries[j].DocFreq
+		if fulltext.IsMatchAll(t.Search) {
+			for _, p := range ix.AllPaths() {
+				add(p)
 			}
-			return bucket.Entries[i].PathString < bucket.Entries[j].PathString
+		} else {
+			for p := range ix.PathsForExpr(t.Search) {
+				add(p)
+			}
+		}
+		slices.SortFunc(bucket.Entries, func(a, b ContextEntry) int {
+			if a.DocFreq != b.DocFreq {
+				return cmp.Compare(b.DocFreq, a.DocFreq)
+			}
+			return strings.Compare(a.PathString, b.PathString)
 		})
 		out = append(out, bucket)
 	}
 	return out
-}
-
-// contextCovers is the context filter for summary purposes. Unlike node
-// matching, a term whose search expression anchors below the context (e.g.
-// (country, "Romania")) should present the *context's* candidate paths, so
-// a path is kept if the context matches it directly or matches one of its
-// ancestor prefixes (the anchor's lift targets).
-func contextCovers(dict *pathdict.Dict, ctx query.Context, p pathdict.PathID) bool {
-	if ctx.IsEmpty() {
-		return true
-	}
-	for cur := p; cur != pathdict.InvalidPath; cur = dict.Parent(cur) {
-		if ctx.Matches(dict, cur) {
-			return true
-		}
-	}
-	return false
 }

@@ -8,7 +8,8 @@
 // being the compactness of the graph connecting the tuple (§1).
 //
 // The implementation is document-at-a-time: per-term match lists from the
-// index are fetched concurrently and grouped by document; candidate units
+// index are fetched concurrently, each in (doc, Dewey) order, and merged
+// k-way into per-document runs (no map, no copy); candidate units
 // (documents, or pairs of link-joined documents per Definition 4) are
 // scanned in decreasing order of an upper score bound, in waves whose
 // boundaries double geometrically (1, 2, 4, 8, … units). Within a wave a
@@ -25,6 +26,13 @@
 // byte-identical results to a sequential one, while early waves (sized 1-2
 // units) keep the termination check as eager as a classic unit-at-a-time
 // TA loop and late waves amortize it and feed the whole worker pool.
+//
+// Within a unit, tuples are enumerated branch-and-bound: a partial tuple
+// whose best completion cannot reach the heap's current k-th score is
+// abandoned before the graph is consulted, and a tuple is copied out of
+// scratch only when it enters the heap. The k-th score never falls, so a
+// pruned tuple would have been rejected anyway and the result is the
+// unpruned one; only Stats.TuplesScored sees the difference.
 //
 // As in any TA with a non-strict stop rule, exact score ties at the
 // termination threshold are resolved pragmatically: every returned tuple

@@ -1,6 +1,6 @@
 package topk
 
-import "sort"
+import "slices"
 
 // better is the total order the top-k keeps: higher score first, ties broken
 // deterministically by node order. It is strict — two distinct tuples never
@@ -38,6 +38,24 @@ func (h *topHeap) offer(r Result) {
 	}
 }
 
+// push is offer for a candidate whose Nodes and Paths are the caller's
+// scratch: a kept result gets its own copies, reusing the storage of the
+// result it displaces, so the heap allocates only while it fills.
+func (h *topHeap) push(r Result) {
+	if len(h.rs) < h.k {
+		r.Nodes, r.Paths = slices.Clone(r.Nodes), slices.Clone(r.Paths)
+		h.rs = append(h.rs, r)
+		h.siftUp(len(h.rs) - 1)
+		return
+	}
+	if better(r, h.rs[0]) {
+		r.Nodes = append(h.rs[0].Nodes[:0], r.Nodes...)
+		r.Paths = append(h.rs[0].Paths[:0], r.Paths...)
+		h.rs[0] = r
+		h.siftDown(0)
+	}
+}
+
 // kth returns the score of the worst kept result; ok is false until the
 // heap holds k results (no threshold can fire before the top-k is full).
 func (h *topHeap) kth() (float64, bool) {
@@ -51,7 +69,15 @@ func (h *topHeap) kth() (float64, bool) {
 func (h *topHeap) sorted() []Result {
 	out := h.rs
 	h.rs = nil
-	sort.Slice(out, func(i, j int) bool { return better(out[i], out[j]) })
+	slices.SortFunc(out, func(a, b Result) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

@@ -63,6 +63,7 @@ func (s *Searcher) SearchRankJoin(q query.Query, opts Options) ([]Result, Stats,
 	}
 
 	results := newTopHeap(opts.K)
+	sc := newScanner(s, &docGroups{matches: streams}, &opts, results)
 	stats := Stats{UnitsCandidates: totalLen(streams)}
 	kth := func() float64 {
 		t, ok := results.kth()
@@ -117,9 +118,9 @@ func (s *Searcher) SearchRankJoin(q query.Query, opts Options) ([]Result, Stats,
 		var rec func(term int)
 		rec = func(term int) {
 			if term == m {
-				if r, ok := s.scoreTuple(tuple, opts); ok {
+				if sc.score(tuple) {
 					stats.TuplesScored++
-					results.offer(r)
+					results.push(sc.cand)
 				}
 				return
 			}

@@ -1,13 +1,15 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"seda/internal/dewey"
 	"seda/internal/graph"
 	"seda/internal/index"
 	"seda/internal/pathdict"
@@ -70,9 +72,11 @@ type Result struct {
 }
 
 // Stats reports how much work the TA loop did; UnitsScanned <
-// UnitsCandidates demonstrates threshold-based early termination. The
-// counters are deterministic at any parallelism: wave boundaries, not
-// worker timing, decide which units get scanned.
+// UnitsCandidates demonstrates threshold-based early termination. The unit
+// and wave counters are deterministic at any parallelism: wave boundaries,
+// not worker timing, decide which units get scanned. TuplesScored depends
+// on the order tuples meet the pruning bound, so it is deterministic only
+// with Parallelism 1.
 type Stats struct {
 	// UnitsCandidates is the number of candidate units (documents or
 	// link-joined document pairs) with full term coverage.
@@ -80,7 +84,8 @@ type Stats struct {
 	// UnitsScanned is how many of them were materialized before the
 	// threshold condition stopped the scan.
 	UnitsScanned int
-	// TuplesScored counts scored (connected) tuples.
+	// TuplesScored counts scored (connected) tuples. Tuples the
+	// branch-and-bound proves cannot enter the top-k are never scored.
 	TuplesScored int
 	// Waves is the number of TA waves the scan ran.
 	Waves int
@@ -214,69 +219,169 @@ func (s *Searcher) fetchMatches(q query.Query, parallelism int) ([][]index.Match
 	return matches, nil
 }
 
-// docEntry groups one document's matches by term.
-type docEntry struct {
-	perTerm [][]index.Match // index by term; nil when the term has no match here
+// docGroups is the document-at-a-time view of the per-term match lists:
+// the documents that can take part in a tuple, ascending, each with one
+// run per term into that term's list. Runs index the lists in place, so
+// grouping copies no match.
+type docGroups struct {
+	matches [][]index.Match
+	docs    []xmldoc.DocID
+	runs    []termRun // runs[g*m+i]: document g's run of term i
 }
 
-func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats) {
-	m := len(matches)
-	// Group matches per document, keeping only the strongest
-	// opts.PerDocPerTerm per (doc, term).
-	docs := make(map[xmldoc.DocID]*docEntry)
-	for i, ms := range matches {
-		for _, match := range ms {
-			e, ok := docs[match.Ref.Doc]
-			if !ok {
-				e = &docEntry{perTerm: make([][]index.Match, m)}
-				docs[match.Ref.Doc] = e
-			}
-			e.perTerm[i] = append(e.perTerm[i], match)
-		}
-	}
-	for _, e := range docs {
-		for i := range e.perTerm {
-			lst := e.perTerm[i]
-			sort.Slice(lst, func(a, b int) bool { return lst[a].Score > lst[b].Score })
-			if len(lst) > opts.PerDocPerTerm {
-				e.perTerm[i] = lst[:opts.PerDocPerTerm]
-			}
-		}
-	}
+// termRun is matches[i][lo:hi] for one document: its beam for term i, and
+// the best score in it (0 when the run is empty; scores are non-negative).
+type termRun struct {
+	lo, hi int
+	best   float64
+}
 
-	// Candidate units: single documents covering all terms, plus pairs of
-	// link-connected documents that cover all terms together.
-	var units []candUnit
-	for id, e := range docs {
-		full := true
-		b := 0.0
-		for i := range e.perTerm {
-			if len(e.perTerm[i]) == 0 {
-				full = false
-				break
+func (gs *docGroups) run(g, i int) termRun { return gs.runs[g*len(gs.matches)+i] }
+
+// groupByDoc merges the per-term match lists, each already in (doc, Dewey)
+// order, into document groups in one k-way pass. A document keeps its runs
+// when it matches every term, or, with pairs set, when a link edge touches
+// it and may still pair it with another document; any other document
+// cannot take part in a tuple and is dropped. A run longer than beam is cut
+// to its beam strongest matches, sorted in place by descending score.
+func (s *Searcher) groupByDoc(matches [][]index.Match, beam int, pairs bool) docGroups {
+	m := len(matches)
+	gs := docGroups{matches: matches}
+	pos := make([]int, m)
+	cur := make([]termRun, m)
+	for {
+		var doc xmldoc.DocID
+		found := false
+		for i, ms := range matches {
+			if pos[i] < len(ms) && (!found || ms[pos[i]].Ref.Doc < doc) {
+				doc, found = ms[pos[i]].Ref.Doc, true
 			}
-			b += e.perTerm[i][0].Score
+		}
+		if !found {
+			return gs
+		}
+		full := true
+		for i, ms := range matches {
+			lo := pos[i]
+			for pos[i] < len(ms) && ms[pos[i]].Ref.Doc == doc {
+				pos[i]++
+			}
+			cur[i] = termRun{lo: lo, hi: pos[i]}
+			full = full && pos[i] > lo
+		}
+		if !full && (!pairs || s.g.TreeOnly(doc)) {
+			continue
+		}
+		for i := range cur {
+			cur[i] = beamRun(matches[i], cur[i], beam)
+		}
+		gs.docs = append(gs.docs, doc)
+		gs.runs = append(gs.runs, cur...)
+	}
+}
+
+// beamRun cuts r to its beam strongest matches and records its best score.
+// Only a run longer than the beam is sorted: below it, the order inside a
+// run changes no result, because the heap's order is total.
+func beamRun(ms []index.Match, r termRun, beam int) termRun {
+	run := ms[r.lo:r.hi]
+	if len(run) > beam {
+		slices.SortFunc(run, func(a, b index.Match) int { return cmp.Compare(b.Score, a.Score) })
+		r.hi = r.lo + beam
+	}
+	for _, mt := range ms[r.lo:r.hi] {
+		r.best = max(r.best, mt.Score)
+	}
+	return r
+}
+
+// candUnit is a candidate unit for the TA loop: one document group, or two
+// link-joined ones, whose matches together cover every term, with an upper
+// bound on the score of any of its tuples.
+type candUnit struct {
+	a, b  int // group indexes; b < 0 for a single-document unit
+	bound float64
+}
+
+// units lists the candidate units of gs: every group that covers all terms
+// and, when pairs is set, every pair of link-joined groups that covers
+// them together. A pair's partners come from its documents' own edge
+// lists, so the cost follows the groups, not the edge count.
+func (s *Searcher) units(gs *docGroups, pairs bool) []candUnit {
+	m := len(gs.matches)
+	var units []candUnit
+	var partners []xmldoc.DocID
+	for a, doc := range gs.docs {
+		bound, full := 0.0, true
+		for i := 0; i < m && full; i++ {
+			r := gs.run(a, i)
+			full = r.hi > r.lo
+			bound += r.best
 		}
 		if full {
-			units = append(units, candUnit{entries: []*docEntry{e}, ids: []xmldoc.DocID{id}, bound: b})
+			units = append(units, candUnit{a: a, b: -1, bound: bound})
+		}
+		if !pairs {
+			continue
+		}
+		partners = s.g.LinkedDocs(partners[:0], doc)
+		for _, other := range partners {
+			if other < doc {
+				continue
+			}
+			b, ok := slices.BinarySearch(gs.docs[a+1:], other)
+			if !ok {
+				continue
+			}
+			b += a + 1
+			bound, full := 0.0, true
+			for i := 0; i < m && full; i++ {
+				ra, rb := gs.run(a, i), gs.run(b, i)
+				full = ra.hi > ra.lo || rb.hi > rb.lo
+				bound += max(ra.best, rb.best)
+			}
+			if full {
+				units = append(units, candUnit{a: a, b: b, bound: bound})
+			}
 		}
 	}
-	if !opts.DisableCrossDoc && s.g != nil {
-		units = append(units, s.crossDocUnits(docs, m)...)
+	return units
+}
+
+// compareUnits is the claim order: bound descending, then the documents
+// ascending, a single document before the pairs it starts. Units are
+// distinct, so the order is total and the scan order deterministic.
+func (gs *docGroups) compareUnits(u, v candUnit) int {
+	if u.bound != v.bound {
+		return cmp.Compare(v.bound, u.bound)
 	}
-	// Bound-descending claim order; the id tie-break makes the scan order
-	// (and hence sequential stats) deterministic.
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].bound != units[j].bound {
-			return units[i].bound > units[j].bound
-		}
-		return lessDocIDs(units[i].ids, units[j].ids)
-	})
+	if c := cmp.Compare(gs.docs[u.a], gs.docs[v.a]); c != 0 {
+		return c
+	}
+	switch {
+	case u.b == v.b:
+		return 0
+	case u.b < 0:
+		return -1
+	case v.b < 0:
+		return 1
+	}
+	return cmp.Compare(gs.docs[u.b], gs.docs[v.b])
+}
+
+// rank runs the TA loop over matches, one (doc, Dewey)-ordered list per
+// term. It owns the lists: runs longer than the beam are sorted in place.
+func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats) {
+	pairs := !opts.DisableCrossDoc
+	gs := s.groupByDoc(matches, opts.PerDocPerTerm, pairs)
+	units := s.units(&gs, pairs)
+	slices.SortFunc(units, gs.compareUnits)
 
 	// TA loop over geometric waves: scan units[pos:end), merge, then test
 	// the threshold against the first unscanned unit's bound.
 	stats := Stats{UnitsCandidates: len(units)}
 	final := newTopHeap(opts.K)
+	seq := newScanner(s, &gs, &opts, final)
 	for pos := 0; pos < len(units); {
 		if t, ok := final.kth(); ok && t >= units[pos].bound {
 			stats.EarlyTerminated = true
@@ -289,7 +394,7 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 		if end > len(units) {
 			end = len(units)
 		}
-		s.scanWave(units[pos:end], opts, final, &stats)
+		s.scanWave(units[pos:end], seq, &stats)
 		stats.Waves++
 		if tr := opts.Trace; tr != nil {
 			kth, _ := final.kth()
@@ -303,6 +408,7 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 		}
 		pos = end
 	}
+	stats.TuplesScored = seq.scored
 	if tr := opts.Trace; tr != nil {
 		tr.UnitsCandidates = stats.UnitsCandidates
 		tr.UnitsScanned = stats.UnitsScanned
@@ -313,147 +419,165 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 	return final.sorted(), stats
 }
 
-// scanWave enumerates one wave of candidate units into final. Waves wider
-// than one unit fan out over opts.Parallelism workers with per-worker
-// heaps; since every unit of the wave is scanned and the heap order is a
-// strict total order, the merged outcome is independent of scheduling.
-func (s *Searcher) scanWave(wave []candUnit, opts Options, final *topHeap, stats *Stats) {
+// scanWave enumerates one wave of candidate units into seq's heap, the
+// final top-k. Waves wider than one unit fan out over opts.Parallelism
+// workers with per-worker heaps; since every unit of the wave is scanned
+// and the heap order is a strict total order, the merged outcome is
+// independent of scheduling.
+func (s *Searcher) scanWave(wave []candUnit, seq *scanner, stats *Stats) {
 	stats.UnitsScanned += len(wave)
-	workers := opts.Parallelism
-	if workers > len(wave) {
-		workers = len(wave)
-	}
+	workers := min(seq.opts.Parallelism, len(wave))
 	if workers <= 1 {
 		for _, u := range wave {
-			s.enumerate(u, opts, func(r Result) {
-				stats.TuplesScored++
-				final.offer(r)
-			})
+			seq.enumerate(u)
 		}
 		return
 	}
+	// A tuple below the final heap's k-th score cannot enter it after the
+	// merge either, so every worker also prunes against that floor.
+	floor, full := seq.heap.kth()
 	var (
-		next         atomic.Int64
-		tuplesScored atomic.Int64
-		heaps        = make([]*topHeap, workers)
-		wg           sync.WaitGroup
+		next     atomic.Int64
+		scanners = make([]*scanner, workers)
+		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := range scanners {
+		sc := newScanner(s, seq.gs, seq.opts, newTopHeap(seq.opts.K))
+		sc.floor, sc.hasFloor = floor, full
+		scanners[w] = sc
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			h := newTopHeap(opts.K)
-			heaps[w] = h
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(wave) {
 					return
 				}
-				s.enumerate(wave[i], opts, func(r Result) {
-					tuplesScored.Add(1)
-					h.offer(r)
-				})
+				sc.enumerate(wave[i])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	stats.TuplesScored += int(tuplesScored.Load())
-	for _, h := range heaps {
-		for _, r := range h.rs {
-			final.offer(r)
+	for _, sc := range scanners {
+		seq.scored += sc.scored
+		for _, r := range sc.heap.rs {
+			seq.heap.offer(r)
 		}
 	}
 }
 
-// candUnit is a candidate unit for the TA loop: the documents whose
-// combined matches can form tuples, with an upper score bound.
-type candUnit struct {
-	entries []*docEntry
-	ids     []xmldoc.DocID
-	bound   float64
+// scanner enumerates the tuples of candidate units into one heap. It owns
+// the scratch a tuple is built and scored in, so a tuple allocates nothing
+// unless it enters the heap.
+//
+// Match scores are non-negative and compactness is at most 1, so a tuple
+// scores at most its content sum. A tuple whose content sum is strictly
+// below the heap's k-th score (or the floor) therefore cannot enter, and
+// is skipped before the graph is consulted; so is every completion of a
+// partial tuple whose content plus the best remaining scores, times the
+// best compactness its nodes so far allow, is below it. The heap only
+// ever raises its k-th score, so a skipped tuple would also have been
+// rejected later: the kept set is exactly the unpruned one.
+type scanner struct {
+	g        *graph.Graph
+	gs       *docGroups
+	opts     *Options
+	heap     *topHeap
+	floor    float64 // the final heap's k-th score at wave start (workers)
+	hasFloor bool
+	tuple    []index.Match
+	best     []float64 // per term, the unit's best score
+	tree     bool      // the unit is one document no link edge touches
+	cand     Result    // Nodes and Paths are scratch
+	scored   int
 }
 
-// crossDocUnits builds two-document candidate units from link edges whose
-// endpoint documents each match at least one term.
-func (s *Searcher) crossDocUnits(docs map[xmldoc.DocID]*docEntry, m int) []candUnit {
-	var units []candUnit
-	seen := make(map[[2]xmldoc.DocID]bool)
-	for _, e := range s.g.Edges() {
-		a, b := e.From.Doc, e.To.Doc
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		if seen[[2]xmldoc.DocID{a, b}] {
-			continue
-		}
-		seen[[2]xmldoc.DocID{a, b}] = true
-		ea, okA := docs[a]
-		eb, okB := docs[b]
-		if !okA || !okB {
-			continue
-		}
-		bound := 0.0
-		full := true
-		for i := 0; i < m; i++ {
-			best := 0.0
-			if len(ea.perTerm[i]) > 0 {
-				best = ea.perTerm[i][0].Score
-			}
-			if len(eb.perTerm[i]) > 0 && eb.perTerm[i][0].Score > best {
-				best = eb.perTerm[i][0].Score
-			}
-			if best == 0 && len(ea.perTerm[i]) == 0 && len(eb.perTerm[i]) == 0 {
-				full = false
-				break
-			}
-			bound += best
-		}
-		if full {
-			units = append(units, candUnit{entries: []*docEntry{ea, eb}, ids: []xmldoc.DocID{a, b}, bound: bound})
+func newScanner(s *Searcher, gs *docGroups, opts *Options, h *topHeap) *scanner {
+	m := len(gs.matches)
+	return &scanner{
+		g: s.g, gs: gs, opts: opts, heap: h,
+		tuple: make([]index.Match, m),
+		best:  make([]float64, m),
+		cand:  Result{Nodes: make([]xmldoc.NodeRef, m), Paths: make([]pathdict.PathID, m)},
+	}
+}
+
+// cutoff returns the score a tuple must reach to possibly enter the heap;
+// ok is false while any tuple can.
+func (sc *scanner) cutoff() (float64, bool) {
+	t, ok := sc.heap.kth()
+	if sc.hasFloor && (!ok || sc.floor > t) {
+		return sc.floor, true
+	}
+	return t, ok
+}
+
+// enumerate scores the tuples of a candidate unit. In a two-document pair
+// unit, tuples whose nodes all live in one document are skipped: the
+// single-document unit of that document (which must exist, since such a
+// tuple proves full term coverage there) already enumerated them, and
+// re-emitting duplicates would let one tuple occupy several top-k slots
+// and corrupt the k-th threshold.
+func (sc *scanner) enumerate(u candUnit) {
+	for i := range sc.best {
+		sc.best[i] = sc.gs.run(u.a, i).best
+		if u.b >= 0 {
+			sc.best[i] = max(sc.best[i], sc.gs.run(u.b, i).best)
 		}
 	}
-	return units
+	// A pair unit's documents are linked, so only a single document can be
+	// tree-only.
+	sc.tree = !sc.opts.ContentOnly && sc.g.TreeOnly(sc.gs.docs[u.a])
+	sc.extend(u, 0, 0, 0)
 }
 
-// enumerate materializes the tuples of a candidate unit and emits each
-// scored, connected one. In a two-document pair unit, tuples whose nodes
-// all live in one document are skipped: the single-document unit of that
-// document (which must exist, since such a tuple proves full term coverage
-// there) already enumerated them, and re-emitting duplicates would let one
-// tuple occupy several top-k slots and corrupt the k-th threshold.
-func (s *Searcher) enumerate(u candUnit, opts Options, emit func(Result)) {
-	m := len(u.entries[0].perTerm)
-	options := make([][]index.Match, m)
-	for i := 0; i < m; i++ {
-		for _, e := range u.entries {
-			options[i] = append(options[i], e.perTerm[i]...)
+// extend fills tuple positions i.. over the unit's runs; content is the
+// score sum of positions ..i-1, added in term order as scoring does.
+//
+// When the unit is one document that no link edge touches, distances are
+// tree distances, a metric, so the minimum spanning tree SteinerWeight
+// computes weighs at least the largest distance between two of its nodes:
+// span, the largest among positions ..i-1, caps the compactness of every
+// completion.
+func (sc *scanner) extend(u candUnit, i int, content float64, span int) {
+	if t, ok := sc.cutoff(); ok {
+		bound := content
+		for _, b := range sc.best[i:] {
+			bound += b
 		}
-		if len(options[i]) == 0 {
+		if span > 0 {
+			bound *= graph.Compactness(span)
+		}
+		if bound < t {
 			return
 		}
 	}
-	pairUnit := len(u.entries) == 2
-	tuple := make([]index.Match, m)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == m {
-			if pairUnit && singleDoc(tuple) {
-				return
-			}
-			if r, ok := s.scoreTuple(tuple, opts); ok {
-				emit(r)
-			}
+	if i == len(sc.tuple) {
+		if u.b >= 0 && singleDoc(sc.tuple) {
 			return
 		}
-		for _, match := range options[i] {
-			tuple[i] = match
-			rec(i + 1)
+		if sc.score(sc.tuple) {
+			sc.scored++
+			sc.heap.push(sc.cand)
+		}
+		return
+	}
+	for _, g := range [2]int{u.a, u.b} {
+		if g < 0 {
+			continue
+		}
+		r := sc.gs.run(g, i)
+		for _, mt := range sc.gs.matches[i][r.lo:r.hi] {
+			sc.tuple[i] = mt
+			s := span
+			if sc.tree {
+				for _, prev := range sc.tuple[:i] {
+					s = max(s, dewey.TreeDistance(prev.Ref.Dewey, mt.Ref.Dewey))
+				}
+			}
+			sc.extend(u, i+1, content+mt.Score, s)
 		}
 	}
-	rec(0)
 }
 
 // singleDoc reports whether every node of the tuple lives in one document.
@@ -466,31 +590,26 @@ func singleDoc(tuple []index.Match) bool {
 	return true
 }
 
-func (s *Searcher) scoreTuple(tuple []index.Match, opts Options) (Result, bool) {
-	refs := make([]xmldoc.NodeRef, len(tuple))
-	paths := make([]pathdict.PathID, len(tuple))
+// score scores tuple into sc.cand, whose node and path slices are scratch;
+// false means the tuple is not connected (Definition 4).
+func (sc *scanner) score(tuple []index.Match) bool {
 	content := 0.0
 	for i, m := range tuple {
-		refs[i] = m.Ref
-		paths[i] = m.Path
+		sc.cand.Nodes[i] = m.Ref
+		sc.cand.Paths[i] = m.Path
 		content += m.Score
 	}
-	w, connected := s.g.SteinerWeight(refs, opts.MaxLinkHops)
+	w, connected := sc.g.SteinerWeight(sc.cand.Nodes, sc.opts.MaxLinkHops)
 	if !connected {
-		return Result{}, false // Definition 4: tuples must be connected
+		return false
 	}
-	compact := graph.Compactness(w)
-	score := content
-	if !opts.ContentOnly {
-		score = content * compact
+	sc.cand.ContentScore = content
+	sc.cand.Compactness = graph.Compactness(w)
+	sc.cand.Score = content
+	if !sc.opts.ContentOnly {
+		sc.cand.Score = content * sc.cand.Compactness
 	}
-	return Result{
-		Nodes:        refs,
-		Paths:        paths,
-		Score:        score,
-		ContentScore: content,
-		Compactness:  compact,
-	}, true
+	return true
 }
 
 func lessTuple(a, b []xmldoc.NodeRef) bool {
@@ -500,13 +619,4 @@ func lessTuple(a, b []xmldoc.NodeRef) bool {
 		}
 	}
 	return false
-}
-
-func lessDocIDs(a, b []xmldoc.DocID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
