@@ -14,8 +14,6 @@
 //	                                   # snapshots and survive restarts
 //	sedad -resident-budget 64MB        # page index shards in on demand and
 //	                                   # evict cold ones past the budget
-//	sedad -data ./data -mmap           # mmap snapshot files for paging
-//	                                   # (pread fallback where unsupported)
 //	sedad -slowlog 250ms               # log top-k searches >= 250ms
 //	sedad -pprof                       # profiling at /debug/pprof/
 //
@@ -29,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -42,7 +41,9 @@ import (
 
 // parseByteSize parses a human byte size: a non-negative number with an
 // optional KB/MB/GB (or K/M/G, case-insensitive, optionally ending in iB)
-// suffix, binary units. "" and "0" mean disabled (0 bytes).
+// suffix, binary units. "" and "0" mean disabled (0 bytes). NaN, the
+// infinities, and sizes of 2^63 bytes or more are rejected: they do not
+// fit an int64 byte count.
 func parseByteSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -64,11 +65,26 @@ func parseByteSize(s string) (int64, error) {
 			break
 		}
 	}
-	n, err := strconv.ParseFloat(strings.TrimSpace(upper), 64)
-	if err != nil || n < 0 {
+	num := strings.TrimSpace(upper)
+	// Whole numbers parse exactly, so the limit holds to the byte.
+	if i, err := strconv.ParseInt(num, 10, 64); err == nil && i >= 0 {
+		if i > math.MaxInt64/mult {
+			return 0, errTooLarge(s)
+		}
+		return i * mult, nil
+	}
+	n, err := strconv.ParseFloat(num, 64)
+	if err != nil || n < 0 || math.IsNaN(n) || math.IsInf(n, 0) {
 		return 0, fmt.Errorf("invalid byte size %q (use e.g. 64MB, 1.5GB, or a plain byte count)", s)
 	}
-	return int64(n * float64(mult)), nil
+	if v := n * float64(mult); v < 1<<63 {
+		return int64(v), nil
+	}
+	return 0, errTooLarge(s)
+}
+
+func errTooLarge(s string) error {
+	return fmt.Errorf("byte size %q is too large (must be below 2^63 bytes)", s)
 }
 
 func main() {
@@ -81,7 +97,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds and top-k searches (0 = all cores, 1 = sequential)")
 	shards := flag.Int("shards", 0, "horizontal index shards per collection (0 = single shard; answers are identical at any setting)")
 	residentBudget := flag.String("resident-budget", "", "per-collection shard residency budget, e.g. 64MB or 1.5GB (empty or 0 = fully resident; answers are identical at any setting)")
-	mmapOn := flag.Bool("mmap", false, "memory-map snapshot files for disk-backed shard paging instead of positional reads (falls back to reads where mmap is unavailable)")
 	compactThreshold := flag.Float64("compact-threshold", 0.3, "background-compact a collection when its tombstone ratio reaches this fraction (0 disables; compaction then runs only on explicit POST /collections/{name}/compact)")
 	data := flag.String("data", "", "snapshot directory: persist engines after first build and reload them at boot (empty = memory-only)")
 	slowlog := flag.Duration("slowlog", 0, "log top-k searches taking at least this long, with their request id (0 disables)")
@@ -119,7 +134,6 @@ func main() {
 		Parallelism:        *parallelism,
 		Shards:             *shards,
 		ResidentBudget:     budget,
-		Mmap:               *mmapOn,
 		AccessLog:          logger,
 		SlowQueryThreshold: *slowlog,
 		EnablePprof:        *pprofOn,
@@ -143,11 +157,7 @@ func main() {
 		if name == "" {
 			continue
 		}
-		backing := seda.BackingAuto
-		if *mmapOn {
-			backing = seda.BackingMmap
-		}
-		if err := srv.Registry().RegisterBuiltin(name, name, *scale, seda.Config{Parallelism: *parallelism, Shards: *shards, ResidentBudget: budget, Backing: backing}); err != nil {
+		if err := srv.Registry().RegisterBuiltin(name, name, *scale, seda.Config{Parallelism: *parallelism, Shards: *shards, ResidentBudget: budget}); err != nil {
 			logger.Fatalf("preload %s: %v", name, err)
 		}
 		logger.Printf("registered builtin collection %q (scale %g, built on first use)", name, *scale)

@@ -55,9 +55,21 @@ func wfbEngine(t testing.TB, scale float64) *Engine {
 
 // TestQuery1Figure3 walks the paper's full scenario on the generated World
 // Factbook corpus: search, context disambiguation, connection choice,
-// complete results, star schema, and an OLAP aggregate.
+// complete results, star schema, and an OLAP aggregate, at a small scale
+// and at the paper's (skipped under -short, like the calibration report).
 func TestQuery1Figure3(t *testing.T) {
-	eng := wfbEngine(t, 0.05)
+	for _, scale := range []float64{0.05, 1} {
+		t.Run(fmt.Sprintf("scale=%g", scale), func(t *testing.T) {
+			if scale == 1 && testing.Short() {
+				t.Skip("scale 1 is the paper-size corpus")
+			}
+			query1Figure3(t, scale)
+		})
+	}
+}
+
+func query1Figure3(t *testing.T, scale float64) {
+	eng := wfbEngine(t, scale)
 	s, err := eng.NewSession(query1)
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +170,12 @@ func TestQuery1Figure3(t *testing.T) {
 	if star.DimTable("year") == nil {
 		t.Error("year dimension not auto-added")
 	}
+	dims := make([]string, len(star.DimTables))
+	for i, dt := range star.DimTables {
+		dims[i] = fmt.Sprintf("%s=%d", dt.Name, dt.NumRows())
+	}
+	t.Logf("scale %g: %d complete tuples; fact table %s %v, %d rows; dimension members %s",
+		scale, len(tuples), ft.Name, ft.Cols, ft.NumRows(), strings.Join(dims, " "))
 	// Rows only reference United States (term 0 was restricted).
 	for _, r := range ft.Rows {
 		if r[0].Str != "United States" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,11 +13,10 @@ import (
 )
 
 // Disk-backed residency at the engine level: LoadEngineFile hands every
-// shard a backing ref into the snapshot file (Config.Backing selects the
-// tier), eviction under a budget drops encoded payloads from the heap,
-// SaveEngineFile re-binds a built paged engine to the file it just wrote,
-// and a backstore corrupted after load degrades to errors — never panics
-// or silently wrong answers.
+// shard a backing ref into the snapshot file, eviction under a budget
+// drops encoded payloads from the heap, SaveEngineFile re-binds a built
+// paged engine to the file it just wrote, and a backstore corrupted after
+// load degrades to errors — never panics or silently wrong answers.
 
 // backingFixture builds, saves, and returns the resident engine plus its
 // snapshot path, queries, and expected answers.
@@ -36,28 +36,31 @@ func backingFixture(t *testing.T) (full *Engine, cfg Config, path string, querie
 	return full, cfg, path, queries, want
 }
 
-// TestBackingModes: every Config.Backing mode answers byte-identically;
-// the disk-enabled ones actually read from the snapshot file, the heap
-// mode never does and keeps paying the encoded-heap gauge.
-func TestBackingModes(t *testing.T) {
+// TestBackingTiers: both residency tiers answer byte-identically. An
+// engine loaded from a snapshot file ("disk") pages from that file and
+// keeps no encoded bytes on the heap; one loaded from memory ("heap") has
+// no file to read, never touches the disk, and pays the encoded-heap
+// gauge.
+func TestBackingTiers(t *testing.T) {
 	_, cfg, path, queries, want := backingFixture(t)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := cfg
+	pcfg.ResidentBudget = 1
 	cases := []struct {
 		name     string
-		mode     BackingMode
-		wantDisk bool
+		load     func() (*Engine, error)
+		wantTier string
 	}{
-		{"auto", BackingAuto, true},
-		{"heap", BackingHeap, false},
-		{"disk", BackingDisk, true},
-		{"mmap", BackingMmap, true},
+		{"disk", func() (*Engine, error) { return LoadEngineFile(path, pcfg, "") }, index.TierDisk},
+		{"heap", func() (*Engine, error) { return LoadEngine(bytes.NewReader(snap), pcfg, "") }, index.TierHeap},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			pcfg := cfg
-			pcfg.ResidentBudget = 1
-			pcfg.Backing = tc.mode
-			paged, err := LoadEngineFile(path, pcfg, "")
+			paged, err := tc.load()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,24 +72,23 @@ func TestBackingModes(t *testing.T) {
 				t.Fatal("budgeted engine reports no pager")
 			}
 			for s, ss := range paged.ShardStats() {
-				heapTier := ss.Backing == index.TierHeap
-				if heapTier == tc.wantDisk {
-					t.Errorf("shard %d: tier %q under mode %s", s, ss.Backing, tc.mode)
+				if ss.Backing != tc.wantTier {
+					t.Errorf("shard %d: tier %q, want %q", s, ss.Backing, tc.wantTier)
 				}
 			}
-			if tc.wantDisk {
+			if tc.wantTier == index.TierDisk {
 				if st.DiskReads == 0 {
-					t.Error("disk-enabled mode answered without a single disk read")
+					t.Error("file-loaded engine answered without a single disk read")
 				}
 				if st.EncodedHeapBytes != 0 {
-					t.Errorf("disk-enabled mode holds %d encoded bytes on the heap", st.EncodedHeapBytes)
+					t.Errorf("file-loaded engine holds %d encoded bytes on the heap", st.EncodedHeapBytes)
 				}
 			} else {
 				if st.DiskReads != 0 {
-					t.Errorf("heap mode performed %d disk reads", st.DiskReads)
+					t.Errorf("memory-loaded engine performed %d disk reads", st.DiskReads)
 				}
 				if st.EncodedHeapBytes == 0 {
-					t.Error("heap mode under a 1-byte budget reports no encoded heap bytes")
+					t.Error("memory-loaded engine under a 1-byte budget reports no encoded heap bytes")
 				}
 			}
 		})
@@ -141,7 +143,6 @@ func TestHostileBackstoreEngine(t *testing.T) {
 	_, cfg, path, queries, want := backingFixture(t)
 	pcfg := cfg
 	pcfg.ResidentBudget = 1
-	pcfg.Backing = BackingDisk // pread: mutating the file must never SIGBUS a mapping
 	paged, err := LoadEngineFile(path, pcfg, "")
 	if err != nil {
 		t.Fatal(err)

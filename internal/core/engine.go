@@ -90,53 +90,13 @@ type Config struct {
 	// shard fully resident. A positive budget enables paging: shards
 	// decode on first touch and the least-recently-touched ones are
 	// evicted back to their encoded payloads when the budget is exceeded.
-	// Like Parallelism, it is environment, not identity: answers are
-	// byte-identical at every budget, the field is excluded from the
-	// snapshot fingerprint, and it is never persisted.
+	// Those payloads are re-read from the snapshot file whenever the
+	// engine has one (a load, or a built engine after its first save) and
+	// stay on the heap otherwise. Like Parallelism, it is environment,
+	// not identity: answers are byte-identical at every budget, the field
+	// is excluded from the snapshot fingerprint, and it is never
+	// persisted.
 	ResidentBudget int64
-	// Backing selects where an evicted shard's ENCODED payload lives when
-	// ResidentBudget is set (see BackingMode). Like ResidentBudget it is
-	// environment, not identity: answers are byte-identical under every
-	// mode, and the field is excluded from the snapshot fingerprint and
-	// never persisted.
-	Backing BackingMode
-}
-
-// BackingMode selects the paging backstore for evicted shards (see
-// Config.Backing). Only meaningful with ResidentBudget > 0.
-type BackingMode int
-
-const (
-	// BackingAuto (the zero value) pages evicted shards from the snapshot
-	// file whenever the engine has one — a load, or a built engine after
-	// its first save — and keeps encoded payloads on the heap otherwise.
-	BackingAuto BackingMode = iota
-	// BackingHeap keeps evicted shards' encoded payloads on the Go heap
-	// and never touches the snapshot file after load.
-	BackingHeap
-	// BackingDisk pages evicted shards from the snapshot file with pread.
-	BackingDisk
-	// BackingMmap memory-maps the snapshot file and pages evicted shards
-	// from the mapping, falling back to pread where mmap is unavailable.
-	BackingMmap
-)
-
-// diskEnabled reports whether the mode pages from the snapshot file when
-// one is available.
-func (m BackingMode) diskEnabled() bool { return m != BackingHeap }
-
-// String names the mode for /debug/stats and logs.
-func (m BackingMode) String() string {
-	switch m {
-	case BackingHeap:
-		return "heap"
-	case BackingDisk:
-		return "disk"
-	case BackingMmap:
-		return "mmap"
-	default:
-		return "auto"
-	}
 }
 
 // Engine is the per-collection SEDA runtime.

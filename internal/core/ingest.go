@@ -16,8 +16,8 @@
 //     answers every query — top-k, context summaries, connection
 //     summaries — byte-identically to an engine built from scratch over
 //     the same documents in the same order (enforced by the -race
-//     equivalence tests in ingest_test.go, measured by `sedabench -exp
-//     ingest`).
+//     equivalence tests in ingest_test.go, measured by bench/'s
+//     lifecycle.churn workload).
 //
 // The fact/dimension catalog and the entity registry are user session
 // state, not derived data: the new generation shares them with the old

@@ -76,7 +76,7 @@ var (
 
 // Fingerprint returns the canonical identity of the engine-shaping parts
 // of a Config. Two configs with equal fingerprints build identical engines
-// from the same data. Parallelism, Shards, ResidentBudget, and Backing are
+// from the same data. Parallelism, Shards and ResidentBudget are
 // deliberately excluded: they change build scheduling, the
 // execution-plane layout, and shard residency, never a query answer (a
 // loaded engine adopts the shard layout stored in the snapshot's section
@@ -232,7 +232,7 @@ func SaveEngineFile(path string, e *Engine, source string) error {
 	// disk-backed residency). Best-effort: on failure shards keep their
 	// previous tier — an old file's refs stay readable through their open
 	// descriptors even after the rename unlinked it.
-	if e.pager != nil && e.cfg.Backing.diskEnabled() {
+	if e.pager != nil {
 		rebindBacking(path, e)
 	}
 	return nil
@@ -251,7 +251,7 @@ func rebindBacking(path string, e *Engine) {
 	if err != nil {
 		return
 	}
-	b, err := index.OpenBacking(path, e.cfg.Backing == BackingMmap)
+	b, err := index.OpenBacking(path)
 	if err != nil {
 		return
 	}
@@ -286,10 +286,9 @@ func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 }
 
 // LoadEngineFile is LoadEngine over a file. With a positive
-// cfg.ResidentBudget the file additionally becomes the paging backstore
-// (unless cfg.Backing says BackingHeap): each shard is handed a ref to
-// its section so eviction drops the encoded payload too and page-in
-// re-reads it from disk (see Config.Backing).
+// cfg.ResidentBudget the file additionally becomes the paging backstore:
+// each shard is handed a ref to its section so eviction drops the encoded
+// payload too and page-in re-reads it from disk.
 func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -311,7 +310,7 @@ type LoadedEngine struct {
 // LoadEngineAuto loads an engine snapshot from path without an
 // expectation: the snapshot is adopted together with its stored config (no
 // fingerprint check — the snapshot is the authority). Only env's
-// environment fields are read: Parallelism, ResidentBudget and Backing. A
+// environment fields are read: Parallelism and ResidentBudget. A
 // file that is not a snapshot is ErrNotSnapshot, and a container of another
 // format version is snapcodec.ErrVersion; either means rebuild from source.
 func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
@@ -320,7 +319,7 @@ func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
 	le := &LoadedEngine{}
-	le.Engine, err = loadEngineInto(data, path, nil, "", env.ResidentBudget, env.Backing, le)
+	le.Engine, err = loadEngineInto(data, path, nil, "", env.ResidentBudget, le)
 	if err != nil {
 		return nil, err
 	}
@@ -344,12 +343,10 @@ func resolveParallelism(p int) int {
 func loadEngine(data []byte, path string, want *Config, source string) (*Engine, error) {
 	le := &LoadedEngine{}
 	var budget int64
-	var backing BackingMode
 	if want != nil {
 		budget = want.ResidentBudget
-		backing = want.Backing
 	}
-	eng, err := loadEngineInto(data, path, want, source, budget, backing, le)
+	eng, err := loadEngineInto(data, path, want, source, budget, le)
 	if err != nil {
 		return nil, err
 	}
@@ -366,9 +363,8 @@ func loadEngine(data []byte, path string, want *Config, source string) (*Engine,
 // those payloads whenever their total exact encoded size exceeds budget.
 // Like Parallelism, the budget is environment, not identity — it comes
 // from the caller, never from the snapshot. A non-empty path names the
-// file data was read from; with a pager and a disk-enabled backing mode
-// it becomes the paging backstore (see Config.Backing).
-func loadEngineInto(data []byte, path string, want *Config, source string, budget int64, backing BackingMode, le *LoadedEngine) (*Engine, error) {
+// file data was read from; with a pager it becomes the paging backstore.
+func loadEngineInto(data []byte, path string, want *Config, source string, budget int64, le *LoadedEngine) (*Engine, error) {
 	t0 := time.Now()
 	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
 	if err != nil {
@@ -559,7 +555,6 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 	// preserves the layout.
 	storedCfg.Shards = ix.NumShards()
 	storedCfg.ResidentBudget = budget
-	storedCfg.Backing = backing
 	le.Config = storedCfg
 
 	e := &Engine{
@@ -580,8 +575,8 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		// an open or bind failure the affected shards keep their in-heap
 		// encoded payloads (the PR 8 behavior), exactly like a built
 		// not-yet-saved engine or an in-memory load.
-		if path != "" && backing.diskEnabled() {
-			if b, err := index.OpenBacking(path, backing == BackingMmap); err == nil {
+		if path != "" {
+			if b, err := index.OpenBacking(path); err == nil {
 				for i, sec := range shardSections {
 					_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
 				}

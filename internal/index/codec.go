@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"seda/internal/dewey"
@@ -106,8 +105,6 @@ func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 			return fmt.Errorf("index: encoding shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
 		}
 		w.Raw(payload[len(payload)-ll:])
-		// In mmap mode payload aliases the mapping; see pageInBacked.
-		runtime.KeepAlive(ref)
 		return nil
 	}
 	panic(fmt.Sprintf("index: shard [%d,%d) has no decoded state, encoded payload, or backing ref", sh.lo, sh.hi))

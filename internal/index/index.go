@@ -197,8 +197,8 @@ func (sh *Shard) pageIn() (*shardData, error) {
 // backingTier names the shard's coldest available residency tier: where
 // its encoded payload would live after eviction.
 func (sh *Shard) backingTier() string {
-	if ref := sh.backing.Load(); ref != nil {
-		return ref.Tier()
+	if sh.backing.Load() != nil {
+		return TierDisk
 	}
 	return TierHeap
 }
@@ -561,7 +561,7 @@ func (ix *Index) Collection() *store.Collection { return ix.col }
 func (ix *Index) NumShards() int { return len(ix.shards) }
 
 // ShardStats describes one shard for observability surfaces
-// (/debug/stats, sedabench).
+// (/debug/stats, the bench/ layer metrics).
 type ShardStats struct {
 	// Docs is the number of documents in the shard's range [Lo, Hi).
 	Lo, Hi, Docs int
@@ -578,8 +578,8 @@ type ShardStats struct {
 	Resident bool
 	// Backing names the shard's coldest residency tier — where its encoded
 	// payload lives after eviction: TierHeap (in-heap encoded bytes, the
-	// only tier for built-not-yet-saved engines), TierDisk (pread from the
-	// snapshot file), or TierMmap (sliced from the mapped snapshot).
+	// only tier for built-not-yet-saved engines) or TierDisk (pread from
+	// the snapshot file).
 	Backing string
 	// Fetches counts term-match evaluations (scatter tasks) served by the
 	// shard since build or load — the scatter-fanout view of query load.

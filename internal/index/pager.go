@@ -192,7 +192,7 @@ func (p *Pager) coldestLocked(keep *Shard) *Shard {
 }
 
 // PagerStats is a point-in-time snapshot of a pager's accounting for
-// /debug/stats and sedabench.
+// /debug/stats and the bench/ layer metrics.
 type PagerStats struct {
 	Budget        int64
 	ResidentBytes int64

@@ -13,8 +13,8 @@
 //
 // Histograms use fixed, registration-time bucket bounds and support
 // quantile extraction (p50/p95/p99 by linear interpolation within the
-// containing bucket) for surfaces that want a number rather than a bucket
-// vector (BENCH_serve.json, slow-query logs).
+// containing bucket) for callers that want a number rather than a bucket
+// vector.
 //
 // # Concurrency
 //

@@ -203,11 +203,6 @@ type Registry struct {
 	// resident. Set it before serving.
 	ResidentBudget int64
 
-	// Backing selects the paging backstore for budgeted engines loaded
-	// from snapshots (see core.BackingMode; the zero value pages from the
-	// snapshot file, core.BackingMmap maps it). Set it before serving.
-	Backing core.BackingMode
-
 	// CompactThreshold triggers background compaction: when a delete or
 	// update leaves an entry's tombstone ratio (masked / total documents)
 	// at or above it, a per-entry compactor goroutine rewrites the engine
@@ -315,7 +310,7 @@ func (r *Registry) EnableSnapshots(dir string, parallelism int) ([]string, error
 			name:         name,
 			snapshotPath: filepath.Join(dir, f.Name()),
 			discovered:   true,
-			cfg:          core.Config{Parallelism: parallelism, ResidentBudget: r.ResidentBudget, Backing: r.Backing},
+			cfg:          core.Config{Parallelism: parallelism, ResidentBudget: r.ResidentBudget},
 		}
 		if fi, err := f.Info(); err == nil {
 			e.snapshotBytes.Store(fi.Size())
@@ -682,8 +677,7 @@ type ShardInfo struct {
 	// is touched and evicted).
 	Resident bool `json:"resident"`
 	// Backing is the shard's residency tier when evicted: "heap" (encoded
-	// payload on the Go heap), "disk" (paged in from the snapshot file),
-	// or "mmap" (sliced from a mapping of it).
+	// payload on the Go heap) or "disk" (paged in from the snapshot file).
 	Backing string `json:"backing"`
 	// Fetches counts term-fetch tasks the top-k scatter has sent to this
 	// shard since it was built or loaded (runtime state, not persisted) —

@@ -281,7 +281,7 @@ func (r *Reader) Dewey() dewey.ID {
 // ReadContainer and ScanSections additionally report where the payload
 // sits in the container stream (Offset/Size) and its stored CRC, so a
 // disk-backed loader can hand each index shard a backing ref and re-read
-// the section later with pread or mmap.
+// the section later with pread.
 type Section struct {
 	Name    string
 	Payload []byte // nil for ScanSections (header-only scan)

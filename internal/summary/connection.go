@@ -70,13 +70,9 @@ type Summarizer struct {
 
 	mu    sync.Mutex
 	cache map[[2]pathdict.PathID][]Connection // guarded by mu
-	// CacheHits and CacheMisses instrument the cache for the ablation
-	// benchmarks; read them via CacheStats.
+	// CacheHits and CacheMisses instrument the cache.
 	CacheHits   int // guarded by mu
 	CacheMisses int // guarded by mu
-	// NoCache disables the cache (ablation A3). Set it before sharing the
-	// Summarizer between goroutines.
-	NoCache bool
 }
 
 // NewSummarizer returns a Summarizer over the given summaries and graph.
@@ -87,13 +83,6 @@ func NewSummarizer(dg *dataguide.Set, g *graph.Graph) *Summarizer {
 		dict:  g.Collection().Dict(),
 		cache: make(map[[2]pathdict.PathID][]Connection),
 	}
-}
-
-// CacheStats returns the hit/miss counters under the cache lock.
-func (s *Summarizer) CacheStats() (hits, misses int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.CacheHits, s.CacheMisses
 }
 
 // Connections computes the connection summary for a set of top-k results:
@@ -152,18 +141,13 @@ func (s *Summarizer) Connections(results []topk.Result) []Connection {
 // cache when warm.
 func (s *Summarizer) candidates(pa, pb pathdict.PathID) []Connection {
 	key := [2]pathdict.PathID{pa, pb}
-	if !s.NoCache {
-		s.mu.Lock()
-		cs, ok := s.cache[key]
-		if ok {
-			s.CacheHits++
-			out := cloneConns(cs)
-			s.mu.Unlock()
-			return out
-		}
-		s.mu.Unlock()
-	}
 	s.mu.Lock()
+	if cs, ok := s.cache[key]; ok {
+		s.CacheHits++
+		out := cloneConns(cs)
+		s.mu.Unlock()
+		return out
+	}
 	s.CacheMisses++
 	s.mu.Unlock()
 	var out []Connection
@@ -213,11 +197,9 @@ func (s *Summarizer) candidates(pa, pb pathdict.PathID) []Connection {
 			PathA: pa, PathB: pb, Kind: LinkEdge, Link: l, Length: fromDepth + toDepth + 1,
 		})
 	}
-	if !s.NoCache {
-		s.mu.Lock()
-		s.cache[key] = cloneConns(out)
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.cache[key] = cloneConns(out)
+	s.mu.Unlock()
 	return out
 }
 

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"seda/internal/dataguide"
@@ -207,7 +208,7 @@ func TestConnectionFalsePositives(t *testing.T) {
 }
 
 func TestConnectionCache(t *testing.T) {
-	_, ix, g, dg := fixture(t)
+	c, ix, g, dg := fixture(t)
 	rs := runTopK(t, ix, g, `(trade_country, *) AND (percentage, *)`, 50)
 	s := NewSummarizer(dg, g)
 	s.Connections(rs)
@@ -215,20 +216,16 @@ func TestConnectionCache(t *testing.T) {
 	if missesAfterFirst == 0 {
 		t.Fatal("first run should miss")
 	}
-	s.Connections(rs)
+	warm := s.Connections(rs)
 	if s.CacheMisses != missesAfterFirst {
 		t.Errorf("second run missed: %d -> %d", missesAfterFirst, s.CacheMisses)
 	}
 	if s.CacheHits == 0 {
 		t.Error("second run should hit the cache")
 	}
-	// NoCache disables it.
-	s2 := NewSummarizer(dg, g)
-	s2.NoCache = true
-	s2.Connections(rs)
-	s2.Connections(rs)
-	if s2.CacheHits != 0 {
-		t.Error("NoCache must never hit")
+	// The warm answer is the one a cold summarizer computes.
+	if cold := NewSummarizer(dg, g).Connections(rs); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("cached connections diverge from a fresh summarizer's:\n warm %v\n cold %v", describeAll(c, warm), describeAll(c, cold))
 	}
 }
 

@@ -121,11 +121,8 @@ func refRank(s *Searcher, matches [][]index.Match, opts Options) ([]Result, Stat
 		if !ok {
 			return Result{}, false
 		}
-		r := Result{Nodes: refs, Paths: paths, Score: content, ContentScore: content, Compactness: graph.Compactness(w)}
-		if !opts.ContentOnly {
-			r.Score = content * r.Compactness
-		}
-		return r, true
+		c := graph.Compactness(w)
+		return Result{Nodes: refs, Paths: paths, Score: content * c, ContentScore: content, Compactness: c}, true
 	}
 	stats := Stats{UnitsCandidates: len(units)}
 	final := newTopHeap(opts.K)
@@ -233,7 +230,6 @@ func TestRankMatchesReference(t *testing.T) {
 					{K: 10},
 					{K: 40, PerDocPerTerm: 5},
 					{K: 7, DisableCrossDoc: true},
-					{K: 7, ContentOnly: true},
 				} {
 					opts.defaults()
 					matches, err := s.fetchMatches(q, 1)

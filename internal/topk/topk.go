@@ -31,9 +31,6 @@ type Options struct {
 	// documents; the zero value keeps them on (Definition 4's
 	// connectivity-by-data-graph requirement).
 	DisableCrossDoc bool
-	// ContentOnly ignores the compactness factor — the ablation the
-	// benchmarks compare against (score = content sum only).
-	ContentOnly bool
 	// Parallelism is the number of worker goroutines enumerating candidate
 	// units (default runtime.GOMAXPROCS(0); 1 forces a sequential scan).
 	// The result set is identical at every setting.
@@ -527,7 +524,7 @@ func (sc *scanner) enumerate(u candUnit) {
 	}
 	// A pair unit's documents are linked, so only a single document can be
 	// tree-only.
-	sc.tree = !sc.opts.ContentOnly && sc.g.TreeOnly(sc.gs.docs[u.a])
+	sc.tree = sc.g.TreeOnly(sc.gs.docs[u.a])
 	sc.extend(u, 0, 0, 0)
 }
 
@@ -605,10 +602,7 @@ func (sc *scanner) score(tuple []index.Match) bool {
 	}
 	sc.cand.ContentScore = content
 	sc.cand.Compactness = graph.Compactness(w)
-	sc.cand.Score = content
-	if !sc.opts.ContentOnly {
-		sc.cand.Score = content * sc.cand.Compactness
-	}
+	sc.cand.Score = content * sc.cand.Compactness
 	return true
 }
 

@@ -1,10 +1,12 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,11 +85,10 @@ func TestQuery1TopK(t *testing.T) {
 	}
 }
 
-func TestCompactnessBeatsContentOnly(t *testing.T) {
-	// The ablation: with compactness, the sibling pairing of
-	// (trade_country=Germany, percentage=3.5%) outranks mixing Germany
-	// with the other item's 70.6%. Content-only scoring cannot tell them
-	// apart.
+func TestCompactnessWeighsScore(t *testing.T) {
+	// With compactness, the sibling pairing of (trade_country=Germany,
+	// percentage=3.5%) outranks mixing Germany with the other item's
+	// 70.6%. Content alone cannot tell them apart.
 	_, ix, g := fixture(t)
 	s := New(ix, g)
 	q := query.MustParse(`(trade_country, germany) AND (percentage, *)`)
@@ -105,14 +106,28 @@ func TestCompactnessBeatsContentOnly(t *testing.T) {
 	if best.Compactness <= rs[1].Compactness {
 		t.Errorf("compactness should strictly separate: %v vs %v", best.Compactness, rs[1].Compactness)
 	}
-	// Content-only: both tuples tie on content, so ordering falls to the
-	// deterministic tie-break, and compactness is reported but unused.
-	rs2, err := s.Search(q, Options{K: 4, ContentOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	for i, r := range rs {
+		if r.Score != r.ContentScore*r.Compactness {
+			t.Errorf("result %d: score %v != content %v × compactness %v", i, r.Score, r.ContentScore, r.Compactness)
+		}
 	}
-	if rs2[0].Score != rs2[0].ContentScore {
-		t.Error("ContentOnly must ignore compactness in the score")
+	// Ranked on the content sum alone, the tuples tie and fall to the
+	// deterministic tie-break, which orders them differently.
+	byContent := slices.Clone(rs)
+	slices.SortStableFunc(byContent, func(a, b Result) int {
+		if c := cmp.Compare(b.ContentScore, a.ContentScore); c != 0 {
+			return c
+		}
+		if lessTuple(a.Nodes, b.Nodes) {
+			return -1
+		}
+		if lessTuple(b.Nodes, a.Nodes) {
+			return 1
+		}
+		return 0
+	})
+	if reflect.DeepEqual(byContent, rs) {
+		t.Error("compactness did not change the content-sum order")
 	}
 }
 

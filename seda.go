@@ -65,9 +65,6 @@ type (
 	Session = core.Session
 	// Config tunes engine construction.
 	Config = core.Config
-	// BackingMode selects the paging backstore for a budgeted engine:
-	// where an evicted shard's encoded bytes live until the next touch.
-	BackingMode = core.BackingMode
 	// ValueLink declares a value-based (PK/FK) edge for the data graph.
 	ValueLink = core.ValueLink
 	// IngestDoc is one raw XML document for (*Engine).AddDocumentsXML —
@@ -154,19 +151,6 @@ type (
 // serving tier (explicit requests beyond it are rejected, server
 // defaults are clamped).
 const MaxShards = server.MaxShards
-
-// Backing modes for Config.Backing. BackingAuto (the zero value) pages
-// evicted shards from the snapshot file when the engine has one and from
-// the heap otherwise; BackingHeap forces in-heap payloads; BackingDisk
-// forces positional reads; BackingMmap maps the snapshot and falls back
-// to positional reads where the platform lacks mmap. Answers are
-// byte-identical under every mode.
-const (
-	BackingAuto = core.BackingAuto
-	BackingHeap = core.BackingHeap
-	BackingDisk = core.BackingDisk
-	BackingMmap = core.BackingMmap
-)
 
 // NewServer returns an http.Handler serving the SEDA exploration API.
 // Register collections up front via (*Server).Registry() or at runtime
