@@ -94,7 +94,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 1024, "session table capacity (LRU-evicted beyond)")
 	cacheSize := flag.Int("cache-size", 256, "top-k result cache entries (0 disables caching)")
 	preload := flag.String("preload", "", "comma-separated builtin corpora to register at startup (worldfactbook,mondial,googlebase,recipeml)")
-	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds and top-k searches (0 = all cores, 1 = sequential)")
+	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds, snapshot I/O and the top-k match fetch (0 = all cores, 1 = sequential)")
 	shards := flag.Int("shards", 0, "horizontal index shards per collection (0 = single shard; answers are identical at any setting)")
 	residentBudget := flag.String("resident-budget", "", "per-collection shard residency budget, e.g. 64MB or 1.5GB (empty or 0 = fully resident; answers are identical at any setting)")
 	compactThreshold := flag.Float64("compact-threshold", 0.3, "background-compact a collection when its tombstone ratio reaches this fraction (0 disables; compaction then runs only on explicit POST /collections/{name}/compact)")

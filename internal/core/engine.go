@@ -70,10 +70,11 @@ type Config struct {
 	// need search).
 	SkipDataguides bool
 	// Parallelism bounds the worker goroutines used during construction
-	// (index sharding, overlapped phases) and is the default worker count
-	// for the engine's top-k searches. 0 means runtime.GOMAXPROCS(0); 1
-	// forces fully sequential execution. The built engine and all query
-	// results are identical at every setting.
+	// (index sharding, overlapped phases), snapshot encode and decode, and
+	// compaction, and is the width of the engine's top-k match-fetch
+	// scatter (the rank scan itself is sequential). 0 means
+	// runtime.GOMAXPROCS(0); 1 forces fully sequential execution. The
+	// built engine and all query results are identical at every setting.
 	Parallelism int
 	// Shards is the number of horizontal index shards: self-contained
 	// fragments over contiguous document ranges that top-k search
@@ -111,10 +112,6 @@ type Engine struct {
 	catalog  *cube.Catalog
 	builder  *cube.Builder
 	entities *summary.EntityRegistry
-
-	// parallelism is the resolved Config.Parallelism, reused as the default
-	// worker count for the engine's top-k searches.
-	parallelism int
 
 	// cfg is the resolved construction config (defaults applied). Engine
 	// snapshots persist it and compare its fingerprint on load.
@@ -158,7 +155,7 @@ func NewEngine(col *store.Collection, cfg Config) (*Engine, error) {
 	}
 	cfg = cfg.resolved()
 	par := resolveParallelism(cfg.Parallelism)
-	e := &Engine{col: col, cfg: cfg, parallelism: par, BuildTimings: make(map[string]time.Duration)}
+	e := &Engine{col: col, cfg: cfg, BuildTimings: make(map[string]time.Duration)}
 
 	// The graph → dataguide chain is sequential, so when it overlaps the
 	// index build it takes one worker and the index the rest — total
@@ -372,8 +369,8 @@ func (e *Engine) NewSessionFromQuery(q query.Query) *Session {
 func (s *Session) Query() query.Query { return s.query }
 
 // TopK runs the top-k search unit and caches the results. The search's
-// worker pool inherits the engine's Config.Parallelism, and its counters
-// feed the engine's installed search metrics (if any).
+// match-fetch scatter inherits the engine's Config.Parallelism, and its
+// counters feed the engine's installed search metrics (if any).
 func (s *Session) TopK(k int) ([]topk.Result, error) { return s.topKTrace(k, nil) }
 
 // TopKTraced is TopK with an opt-in execution trace: tr is filled with the
@@ -390,7 +387,7 @@ func (s *Session) topKTrace(k int, tr *topk.Trace) ([]topk.Result, error) {
 	t0 := time.Now()
 	rs, err := s.eng.searcher.Search(s.query, topk.Options{
 		K:           k,
-		Parallelism: s.eng.parallelism,
+		Parallelism: s.eng.cfg.Parallelism,
 		Metrics:     s.eng.searchMetrics.Load(),
 		Trace:       tr,
 	})

@@ -67,7 +67,7 @@ func (e *Engine) AddDocumentsXML(docs []IngestDoc) (*Engine, error) {
 //   - the collection gains the documents and updates its per-path
 //     statistics over copied tables;
 //   - the index scans only the new documents and merges the delta segment
-//     into copied posting lists (the BuildParallel merge identity);
+//     into copied posting lists (the parallel build's merge identity);
 //   - the graph discovers links incident to the new documents only,
 //     including old references the new documents finally resolve;
 //   - the dataguide summary absorbs the new documents' profiles,
@@ -100,7 +100,6 @@ func (e *Engine) AddDocuments(docs []*xmldoc.Document) (*Engine, error) {
 	ne := &Engine{
 		col:          col,
 		cfg:          e.cfg,
-		parallelism:  e.parallelism,
 		BuildTimings: make(map[string]time.Duration),
 	}
 

@@ -123,7 +123,6 @@ func (e *Engine) maskGeneration(ids []xmldoc.DocID, replacement *xmldoc.Document
 	ne := &Engine{
 		col:          col,
 		cfg:          e.cfg,
-		parallelism:  e.parallelism,
 		BuildTimings: make(map[string]time.Duration),
 	}
 
@@ -219,12 +218,11 @@ func (e *Engine) Compact() (*Engine, error) {
 	ne := &Engine{
 		col:          col,
 		cfg:          e.cfg,
-		parallelism:  e.parallelism,
 		BuildTimings: make(map[string]time.Duration),
 	}
 
 	t := time.Now()
-	ix, err := e.ix.Compact(col, e.parallelism)
+	ix, err := e.ix.Compact(col, resolveParallelism(e.cfg.Parallelism))
 	if err != nil {
 		return nil, err
 	}

@@ -177,7 +177,7 @@ func SaveEngine(w io.Writer, e *Engine, source string) error {
 			sections[i+1] = snapcodec.Section{Name: jobs[i].name, Payload: sw.Bytes()}
 		}
 	}
-	runJobs(encodes, e.parallelism)
+	runJobs(encodes, resolveParallelism(e.cfg.Parallelism))
 	for i, err := range encErrs {
 		if err != nil {
 			return fmt.Errorf("core: save engine: section %q: %w", jobs[i].name, err)
@@ -272,17 +272,22 @@ func rebindBacking(path string, e *Engine) {
 // LoadEngine reads a snapshot from r and verifies it was built under cfg:
 // a fingerprint difference (or, when source is non-empty, a source-tag
 // difference) returns ErrConfigMismatch and the caller should rebuild.
-// cfg.Parallelism applies to the loaded engine's searches and
-// cfg.ResidentBudget to its shard residency (> 0 defers shard payload
-// decodes to first touch and evicts cold shards past the budget);
-// cfg.Shards is ignored — the engine adopts the shard layout stored in
-// the snapshot (shard count never changes a query answer).
+// cfg.Parallelism bounds the snapshot's decode workers and the loaded
+// engine's search fetch scatter, and cfg.ResidentBudget applies to its
+// shard residency (> 0 defers shard payload decodes to first touch and
+// evicts cold shards past the budget); cfg.Shards is ignored — the engine
+// adopts the shard layout stored in the snapshot (shard count never
+// changes a query answer).
 func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	return loadEngine(data, "", &cfg, source)
+	le, err := loadEngine(data, "", &cfg, source, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return le.Engine, nil
 }
 
 // LoadEngineFile is LoadEngine over a file. With a positive
@@ -294,7 +299,11 @@ func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	return loadEngine(data, path, &cfg, source)
+	le, err := loadEngine(data, path, &cfg, source, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return le.Engine, nil
 }
 
 // LoadedEngine is the result of LoadEngineAuto.
@@ -318,15 +327,7 @@ func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	le := &LoadedEngine{}
-	le.Engine, err = loadEngineInto(data, path, nil, "", env.ResidentBudget, le)
-	if err != nil {
-		return nil, err
-	}
-	le.Config.Parallelism = env.Parallelism
-	le.Engine.cfg.Parallelism = env.Parallelism
-	le.Engine.parallelism = resolveParallelism(env.Parallelism)
-	return le, nil
+	return loadEngine(data, path, nil, "", env)
 }
 
 func resolveParallelism(p int) int {
@@ -336,35 +337,18 @@ func resolveParallelism(p int) int {
 	return p
 }
 
-// loadEngine decodes a snapshot. When want is non-nil the stored config
-// fingerprint must match want's (and the stored source tag must match
-// source when source is non-empty); when nil the stored config is adopted.
-// path, when non-empty, names the snapshot file for disk-backed paging.
-func loadEngine(data []byte, path string, want *Config, source string) (*Engine, error) {
-	le := &LoadedEngine{}
-	var budget int64
-	if want != nil {
-		budget = want.ResidentBudget
-	}
-	eng, err := loadEngineInto(data, path, want, source, budget, le)
-	if err != nil {
-		return nil, err
-	}
-	if want != nil {
-		eng.cfg.Parallelism = want.Parallelism
-		eng.parallelism = resolveParallelism(want.Parallelism)
-	}
-	return eng, nil
-}
-
-// loadEngineInto decodes a snapshot container. budget > 0 enables paged
-// residency: shard sections are parsed but their posting payloads stay
-// encoded until first touch, and a pager evicts decoded shards back to
-// those payloads whenever their total exact encoded size exceeds budget.
-// Like Parallelism, the budget is environment, not identity — it comes
-// from the caller, never from the snapshot. A non-empty path names the
-// file data was read from; with a pager it becomes the paging backstore.
-func loadEngineInto(data []byte, path string, want *Config, source string, budget int64, le *LoadedEngine) (*Engine, error) {
+// loadEngine decodes a snapshot container. When want is non-nil the stored
+// config fingerprint must match want's (and the stored source tag must
+// match source when source is non-empty); when nil the stored config is
+// adopted. env supplies the environment fields, which come from the caller
+// and never from the snapshot: Parallelism bounds the decode workers and
+// the engine's searches, and ResidentBudget > 0 enables paged residency —
+// shard sections are parsed but their posting payloads stay encoded until
+// first touch, and a pager evicts decoded shards back to those payloads
+// whenever their total exact encoded size exceeds the budget. A non-empty
+// path names the file data was read from; with a pager it becomes the
+// paging backstore.
+func loadEngine(data []byte, path string, want *Config, source string, env Config) (*LoadedEngine, error) {
 	t0 := time.Now()
 	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
 	if err != nil {
@@ -409,8 +393,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			return nil, fmt.Errorf("%w: snapshot source %q, caller wants %q", ErrConfigMismatch, storedSource, source)
 		}
 	}
-	le.Config = storedCfg
-	le.Source = storedSource
+	le := &LoadedEngine{Source: storedSource}
 
 	// timings records per-section decode wall times alongside the total;
 	// concurrent sections each time themselves, so the entries are
@@ -503,7 +486,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		},
 	}
 	decodeShard := index.DecodeShard
-	if budget > 0 {
+	if env.ResidentBudget > 0 {
 		decodeShard = index.DecodeShardPaged
 	}
 	for i := range shardSections {
@@ -524,7 +507,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 			}
 		})
 	}
-	runJobs(jobs, resolveParallelism(storedCfg.Parallelism))
+	runJobs(jobs, resolveParallelism(env.Parallelism))
 	if gErr != nil {
 		return nil, gErr
 	}
@@ -552,9 +535,10 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 
 	// The engine keeps the snapshot's shard layout; recording it in the
 	// config means a re-save (or a registry re-persist after ingest)
-	// preserves the layout.
+	// preserves the layout. The environment fields are the caller's.
 	storedCfg.Shards = ix.NumShards()
-	storedCfg.ResidentBudget = budget
+	storedCfg.Parallelism = env.Parallelism
+	storedCfg.ResidentBudget = env.ResidentBudget
 	le.Config = storedCfg
 
 	e := &Engine{
@@ -563,10 +547,9 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 		g:            g,
 		dg:           dg,
 		cfg:          storedCfg,
-		parallelism:  resolveParallelism(storedCfg.Parallelism),
 		BuildTimings: timings,
 	}
-	if p := index.NewPager(budget); p != nil {
+	if p := index.NewPager(env.ResidentBudget); p != nil {
 		e.pager = p
 		ix.AttachPager(p)
 		// Disk-backed residency: hand each shard a ref to its section in the
@@ -586,7 +569,7 @@ func loadEngineInto(data []byte, path string, want *Config, source string, budge
 	timings["load"] = time.Since(t0)
 	e.finish()
 	le.Engine = e
-	return e, nil
+	return le, nil
 }
 
 // runJobs executes the jobs over at most workers goroutines, in index

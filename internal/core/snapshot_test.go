@@ -155,9 +155,12 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(data), Config{DataguideThreshold: 0.40}, ""); err != nil {
 		t.Errorf("equivalent config rejected: %v", err)
 	}
-	// Parallelism is excluded from the fingerprint.
-	if _, err := LoadEngine(bytes.NewReader(data), Config{Parallelism: 3}, ""); err != nil {
+	// Parallelism is excluded from the fingerprint and never persisted:
+	// the loaded engine runs at the caller's setting.
+	if le, err := LoadEngine(bytes.NewReader(data), Config{Parallelism: 3}, ""); err != nil {
 		t.Errorf("parallelism should not affect the fingerprint: %v", err)
+	} else if le.cfg.Parallelism != 3 {
+		t.Errorf("loaded engine Parallelism = %d, want the caller's 3", le.cfg.Parallelism)
 	}
 	// Discover options are part of the fingerprint.
 	cfg := Config{}
@@ -291,6 +294,9 @@ func TestLoadEngineAutoV1Compat(t *testing.T) {
 	}
 	if le.Config.Fingerprint() != e.cfg.Fingerprint() {
 		t.Error("stored config not adopted")
+	}
+	if le.Config.Parallelism != 2 || le.Engine.cfg.Parallelism != 2 {
+		t.Errorf("Parallelism %d (engine %d), want the caller's 2", le.Config.Parallelism, le.Engine.cfg.Parallelism)
 	}
 	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
 		t.Error("adopted engine behaves differently")

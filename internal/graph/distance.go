@@ -65,9 +65,18 @@ func (g *Graph) TreeOnly(doc xmldoc.DocID) bool {
 	return len(g.outByDoc[doc]) == 0 && len(g.inByDoc[doc]) == 0
 }
 
-// portalState identifies a Dijkstra vertex.
+// portalState identifies a Dijkstra vertex: a node reached having crossed
+// hops link edges. The hop count is part of the vertex because a dearer
+// arrival with hops to spare can still go where a cheaper one that spent
+// the budget cannot.
 type portalState struct {
 	ref  xmldoc.NodeRef
+	hops int
+}
+
+// settledKey is a portalState's key in the settled map.
+type settledKey struct {
+	ref  string
 	hops int
 }
 
@@ -94,9 +103,8 @@ func (g *Graph) portalDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 	if maxLinkHops <= 0 {
 		return Unreachable
 	}
-	dist := map[string]int{}
+	dist := map[settledKey]int{}
 	q := &pq{{state: portalState{ref: a, hops: 0}, dist: 0}}
-	skey := func(s portalState) string { return key(s.ref) }
 
 	best := Unreachable
 	for q.Len() > 0 {
@@ -104,7 +112,7 @@ func (g *Graph) portalDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 		if it.dist >= best {
 			break
 		}
-		k := skey(it.state)
+		k := settledKey{key(it.state.ref), it.state.hops}
 		if d, ok := dist[k]; ok && d <= it.dist {
 			continue
 		}
@@ -120,16 +128,17 @@ func (g *Graph) portalDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 			continue
 		}
 		// Move to any portal in the current document, then across its link
-		// edge.
+		// edge, in either direction: an edge inside the document has a
+		// portal at both ends.
 		for _, e := range g.EdgesOfDoc(cur.Doc) {
-			var exit, entry xmldoc.NodeRef
-			if e.From.Doc == cur.Doc {
-				exit, entry = e.From, e.To
-			} else {
-				exit, entry = e.To, e.From
+			for _, hop := range [2][2]xmldoc.NodeRef{{e.From, e.To}, {e.To, e.From}} {
+				exit, entry := hop[0], hop[1]
+				if exit.Doc != cur.Doc {
+					continue
+				}
+				nd := it.dist + dewey.TreeDistance(cur.Dewey, exit.Dewey) + LinkEdgeCost
+				heap.Push(q, pqItem{state: portalState{ref: entry, hops: it.state.hops + 1}, dist: nd})
 			}
-			nd := it.dist + dewey.TreeDistance(cur.Dewey, exit.Dewey) + LinkEdgeCost
-			heap.Push(q, pqItem{state: portalState{ref: entry, hops: it.state.hops + 1}, dist: nd})
 		}
 	}
 	return best

@@ -367,3 +367,127 @@ func TestLinkedDocs(t *testing.T) {
 		t.Error("a document without edges has partners")
 	}
 }
+
+// TestPairDistanceHopBudget: the cheapest arrival at a node may have spent
+// the hop budget that a dearer arrival still has. A reaches C/p for 5 over
+// B (two hops) and for 6 over its deep far node (one hop); only the second
+// can still cross C/q→D, so within two hops A and D are 6+2+2 = 10 apart,
+// and 5+2+2 = 9 apart within three.
+func TestPairDistanceHopBudget(t *testing.T) {
+	c := store.NewCollection()
+	for i, d := range []string{
+		`<a><x/><deep><d1><d2><far/></d2></d1></deep></a>`,
+		`<b/>`,
+		`<c><p/><q/></c>`,
+		`<d/>`,
+	} {
+		if _, err := c.AddXML(fmt.Sprintf("doc%d", i), []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := New(c)
+	ref := func(doc xmldoc.DocID, path ...uint32) xmldoc.NodeRef {
+		return xmldoc.NodeRef{Doc: doc, Dewey: append(dewey.ID{1}, path...)}
+	}
+	for _, e := range [][2]xmldoc.NodeRef{
+		{ref(0, 1), ref(1)},             // A/x → B
+		{ref(1), ref(2, 1)},             // B → C/p
+		{ref(0, 2, 1, 1, 1), ref(2, 1)}, // A/deep/d1/d2/far → C/p
+		{ref(2, 2), ref(3)},             // C/q → D
+	} {
+		if err := g.AddEdge(e[0], e[1], IDRef, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for hops, want := range map[int]int{1: Unreachable, 2: 10, 3: 9} {
+		if got := g.PairDistance(ref(0), ref(3), hops); got != want {
+			t.Errorf("PairDistance(A, D, %d) = %d, want %d", hops, got, want)
+		}
+	}
+}
+
+// arrival is a node reached at a distance.
+type arrival struct {
+	ref  xmldoc.NodeRef
+	dist int
+}
+
+// layeredArrivals is the brute-force oracle for PairDistance: one
+// relaxation round per link hop over (node, hops) states, with no priority
+// queue and no settled set. layers[h] holds, per node, the cheapest
+// arrival from a having crossed exactly h link edges. Link edges are
+// crossed in either direction, from any node of the exit's document at its
+// tree distance.
+func layeredArrivals(g *Graph, a xmldoc.NodeRef, maxLinkHops int) []map[string]arrival {
+	layers := []map[string]arrival{{key(a): {a, 0}}}
+	for h := 0; h < maxLinkHops; h++ {
+		next := map[string]arrival{}
+		for _, at := range layers[h] {
+			for _, e := range g.Edges() {
+				for _, hop := range [2][2]xmldoc.NodeRef{{e.From, e.To}, {e.To, e.From}} {
+					exit, entry := hop[0], hop[1]
+					if exit.Doc != at.ref.Doc {
+						continue
+					}
+					d := at.dist + TreeDistance(at.ref, exit) + LinkEdgeCost
+					if cur, ok := next[key(entry)]; !ok || d < cur.dist {
+						next[key(entry)] = arrival{entry, d}
+					}
+				}
+			}
+		}
+		layers = append(layers, next)
+	}
+	return layers
+}
+
+// TestPairDistanceMatchesLayeredSearch checks PairDistance against the
+// layered oracle on every node pair of random linked corpora (nested
+// documents, edges across and within documents, some documents unlinked)
+// at hop caps 0 to 3.
+func TestPairDistanceMatchesLayeredSearch(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := store.NewCollection()
+		var elem func(depth int) string
+		elem = func(depth int) string {
+			s := "<e>"
+			for n := r.Intn(4); n > 0 && depth < 3; n-- {
+				s += elem(depth + 1)
+			}
+			return s + "</e>"
+		}
+		for d := 3 + r.Intn(4); d > 0; d-- {
+			if _, err := c.AddXML(fmt.Sprintf("doc%d", d), []byte(elem(0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var refs []xmldoc.NodeRef
+		c.EachNode(func(doc *xmldoc.Document, n *xmldoc.Node) {
+			refs = append(refs, store.RefOf(doc, n))
+		})
+		g := New(c)
+		for n := 1 + r.Intn(14); n > 0; n-- {
+			from, to := refs[r.Intn(len(refs))], refs[r.Intn(len(refs))]
+			if err := g.AddEdge(from, to, IDRef, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range refs {
+			layers := layeredArrivals(g, a, 3)
+			for _, b := range refs {
+				want := Unreachable
+				for hops := 0; hops <= 3; hops++ {
+					for _, at := range layers[hops] {
+						if at.ref.Doc == b.Doc {
+							want = min(want, at.dist+TreeDistance(at.ref, b))
+						}
+					}
+					if got := g.PairDistance(a, b, hops); got != want {
+						t.Fatalf("seed %d: PairDistance(%v, %v, %d) = %d, layered search %d", seed, a, b, hops, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -56,9 +56,6 @@ func OpenBacking(path string) (*Backing, error) {
 	return &Backing{path: path, f: f}, nil
 }
 
-// Path returns the snapshot file the backing reads from.
-func (b *Backing) Path() string { return b.path }
-
 // read returns a fresh buffer holding the size bytes at off.
 func (b *Backing) read(off int64, size int) ([]byte, error) {
 	buf := make([]byte, size)

@@ -233,13 +233,6 @@ type Index struct {
 // across runtime.GOMAXPROCS(0) goroutines.
 func Build(col *store.Collection) *Index { return BuildSharded(col, 1, 0) }
 
-// BuildParallel is Build with an explicit worker count; the built index
-// has a single shard whatever the parallelism. parallelism <= 0 means
-// runtime.GOMAXPROCS(0); 1 forces a sequential scan.
-func BuildParallel(col *store.Collection, parallelism int) *Index {
-	return BuildSharded(col, 1, parallelism)
-}
-
 // BuildSharded builds an index fragmented into the given number of
 // document-range shards, scanning with at most parallelism workers in
 // total. shards <= 1 yields the single-shard layout; the count is clamped

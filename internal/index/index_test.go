@@ -191,9 +191,9 @@ func renderPaths(dict *pathdict.Dict, m map[pathdict.PathID]int) []string {
 // positions), path-term counts, doc frequencies, and node/path orderings.
 func TestBuildParallelMatchesSequential(t *testing.T) {
 	c, _ := buildFixture(t)
-	seq := BuildParallel(c, 1)
+	seq := BuildSharded(c, 1, 1)
 	for _, p := range []int{2, 3, 8} {
-		par := BuildParallel(c, p)
+		par := BuildSharded(c, 1, p)
 		if !reflect.DeepEqual(mustHot(t, par.shards[0]).postings, mustHot(t, seq.shards[0]).postings) {
 			t.Errorf("parallelism %d: postings differ", p)
 		}

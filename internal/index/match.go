@@ -27,7 +27,7 @@ type Match struct {
 // The evaluation scatters across the index's shards and concatenates the
 // per-shard results; shard ranges are disjoint and increasing, so the
 // concatenation is already in global (doc, Dewey) order. Callers that want
-// to schedule the scatter themselves (the top-k searcher's worker pool)
+// to schedule the scatter themselves (the top-k searcher's fetch scatter)
 // use MatchTermShard per shard and concatenate in shard order.
 func (ix *Index) MatchTerm(t query.Term) ([]Match, error) {
 	if len(ix.shards) == 1 {

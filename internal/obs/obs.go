@@ -121,52 +121,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// within the containing bucket. Observations in the +Inf bucket clamp to
-// the largest finite bound; an empty histogram returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.bounds) { // +Inf bucket: clamp
-			if len(h.bounds) == 0 {
-				return 0
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Label is one constant name="value" pair for info-style metrics.
 type Label struct {
 	Name, Value string

@@ -7,25 +7,27 @@
 // structural properties of the matched nodes" — the structural component
 // being the compactness of the graph connecting the tuple (§1).
 //
-// The implementation is document-at-a-time: per-term match lists from the
-// index are fetched concurrently, each in (doc, Dewey) order, and merged
-// k-way into per-document runs (no map, no copy); candidate units
-// (documents, or pairs of link-joined documents per Definition 4) are
-// scanned in decreasing order of an upper score bound, in waves whose
-// boundaries double geometrically (1, 2, 4, 8, … units). Within a wave a
-// pool of workers claims units and scores their tuples into per-worker
-// bounded min-heaps of size K, merged into the running top-k at the wave
-// barrier; the scan stops at the first barrier where the k-th best score
-// reaches the next unit's bound — the TA termination condition.
+// The implementation is document-at-a-time: per-term match lists are
+// fetched from the index by a (term × shard) scatter over at most
+// Options.Parallelism goroutines, gathered per term in shard order, so each
+// list is in (doc, Dewey) order, and merged k-way into per-document runs
+// (no map, no copy). Candidate units (documents, or pairs of link-joined
+// documents per Definition 4) are then scanned sequentially in decreasing
+// order of an upper score bound, into one bounded min-heap of size K, in
+// waves whose boundaries double geometrically (1, 2, 4, 8, … units); the
+// scan stops at the first wave barrier where the k-th best score reaches
+// the next unit's bound — the TA termination condition. Early waves (1-2
+// units) keep the check as eager as a unit-at-a-time TA loop and late
+// waves amortize it; the wave boundaries decide which units get scanned,
+// and so how exact ties at the threshold resolve (below).
 //
-// Checking the threshold only at wave barriers is what makes the output
-// schedule-independent: the set of scanned units is a function of the
-// sorted unit list alone (never of worker timing), and a bounded heap under
-// the strict (score, node-order) total ordering keeps the same K tuples
-// whatever order they arrive in. A parallel search therefore returns
-// byte-identical results to a sequential one, while early waves (sized 1-2
-// units) keep the termination check as eager as a classic unit-at-a-time
-// TA loop and late waves amortize it and feed the whole worker pool.
+// The only concurrency inside a search is the fetch scatter, and it is
+// schedule-independent: every task writes its own slot and the gather
+// reads the slots in (term, shard) order. Results and Stats are therefore
+// identical at every Options.Parallelism. The rank scan is sequential:
+// it costs a small share of a search, and concurrent searches already keep
+// the cores busy, so scanning a wave's units in parallel measured no
+// faster on two cores.
 //
 // Within a unit, tuples are enumerated branch-and-bound: a partial tuple
 // whose best completion cannot reach the heap's current k-th score is
@@ -46,9 +48,9 @@
 //
 // A Searcher holds only read-only references to its index and data graph
 // and is safe for concurrent use by any number of goroutines: every
-// Search call owns its worker pool and all intermediate state, and
-// Options.Parallelism bounds that call's workers only. The index and
-// graph must not be mutated while searches run — the engine layer
+// Search call owns its fetch goroutines and all intermediate state, and
+// Options.Parallelism bounds that call's fetch goroutines only. The index
+// and graph must not be mutated while searches run — the engine layer
 // guarantees this by making both immutable per generation (incremental
 // ingest derives a new index and graph rather than touching the ones a
 // live Searcher reads).

@@ -5,7 +5,7 @@ import "slices"
 // better is the total order the top-k keeps: higher score first, ties broken
 // deterministically by node order. It is strict — two distinct tuples never
 // compare equal — which makes every bounded-heap selection below independent
-// of insertion order, and hence of worker scheduling.
+// of insertion order.
 func better(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -16,8 +16,8 @@ func better(a, b Result) bool {
 // topHeap keeps the best k results seen so far as a min-heap on the better
 // order: rs[0] is the worst kept result, so one comparison decides whether a
 // new tuple displaces it. It replaces the sort-after-every-unit frontier of
-// the original TA loop — offer is O(log k) instead of re-sorting O(n log n).
-// Not safe for concurrent use; each search worker owns one.
+// the original TA loop — push is O(log k) instead of re-sorting O(n log n).
+// Not safe for concurrent use; each search owns one.
 type topHeap struct {
 	k  int
 	rs []Result
@@ -25,22 +25,10 @@ type topHeap struct {
 
 func newTopHeap(k int) *topHeap { return &topHeap{k: k, rs: make([]Result, 0, k)} }
 
-// offer inserts r if it belongs in the current top k.
-func (h *topHeap) offer(r Result) {
-	if len(h.rs) < h.k {
-		h.rs = append(h.rs, r)
-		h.siftUp(len(h.rs) - 1)
-		return
-	}
-	if better(r, h.rs[0]) {
-		h.rs[0] = r
-		h.siftDown(0)
-	}
-}
-
-// push is offer for a candidate whose Nodes and Paths are the caller's
-// scratch: a kept result gets its own copies, reusing the storage of the
-// result it displaces, so the heap allocates only while it fills.
+// push inserts r if it belongs in the current top k. r's Nodes and Paths
+// are the caller's scratch: a kept result gets its own copies, reusing the
+// storage of the result it displaces, so the heap allocates only while it
+// fills.
 func (h *topHeap) push(r Result) {
 	if len(h.rs) < h.k {
 		r.Nodes, r.Paths = slices.Clone(r.Nodes), slices.Clone(r.Paths)

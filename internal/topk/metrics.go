@@ -108,7 +108,7 @@ type Trace struct {
 }
 
 // WaveTrace is one TA wave: how many units it scanned, the cumulative
-// scan position after it, the k-th score once merged, and the bound of the
+// scan position after it, the k-th score after it, and the bound of the
 // next unscanned unit (the value the threshold is tested against; 0 when
 // the wave drained the candidate list).
 type WaveTrace struct {

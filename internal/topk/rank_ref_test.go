@@ -149,7 +149,7 @@ func refRank(s *Searcher, matches [][]index.Match, opts Options) ([]Result, Stat
 					}
 					if r, ok := score(tuple); ok {
 						stats.TuplesScored++
-						final.offer(r)
+						final.push(r)
 					}
 					return
 				}
@@ -213,7 +213,8 @@ func randomLinkedCorpus(r *rand.Rand, docs int) (*store.Collection, []string) {
 // the same top-k, byte for byte and ties included, and the same TA scan
 // (candidates, scanned units, waves, early stop) at every beam, K,
 // parallelism and shard count, with and without cross-document pairs.
-// Only TuplesScored may fall, because pruned tuples are never scored.
+// Only TuplesScored may fall, because pruned tuples are never scored; it
+// must not depend on parallelism, which only widens the fetch.
 func TestRankMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -237,6 +238,7 @@ func TestRankMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					want, wantSt := refRank(s, matches, opts)
+					seqScored := 0
 					for _, par := range []int{1, 4} {
 						o := opts
 						o.Parallelism = par
@@ -249,6 +251,11 @@ func TestRankMatchesReference(t *testing.T) {
 						}
 						if st.TuplesScored > wantSt.TuplesScored {
 							t.Errorf("seed %d %s: scored %d tuples, reference %d", seed, qs, st.TuplesScored, wantSt.TuplesScored)
+						}
+						if par == 1 {
+							seqScored = st.TuplesScored
+						} else if st.TuplesScored != seqScored {
+							t.Errorf("seed %d shards %d %s %+v: scored %d tuples at par %d, %d at par 1", seed, shards, qs, opts, st.TuplesScored, par, seqScored)
 						}
 						st.TuplesScored = wantSt.TuplesScored
 						if st != wantSt {

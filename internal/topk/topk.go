@@ -31,9 +31,10 @@ type Options struct {
 	// documents; the zero value keeps them on (Definition 4's
 	// connectivity-by-data-graph requirement).
 	DisableCrossDoc bool
-	// Parallelism is the number of worker goroutines enumerating candidate
-	// units (default runtime.GOMAXPROCS(0); 1 forces a sequential scan).
-	// The result set is identical at every setting.
+	// Parallelism is the number of goroutines the (term × shard) match
+	// fetch scatters over (default runtime.GOMAXPROCS(0); 1 fetches
+	// sequentially). The rank scan is always sequential, so results and
+	// Stats are identical at every setting.
 	Parallelism int
 	// Metrics, when non-nil, accumulates search counters and latency into
 	// the shared family set. Nil (the default) skips all metric work.
@@ -69,11 +70,9 @@ type Result struct {
 }
 
 // Stats reports how much work the TA loop did; UnitsScanned <
-// UnitsCandidates demonstrates threshold-based early termination. The unit
-// and wave counters are deterministic at any parallelism: wave boundaries,
-// not worker timing, decide which units get scanned. TuplesScored depends
-// on the order tuples meet the pruning bound, so it is deterministic only
-// with Parallelism 1.
+// UnitsCandidates demonstrates threshold-based early termination. The scan
+// is sequential, so every counter is a function of the query and the data
+// alone, the same at any Parallelism.
 type Stats struct {
 	// UnitsCandidates is the number of candidate units (documents or
 	// link-joined document pairs) with full term coverage.
@@ -156,12 +155,11 @@ func (s *Searcher) SearchStats(q query.Query, opts Options) ([]Result, Stats, er
 }
 
 // fetchMatches evaluates every query term against the index, scattering
-// (term × shard) evaluations across the worker pool when the budget
-// allows (the index is immutable after Build, so evaluations share no
-// mutable state) and gathering per term in shard order — shard ranges are
-// disjoint and increasing, so the concatenation is MatchTerm's exact
-// answer. At most parallelism worker goroutines run. Errors surface in
-// (term, shard) order so the reported failure is deterministic.
+// (term × shard) evaluations across at most parallelism goroutines (the
+// index is immutable after Build, so evaluations share no mutable state)
+// and gathering per term in shard order — shard ranges are disjoint and
+// increasing, so the concatenation is MatchTerm's exact answer. Errors
+// surface in (term, shard) order so the reported failure is deterministic.
 func (s *Searcher) fetchMatches(q query.Query, parallelism int) ([][]index.Match, error) {
 	nsh := s.ix.NumShards()
 	nTasks := len(q.Terms) * nsh
@@ -374,13 +372,12 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 	units := s.units(&gs, pairs)
 	slices.SortFunc(units, gs.compareUnits)
 
-	// TA loop over geometric waves: scan units[pos:end), merge, then test
+	// TA loop over geometric waves: scan units[pos:end) in order, then test
 	// the threshold against the first unscanned unit's bound.
 	stats := Stats{UnitsCandidates: len(units)}
-	final := newTopHeap(opts.K)
-	seq := newScanner(s, &gs, &opts, final)
+	sc := newScanner(s, &gs, &opts)
 	for pos := 0; pos < len(units); {
-		if t, ok := final.kth(); ok && t >= units[pos].bound {
+		if t, ok := sc.heap.kth(); ok && t >= units[pos].bound {
 			stats.EarlyTerminated = true
 			break // TA threshold: every remaining unit is bounded lower
 		}
@@ -391,10 +388,13 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 		if end > len(units) {
 			end = len(units)
 		}
-		s.scanWave(units[pos:end], seq, &stats)
+		for _, u := range units[pos:end] {
+			sc.enumerate(u)
+		}
+		stats.UnitsScanned += end - pos
 		stats.Waves++
 		if tr := opts.Trace; tr != nil {
-			kth, _ := final.kth()
+			kth, _ := sc.heap.kth()
 			next := 0.0
 			if end < len(units) {
 				next = units[end].bound
@@ -405,108 +405,49 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 		}
 		pos = end
 	}
-	stats.TuplesScored = seq.scored
+	stats.TuplesScored = sc.scored
 	if tr := opts.Trace; tr != nil {
 		tr.UnitsCandidates = stats.UnitsCandidates
 		tr.UnitsScanned = stats.UnitsScanned
 		tr.TuplesScored = stats.TuplesScored
 		tr.EarlyTerminated = stats.EarlyTerminated
-		tr.KthScore, _ = final.kth()
+		tr.KthScore, _ = sc.heap.kth()
 	}
-	return final.sorted(), stats
+	return sc.heap.sorted(), stats
 }
 
-// scanWave enumerates one wave of candidate units into seq's heap, the
-// final top-k. Waves wider than one unit fan out over opts.Parallelism
-// workers with per-worker heaps; since every unit of the wave is scanned
-// and the heap order is a strict total order, the merged outcome is
-// independent of scheduling.
-func (s *Searcher) scanWave(wave []candUnit, seq *scanner, stats *Stats) {
-	stats.UnitsScanned += len(wave)
-	workers := min(seq.opts.Parallelism, len(wave))
-	if workers <= 1 {
-		for _, u := range wave {
-			seq.enumerate(u)
-		}
-		return
-	}
-	// A tuple below the final heap's k-th score cannot enter it after the
-	// merge either, so every worker also prunes against that floor.
-	floor, full := seq.heap.kth()
-	var (
-		next     atomic.Int64
-		scanners = make([]*scanner, workers)
-		wg       sync.WaitGroup
-	)
-	for w := range scanners {
-		sc := newScanner(s, seq.gs, seq.opts, newTopHeap(seq.opts.K))
-		sc.floor, sc.hasFloor = floor, full
-		scanners[w] = sc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(wave) {
-					return
-				}
-				sc.enumerate(wave[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, sc := range scanners {
-		seq.scored += sc.scored
-		for _, r := range sc.heap.rs {
-			seq.heap.offer(r)
-		}
-	}
-}
-
-// scanner enumerates the tuples of candidate units into one heap. It owns
-// the scratch a tuple is built and scored in, so a tuple allocates nothing
-// unless it enters the heap.
+// scanner enumerates the tuples of candidate units into the top-k heap. It
+// owns the scratch a tuple is built and scored in, so a tuple allocates
+// nothing unless it enters the heap.
 //
 // Match scores are non-negative and compactness is at most 1, so a tuple
 // scores at most its content sum. A tuple whose content sum is strictly
-// below the heap's k-th score (or the floor) therefore cannot enter, and
-// is skipped before the graph is consulted; so is every completion of a
-// partial tuple whose content plus the best remaining scores, times the
-// best compactness its nodes so far allow, is below it. The heap only
+// below the heap's k-th score therefore cannot enter, and is skipped
+// before the graph is consulted; so is every completion of a partial
+// tuple whose content plus the best remaining scores, times the best
+// compactness its nodes so far allow, is below it. The heap only
 // ever raises its k-th score, so a skipped tuple would also have been
 // rejected later: the kept set is exactly the unpruned one.
 type scanner struct {
-	g        *graph.Graph
-	gs       *docGroups
-	opts     *Options
-	heap     *topHeap
-	floor    float64 // the final heap's k-th score at wave start (workers)
-	hasFloor bool
-	tuple    []index.Match
-	best     []float64 // per term, the unit's best score
-	tree     bool      // the unit is one document no link edge touches
-	cand     Result    // Nodes and Paths are scratch
-	scored   int
+	g      *graph.Graph
+	gs     *docGroups
+	opts   *Options
+	heap   *topHeap
+	tuple  []index.Match
+	best   []float64 // per term, the unit's best score
+	tree   bool      // the unit is one document no link edge touches
+	cand   Result    // Nodes and Paths are scratch
+	scored int
 }
 
-func newScanner(s *Searcher, gs *docGroups, opts *Options, h *topHeap) *scanner {
+func newScanner(s *Searcher, gs *docGroups, opts *Options) *scanner {
 	m := len(gs.matches)
 	return &scanner{
-		g: s.g, gs: gs, opts: opts, heap: h,
+		g: s.g, gs: gs, opts: opts, heap: newTopHeap(opts.K),
 		tuple: make([]index.Match, m),
 		best:  make([]float64, m),
 		cand:  Result{Nodes: make([]xmldoc.NodeRef, m), Paths: make([]pathdict.PathID, m)},
 	}
-}
-
-// cutoff returns the score a tuple must reach to possibly enter the heap;
-// ok is false while any tuple can.
-func (sc *scanner) cutoff() (float64, bool) {
-	t, ok := sc.heap.kth()
-	if sc.hasFloor && (!ok || sc.floor > t) {
-		return sc.floor, true
-	}
-	return t, ok
 }
 
 // enumerate scores the tuples of a candidate unit. In a two-document pair
@@ -537,7 +478,7 @@ func (sc *scanner) enumerate(u candUnit) {
 // span, the largest among positions ..i-1, caps the compactness of every
 // completion.
 func (sc *scanner) extend(u candUnit, i int, content float64, span int) {
-	if t, ok := sc.cutoff(); ok {
+	if t, ok := sc.heap.kth(); ok {
 		bound := content
 		for _, b := range sc.best[i:] {
 			bound += b

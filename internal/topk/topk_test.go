@@ -349,9 +349,10 @@ func TestNoDuplicateTuples(t *testing.T) {
 	}
 }
 
-// TestParallelSearchMatchesSequential: the acceptance bar for the worker
-// pool — at any parallelism, and under concurrent Search calls (run with
-// -race), the results must be byte-identical to a sequential scan.
+// TestParallelSearchMatchesSequential: the acceptance bar for the fetch
+// scatter — at any parallelism, and under concurrent Search calls (run
+// with -race), the results and the TA stats must be identical to a
+// sequential search.
 func TestParallelSearchMatchesSequential(t *testing.T) {
 	ix, g := linkedFixture(t, 20)
 	s := New(ix, g)
@@ -362,7 +363,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	}
 	for qi, q := range queries {
 		for _, k := range []int{1, 3, 10, 1000} {
-			seq, err := s.Search(q, Options{K: k, Parallelism: 1})
+			seq, seqSt, err := s.SearchStats(q, Options{K: k, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,13 +372,16 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 				wg.Add(1)
 				go func(par int) {
 					defer wg.Done()
-					got, err := s.Search(q, Options{K: k, Parallelism: par})
+					got, st, err := s.SearchStats(q, Options{K: k, Parallelism: par})
 					if err != nil {
 						t.Errorf("query %d parallelism %d: %v", qi, par, err)
 						return
 					}
 					if !reflect.DeepEqual(got, seq) {
 						t.Errorf("query %d k=%d parallelism %d: results differ from sequential", qi, k, par)
+					}
+					if st != seqSt {
+						t.Errorf("query %d k=%d parallelism %d: stats %+v, sequential %+v", qi, k, par, st, seqSt)
 					}
 				}(par)
 			}
