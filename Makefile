@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPromParse -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseXML -fuzztime 10s ./internal/xmldoc
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime 10s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzRestrictedContent -fuzztime 10s ./internal/fulltext
 	$(GO) test -run '^$$' -fuzz FuzzShardDecode -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzMatchTerm -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzTombstoneDecode -fuzztime 10s ./internal/store

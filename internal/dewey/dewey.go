@@ -153,18 +153,22 @@ func (d ID) IsAncestorOrSelf(e ID) bool {
 // common prefix. It returns nil when the two IDs share no prefix (distinct
 // roots).
 func LCA(d, e ID) ID {
-	n := len(d)
-	if len(e) < n {
-		n = len(e)
+	n := CommonPrefixLen(d, e)
+	if n == 0 {
+		return nil
 	}
+	return d[:n].Clone()
+}
+
+// CommonPrefixLen returns the number of leading components d and e share:
+// the level of their lowest common ancestor, or 0 if they have none.
+func CommonPrefixLen(d, e ID) int {
+	n := min(len(d), len(e))
 	i := 0
 	for i < n && d[i] == e[i] {
 		i++
 	}
-	if i == 0 {
-		return nil
-	}
-	return d[:i].Clone()
+	return i
 }
 
 // Prefix returns the first n components of d (an ancestor-or-self at level

@@ -16,6 +16,9 @@ type Expr interface {
 	// collectTerms appends the positive terms the expression needs, used to
 	// probe inverted indexes. Terms under NOT are excluded.
 	collectTerms(out *[]TermQuery)
+	// observe registers with b every word and prefix Matches can ask
+	// about, terms under NOT included.
+	observe(b *ContentBuilder)
 }
 
 // TermQuery is a positive index probe: a term or a term prefix.
@@ -59,6 +62,14 @@ func (w Word) collectTerms(out *[]TermQuery) {
 	*out = append(*out, TermQuery{Term: w.Term, Prefix: w.Prefix})
 }
 
+func (w Word) observe(b *ContentBuilder) {
+	if w.Prefix {
+		b.prefixes = append(b.prefixes, w.Term)
+	} else {
+		b.want(w.Term)
+	}
+}
+
 // Phrase matches a contiguous sequence of terms, e.g. "united states".
 type Phrase struct {
 	TermsSeq []string
@@ -72,6 +83,12 @@ func (p Phrase) String() string { return `"` + strings.Join(p.TermsSeq, " ") + `
 func (p Phrase) collectTerms(out *[]TermQuery) {
 	for _, t := range p.TermsSeq {
 		*out = append(*out, TermQuery{Term: t})
+	}
+}
+
+func (p Phrase) observe(b *ContentBuilder) {
+	for _, t := range p.TermsSeq {
+		b.want(t)
 	}
 }
 
@@ -98,6 +115,12 @@ func (a And) collectTerms(out *[]TermQuery) {
 	}
 }
 
+func (a And) observe(b *ContentBuilder) {
+	for _, ch := range a.Children {
+		ch.observe(b)
+	}
+}
+
 // Or matches when any child matches.
 type Or struct {
 	Children []Expr
@@ -121,6 +144,12 @@ func (o Or) collectTerms(out *[]TermQuery) {
 	}
 }
 
+func (o Or) observe(b *ContentBuilder) {
+	for _, ch := range o.Children {
+		ch.observe(b)
+	}
+}
+
 // Not matches when its child does not.
 type Not struct {
 	Child Expr
@@ -133,6 +162,8 @@ func (n Not) String() string { return "NOT " + n.Child.String() }
 
 func (n Not) collectTerms(*[]TermQuery) {} // negative terms never probe the index
 
+func (n Not) observe(b *ContentBuilder) { n.Child.observe(b) }
+
 // MatchAll matches any content, including empty; it is the expression of a
 // query term whose search component is "*" or empty (the paper's
 // (trade_country, *) terms).
@@ -144,6 +175,8 @@ func (MatchAll) Matches(*Content) bool { return true }
 func (MatchAll) String() string { return "*" }
 
 func (MatchAll) collectTerms(*[]TermQuery) {}
+
+func (MatchAll) observe(*ContentBuilder) {}
 
 // IsMatchAll reports whether e is the universal expression.
 func IsMatchAll(e Expr) bool {

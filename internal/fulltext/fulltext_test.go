@@ -32,6 +32,40 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// TestTokenizeMatchesReference checks Tokenize against a direct reading
+// of its definition — split at every rune that cannot appear in a token,
+// lower-case, trim '.', '-' and '_', drop what trims to nothing — on random
+// strings over letters of both cases, multi-byte and invalid UTF-8, the
+// kept punctuation and separators, and also on texts ending inside a run.
+func TestTokenizeMatchesReference(t *testing.T) {
+	ref := func(s string) []Token {
+		var out []Token
+		for _, run := range strings.FieldsFunc(s, func(r rune) bool { return !isTokenRune(r) }) {
+			if term := strings.Trim(strings.ToLower(run), ".-_"); term != "" {
+				out = append(out, Token{Term: term, Pos: len(out)})
+			}
+		}
+		return out
+	}
+	pieces := []string{"a", "Z", "é", "Ä", "İ", "ẞ", "7", ".", "-", "_", "%", " ", ",", "…", "\u00a0", "\xc3", "\xff", "東"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var sb strings.Builder
+		for i := r.Intn(24); i > 0; i-- {
+			sb.WriteString(pieces[r.Intn(len(pieces))])
+		}
+		s := sb.String()
+		if got, want := Tokenize(s), ref(s); !reflect.DeepEqual(got, want) {
+			t.Logf("Tokenize(%q) = %v, want %v", s, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTokenPositions(t *testing.T) {
 	toks := Tokenize("one two one")
 	if len(toks) != 3 || toks[0].Pos != 0 || toks[2].Pos != 2 {
@@ -260,6 +294,68 @@ func TestPropWordOracle(t *testing.T) {
 		return (Word{Term: probe}).Matches(c) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestParseQueryMultiByte covers words whose UTF-8 encoding contains the
+// bytes 0xA0 and 0x85, which read as NBSP and NEL when the lexer tests
+// single bytes for white space, and the real NBSP and NEL runes, which
+// separate words.
+func TestParseQueryMultiByte(t *testing.T) {
+	cases := []struct {
+		q    string
+		want Expr
+	}{
+		{"voilà", Word{Term: "voilà"}},
+		{"Åland", Word{Term: "åland"}},
+		{"à", Word{Term: "à"}},
+		{"Ņem*", Word{Term: "ņem", Prefix: true}},
+		{`"São Tomé"`, Phrase{TermsSeq: []string{"são", "tomé"}}},
+		{`voilà AND "São Tomé"`, And{Children: []Expr{Word{Term: "voilà"}, Phrase{TermsSeq: []string{"são", "tomé"}}}}},
+		{"voilà\u00a0Åland\u0085", And{Children: []Expr{Word{Term: "voilà"}, Word{Term: "åland"}}}},
+	}
+	for _, c := range cases {
+		got, err := ParseQuery(c.q)
+		if err != nil {
+			t.Errorf("ParseQuery(%q): %v", c.q, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseQuery(%q) = %#v, want %#v", c.q, got, c.want)
+		}
+	}
+}
+
+// TestPropParseSingleTokenWord: a word that tokenizes to exactly one term
+// parses to that term. The alphabet mixes token runes (several multi-byte,
+// with 0x85 and 0xA0 continuation bytes) with punctuation the tokenizer
+// drops, and leaves out white space and the lexer's own characters.
+func TestPropParseSingleTokenWord(t *testing.T) {
+	alphabet := []rune("aZ9._-%,;!àÅŠŅठİ\u212a…é")
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		w := make([]rune, 1+r.Intn(8))
+		for i := range w {
+			w[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		word := string(w)
+		terms := TokenizeTerms(word)
+		switch strings.ToUpper(word) {
+		case "AND", "OR", "NOT":
+			return true
+		}
+		if len(terms) != 1 {
+			return true
+		}
+		got, err := ParseQuery(word)
+		if err != nil || !reflect.DeepEqual(got, Word{Term: terms[0]}) {
+			t.Logf("ParseQuery(%q) = %#v, %v; want Word{%q}", word, got, err, terms[0])
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
 	}
 }

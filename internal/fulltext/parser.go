@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ParseQuery parses the textual search syntax into an Expr.
@@ -71,10 +72,10 @@ func lexQuery(s string) ([]qtok, error) {
 	var out []qtok
 	i := 0
 	for i < len(s) {
-		r := rune(s[i])
+		r, w := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += w
 		case r == '(':
 			out = append(out, qtok{tokLParen, "("})
 			i++
@@ -93,8 +94,12 @@ func lexQuery(s string) ([]qtok, error) {
 			i++
 		default:
 			j := i
-			for j < len(s) && !unicode.IsSpace(rune(s[j])) && s[j] != '(' && s[j] != ')' && s[j] != '"' {
-				j++
+			for j < len(s) {
+				r, w := utf8.DecodeRuneInString(s[j:])
+				if unicode.IsSpace(r) || r == '(' || r == ')' || r == '"' {
+					break
+				}
+				j += w
 			}
 			word := s[i:j]
 			switch strings.ToUpper(word) {

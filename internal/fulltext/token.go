@@ -11,6 +11,7 @@ package fulltext
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single indexed term occurrence.
@@ -32,29 +33,38 @@ func isTokenRune(r rune) bool {
 // tokenizes correctly.
 func Tokenize(s string) []Token {
 	var out []Token
-	pos := 0
-	start := -1
-	emit := func(end int) {
-		if start < 0 {
-			return
-		}
-		if term := normalizeTerm(s[start:end]); term != "" {
-			out = append(out, Token{Term: term, Pos: pos})
-			pos++
-		}
-		start = -1
+	var buf [64]byte
+	for tok, i := nextToken(s, 0); tok != ""; tok, i = nextToken(s, i) {
+		out = append(out, Token{Term: termString(tok, appendLower(buf[:0], tok)), Pos: len(out)})
 	}
-	for i, r := range s {
+	return out
+}
+
+// nextToken returns the first token of s at or after byte i, not yet
+// lower-cased, and the offset to resume from; the token is "" when none
+// remain. A token is a maximal run of token runes, trimmed (trimToken);
+// runs that trim to nothing are skipped. Tokenize and ContentBuilder both
+// tokenize through it.
+func nextToken(s string, i int) (string, int) {
+	start := -1
+	for j, r := range s[i:] {
 		if isTokenRune(r) {
 			if start < 0 {
-				start = i
+				start = i + j
 			}
 			continue
 		}
-		emit(i)
+		if start >= 0 {
+			if tok := trimToken(s[start : i+j]); tok != "" {
+				return tok, i + j
+			}
+			start = -1
+		}
 	}
-	emit(len(s))
-	return out
+	if start >= 0 {
+		return trimToken(s[start:]), len(s) // "" if the last run trims away
+	}
+	return "", len(s)
 }
 
 // TokenizeTerms returns just the normalized terms of s (nil if none).
@@ -70,10 +80,54 @@ func TokenizeTerms(s string) []string {
 	return out
 }
 
+// normalizeTerm returns s trimmed (trimToken), then lower-cased. That is
+// the same as lower-casing first: lower-casing neither makes nor removes
+// '.', '-' or '_'.
 func normalizeTerm(s string) string {
-	s = strings.ToLower(s)
-	s = strings.Trim(s, ".-_")
-	return s
+	t := trimToken(s)
+	var buf [64]byte
+	return termString(t, appendLower(buf[:0], t))
+}
+
+// trimToken strips '.', '-' and '_' from both ends of tok.
+func trimToken(tok string) string {
+	for tok != "" && isTrimByte(tok[0]) {
+		tok = tok[1:]
+	}
+	for tok != "" && isTrimByte(tok[len(tok)-1]) {
+		tok = tok[:len(tok)-1]
+	}
+	return tok
+}
+
+func isTrimByte(c byte) bool { return c == '.' || c == '-' || c == '_' }
+
+// termString returns norm as a string, sharing trimmed's storage when
+// lower-casing changed nothing.
+func termString(trimmed string, norm []byte) string {
+	if string(norm) == trimmed {
+		return trimmed
+	}
+	return string(norm)
+}
+
+// appendLower appends s, lower-cased rune by rune with strings.ToLower's
+// mapping, to dst without building a string.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += w
+	}
+	return dst
 }
 
 // NormalizeTerm exposes term normalization for query-side code so that
@@ -82,44 +136,75 @@ func NormalizeTerm(s string) string { return normalizeTerm(s) }
 
 // Content is tokenized text prepared for expression evaluation. Building a
 // Content once and evaluating several expressions against it amortizes
-// tokenization.
+// tokenization. Each distinct term owns a slot holding its ascending
+// positions. A ContentBuilder keeps its slots across resets, so a slot may
+// be empty; an empty slot reads as an absent term.
 type Content struct {
-	positions map[string][]int
-	terms     []string // sorted lazily for wildcard scans
-	sorted    bool
-	n         int
+	slots map[string]int // term → slot
+	keys  []string       // slot → term
+	lists [][]int        // slot → ascending positions
+	live  []int          // slots with positions, in first-occurrence order
+	n     int
 }
 
 // NewContent tokenizes s into an evaluable form.
 func NewContent(s string) *Content {
 	toks := Tokenize(s)
-	c := &Content{positions: make(map[string][]int, len(toks)), n: len(toks)}
+	c := &Content{slots: make(map[string]int, len(toks)), n: len(toks)}
 	for _, t := range toks {
-		c.positions[t.Term] = append(c.positions[t.Term], t.Pos)
+		c.add(t.Term, t.Pos)
 	}
 	return c
+}
+
+// add records an occurrence of term at pos, opening a slot on first sight.
+func (c *Content) add(term string, pos int) {
+	i, ok := c.slots[term]
+	if !ok {
+		i = c.open(term)
+	}
+	c.push(i, pos)
+}
+
+// open gives term a new, empty slot.
+func (c *Content) open(term string) int {
+	i := len(c.lists)
+	c.slots[term] = i
+	c.keys = append(c.keys, term)
+	c.lists = append(c.lists, nil)
+	return i
+}
+
+// push appends pos to slot's positions, marking the slot live.
+func (c *Content) push(slot, pos int) {
+	if len(c.lists[slot]) == 0 {
+		c.live = append(c.live, slot)
+	}
+	c.lists[slot] = append(c.lists[slot], pos)
 }
 
 // Len returns the number of tokens.
 func (c *Content) Len() int { return c.n }
 
 // Has reports whether term occurs.
-func (c *Content) Has(term string) bool {
-	_, ok := c.positions[term]
-	return ok
-}
+func (c *Content) Has(term string) bool { return len(c.Positions(term)) > 0 }
 
 // Positions returns the occurrence positions of term (nil if absent).
-func (c *Content) Positions(term string) []int { return c.positions[term] }
+func (c *Content) Positions(term string) []int {
+	if i, ok := c.slots[term]; ok && len(c.lists[i]) > 0 {
+		return c.lists[i]
+	}
+	return nil
+}
 
 // TermFreq returns the occurrence count of term.
-func (c *Content) TermFreq(term string) int { return len(c.positions[term]) }
+func (c *Content) TermFreq(term string) int { return len(c.Positions(term)) }
 
 // MatchPrefix reports whether any token starts with prefix; used by
 // wildcard words ("unit*").
 func (c *Content) MatchPrefix(prefix string) bool {
-	for term := range c.positions {
-		if strings.HasPrefix(term, prefix) {
+	for _, i := range c.live {
+		if strings.HasPrefix(c.keys[i], prefix) {
 			return true
 		}
 	}
@@ -131,14 +216,10 @@ func (c *Content) HasPhrase(terms []string) bool {
 	if len(terms) == 0 {
 		return false
 	}
-	first := c.positions[terms[0]]
-	if first == nil {
-		return false
-	}
-	for _, start := range first {
+	for _, start := range c.Positions(terms[0]) {
 		ok := true
 		for k := 1; k < len(terms); k++ {
-			if !containsInt(c.positions[terms[k]], start+k) {
+			if !containsInt(c.Positions(terms[k]), start+k) {
 				ok = false
 				break
 			}

@@ -14,6 +14,8 @@ import (
 )
 
 // Match is one node satisfying a query term, with its content score.
+// Ref.Dewey is read-only: it may alias the index's posting and node-list
+// storage (capacity-capped, so an append copies).
 type Match struct {
 	Ref   xmldoc.NodeRef
 	Path  pathdict.PathID
@@ -73,17 +75,17 @@ func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
 	if len(clauses) == 0 {
 		return ix.matchByContextScan(t, s)
 	}
-	var cands []Match
+	var cands, anchors []Match
 	for _, clause := range clauses {
-		anchors, err := ix.clauseAnchors(clause, s)
-		if err != nil {
-			return nil, err
-		}
+		var err error
 		if t.Context.IsEmpty() {
-			for _, a := range anchors {
-				cands = append(cands, Match{Ref: a})
+			if cands, err = ix.clauseAnchors(cands, clause, s); err != nil {
+				return nil, err
 			}
 			continue
+		}
+		if anchors, err = ix.clauseAnchors(anchors[:0], clause, s); err != nil {
+			return nil, err
 		}
 		for _, a := range anchors {
 			cands = ix.appendLifted(cands, t.Context, a)
@@ -97,18 +99,18 @@ func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
 
 // appendLifted appends the anchor's ancestors-or-self whose path satisfies
 // the context. Ancestor paths are the step-prefixes of the anchor's path,
-// so the check needs no tree access beyond resolving the anchor itself;
-// the lifted Dewey ids share the anchor's (capacity-capped) storage.
-func (ix *Index) appendLifted(cands []Match, ctx query.Context, anchor xmldoc.NodeRef) []Match {
+// which the anchor carries out of the SLCA sweep, so the check needs no
+// tree access; the lifted Dewey ids share the anchor's (capacity-capped)
+// storage.
+func (ix *Index) appendLifted(cands []Match, ctx query.Context, anchor Match) []Match {
 	dict := ix.col.Dict()
-	aPath := ix.col.PathOf(anchor)
-	for lvl := anchor.Dewey.Level(); lvl >= 1; lvl-- {
-		p := dict.AncestorAtDepth(aPath, lvl)
+	for lvl := anchor.Ref.Dewey.Level(); lvl >= 1; lvl-- {
+		p := dict.AncestorAtDepth(anchor.Path, lvl)
 		if p == pathdict.InvalidPath {
 			continue
 		}
 		if ctx.Matches(dict, p) {
-			cands = append(cands, Match{Ref: xmldoc.NodeRef{Doc: anchor.Doc, Dewey: anchor.Dewey[:lvl:lvl]}})
+			cands = append(cands, Match{Ref: xmldoc.NodeRef{Doc: anchor.Ref.Doc, Dewey: anchor.Ref.Dewey[:lvl:lvl]}, Path: p})
 		}
 	}
 	return cands
@@ -240,8 +242,13 @@ func siftDownRuns(h []pathRun, i int) {
 // candidate and scores the survivors. cands must be sorted and
 // duplicate-free; only their refs are read. Survivors are compacted in
 // place, so the result keeps the candidates' order and storage.
+//
+// content(n) is never joined into a string: the subtree's texts stream
+// into one builder, reset per candidate, that keeps positions only for the
+// words and prefixes the expression (and hence the scorer) can observe.
 func (ix *Index) verify(t query.Term, cands []Match) []Match {
 	sc := ix.newScorer(t.Search)
+	cb := fulltext.NewContentBuilder(t.Search)
 	out := cands[:0]
 	for _, c := range cands {
 		if ix.dead.Has(c.Ref.Doc) {
@@ -251,7 +258,9 @@ func (ix *Index) verify(t query.Term, cands []Match) []Match {
 		if node == nil {
 			continue
 		}
-		content := fulltext.NewContent(node.Content())
+		cb.Reset()
+		node.EachText(cb.Add)
+		content := cb.Content()
 		if !t.Search.Matches(content) {
 			continue
 		}
@@ -415,15 +424,15 @@ func mergeToSingle(cs [][]probe) [][]probe {
 	return out
 }
 
-// clauseAnchors returns the smallest (deepest, minimal) nodes of shard s
-// whose subtree covers every probe of the clause — the multiway SLCA of
-// the clause's posting lists, in the spirit of the SLCA keyword-search
-// work the paper builds on (Xu & Papakonstantinou SIGMOD'05, Sun et al.
-// WWW'07). For a single-probe clause this reduces to the posting nodes
-// that have no posting descendant. An anchor's whole ancestor chain lives
-// in its own document, so per-shard SLCA concatenated over shards equals
-// the corpus-wide SLCA.
-func (ix *Index) clauseAnchors(clause []probe, s int) ([]xmldoc.NodeRef, error) {
+// clauseAnchors appends to dst the smallest (deepest, minimal) nodes of
+// shard s whose subtree covers every probe of the clause — the multiway
+// SLCA of the clause's posting lists, in the spirit of the SLCA
+// keyword-search work the paper builds on (Xu & Papakonstantinou
+// SIGMOD'05, Sun et al. WWW'07) — each with its path. For a single-probe
+// clause this reduces to the posting nodes that have no posting
+// descendant. An anchor's whole ancestor chain lives in its own document,
+// so per-shard SLCA concatenated over shards equals the corpus-wide SLCA.
+func (ix *Index) clauseAnchors(dst []Match, clause []probe, s int) ([]Match, error) {
 	sh := ix.shards[s]
 	var d *shardData
 	lists := make([][]Posting, 0, len(clause))
@@ -446,99 +455,136 @@ func (ix *Index) clauseAnchors(clause []probe, s int) ([]xmldoc.NodeRef, error) 
 			ps = ix.livePostings(s, d.postings[pr.term])
 		}
 		if len(ps) == 0 {
-			return nil, nil // clause cannot be satisfied in this shard
+			return dst, nil // clause cannot be satisfied in this shard
 		}
 		lists = append(lists, ps)
 	}
-	return slca(lists), nil
+	return slca(dst, lists, ix.col.Dict()), nil
 }
 
-// event is one posting occurrence tagged with the probe index it satisfies.
-type event struct {
-	ref  xmldoc.NodeRef
-	mask uint64
+// frame is one node on the SLCA sweep's ancestor chain: id aliases posting
+// storage, and path is the path of some posting at or below the node — its
+// own, unless the frame is an inserted LCA.
+type frame struct {
+	doc          xmldoc.DocID
+	id           dewey.ID
+	path         pathdict.PathID
+	mask         uint64
+	lca          bool
+	emittedBelow bool
 }
 
-// slca computes the deepest nodes covering all k posting lists, the
+// sweep is the state of one SLCA computation.
+type sweep struct {
+	stack []frame
+	out   []Match
+	full  uint64
+	dict  *pathdict.Dict
+}
+
+// slca appends to dst the deepest nodes covering all k posting lists, the
 // multiway smallest-LCA in the spirit of Sun et al. (WWW'07), via a single
-// document-order sweep with an ancestor-chain stack. The stack invariant is
+// document-order sweep with an ancestor-chain stack. The lists are merged
+// on the fly, as each is already in document order. The stack invariant is
 // that frames form a proper-ancestor chain within one document; popping a
 // frame folds its coverage mask into the LCA it shares with the incoming
-// event, so no coverage is ever lost.
-func slca(lists [][]Posting) []xmldoc.NodeRef {
+// posting, so no coverage is ever lost. Frames slice the postings' own
+// Dewey ids, so the sweep allocates only its stack and output.
+func slca(dst []Match, lists [][]Posting, dict *pathdict.Dict) []Match {
 	if len(lists) > 63 {
 		// Masks are 64-bit; over-approximate huge clauses by their first 63
 		// probes. Verification against content(n) filters precisely.
 		lists = lists[:63]
 	}
-	var events []event
+	// Anchors have disjoint subtrees, each holding a posting of every list,
+	// so the shortest list bounds their number.
+	most := 0
 	for i, ps := range lists {
-		for _, p := range ps {
-			events = append(events, event{ref: p.Ref, mask: 1 << uint(i)})
+		if i == 0 || len(ps) < most {
+			most = len(ps)
 		}
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].ref.Less(events[j].ref) })
-	full := uint64(1)<<uint(len(lists)) - 1
-
-	type frame struct {
-		doc          xmldoc.DocID
-		id           dewey.ID
-		mask         uint64
-		emittedBelow bool
-	}
-	var stack []frame
-	var out []xmldoc.NodeRef
-
-	// finalize pops the top frame, emitting it if it is a smallest full
-	// cover, and returns its accumulated state.
-	finalize := func() (uint64, bool) {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		emitted := top.emittedBelow
-		if top.mask == full && !top.emittedBelow {
-			out = append(out, xmldoc.NodeRef{Doc: top.doc, Dewey: top.id})
-			emitted = true
-		}
-		return top.mask, emitted
-	}
-
-	flushAll := func() {
-		for len(stack) > 0 {
-			doc := stack[len(stack)-1].doc
-			mask, emitted := finalize()
-			if len(stack) > 0 && stack[len(stack)-1].doc == doc {
-				stack[len(stack)-1].mask |= mask
-				stack[len(stack)-1].emittedBelow = stack[len(stack)-1].emittedBelow || emitted
+	w := sweep{stack: make([]frame, 0, 16), out: slices.Grow(dst, most), full: uint64(1)<<uint(len(lists)) - 1, dict: dict}
+	var heads [63]int
+	for {
+		// The next posting in document order across the lists.
+		best := -1
+		for i, ps := range lists {
+			if heads[i] < len(ps) && (best < 0 || ps[heads[i]].Ref.Less(lists[best][heads[best]].Ref)) {
+				best = i
 			}
 		}
+		if best < 0 {
+			break
+		}
+		p := &lists[best][heads[best]]
+		heads[best]++
+		w.add(p, 1<<uint(best))
 	}
+	w.flush()
+	return w.out
+}
 
-	for _, ev := range events {
-		if len(stack) > 0 && stack[len(stack)-1].doc != ev.ref.Doc {
-			flushAll()
-		}
-		for len(stack) > 0 && !stack[len(stack)-1].id.IsAncestorOrSelf(ev.ref.Dewey) {
-			fid := stack[len(stack)-1].id
-			doc := stack[len(stack)-1].doc
-			mask, emitted := finalize()
-			l := dewey.LCA(fid, ev.ref.Dewey) // non-nil: same document root
-			if len(stack) > 0 && len(stack[len(stack)-1].id) >= len(l) {
-				// The next frame is at or below the LCA on the same chain:
-				// fold into it and keep popping.
-				stack[len(stack)-1].mask |= mask
-				stack[len(stack)-1].emittedBelow = stack[len(stack)-1].emittedBelow || emitted
-				continue
-			}
-			// Insert the LCA as an explicit frame; it is an ancestor of ev,
-			// so the loop terminates here.
-			stack = append(stack, frame{doc: doc, id: l, mask: mask, emittedBelow: emitted})
-		}
-		if len(stack) > 0 && dewey.Equal(stack[len(stack)-1].id, ev.ref.Dewey) {
-			stack[len(stack)-1].mask |= ev.mask
+// add sweeps one posting satisfying the probes in mask.
+func (w *sweep) add(p *Posting, mask uint64) {
+	if len(w.stack) > 0 && w.stack[len(w.stack)-1].doc != p.Ref.Doc {
+		w.flush()
+	}
+	for len(w.stack) > 0 && !w.stack[len(w.stack)-1].id.IsAncestorOrSelf(p.Ref.Dewey) {
+		top := w.stack[len(w.stack)-1]
+		m, emitted := w.pop()
+		l := dewey.CommonPrefixLen(top.id, p.Ref.Dewey) // > 0: same document root
+		if len(w.stack) > 0 && len(w.stack[len(w.stack)-1].id) >= l {
+			// The next frame is at or below the LCA on the same chain:
+			// fold into it and keep popping.
+			w.fold(m, emitted)
 			continue
 		}
-		stack = append(stack, frame{doc: ev.ref.Doc, id: ev.ref.Dewey.Clone(), mask: ev.mask})
+		// Insert the LCA as an explicit frame; it is an ancestor of p, so
+		// the loop terminates here.
+		w.stack = append(w.stack, frame{doc: top.doc, id: top.id[:l:l], path: top.path, mask: m, lca: true, emittedBelow: emitted})
 	}
-	flushAll()
-	return out
+	if len(w.stack) > 0 && dewey.Equal(w.stack[len(w.stack)-1].id, p.Ref.Dewey) {
+		w.stack[len(w.stack)-1].mask |= mask
+		return
+	}
+	// Cap the id at its length, so that a caller's append copies instead of
+	// writing into the index.
+	id := p.Ref.Dewey[:len(p.Ref.Dewey):len(p.Ref.Dewey)]
+	w.stack = append(w.stack, frame{doc: p.Ref.Doc, id: id, path: p.Path, mask: mask})
+}
+
+// pop removes the top frame, emitting it if it is a smallest full cover,
+// and returns its accumulated state.
+func (w *sweep) pop() (uint64, bool) {
+	top := w.stack[len(w.stack)-1]
+	w.stack = w.stack[:len(w.stack)-1]
+	emitted := top.emittedBelow
+	if top.mask == w.full && !top.emittedBelow {
+		path := top.path
+		if top.lca {
+			path = w.dict.AncestorAtDepth(path, len(top.id))
+		}
+		w.out = append(w.out, Match{Ref: xmldoc.NodeRef{Doc: top.doc, Dewey: top.id}, Path: path})
+		emitted = true
+	}
+	return top.mask, emitted
+}
+
+// fold merges a popped frame's state into the new top of the stack.
+func (w *sweep) fold(mask uint64, emitted bool) {
+	top := &w.stack[len(w.stack)-1]
+	top.mask |= mask
+	top.emittedBelow = top.emittedBelow || emitted
+}
+
+// flush pops the whole chain at the end of a document.
+func (w *sweep) flush() {
+	for len(w.stack) > 0 {
+		doc := w.stack[len(w.stack)-1].doc
+		m, emitted := w.pop()
+		if len(w.stack) > 0 && w.stack[len(w.stack)-1].doc == doc {
+			w.fold(m, emitted)
+		}
+	}
 }

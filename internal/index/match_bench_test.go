@@ -58,21 +58,68 @@ func TestMatchAllAllocsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkMatchTerm measures term evaluation alone on WorldFactbook 0.1
-// for the three term shapes of the paper's Figure-6 journey: a match-all
-// tag term, a phrase with an empty context, and a phrase under a tag.
+// TestVerifyAllocsPinned pins verification's allocations: each
+// candidate's subtree text streams into one reused, expression-restricted
+// content, so a term allocates for its set-up and output only — fewer
+// than one allocation per ten candidates, for words, a lifted word, a
+// phrase and a negation alike.
+func TestVerifyAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation perturbs allocation counts")
+	}
+	const docs = 400
+	ix := BuildSharded(tradeFixture(t, docs), 1, 1)
+	for _, tc := range []struct{ ctx, search string }{
+		{"*", "x"},
+		{"trade_country", "x"},
+		{"*", `"x y"`},
+		{"*", "x AND NOT y"},
+	} {
+		term := mustTerm(t, tc.ctx, tc.search)
+		// Every candidate matches: one x (or x-and-y import_partners) per
+		// document.
+		ms, err := ix.MatchTerm(term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != docs {
+			t.Fatalf("%s: %d matches, want %d", term, len(ms), docs)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ix.MatchTerm(term); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocs per MatchTerm", term, allocs)
+		if allocs >= docs/10 {
+			t.Errorf("%s: %v allocs per MatchTerm over %d candidates, want < %d", term, allocs, docs, docs/10)
+		}
+	}
+}
+
+// BenchmarkMatchTerm measures term evaluation alone for the three term
+// shapes of the paper's Figure-6 journey on WorldFactbook 0.1 — a
+// match-all tag term, a phrase with an empty context, and a phrase under a
+// tag — and for search.fresh's shape, one word with an empty context, on
+// 2 000 GoogleBase documents.
 func BenchmarkMatchTerm(b *testing.B) {
-	ix := BuildSharded(datagen.WorldFactbook(0.1), 1, 0)
-	for _, tc := range []struct{ name, ctx, search string }{
-		{"tag_matchall", "trade_country", "*"},
-		{"empty_context", "*", `"United States"`},
-		{"tag_phrase", "name", `"United States"`},
+	wf := BuildSharded(datagen.WorldFactbook(0.1), 1, 0)
+	gb := BuildSharded(datagen.GoogleBase(0.2), 1, 0)
+	for _, tc := range []struct {
+		name        string
+		ix          *Index
+		ctx, search string
+	}{
+		{"tag_matchall", wf, "trade_country", "*"},
+		{"empty_context", wf, "*", `"United States"`},
+		{"tag_phrase", wf, "name", `"United States"`},
+		{"gb_word", gb, "*", "v17"},
 	} {
 		term := mustTerm(b, tc.ctx, tc.search)
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := ix.MatchTerm(term); err != nil {
+				if _, err := tc.ix.MatchTerm(term); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -408,8 +409,10 @@ func checkMatchOracle(ix *Index, term query.Term) error {
 // The oracle's query space: every search form MatchTerm treats
 // differently (word, conjunction, disjunction, phrase, negation, prefix,
 // match-all) crossed with tag, path, disjunctive and tag-prefix contexts.
+// The vocabulary holds mixed-case and punctuated spellings of its words,
+// so normalization is checked end to end.
 var (
-	oracleVocab    = []string{"red", "green", "blue", "gold"}
+	oracleVocab    = []string{"red", "green", "blue", "gold", "Red", "gold.", "-blue-"}
 	oracleTags     = []string{"a", "b", "c"}
 	oracleSearches = []string{
 		"red", "red green", "red OR green", `"red green"`,
@@ -533,6 +536,94 @@ func randDoc(r *rand.Rand, tags, vocab []string, depth int) *xmldoc.Node {
 		}
 	}
 	return n
+}
+
+// TestSingleListSLCA checks the sweep on one posting list — every
+// single-probe clause — against the definition: the posting nodes with no
+// posting strictly below them, once each, with their paths. The random
+// lists are in document order, some with a posting repeated.
+func TestSingleListSLCA(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := store.NewCollection()
+		for i := 0; i < 1+r.Intn(4); i++ {
+			c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), randDoc(r, oracleTags, oracleVocab, 0), c.Dict()))
+		}
+		var ps []Posting
+		for _, doc := range c.LiveDocs() {
+			d := doc
+			d.Walk(func(n *xmldoc.Node) bool {
+				copies := 0 // a third of the nodes get a posting, one in six of those twice
+				if r.Intn(3) == 0 {
+					copies = 1 + r.Intn(6)/5
+				}
+				for ; copies > 0; copies-- {
+					ps = append(ps, Posting{Ref: store.RefOf(d, n), Path: n.Path})
+				}
+				return true
+			})
+		}
+		var want []Match
+		for i, p := range ps {
+			if i > 0 && ps[i-1].Ref.Equal(p.Ref) {
+				continue
+			}
+			lowest := true
+			for _, q := range ps {
+				if q.Ref.Doc == p.Ref.Doc && p.Ref.Dewey.IsAncestorOf(q.Ref.Dewey) {
+					lowest = false
+				}
+			}
+			if lowest {
+				want = append(want, Match{Ref: p.Ref, Path: p.Path})
+			}
+		}
+		got := slca(nil, [][]Posting{ps}, c.Dict())
+		if !slices.EqualFunc(got, want, func(a, b Match) bool { return a.Ref.Equal(b.Ref) && a.Path == b.Path }) {
+			t.Logf("seed %d: sweep = %v, want %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAnchorPathsMatchNodes checks that every anchor of every clause, and
+// every candidate lifted from it, carries its node's path.
+func TestAnchorPathsMatchNodes(t *testing.T) {
+	f := func(seed int64) bool {
+		c, term, ok := oracleCase(rand.New(rand.NewSource(seed)))
+		if !ok {
+			return true
+		}
+		ix := BuildSharded(c, 2, 1)
+		for _, clause := range dnfClauses(term.Search) {
+			for s := 0; s < ix.NumShards(); s++ {
+				anchors, err := ix.clauseAnchors(nil, clause, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms := anchors
+				if !term.Context.IsEmpty() {
+					for _, a := range anchors {
+						ms = ix.appendLifted(ms, term.Context, a)
+					}
+				}
+				for _, m := range ms {
+					if want := c.PathOf(m.Ref); m.Path != want {
+						t.Logf("seed %d, term %s, clause %v: %v has path %d, node has %d", seed, term, clause, m.Ref, m.Path, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestMatchByContextScanError exercises the defensive error for impossible

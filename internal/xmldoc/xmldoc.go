@@ -175,19 +175,23 @@ func assign(n *Node, id dewey.ID, parentPath pathdict.PathID, dict *pathdict.Dic
 // all its descendants in document order, space-separated (Definition 2).
 func (n *Node) Content() string {
 	var b strings.Builder
-	n.appendContent(&b)
-	return b.String()
-}
-
-func (n *Node) appendContent(b *strings.Builder) {
-	if n.Text != "" {
+	n.EachText(func(text string) {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(n.Text)
+		b.WriteString(text)
+	})
+	return b.String()
+}
+
+// EachText calls f with each non-empty direct text of n's subtree in
+// document order: the pieces Content joins.
+func (n *Node) EachText(f func(string)) {
+	if n.Text != "" {
+		f(n.Text)
 	}
 	for _, c := range n.Children {
-		c.appendContent(b)
+		c.EachText(f)
 	}
 }
 
