@@ -28,7 +28,7 @@ func backingFixture(t *testing.T) (full *Engine, cfg Config, path string, querie
 	cfg.Shards = 4
 	full = scratchEngine(t, raw, cfg)
 	queries = pickQueries(full)
-	want = renderAnswers(t, full, queries)
+	want = mustCanonical(t, full, queries)
 	path = filepath.Join(t.TempDir(), "backing.snap")
 	if err := SaveEngineFile(path, full, ""); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestBackingTiers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := renderAnswers(t, paged, queries); got != want {
+			if got := mustCanonical(t, paged, queries); got != want {
 				t.Fatalf("%s-backed engine diverges from resident", tc.name)
 			}
 			st, ok := paged.PagerStats()
@@ -105,7 +105,7 @@ func TestSaveRebindsBacking(t *testing.T) {
 	cfg.ResidentBudget = 1
 	built := scratchEngine(t, raw, cfg)
 	queries := pickQueries(built)
-	want := renderAnswers(t, built, queries)
+	want := mustCanonical(t, built, queries)
 	for s, ss := range built.ShardStats() {
 		if ss.Backing != index.TierHeap {
 			t.Fatalf("shard %d: built engine tier %q, want %q", s, ss.Backing, index.TierHeap)
@@ -126,7 +126,7 @@ func TestSaveRebindsBacking(t *testing.T) {
 		}
 	}
 	before, _ := built.PagerStats()
-	if got := renderAnswers(t, built, queries); got != want {
+	if got := mustCanonical(t, built, queries); got != want {
 		t.Error("re-bound engine diverges from its pre-save answers")
 	}
 	after, _ := built.PagerStats()
@@ -147,7 +147,7 @@ func TestHostileBackstoreEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := renderAnswers(t, paged, queries); got != want {
+	if got := mustCanonical(t, paged, queries); got != want {
 		t.Fatal("disk-backed engine diverges before corruption")
 	}
 
@@ -198,7 +198,7 @@ func TestHostileBackstoreEngine(t *testing.T) {
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := renderAnswers(t, paged, queries); got != want {
+	if got := mustCanonical(t, paged, queries); got != want {
 		t.Error("restored backstore serves different answers")
 	}
 }

@@ -10,13 +10,15 @@
 //
 // # Concurrency
 //
-// An Engine is safe for concurrent use by many Sessions once NewEngine
-// returns. The collection, indexes, data graph, and dataguide summary are
-// immutable after construction; the two pieces of engine state that ARE
+// An Engine is safe for concurrent use by many Sessions once the call that
+// made it (NewEngine, a lifecycle op, or a snapshot load) returns. The
+// collection, indexes, data graph, and dataguide summary are immutable
+// after construction; the two pieces of engine state that ARE
 // mutated during query processing — the fact/dimension catalog (users
 // expand it while exploring) and the connection summarizer's path-pair
-// cache (§6.1) — synchronize internally. BuildTimings is written only
-// during NewEngine and must not be mutated afterwards.
+// cache (§6.1) — synchronize internally. BuildTimings is written while
+// the engine is assembled (built, derived or loaded; see generation.go)
+// and must not be mutated afterwards.
 //
 // A Session is NOT safe for concurrent use: it is one user's exploration
 // state machine, and callers running the same session from several
@@ -52,9 +54,7 @@ import (
 // ValueLink declares a value-based (PK/FK) relationship to materialize in
 // the data graph — the paper assumes these "are provided as input into the
 // system".
-type ValueLink struct {
-	FromPath, ToPath, Label string
-}
+type ValueLink = graph.ValueLinkSpec
 
 // Config tunes engine construction. The zero value gives the paper's
 // defaults.
@@ -66,15 +66,12 @@ type Config struct {
 	Discover graph.DiscoverOptions
 	// ValueLinks are value-based edges to add before summarization.
 	ValueLinks []ValueLink
-	// SkipDataguides skips summary construction (for benchmarks that only
-	// need search).
-	SkipDataguides bool
-	// Parallelism bounds the worker goroutines used during construction
-	// (index sharding, overlapped phases), snapshot encode and decode, and
-	// compaction, and is the width of the engine's top-k match-fetch
-	// scatter (the rank scan itself is sequential). 0 means
-	// runtime.GOMAXPROCS(0); 1 forces fully sequential execution. The
-	// built engine and all query results are identical at every setting.
+	// Parallelism bounds the worker goroutines of every index step (the
+	// sharded build, compaction) and of snapshot encode and decode, and is
+	// the width of the engine's top-k match-fetch scatter (the rank scan
+	// itself is sequential). 0 means runtime.GOMAXPROCS(0); 1 forces fully
+	// sequential execution. The built engine and all query results are
+	// identical at every setting.
 	Parallelism int
 	// Shards is the number of horizontal index shards: self-contained
 	// fragments over contiguous document ranges that top-k search
@@ -121,103 +118,45 @@ type Engine struct {
 	id uint64
 
 	// pager, when non-nil, enforces cfg.ResidentBudget over the index's
-	// decoded shards (see internal/index.Pager). Ingest-derived
-	// generations share it, so the budget spans the shards actually
-	// serving queries.
+	// decoded shards (see internal/index.Pager). Derived generations share
+	// it, so the budget spans the shards actually serving queries.
 	pager *index.Pager
 
-	// ingestMu serializes AddDocuments calls against this engine (each call
-	// derives a new generation; see ingest.go).
+	// ingestMu serializes the lifecycle ops deriving from this engine
+	// (each derives a new generation; see generation.go).
 	ingestMu sync.Mutex
 
 	// searchMetrics, when set, is threaded into every session top-k search
 	// as topk.Options.Metrics. It is an atomic pointer so a serving tier
 	// can install one shared family set after the engine is built or
-	// loaded, and so ingest-derived generations inherit it without locks —
+	// loaded, and so derived generations inherit it without locks —
 	// sharing keeps the counters monotonic across generation swaps.
 	searchMetrics atomic.Pointer[topk.Metrics]
 
-	// BuildTimings records how long each construction phase took. With
-	// Parallelism > 1 the index phase overlaps the graph and dataguide
-	// phases, so the entries are per-phase wall times, not a sum.
+	// BuildTimings records how long each layer of this generation took to
+	// build: bare "index", "graph" and "dataguide" keys for NewEngine,
+	// "<op>-<layer>" keys plus the op's total under "<op>" for derived
+	// generations ("ingest", "delete", "update", "compact") and snapshot
+	// loads ("load"). Built and derived layers run one after another, so
+	// an op's total is their sum plus its collection step; a load decodes
+	// its sections concurrently, so its entries are per-layer wall times.
 	BuildTimings map[string]time.Duration
 }
 
 // NewEngine indexes the collection and precomputes the dataguide summary
 // (§6.1: "The dataguide summary is precomputed on the entire data graph").
-//
-// Construction parallelizes along the phase dependency structure: the
-// index build (itself sharded across documents) runs concurrently with the
-// graph discovery → dataguide chain, bounded by cfg.Parallelism.
+// It is the root generation: the index build (itself sharded across
+// documents, bounded by cfg.Parallelism) runs first, then graph discovery,
+// then the dataguide fold — the layer order every derived generation uses
+// (see derive).
 func NewEngine(col *store.Collection, cfg Config) (*Engine, error) {
 	if col == nil || col.NumDocs() == 0 {
 		return nil, fmt.Errorf("core: empty collection")
 	}
 	cfg = cfg.resolved()
-	par := resolveParallelism(cfg.Parallelism)
-	e := &Engine{col: col, cfg: cfg, BuildTimings: make(map[string]time.Duration)}
-
-	// The graph → dataguide chain is sequential, so when it overlaps the
-	// index build it takes one worker and the index the rest — total
-	// construction workers never exceed cfg.Parallelism. Without a
-	// dataguide phase there is nothing worth overlapping (graph discovery
-	// is cheap), so the index keeps the full budget.
-	overlap := par > 1 && !cfg.SkipDataguides
-	indexPar := par
-	if overlap {
-		indexPar = par - 1
-	}
-	var indexDone chan struct{}
-	var indexTime time.Duration
-	if overlap {
-		indexDone = make(chan struct{})
-		go func() {
-			defer close(indexDone)
-			t0 := time.Now()
-			e.ix = index.BuildSharded(col, cfg.Shards, indexPar)
-			indexTime = time.Since(t0)
-		}()
-	} else {
-		t0 := time.Now()
-		e.ix = index.BuildSharded(col, cfg.Shards, indexPar)
-		indexTime = time.Since(t0)
-	}
-
-	t0 := time.Now()
-	e.g = graph.New(col)
-	e.g.DiscoverLinks(cfg.Discover)
-	for _, vl := range cfg.ValueLinks {
-		e.g.AddValueLinks(vl.FromPath, vl.ToPath, vl.Label)
-	}
-	e.BuildTimings["graph"] = time.Since(t0)
-
-	if !cfg.SkipDataguides {
-		t0 = time.Now()
-		dg, err := dataguide.Build(col, e.g, cfg.DataguideThreshold)
-		if err != nil {
-			if indexDone != nil {
-				<-indexDone // don't leak the index builder on error
-			}
-			return nil, err
-		}
-		e.dg = dg
-		e.BuildTimings["dataguide"] = time.Since(t0)
-	}
-
-	if indexDone != nil {
-		<-indexDone
-	}
-	e.BuildTimings["index"] = indexTime
-
-	// A freshly built engine is fully resident; attaching the pager
-	// immediately evicts down to the configured budget.
-	if p := index.NewPager(cfg.ResidentBudget); p != nil {
-		e.pager = p
-		e.ix.AttachPager(p)
-	}
-
-	e.finish()
-	return e, nil
+	return derive(nil, cfg, step{col: col, index: func(par int) (*index.Index, error) {
+		return index.BuildSharded(col, cfg.Shards, par), nil
+	}})
 }
 
 // resolved returns cfg with the construction defaults applied; NewEngine
@@ -241,21 +180,6 @@ var engineSerial atomic.Uint64
 // served for a different engine registered under the same name.
 func (e *Engine) ID() uint64 { return e.id }
 
-// finish wires the cheap derived components — searcher, twig evaluator,
-// summarizer, catalog, entity registry — over col/ix/g/dg, which must
-// already be set. It is shared by NewEngine and the snapshot loader.
-func (e *Engine) finish() {
-	e.id = engineSerial.Add(1)
-	if e.dg != nil && e.summz == nil {
-		e.summz = summary.NewSummarizer(e.dg, e.g)
-	}
-	e.searcher = topk.New(e.ix, e.g)
-	e.eval = twig.New(e.ix, e.g)
-	e.catalog = cube.NewCatalog()
-	e.builder = cube.NewBuilder(e.col, e.catalog)
-	e.entities = summary.NewEntityRegistry()
-}
-
 // SetSearchMetrics installs the metric family set threaded into every
 // session top-k search (nil disables instrumentation, the default).
 // Safe to call concurrently with searches; typically the serving tier
@@ -268,8 +192,8 @@ func (e *Engine) SearchMetrics() *topk.Metrics { return e.searchMetrics.Load() }
 
 // SetPagingMetrics installs the paging metric family set on the engine's
 // pager (a no-op for fully resident engines). Like SetSearchMetrics, the
-// serving tier calls it once after build or load; ingest-derived
-// generations share the pager and therefore the metrics.
+// serving tier calls it once after build or load; derived generations
+// share the pager and therefore the metrics.
 func (e *Engine) SetPagingMetrics(m *index.PagingMetrics) {
 	if e.pager != nil {
 		e.pager.SetMetrics(m)
@@ -301,14 +225,13 @@ func (e *Engine) ShardStats() []index.ShardStats { return e.ix.ShardStats() }
 // Graph returns the data graph overlay.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
-// Dataguides returns the dataguide summary (nil when skipped).
+// Dataguides returns the dataguide summary.
 func (e *Engine) Dataguides() *dataguide.Set { return e.dg }
 
 // Catalog returns the fact/dimension catalog.
 func (e *Engine) Catalog() *cube.Catalog { return e.catalog }
 
-// Summarizer returns the connection summarizer (nil when dataguides were
-// skipped).
+// Summarizer returns the connection summarizer.
 func (e *Engine) Summarizer() *summary.Summarizer { return e.summz }
 
 // Entities returns the registry of real-world entity labels shown in
@@ -449,9 +372,6 @@ func (s *Session) RefineContexts(term int, paths ...string) error {
 // ConnectionSummary derives the candidate connections from the current
 // top-k results (§6). TopK must have run.
 func (s *Session) ConnectionSummary() ([]summary.Connection, error) {
-	if s.eng.summz == nil {
-		return nil, fmt.Errorf("core: engine built without dataguides")
-	}
 	if s.topK == nil {
 		return nil, fmt.Errorf("core: run TopK before the connection summary")
 	}

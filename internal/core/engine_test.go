@@ -73,14 +73,6 @@ func TestEngineConstruction(t *testing.T) {
 	if _, err := NewEngine(corpus(t), Config{DataguideThreshold: 3}); err == nil {
 		t.Error("bad threshold accepted")
 	}
-	// SkipDataguides leaves the summarizer nil.
-	e2, err := NewEngine(corpus(t), Config{SkipDataguides: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2.Dataguides() != nil || e2.Summarizer() != nil {
-		t.Error("SkipDataguides did not skip")
-	}
 }
 
 // TestFigure6Flow walks the whole control flow of Figure 6: search →
@@ -233,18 +225,6 @@ func TestSessionGuards(t *testing.T) {
 	}
 	if err := s.ChooseConnections(999); err == nil {
 		t.Error("out-of-range connection accepted")
-	}
-	// Engine without dataguides cannot summarize connections.
-	e2, err := NewEngine(corpus(t), Config{SkipDataguides: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := e2.NewSessionFromQuery(s.Query())
-	if _, err := s2.TopK(5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.ConnectionSummary(); err == nil {
-		t.Error("summarizer-less engine accepted connection summary")
 	}
 }
 

@@ -1,0 +1,157 @@
+// Engine generations. Every engine is a generation: NewEngine makes a
+// root from source, AddDocuments, DeleteDocuments, UpdateDocumentXML and
+// Compact each derive the next one from an existing engine, and a
+// snapshot load rebuilds a root from its sections. The first five go
+// through derive and all six end in seal, so the contract below holds
+// by construction:
+//
+//   - Generations are immutable. The receiver engine is never modified
+//     (the shared path dictionary is append-only and internally
+//     synchronized); sessions and caches holding the old generation keep
+//     reading a fully consistent corpus while and after the new one is
+//     assembled.
+//   - Equivalence. A generation reached by any sequence of operations
+//     answers every query — top-k, context summaries, connection
+//     summaries — byte-identically to an engine built from scratch over
+//     its live documents in the same order (the equivalence suites in
+//     ingest_test.go and lifecycle_test.go, run under -race; measured by
+//     bench/'s lifecycle.churn workload).
+//   - Session state carries over. The fact/dimension catalog, the entity
+//     registry, the search metric set and the pager are user or serving
+//     state, not derived data: a derived generation shares them with its
+//     predecessor, so definitions added while exploring survive an op,
+//     counters stay monotonic, and the resident budget spans the shards
+//     actually serving queries.
+
+package core
+
+import (
+	"time"
+
+	"seda/internal/cube"
+	"seda/internal/dataguide"
+	"seda/internal/graph"
+	"seda/internal/index"
+	"seda/internal/store"
+	"seda/internal/summary"
+	"seda/internal/topk"
+	"seda/internal/twig"
+	"seda/internal/xmldoc"
+)
+
+// step describes one generation for derive.
+type step struct {
+	// op prefixes the BuildTimings keys ("<op>-index", …) and names the
+	// total; "" is a from-source build, whose layer keys are bare and
+	// which records no total.
+	op string
+	// start is when the op began, so the total covers its collection step.
+	start time.Time
+	// col is the new generation's collection.
+	col *store.Collection
+	// index derives the new generation's index with the given worker
+	// budget: BuildSharded, Extend, WithTombstones or Compact.
+	index func(par int) (*index.Index, error)
+	// added are the documents col appends to the previous generation's.
+	added []*xmldoc.Document
+}
+
+// layers are the derived data a generation serves.
+type layers struct {
+	col *store.Collection
+	ix  *index.Index
+	g   *graph.Graph
+	dg  *dataguide.Set
+}
+
+// derive assembles the generation that follows prev (nil for a
+// from-source build) under cfg. The layers run in one order for every
+// op: the index step with the full Parallelism, then the link graph, then
+// the dataguide summary. Both of the latter are order-dependent folds
+// (first-occurrence-wins id tables, §6.1 absorption): when nothing died
+// since prev they continue over the appended documents, otherwise they
+// are rebuilt over the survivors with the functions a from-source build
+// uses — a deletion cannot be un-folded, and re-folding the live
+// documents in id order reaches exactly the from-scratch state.
+func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
+	timings := make(map[string]time.Duration)
+	key := func(layer string) string {
+		if s.op == "" {
+			return layer
+		}
+		return s.op + "-" + layer
+	}
+	l := layers{col: s.col}
+
+	t := time.Now()
+	var err error
+	if l.ix, err = s.index(resolveParallelism(cfg.Parallelism)); err != nil {
+		return nil, err
+	}
+	timings[key("index")] = time.Since(t)
+
+	extend := prev != nil && s.col.Tombstones().Len() == prev.col.Tombstones().Len()
+	t = time.Now()
+	if extend {
+		l.g = prev.g.CloneFor(s.col)
+		l.g.DiscoverIncremental(cfg.Discover, s.added)
+		l.g.ExtendValueLinks(cfg.ValueLinks, s.added)
+	} else {
+		l.g = graph.New(s.col)
+		l.g.DiscoverLinks(cfg.Discover)
+		for _, vl := range cfg.ValueLinks {
+			l.g.AddValueLinks(vl.FromPath, vl.ToPath, vl.Label)
+		}
+	}
+	timings[key("graph")] = time.Since(t)
+
+	t = time.Now()
+	if extend {
+		l.dg, err = prev.dg.Extend(s.col, l.g, s.added)
+	} else {
+		l.dg, err = dataguide.Build(s.col, l.g, cfg.DataguideThreshold)
+	}
+	if err != nil {
+		return nil, err
+	}
+	timings[key("dataguide")] = time.Since(t)
+
+	e := seal(prev, cfg, l, timings)
+	if s.op != "" {
+		timings[s.op] = time.Since(s.start)
+	}
+	return e, nil
+}
+
+// seal makes the Engine serving l — the one place an Engine is
+// constructed. It wires the cheap derived components (searcher, twig
+// evaluator, summarizer, cube builder) and the session state: fresh for a
+// root (prev == nil), whose pager is created under cfg.ResidentBudget,
+// and inherited from prev otherwise. Attaching the pager admits the
+// index's resident shards and evicts down to the budget, which is how a
+// built, extended, compacted or loaded index joins the paging regime.
+func seal(prev *Engine, cfg Config, l layers, timings map[string]time.Duration) *Engine {
+	e := &Engine{
+		col:          l.col,
+		ix:           l.ix,
+		g:            l.g,
+		dg:           l.dg,
+		searcher:     topk.New(l.ix, l.g),
+		summz:        summary.NewSummarizer(l.dg, l.g),
+		eval:         twig.New(l.ix, l.g),
+		cfg:          cfg,
+		id:           engineSerial.Add(1),
+		BuildTimings: timings,
+	}
+	if prev == nil {
+		e.catalog = cube.NewCatalog()
+		e.entities = summary.NewEntityRegistry()
+		e.pager = index.NewPager(cfg.ResidentBudget)
+	} else {
+		e.catalog, e.entities, e.pager = prev.catalog, prev.entities, prev.pager
+		e.searchMetrics.Store(prev.searchMetrics.Load())
+	}
+	e.builder = cube.NewBuilder(l.col, e.catalog)
+	e.ix.AttachPager(e.pager)
+	return e
+}

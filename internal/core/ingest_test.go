@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"seda/internal/datagen"
@@ -100,49 +99,6 @@ func pickQueries(eng *Engine) []string {
 	return qs
 }
 
-// renderAnswers runs the three answer surfaces for each query and renders
-// them deterministically.
-func renderAnswers(t *testing.T, eng *Engine, queries []string) string {
-	t.Helper()
-	dict := eng.Collection().Dict()
-	var b strings.Builder
-	for _, q := range queries {
-		fmt.Fprintf(&b, "== %s\n", q)
-		s, err := eng.NewSession(q)
-		if err != nil {
-			t.Fatalf("session %q: %v", q, err)
-		}
-		rs, err := s.TopK(10)
-		if err != nil {
-			t.Fatalf("topk %q: %v", q, err)
-		}
-		for i, r := range rs {
-			fmt.Fprintf(&b, "topk[%d] score=%v content=%v compact=%v", i, r.Score, r.ContentScore, r.Compactness)
-			for j, ref := range r.Nodes {
-				fmt.Fprintf(&b, " %v:%s", ref, dict.Path(r.Paths[j]))
-			}
-			b.WriteByte('\n')
-		}
-		for _, ctx := range s.ContextSummary() {
-			fmt.Fprintf(&b, "ctx %v\n", ctx.Term)
-			for _, e := range ctx.Entries {
-				fmt.Fprintf(&b, "  %s df=%d occ=%d\n", e.PathString, e.DocFreq, e.Occurrences)
-			}
-		}
-		if eng.Dataguides() != nil && len(rs) > 0 {
-			conns, err := s.ConnectionSummary()
-			if err != nil {
-				t.Fatalf("connections %q: %v", q, err)
-			}
-			for _, c := range conns {
-				fmt.Fprintf(&b, "conn %d-%d len=%d sup=%d fp=%t %s link=%+v\n",
-					c.TermA, c.TermB, c.Length, c.Support, c.FalsePositive, c.Describe(dict), c.Link)
-			}
-		}
-	}
-	return b.String()
-}
-
 func corpusConfigs() []struct {
 	name  string
 	gen   func(float64) *store.Collection
@@ -183,21 +139,19 @@ func TestIngestEquivalence(t *testing.T) {
 			if got, want := incr.Graph().NumEdges(), scratch.Graph().NumEdges(); got != want {
 				t.Fatalf("edge count diverges: incremental %d, scratch %d", got, want)
 			}
-			if dg := incr.Dataguides(); dg != nil {
-				if err := dg.CoverageInvariant(); err != nil {
-					t.Fatalf("incremental dataguide: %v", err)
-				}
-				if got, want := len(dg.Guides), len(scratch.Dataguides().Guides); got != want {
-					t.Fatalf("guide count diverges: incremental %d, scratch %d", got, want)
-				}
+			if err := incr.Dataguides().CoverageInvariant(); err != nil {
+				t.Fatalf("incremental dataguide: %v", err)
+			}
+			if got, want := len(incr.Dataguides().Guides), len(scratch.Dataguides().Guides); got != want {
+				t.Fatalf("guide count diverges: incremental %d, scratch %d", got, want)
 			}
 
 			queries := pickQueries(scratch)
 			if len(queries) == 0 {
 				t.Fatal("no queries derived from vocabulary")
 			}
-			want := renderAnswers(t, scratch, queries)
-			got := renderAnswers(t, incr, queries)
+			want := mustCanonical(t, scratch, queries)
+			got := mustCanonical(t, incr, queries)
 			if got != want {
 				t.Errorf("answers diverge for %s\n--- scratch ---\n%s\n--- incremental ---\n%s", c.name, want, got)
 			}
@@ -230,8 +184,8 @@ func TestIngestAfterSnapshotLoad(t *testing.T) {
 	}
 
 	queries := pickQueries(scratch)
-	want := renderAnswers(t, scratch, queries)
-	got := renderAnswers(t, incr, queries)
+	want := mustCanonical(t, scratch, queries)
+	got := mustCanonical(t, incr, queries)
 	if got != want {
 		t.Errorf("answers diverge after snapshot-load ingest\n--- scratch ---\n%s\n--- incremental ---\n%s", want, got)
 	}
@@ -246,7 +200,7 @@ func TestIngestGenerationIsolation(t *testing.T) {
 	base := len(raw) - 2
 	old := scratchEngine(t, raw[:base], c.cfg)
 	queries := pickQueries(old)
-	before := renderAnswers(t, old, queries)
+	before := mustCanonical(t, old, queries)
 	oldDocs, oldEdges := old.Collection().NumDocs(), old.Graph().NumEdges()
 
 	next, err := old.AddDocumentsXML(raw[base:])
@@ -262,7 +216,7 @@ func TestIngestGenerationIsolation(t *testing.T) {
 	if old.Collection().NumDocs() != oldDocs || old.Graph().NumEdges() != oldEdges {
 		t.Fatal("ingest mutated the old generation's layers")
 	}
-	if after := renderAnswers(t, old, queries); after != before {
+	if after := mustCanonical(t, old, queries); after != before {
 		t.Errorf("old generation's answers changed after ingest\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
 	if next.Catalog() != old.Catalog() {

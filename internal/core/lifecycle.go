@@ -1,6 +1,7 @@
 // Document lifecycle beyond append-only ingest: delete, update, and
-// compaction, each deriving a NEW engine generation exactly like
-// AddDocuments does (see ingest.go for the generation contract).
+// compaction, each deriving a NEW engine generation through the same
+// derive step as AddDocuments (see generation.go for the generation
+// contract).
 //
 // Delete and update never touch the immutable shards or stored
 // documents. They mask document ids in a tombstone set the new
@@ -8,11 +9,8 @@
 // top-k match fetches, SLCA anchors, context scans, phrase intersection,
 // summary and cube folds — consults the mask, so the documents vanish
 // from answers while sessions pinned to older generations keep a
-// consistent view. The link graph and dataguide summary are re-derived
-// over the survivors: both are order-dependent folds (first-occurrence-
-// wins id tables, §6.1 absorption) that cannot be un-folded, and
-// rebuilding them over the live documents in id order reproduces exactly
-// the state a from-scratch build over the survivors would reach.
+// consistent view. Because a document died, derive re-folds the link
+// graph and dataguide summary over the survivors.
 //
 // The re-fold is deliberate, not a missing optimization. Under §6.1 a
 // later document joins the FIRST guide containing it, else the best
@@ -33,11 +31,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"seda/internal/cube"
-	"seda/internal/dataguide"
-	"seda/internal/graph"
 	"seda/internal/index"
 	"seda/internal/xmldoc"
 )
@@ -53,8 +49,9 @@ func (e *ErrNoSuchDocument) Error() string {
 // DeleteDocuments derives a new engine generation masking every live
 // document with one of the given names, and returns it with the number
 // of documents masked. Names with no live document fail the whole call
-// (no generation is produced). The receiver is unchanged; see the
-// package comment in ingest.go for the generation contract.
+// (no generation is produced); a name given more than once masks its
+// documents once. The receiver is unchanged; see generation.go for the
+// generation contract.
 //
 // BuildTimings on the returned engine records "delete-index",
 // "delete-graph", "delete-dataguide", and the total under "delete".
@@ -73,7 +70,15 @@ func (e *Engine) DeleteDocuments(names ...string) (*Engine, int, error) {
 		}
 		ids = append(ids, found...)
 	}
-	ne, err := e.maskGeneration(ids, nil, "delete")
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	t0 := time.Now()
+	col, err := e.col.WithTombstones(ids)
+	if err != nil {
+		return nil, 0, err
+	}
+	ne, err := derive(e, e.cfg, step{op: "delete", start: t0, col: col,
+		index: func(int) (*index.Index, error) { return e.ix.WithTombstones(col) }})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -98,99 +103,14 @@ func (e *Engine) UpdateDocumentXML(name string, data []byte) (*Engine, error) {
 
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	return e.maskGeneration(e.col.LiveIDsByName(name), doc, "update")
-}
-
-// maskGeneration derives the generation masking ids and, for updates,
-// appending replacement. Callers hold ingestMu. op prefixes the
-// BuildTimings keys.
-func (e *Engine) maskGeneration(ids []xmldoc.DocID, replacement *xmldoc.Document, op string) (*Engine, error) {
 	t0 := time.Now()
 	col := e.col
-	if len(ids) > 0 {
-		var err error
+	if ids := col.LiveIDsByName(name); len(ids) > 0 {
 		if col, err = col.WithTombstones(ids); err != nil {
 			return nil, err
 		}
 	}
-	masked := col
-	var newDocs []*xmldoc.Document
-	if replacement != nil {
-		newDocs = []*xmldoc.Document{replacement}
-		col = col.Extend(newDocs)
-	}
-
-	ne := &Engine{
-		col:          col,
-		cfg:          e.cfg,
-		BuildTimings: make(map[string]time.Duration),
-	}
-
-	t := time.Now()
-	if replacement != nil {
-		// Extend re-derives the mask from col's tombstones (finishIndex),
-		// so one index step covers both the masking and the append.
-		ix, err := e.ix.Extend(col, newDocs)
-		if err != nil {
-			return nil, err
-		}
-		ne.ix = ix
-	} else {
-		ix, err := e.ix.WithTombstones(masked)
-		if err != nil {
-			return nil, err
-		}
-		ne.ix = ix
-	}
-	ne.BuildTimings[op+"-index"] = time.Since(t)
-
-	if err := ne.rebuildDerived(e, op); err != nil {
-		return nil, err
-	}
-
-	ne.finish()
-	ne.shareSessionState(e)
-	ne.BuildTimings[op] = time.Since(t0)
-	return ne, nil
-}
-
-// rebuildDerived reconstructs the link graph and dataguide summary over
-// ne.col's live documents. Both are order-dependent folds, so masking
-// cannot subtract a document's contribution; rebuilding over the
-// survivors in id order reproduces the from-scratch state (masked
-// documents are skipped by EachNode and LiveDocs, so the fold never
-// sees them).
-func (ne *Engine) rebuildDerived(e *Engine, op string) error {
-	t := time.Now()
-	g := graph.New(ne.col)
-	g.DiscoverLinks(e.cfg.Discover)
-	for _, vl := range e.cfg.ValueLinks {
-		g.AddValueLinks(vl.FromPath, vl.ToPath, vl.Label)
-	}
-	ne.g = g
-	ne.BuildTimings[op+"-graph"] = time.Since(t)
-
-	if e.dg != nil {
-		t = time.Now()
-		dg, err := dataguide.Build(ne.col, g, e.cfg.DataguideThreshold)
-		if err != nil {
-			return err
-		}
-		ne.dg = dg
-		ne.BuildTimings[op+"-dataguide"] = time.Since(t)
-	}
-	return nil
-}
-
-// shareSessionState carries the cross-generation session state — catalog,
-// entity registry, search metrics, pager — from e onto ne, exactly as
-// AddDocuments does. Call after ne.finish().
-func (ne *Engine) shareSessionState(e *Engine) {
-	ne.catalog = e.catalog
-	ne.builder = cube.NewBuilder(ne.col, ne.catalog)
-	ne.entities = e.entities
-	ne.searchMetrics.Store(e.searchMetrics.Load())
-	ne.pager = e.pager
+	return e.appendGeneration("update", t0, col, []*xmldoc.Document{doc})
 }
 
 // Compact derives the physically compacted generation: a new collection
@@ -215,35 +135,8 @@ func (e *Engine) Compact() (*Engine, error) {
 	}
 	t0 := time.Now()
 	col := e.col.Compacted()
-	ne := &Engine{
-		col:          col,
-		cfg:          e.cfg,
-		BuildTimings: make(map[string]time.Duration),
-	}
-
-	t := time.Now()
-	ix, err := e.ix.Compact(col, resolveParallelism(e.cfg.Parallelism))
-	if err != nil {
-		return nil, err
-	}
-	ne.ix = ix
-	ne.BuildTimings["compact-index"] = time.Since(t)
-
-	if err := ne.rebuildDerived(e, "compact"); err != nil {
-		return nil, err
-	}
-
-	ne.finish()
-	ne.shareSessionState(e)
-	// Rebuilt shards are fresh and fully resident; re-attaching the shared
-	// pager admits them (kept shards already carry it — admit is
-	// idempotent) and evicts back down to the budget, so compacted shards
-	// join the paging regime exactly like loaded or extended ones.
-	if ne.pager != nil {
-		ne.ix.AttachPager(ne.pager)
-	}
-	ne.BuildTimings["compact"] = time.Since(t0)
-	return ne, nil
+	return derive(e, e.cfg, step{op: "compact", start: t0, col: col,
+		index: func(par int) (*index.Index, error) { return e.ix.Compact(col, par) }})
 }
 
 // TombstoneStats reports the engine's masking state (zero when

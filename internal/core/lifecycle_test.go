@@ -30,9 +30,11 @@ import (
 // rendering.)
 
 // canonicalAnswers renders the three answer surfaces with document names
-// instead of ids and path strings instead of path ids. It returns an
-// error instead of failing the test so concurrent readers can call it
-// from goroutines.
+// instead of ids and path strings instead of path ids, after the live
+// document names in id order — which, for two engines sharing an id
+// space, is their id→name list, so rendering documents by name loses
+// nothing. It returns an error instead of failing the test so concurrent
+// readers can call it from goroutines.
 func canonicalAnswers(eng *Engine, queries []string) (string, error) {
 	col := eng.Collection()
 	dict := col.Dict()
@@ -40,6 +42,11 @@ func canonicalAnswers(eng *Engine, queries []string) (string, error) {
 		return fmt.Sprintf("%s@%s", col.Doc(ref.Doc).Name, ref.Dewey)
 	}
 	var b strings.Builder
+	b.WriteString("docs")
+	for _, d := range col.LiveDocs() {
+		fmt.Fprintf(&b, " %s", d.Name)
+	}
+	b.WriteByte('\n')
 	for _, q := range queries {
 		fmt.Fprintf(&b, "== %s\n", q)
 		s, err := eng.NewSession(q)
@@ -63,7 +70,7 @@ func canonicalAnswers(eng *Engine, queries []string) (string, error) {
 				fmt.Fprintf(&b, "  %s df=%d occ=%d\n", e.PathString, e.DocFreq, e.Occurrences)
 			}
 		}
-		if eng.Dataguides() != nil && len(rs) > 0 {
+		if len(rs) > 0 {
 			conns, err := s.ConnectionSummary()
 			if err != nil {
 				return "", fmt.Errorf("connections %q: %w", q, err)
@@ -244,10 +251,8 @@ func TestLifecycleEquivalence(t *testing.T) {
 							if eng.NumLiveDocs() != len(model) {
 								t.Fatalf("live docs = %d, want %d", eng.NumLiveDocs(), len(model))
 							}
-							if dg := eng.Dataguides(); dg != nil {
-								if err := dg.CoverageInvariant(); err != nil {
-									t.Fatalf("dataguide coverage: %v", err)
-								}
+							if err := eng.Dataguides().CoverageInvariant(); err != nil {
+								t.Fatalf("dataguide coverage: %v", err)
 							}
 							if got := mustCanonical(t, eng, queries); got != want {
 								t.Errorf("%s/%s answers diverge from scratch build over survivors\n--- scratch ---\n%s\n--- lifecycle ---\n%s",
@@ -448,5 +453,28 @@ func TestLifecycleErrors(t *testing.T) {
 	// A delete against the already-deleted name fails.
 	if _, _, err := dead.DeleteDocuments("a.xml"); err == nil {
 		t.Error("want error deleting an already-masked name")
+	}
+}
+
+// TestDeleteRepeatedName: a name given twice masks its documents once and
+// answers exactly like naming it once.
+func TestDeleteRepeatedName(t *testing.T) {
+	eng := newEngine(t)
+	once, n1, err := eng.DeleteDocuments("doc1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, n2, err := eng.DeleteDocuments("doc1", "doc1")
+	if err != nil {
+		t.Fatalf("repeated name: %v", err)
+	}
+	if n1 != 1 || n2 != 1 {
+		t.Fatalf("masked %d and %d documents, want 1 and 1", n1, n2)
+	}
+	if got := twice.Collection().Tombstones().Len(); got != 1 {
+		t.Fatalf("repeated name left %d tombstones, want 1", got)
+	}
+	if want, got := mustCanonical(t, once, snapQueries), mustCanonical(t, twice, snapQueries); got != want {
+		t.Errorf("repeated name answers differ\n--- once ---\n%s\n--- twice ---\n%s", want, got)
 	}
 }

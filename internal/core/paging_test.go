@@ -34,7 +34,7 @@ func TestPagedEquivalence(t *testing.T) {
 			if len(queries) == 0 {
 				t.Fatal("no queries derived from vocabulary")
 			}
-			want := renderAnswers(t, full, queries)
+			want := mustCanonical(t, full, queries)
 			var total int64
 			for _, st := range full.ShardStats() {
 				total += st.Bytes
@@ -70,10 +70,10 @@ func TestPagedEquivalence(t *testing.T) {
 					}
 					// Render twice: the second pass re-touches shards the
 					// first pass may have evicted.
-					if got := renderAnswers(t, paged, queries); got != want {
+					if got := mustCanonical(t, paged, queries); got != want {
 						t.Errorf("paged engine diverges from resident\n--- resident ---\n%s\n--- paged ---\n%s", want, got)
 					}
-					if got := renderAnswers(t, paged, queries); got != want {
+					if got := mustCanonical(t, paged, queries); got != want {
 						t.Errorf("paged engine diverges on re-query after eviction")
 					}
 					st, _ = paged.PagerStats()
@@ -111,7 +111,7 @@ func TestPagedIngestEquivalence(t *testing.T) {
 	cfg.Shards = 4
 	full := scratchEngine(t, raw, cfg)
 	queries := pickQueries(full)
-	want := renderAnswers(t, full, queries)
+	want := mustCanonical(t, full, queries)
 
 	cut := len(raw) * 3 / 5
 	base := scratchEngine(t, raw[:cut], cfg)
@@ -132,7 +132,7 @@ func TestPagedIngestEquivalence(t *testing.T) {
 	if _, ok := next.PagerStats(); !ok {
 		t.Fatal("ingest generation dropped the pager")
 	}
-	if got := renderAnswers(t, next, queries); got != want {
+	if got := mustCanonical(t, next, queries); got != want {
 		t.Errorf("paged engine after ingest diverges\n--- resident ---\n%s\n--- paged+ingest ---\n%s", want, got)
 	}
 }
@@ -159,7 +159,7 @@ func TestPagingMetrics(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	paged.SetPagingMetrics(index.NewPagingMetrics(reg))
-	renderAnswers(t, paged, queries)
+	mustCanonical(t, paged, queries)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -31,7 +31,7 @@ func TestShardEquivalence(t *testing.T) {
 			if len(queries) == 0 {
 				t.Fatal("no queries derived from vocabulary")
 			}
-			want := renderAnswers(t, one, queries)
+			want := mustCanonical(t, one, queries)
 
 			cfg4 := c.cfg
 			cfg4.Shards = 4
@@ -39,7 +39,7 @@ func TestShardEquivalence(t *testing.T) {
 			if got := sharded.NumShards(); got != 4 {
 				t.Fatalf("NumShards = %d, want 4", got)
 			}
-			if got := renderAnswers(t, sharded, queries); got != want {
+			if got := mustCanonical(t, sharded, queries); got != want {
 				t.Errorf("fresh 4-shard build diverges from 1-shard\n--- 1-shard ---\n%s\n--- 4-shard ---\n%s", want, got)
 			}
 
@@ -56,14 +56,14 @@ func TestShardEquivalence(t *testing.T) {
 			if got := loaded.NumShards(); got != 4 {
 				t.Fatalf("loaded NumShards = %d, want 4", got)
 			}
-			if got := renderAnswers(t, loaded, queries); got != want {
+			if got := mustCanonical(t, loaded, queries); got != want {
 				t.Errorf("snapshot-loaded 4-shard engine diverges\n--- 1-shard ---\n%s\n--- loaded ---\n%s", want, got)
 			}
 
 			// Incremental ingest: the tail shard re-extends; every other
 			// shard is untouched.
 			incr := incrementalEngine(t, raw, cfg4, len(raw)*3/5, 2)
-			if got := renderAnswers(t, incr, queries); got != want {
+			if got := mustCanonical(t, incr, queries); got != want {
 				t.Errorf("4-shard engine after ingest diverges\n--- 1-shard ---\n%s\n--- ingested ---\n%s", want, got)
 			}
 		})

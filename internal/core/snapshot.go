@@ -56,7 +56,7 @@ const (
 	secCollection = "collection"
 	secGraph      = "graph"
 	secIndexShard = "index."     // one section per shard ("index.0", …)
-	secDataguide  = "dataguide"  // absent when the engine skipped dataguides
+	secDataguide  = "dataguide"  // required: every engine carries one
 	secTombstones = "tombstones" // deletion mask; absent when unmasked
 )
 
@@ -109,7 +109,9 @@ func (cfg Config) Fingerprint() string {
 		fmt.Fprintf(&b, "%q>%q:%q", vl.FromPath, vl.ToPath, vl.Label)
 	}
 	b.WriteByte(']')
-	fmt.Fprintf(&b, ";skipdataguides=%t", r.SkipDataguides)
+	// Every engine carries a dataguide summary; the literal keeps the
+	// fingerprint of the retired skip-dataguides setting stable.
+	b.WriteString(";skipdataguides=false")
 	return b.String()
 }
 
@@ -158,9 +160,7 @@ func SaveEngine(w io.Writer, e *Engine, source string) error {
 			enc:  func(w *snapcodec.Writer) error { return e.ix.EncodeShard(w, s) },
 		})
 	}
-	if e.dg != nil {
-		jobs = append(jobs, job{secDataguide, infallible(e.dg.Encode)})
-	}
+	jobs = append(jobs, job{secDataguide, infallible(e.dg.Encode)})
 
 	sections := make([]snapcodec.Section, len(jobs)+1)
 	sections[0] = snapcodec.Section{Name: secMeta, Payload: meta.Bytes()}
@@ -397,7 +397,7 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 
 	// timings records per-section decode wall times alongside the total;
 	// concurrent sections each time themselves, so the entries are
-	// per-layer wall times, not a sum (same convention as the build).
+	// per-layer wall times, not a sum.
 	timings := make(map[string]time.Duration)
 
 	tp := time.Now()
@@ -467,9 +467,9 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 		gTime      time.Duration
 		dgTime     time.Duration
 	)
-	dgSection, haveDg := byName[secDataguide]
-	if !haveDg && !storedCfg.SkipDataguides {
-		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secDataguide)
+	dgr, err := need(secDataguide)
+	if err != nil {
+		return nil, err
 	}
 	jobs := []func(){
 		func() {
@@ -497,16 +497,14 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 			shardTimes[i] = time.Since(t)
 		})
 	}
-	if haveDg {
-		jobs = append(jobs, func() {
-			t := time.Now()
-			defer func() { dgTime = time.Since(t) }()
-			var err error
-			if dg, err = dataguide.Decode(snapcodec.NewReader(dgSection.Payload), col); err != nil {
-				dgErr = fmt.Errorf("core: load engine: %w", err)
-			}
-		})
-	}
+	jobs = append(jobs, func() {
+		t := time.Now()
+		defer func() { dgTime = time.Since(t) }()
+		var err error
+		if dg, err = dataguide.Decode(dgr, col); err != nil {
+			dgErr = fmt.Errorf("core: load engine: %w", err)
+		}
+	})
 	runJobs(jobs, resolveParallelism(env.Parallelism))
 	if gErr != nil {
 		return nil, gErr
@@ -529,9 +527,7 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 	ixTime := slices.Max(shardTimes) + time.Since(t)
 	timings["load-graph"] = gTime
 	timings["load-index"] = ixTime
-	if haveDg {
-		timings["load-dataguide"] = dgTime
-	}
+	timings["load-dataguide"] = dgTime
 
 	// The engine keeps the snapshot's shard layout; recording it in the
 	// config means a re-save (or a registry re-persist after ingest)
@@ -541,33 +537,20 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 	storedCfg.ResidentBudget = env.ResidentBudget
 	le.Config = storedCfg
 
-	e := &Engine{
-		col:          col,
-		ix:           ix,
-		g:            g,
-		dg:           dg,
-		cfg:          storedCfg,
-		BuildTimings: timings,
-	}
-	if p := index.NewPager(env.ResidentBudget); p != nil {
-		e.pager = p
-		ix.AttachPager(p)
-		// Disk-backed residency: hand each shard a ref to its section in the
-		// snapshot file, so eviction drops the encoded payload too and
-		// page-in re-reads (and re-verifies) it from disk. Best-effort — on
-		// an open or bind failure the affected shards keep their in-heap
-		// encoded payloads (the PR 8 behavior), exactly like a built
-		// not-yet-saved engine or an in-memory load.
-		if path != "" {
-			if b, err := index.OpenBacking(path); err == nil {
-				for i, sec := range shardSections {
-					_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
-				}
+	e := seal(nil, storedCfg, layers{col: col, ix: ix, g: g, dg: dg}, timings)
+	// Disk-backed residency: hand each shard a ref to its section in the
+	// snapshot file, so eviction drops the encoded payload too and page-in
+	// re-reads (and re-verifies) it from disk. Best-effort — on an open or
+	// bind failure the affected shards keep their in-heap encoded payloads,
+	// exactly like a built not-yet-saved engine or an in-memory load.
+	if e.pager != nil && path != "" {
+		if b, err := index.OpenBacking(path); err == nil {
+			for i, sec := range shardSections {
+				_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
 			}
 		}
 	}
 	timings["load"] = time.Since(t0)
-	e.finish()
 	le.Engine = e
 	return le, nil
 }
@@ -615,7 +598,7 @@ func encodeConfig(w *snapcodec.Writer, cfg Config) {
 		w.String(vl.ToPath)
 		w.String(vl.Label)
 	}
-	w.Bool(cfg.SkipDataguides)
+	w.Bool(false) // the retired skip-dataguides slot; see decodeConfig
 }
 
 func decodeConfig(r *snapcodec.Reader) (Config, error) {
@@ -632,7 +615,12 @@ func decodeConfig(r *snapcodec.Reader) (Config, error) {
 			Label:    r.String(),
 		})
 	}
-	cfg.SkipDataguides = r.Bool()
+	// The retired skip-dataguides slot: true marks a snapshot stored
+	// without a dataguide summary, which no engine can serve, so the
+	// caller rebuilds from source.
+	if r.Bool() && r.Err() == nil {
+		return Config{}, fmt.Errorf("snapshot without a dataguide summary: %w", snapcodec.ErrVersion)
+	}
 	if err := r.Err(); err != nil {
 		return Config{}, fmt.Errorf("decoding config: %w", err)
 	}

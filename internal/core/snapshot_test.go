@@ -14,43 +14,7 @@ import (
 	"seda/internal/snapcodec"
 )
 
-const snapQuery = `(*, "United States") AND (trade_country, *)`
-
-// searchFingerprint runs a query end to end and renders everything a
-// client could observe, so two engines can be compared behaviorally.
-func searchFingerprint(t *testing.T, e *Engine) string {
-	t.Helper()
-	s, err := e.NewSession(snapQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := s.TopK(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	dict := e.Collection().Dict()
-	for _, r := range rs {
-		fmt.Fprintf(&b, "%.6f|%.6f", r.Score, r.Compactness)
-		for i, n := range r.Nodes {
-			fmt.Fprintf(&b, "|%s@%s", n, dict.Path(r.Paths[i]))
-		}
-		b.WriteByte('\n')
-	}
-	for _, cb := range s.ContextSummary() {
-		for _, e := range cb.Entries {
-			fmt.Fprintf(&b, "ctx %s %d %d\n", e.PathString, e.DocFreq, e.Occurrences)
-		}
-	}
-	conns, err := s.ConnectionSummary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cn := range conns {
-		fmt.Fprintf(&b, "conn %d~%d %s len=%d sup=%d\n", cn.TermA, cn.TermB, cn.Describe(dict), cn.Length, cn.Support)
-	}
-	return b.String()
-}
+var snapQueries = []string{`(*, "United States") AND (trade_country, *)`}
 
 func saveToBytes(t *testing.T, e *Engine, source string) []byte {
 	t.Helper()
@@ -82,7 +46,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got.Dataguides().Guides) != len(e.Dataguides().Guides) {
 		t.Fatal("dataguide summary differs")
 	}
-	if want, have := searchFingerprint(t, e), searchFingerprint(t, got); want != have {
+	if want, have := mustCanonical(t, e, snapQueries), mustCanonical(t, got, snapQueries); want != have {
 		t.Errorf("behavior differs after load:\nbuilt:\n%s\nloaded:\n%s", want, have)
 	}
 	if got.BuildTimings["load"] == 0 {
@@ -236,18 +200,52 @@ func TestSnapshotHostileInputs(t *testing.T) {
 	}
 }
 
-func TestSnapshotSkipDataguides(t *testing.T) {
-	e, err := NewEngine(corpus(t), Config{SkipDataguides: true})
+// TestSnapshotWithoutDataguideRefused: the meta section's retired
+// skip-dataguides slot is always written false. A snapshot that stores
+// true carries no dataguide section, and every engine serves §6's
+// connection summary, so each load entry point refuses it with
+// snapcodec.ErrVersion (rebuild from source).
+func TestSnapshotWithoutDataguideRefused(t *testing.T) {
+	e := newEngine(t)
+	sections, err := snapcodec.ReadContainer(saveToBytes(t, e, ""), snapshotFormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := saveToBytes(t, e, "")
-	got, err := LoadEngine(bytes.NewReader(data), Config{SkipDataguides: true}, "")
-	if err != nil {
+	var meta snapcodec.Writer
+	meta.Int(metaVersion)
+	meta.String(strings.Replace(e.cfg.Fingerprint(), ";skipdataguides=false", ";skipdataguides=true", 1))
+	meta.String("")
+	encodeConfig(&meta, e.cfg)
+	payload := meta.Bytes()
+	if payload[len(payload)-1] != 0 {
+		t.Fatal("the skip-dataguides slot is not written false")
+	}
+	payload[len(payload)-1] = 1
+	var secs []snapcodec.Section
+	for _, sec := range sections {
+		switch sec.Name {
+		case secMeta:
+			secs = append(secs, snapcodec.Section{Name: secMeta, Payload: payload})
+		case secDataguide:
+		default:
+			secs = append(secs, sec)
+		}
+	}
+	var buf bytes.Buffer
+	if err := snapcodec.WriteContainer(&buf, snapshotFormatVersion, secs); err != nil {
 		t.Fatal(err)
 	}
-	if got.Dataguides() != nil || got.Summarizer() != nil {
-		t.Error("skip-dataguides engine grew a summary on load")
+	path := filepath.Join(t.TempDir(), "nodg.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errLoad := LoadEngine(bytes.NewReader(buf.Bytes()), Config{}, "")
+	_, errFile := LoadEngineFile(path, Config{}, "")
+	_, errAuto := LoadEngineAuto(path, Config{})
+	for name, err := range map[string]error{"LoadEngine": errLoad, "LoadEngineFile": errFile, "LoadEngineAuto": errAuto} {
+		if !errors.Is(err, snapcodec.ErrVersion) {
+			t.Errorf("%s err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
@@ -298,7 +296,7 @@ func TestLoadEngineAutoV1Compat(t *testing.T) {
 	if le.Config.Parallelism != 2 || le.Engine.cfg.Parallelism != 2 {
 		t.Errorf("Parallelism %d (engine %d), want the caller's 2", le.Config.Parallelism, le.Engine.cfg.Parallelism)
 	}
-	if want, have := searchFingerprint(t, e), searchFingerprint(t, le.Engine); want != have {
+	if want, have := mustCanonical(t, e, snapQueries), mustCanonical(t, le.Engine, snapQueries); want != have {
 		t.Error("adopted engine behaves differently")
 	}
 

@@ -51,9 +51,14 @@ func (w Word) Matches(c *Content) bool {
 	return c.Has(w.Term)
 }
 
+// String renders the word so it parses back to itself. A term that
+// spells an operator is quoted: a one-word phrase parses to the word.
 func (w Word) String() string {
-	if w.Prefix {
+	switch {
+	case w.Prefix:
 		return w.Term + "*"
+	case w.Term == "and" || w.Term == "or" || w.Term == "not":
+		return `"` + w.Term + `"`
 	}
 	return w.Term
 }

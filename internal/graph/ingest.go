@@ -259,8 +259,8 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// ValueLinkSpec names one value-based (PK/FK) relationship for
-// ExtendValueLinks; it mirrors core.ValueLink without the import cycle.
+// ValueLinkSpec names one value-based (PK/FK) relationship, as given to
+// AddValueLinks and ExtendValueLinks; core.ValueLink is an alias.
 type ValueLinkSpec struct {
 	FromPath, ToPath, Label string
 }

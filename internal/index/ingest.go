@@ -29,7 +29,9 @@ import (
 // modified and remains valid for concurrent readers: the tail shard's
 // changed posting lists, context-index entries, and per-path node lists
 // are fresh slices or maps, unchanged ones — and every non-tail shard —
-// are shared.
+// are shared. The new tail carries no pager and no backing ref (its
+// encoding differs from any stored section): the caller attaches the
+// receiver's pager to the result, and the next save re-binds it.
 func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Index, error) {
 	delta := scanDocs(newDocs)
 	tail := ix.shards[len(ix.shards)-1]
@@ -40,15 +42,6 @@ func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Ind
 		return nil, err
 	}
 	shards[len(shards)-1] = nt
-	// The new tail joins the old tail's paging regime (non-tail shards
-	// carry their pager already, being shared pointers). Its backing ref,
-	// if any, does NOT carry over: the extended shard's encoding differs
-	// from the stored section, so the new tail runs heap-backed until the
-	// next save re-binds it.
-	if p := tail.pager.Load(); p != nil {
-		nt.pager.Store(p)
-		p.admit(nt, false, 0)
-	}
 	return finishIndex(col, shards), nil
 }
 

@@ -164,6 +164,33 @@ func TestParseQuotedCommaAndParens(t *testing.T) {
 	}
 }
 
+// TestOperatorWordsRoundTrip: a search word that normalizes to an
+// operator ("AND!" -> and) renders quoted, so the rendering reparses to
+// itself instead of to an operator.
+func TestOperatorWordsRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{`(0,000000000 AND!)`, `(0, 000000000 AND "and")`},
+		{`(a, x OR.)`, `(a, x AND "or")`},
+		{`(a, NOT. x)`, `(a, "not" AND x)`},
+		{`(a, "and")`, `(a, "and")`},
+	} {
+		q, err := Parse(tc.in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.in, err)
+		}
+		if got := q.String(); got != tc.want {
+			t.Errorf("Parse(%q).String() = %q, want %q", tc.in, got, tc.want)
+		}
+		q2, err := Parse(q.String())
+		if err != nil {
+			t.Fatalf("rendering %q of %q does not reparse: %v", q.String(), tc.in, err)
+		}
+		if q2.String() != q.String() {
+			t.Errorf("render/reparse of %q not stable: %q -> %q", tc.in, q.String(), q2.String())
+		}
+	}
+}
+
 func TestRestrictTo(t *testing.T) {
 	term, err := NewTerm("trade_country", "*")
 	if err != nil {
