@@ -61,3 +61,28 @@ func TestParseByteSize(t *testing.T) {
 		}
 	}
 }
+
+func TestParseBudget(t *testing.T) {
+	for _, tc := range []struct {
+		budget, data string
+		want         int64
+		ok           bool
+	}{
+		{"", "", 0, true},
+		{"0", "", 0, true},
+		{"64MB", "./data", 64 << 20, true},
+		{"0", "./data", 0, true},
+		// Without a snapshot directory no shard can be evicted.
+		{"64MB", "", 0, false},
+		{"1", "", 0, false},
+		{"abc", "./data", 0, false},
+	} {
+		got, err := parseBudget(tc.budget, tc.data)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("parseBudget(%q, %q) = %d, %v; want %d", tc.budget, tc.data, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("parseBudget(%q, %q) = %d; want an error", tc.budget, tc.data, got)
+		}
+	}
+}

@@ -8,14 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"seda/internal/index"
 	"seda/internal/snapcodec"
 )
 
 // Disk-backed residency at the engine level: LoadEngineFile hands every
 // shard a backing ref into the snapshot file, eviction under a budget
-// drops encoded payloads from the heap, SaveEngineFile re-binds a built
-// paged engine to the file it just wrote, and a backstore corrupted after
+// drops decoded state that page-in re-reads from there, a shard with no
+// file stays resident and outside the pager, SaveEngineFile brings a
+// built paged engine under its budget, and a backstore corrupted after
 // load degrades to errors — never panics or silently wrong answers.
 
 // backingFixture builds, saves, and returns the resident engine plus its
@@ -36,11 +36,11 @@ func backingFixture(t *testing.T) (full *Engine, cfg Config, path string, querie
 	return full, cfg, path, queries, want
 }
 
-// TestBackingTiers: both residency tiers answer byte-identically. An
-// engine loaded from a snapshot file ("disk") pages from that file and
-// keeps no encoded bytes on the heap; one loaded from memory ("heap") has
-// no file to read, never touches the disk, and pays the encoded-heap
-// gauge.
+// TestBackingTiers: under a 1-byte budget, an engine loaded from a
+// snapshot file ("disk") pages from that file, and one loaded from a
+// stream ("heap") has no file to page from, so it stays fully resident:
+// no page-in, eviction or disk read, and nothing in the pager. Both answer
+// byte-identically to the built engine.
 func TestBackingTiers(t *testing.T) {
 	_, cfg, path, queries, want := backingFixture(t)
 	snap, err := os.ReadFile(path)
@@ -49,54 +49,45 @@ func TestBackingTiers(t *testing.T) {
 	}
 	pcfg := cfg
 	pcfg.ResidentBudget = 1
-	cases := []struct {
-		name     string
-		load     func() (*Engine, error)
-		wantTier string
-	}{
-		{"disk", func() (*Engine, error) { return LoadEngineFile(path, pcfg, "") }, index.TierDisk},
-		{"heap", func() (*Engine, error) { return LoadEngine(bytes.NewReader(snap), pcfg, "") }, index.TierHeap},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			paged, err := tc.load()
-			if err != nil {
-				t.Fatal(err)
+
+	t.Run("disk", func(t *testing.T) {
+		paged, err := LoadEngineFile(path, pcfg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustCanonical(t, paged, queries); got != want {
+			t.Fatal("file-loaded engine diverges from resident")
+		}
+		if st, _ := paged.PagerStats(); st.DiskReads == 0 {
+			t.Error("file-loaded engine answered without a single disk read")
+		}
+	})
+	t.Run("heap", func(t *testing.T) {
+		loaded, err := LoadEngine(bytes.NewReader(snap), pcfg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustCanonical(t, loaded, queries); got != want {
+			t.Fatal("memory-loaded engine diverges from resident")
+		}
+		st, ok := loaded.PagerStats()
+		if !ok {
+			t.Fatal("budgeted engine reports no pager")
+		}
+		if st.PageIns != 0 || st.Evictions != 0 || st.DiskReads != 0 || st.Resident != 0 {
+			t.Errorf("memory-loaded engine paged: %+v, want no page-ins, evictions, disk reads or tracked shards", st)
+		}
+		for s, ss := range loaded.ShardStats() {
+			if !ss.Resident {
+				t.Errorf("shard %d of a memory-loaded engine is not resident", s)
 			}
-			if got := mustCanonical(t, paged, queries); got != want {
-				t.Fatalf("%s-backed engine diverges from resident", tc.name)
-			}
-			st, ok := paged.PagerStats()
-			if !ok {
-				t.Fatal("budgeted engine reports no pager")
-			}
-			for s, ss := range paged.ShardStats() {
-				if ss.Backing != tc.wantTier {
-					t.Errorf("shard %d: tier %q, want %q", s, ss.Backing, tc.wantTier)
-				}
-			}
-			if tc.wantTier == index.TierDisk {
-				if st.DiskReads == 0 {
-					t.Error("file-loaded engine answered without a single disk read")
-				}
-				if st.EncodedHeapBytes != 0 {
-					t.Errorf("file-loaded engine holds %d encoded bytes on the heap", st.EncodedHeapBytes)
-				}
-			} else {
-				if st.DiskReads != 0 {
-					t.Errorf("memory-loaded engine performed %d disk reads", st.DiskReads)
-				}
-				if st.EncodedHeapBytes == 0 {
-					t.Error("memory-loaded engine under a 1-byte budget reports no encoded heap bytes")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestSaveRebindsBacking: a BUILT paged engine (no snapshot, heap tier)
-// graduates to disk-backed residency when SaveEngineFile writes one.
+// TestSaveRebindsBacking: a BUILT paged engine has no snapshot, so it
+// evicts nothing; SaveEngineFile binds its shards to the file it wrote,
+// and from then on the engine pages from disk under its budget.
 func TestSaveRebindsBacking(t *testing.T) {
 	c := corpusConfigs()[0]
 	raw := renderXML(t, c.gen(c.scale))
@@ -106,32 +97,78 @@ func TestSaveRebindsBacking(t *testing.T) {
 	built := scratchEngine(t, raw, cfg)
 	queries := pickQueries(built)
 	want := mustCanonical(t, built, queries)
-	for s, ss := range built.ShardStats() {
-		if ss.Backing != index.TierHeap {
-			t.Fatalf("shard %d: built engine tier %q, want %q", s, ss.Backing, index.TierHeap)
-		}
-	}
 	st, _ := built.PagerStats()
-	if st.DiskReads != 0 {
-		t.Fatalf("built engine performed %d disk reads before any save", st.DiskReads)
+	if st.Evictions != 0 || st.DiskReads != 0 || st.Resident != 0 {
+		t.Fatalf("built engine paged before any save: %+v", st)
 	}
 
 	path := filepath.Join(t.TempDir(), "rebind.snap")
 	if err := SaveEngineFile(path, built, ""); err != nil {
 		t.Fatal(err)
 	}
-	for s, ss := range built.ShardStats() {
-		if ss.Backing != index.TierDisk {
-			t.Errorf("shard %d: tier %q after save, want %q", s, ss.Backing, index.TierDisk)
-		}
-	}
 	before, _ := built.PagerStats()
+	if before.Evictions == 0 {
+		t.Error("saving under a 1-byte budget evicted no shard")
+	}
 	if got := mustCanonical(t, built, queries); got != want {
 		t.Error("re-bound engine diverges from its pre-save answers")
 	}
 	after, _ := built.PagerStats()
 	if after.DiskReads == before.DiskReads {
 		t.Error("re-bound engine answered without paging from the new snapshot")
+	}
+}
+
+// TestUnsavedIngestStaysResident: generations derived from an unsaved
+// budgeted engine have no snapshot to page from, so the pager tracks none
+// of their shards — in particular not the tail shards each ingest
+// replaces, which would otherwise stay reachable through it forever.
+func TestUnsavedIngestStaysResident(t *testing.T) {
+	c := corpusConfigs()[0]
+	raw := renderXML(t, c.gen(c.scale))
+	cfg := c.cfg
+	cfg.Shards = 4
+	cfg.ResidentBudget = 1
+	const gens = 5
+	cut := len(raw) - gens
+	if cut < 1 {
+		t.Fatalf("corpus of %d docs too small for %d ingests", len(raw), gens)
+	}
+	eng := scratchEngine(t, raw[:cut], cfg)
+	for i := 0; i < gens; i++ {
+		next, err := eng.AddDocumentsXML(raw[cut+i : cut+i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng = next
+		mustCanonical(t, eng, pickQueries(eng))
+		if st, _ := eng.PagerStats(); st.Resident != 0 || st.Evictions != 0 {
+			t.Fatalf("generation %d: pager tracks %d shards (%d evictions), want none", i+1, st.Resident, st.Evictions)
+		}
+	}
+}
+
+// TestBackingSurvivesRenameOver: a save that renames another engine's
+// snapshot over the file a paged engine was loaded from leaves that engine
+// paging from the inode it decoded — the handle it read the file through.
+func TestBackingSurvivesRenameOver(t *testing.T) {
+	_, cfg, path, queries, want := backingFixture(t)
+	pcfg := cfg
+	pcfg.ResidentBudget = 1
+	paged, err := LoadEngineFile(path, pcfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := corpusConfigs()[1]
+	other := scratchEngine(t, renderXML(t, c.gen(c.scale)), c.cfg)
+	if err := SaveEngineFile(path, other, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustCanonical(t, paged, queries); got != want {
+		t.Error("paged engine diverges after another snapshot was renamed over its file")
+	}
+	if st, _ := paged.PagerStats(); st.DiskReads == 0 {
+		t.Error("paged engine answered without a single disk read")
 	}
 }
 

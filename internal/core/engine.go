@@ -85,15 +85,16 @@ type Config struct {
 	Shards int
 	// ResidentBudget bounds the total exact encoded bytes of index shards
 	// whose decoded form is held in memory. 0 (the default) keeps every
-	// shard fully resident. A positive budget enables paging: shards
-	// decode on first touch and the least-recently-touched ones are
-	// evicted back to their encoded payloads when the budget is exceeded.
-	// Those payloads are re-read from the snapshot file whenever the
-	// engine has one (a load, or a built engine after its first save) and
-	// stay on the heap otherwise. Like Parallelism, it is environment,
-	// not identity: answers are byte-identical at every budget, the field
-	// is excluded from the snapshot fingerprint, and it is never
-	// persisted.
+	// shard fully resident. A positive budget enables paging over the
+	// shards that have a section in a snapshot file (LoadEngineFile, or a
+	// built engine after its first SaveEngineFile): they decode on first
+	// touch, and the least-recently-touched ones are evicted when the
+	// budget is exceeded, to be re-read from the file. A shard with no
+	// section — built, ingested or loaded from a stream, and not yet
+	// saved — stays resident outside the budget. Like Parallelism, it is
+	// environment, not identity: answers are byte-identical at every
+	// budget, the field is excluded from the snapshot fingerprint, and it
+	// is never persisted.
 	ResidentBudget int64
 }
 

@@ -128,8 +128,8 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 // evaluator, summarizer, cube builder) and the session state: fresh for a
 // root (prev == nil), whose pager is created under cfg.ResidentBudget,
 // and inherited from prev otherwise. Attaching the pager admits the
-// index's resident shards and evicts down to the budget, which is how a
-// built, extended, compacted or loaded index joins the paging regime.
+// index's resident shards that have a snapshot section and evicts down to
+// the budget; the others join when a save binds them (BindBacking).
 func seal(prev *Engine, cfg Config, l layers, timings map[string]time.Duration) *Engine {
 	e := &Engine{
 		col:          l.col,

@@ -12,7 +12,7 @@ import (
 )
 
 // The tentpole invariant of lazy residency: a paged engine — shards
-// decoded on first touch, cold ones evicted back to their encoded
+// decoded on first touch, cold ones evicted back to their snapshot
 // sections under a byte budget — answers top-k, context summaries, and
 // connection summaries byte-identically to a fully-resident engine, at
 // any budget, including after eviction→page-in cycles and incremental
@@ -170,7 +170,6 @@ func TestPagingMetrics(t *testing.T) {
 		"seda_paging_pageins_total",
 		"seda_paging_evictions_total",
 		"seda_paging_resident_bytes",
-		"seda_paging_encoded_heap_bytes",
 		"seda_paging_pagein_seconds",
 		"seda_paging_disk_reads_total",
 		"seda_paging_disk_read_seconds",

@@ -227,11 +227,11 @@ func SaveEngineFile(path string, e *Engine, source string) error {
 	}
 	// A paged engine re-binds its shards to the file just written: the
 	// codec is canonical, so each index.<n> section is byte-equal to the
-	// shard's current encoding and eviction may now drop encoded payloads
-	// to disk (this is how a BUILT engine graduates from heap-backed to
-	// disk-backed residency). Best-effort: on failure shards keep their
-	// previous tier — an old file's refs stay readable through their open
-	// descriptors even after the rename unlinked it.
+	// shard's current encoding, and a shard bound to one becomes evictable
+	// (this is how a BUILT engine comes under its budget). Best-effort: on
+	// failure shards keep their previous refs — an old file's stay
+	// readable through their open descriptors even after the rename
+	// unlinked it — and unbound shards stay resident.
 	if e.pager != nil {
 		rebindBacking(path, e)
 	}
@@ -239,22 +239,21 @@ func SaveEngineFile(path string, e *Engine, source string) error {
 }
 
 // rebindBacking points every index shard at its section inside the
-// snapshot at path. Only the container framing is scanned (ScanSections
-// skips payloads); page-in re-verifies each section's CRC anyway.
+// snapshot at path. The file is opened once: the handle the framing is
+// scanned through (ScanSections skips payloads) becomes the Backing, so
+// the refs name the inode that was scanned even if another save renames
+// over path meanwhile. Page-in re-verifies each section's CRC anyway.
 func rebindBacking(path string, e *Engine) {
 	f, err := os.Open(path)
 	if err != nil {
 		return
 	}
 	sections, err := snapcodec.ScanSections(f, snapshotFormatVersion)
-	f.Close()
 	if err != nil {
+		f.Close()
 		return
 	}
-	b, err := index.OpenBacking(path)
-	if err != nil {
-		return
-	}
+	b := index.NewBacking(f)
 	for _, sec := range sections {
 		if !strings.HasPrefix(sec.Name, secIndexShard) {
 			continue
@@ -264,7 +263,7 @@ func rebindBacking(path string, e *Engine) {
 			continue
 		}
 		// A size mismatch (BindBacking rejects it) leaves that shard on its
-		// previous tier; the other shards still re-bind.
+		// previous ref; the other shards still re-bind.
 		_ = e.ix.BindBacking(s, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
 	}
 }
@@ -273,17 +272,18 @@ func rebindBacking(path string, e *Engine) {
 // a fingerprint difference (or, when source is non-empty, a source-tag
 // difference) returns ErrConfigMismatch and the caller should rebuild.
 // cfg.Parallelism bounds the snapshot's decode workers and the loaded
-// engine's search fetch scatter, and cfg.ResidentBudget applies to its
-// shard residency (> 0 defers shard payload decodes to first touch and
-// evicts cold shards past the budget); cfg.Shards is ignored — the engine
+// engine's search fetch scatter; cfg.Shards is ignored — the engine
 // adopts the shard layout stored in the snapshot (shard count never
-// changes a query answer).
+// changes a query answer). A stream is no paging backstore, so the
+// engine loads fully resident even under a positive cfg.ResidentBudget;
+// its pager is attached all the same, and the shards come under it once
+// SaveEngineFile gives them a file.
 func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	le, err := loadEngine(data, "", &cfg, source, cfg)
+	le, err := loadEngine(data, nil, &cfg, source, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -292,14 +292,10 @@ func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 
 // LoadEngineFile is LoadEngine over a file. With a positive
 // cfg.ResidentBudget the file additionally becomes the paging backstore:
-// each shard is handed a ref to its section so eviction drops the encoded
-// payload too and page-in re-reads it from disk.
+// each shard is handed a ref to its section, its postings stay cold until
+// first touch, and eviction under the budget drops them again.
 func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: load engine: %w", err)
-	}
-	le, err := loadEngine(data, path, &cfg, source, cfg)
+	le, err := loadEngineFile(path, &cfg, source, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -323,11 +319,42 @@ type LoadedEngine struct {
 // file that is not a snapshot is ErrNotSnapshot, and a container of another
 // format version is snapcodec.ErrVersion; either means rebuild from source.
 func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
-	data, err := os.ReadFile(path)
+	return loadEngineFile(path, nil, "", env)
+}
+
+// loadEngineFile opens the snapshot at path once and reads it whole
+// through that handle. Under a positive env.ResidentBudget the same handle
+// becomes the shards' Backing, so the bytes decoded and the bytes paged
+// in later come from one inode even if a save renames over path
+// meanwhile; otherwise it is closed after the read.
+func loadEngineFile(path string, want *Config, source string, env Config) (*LoadedEngine, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w", err)
 	}
-	return loadEngine(data, path, nil, "", env)
+	// Size the buffer from the file, as os.ReadFile does, so a large
+	// snapshot is not re-copied while a buffer grows.
+	var data []byte
+	fi, err := f.Stat()
+	if err == nil {
+		data = make([]byte, fi.Size())
+		_, err = io.ReadFull(f, data)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("core: load engine: %w", err)
+	}
+	var b *index.Backing
+	if env.ResidentBudget > 0 {
+		b = index.NewBacking(f)
+	} else {
+		f.Close()
+	}
+	le, err := loadEngine(data, b, want, source, env)
+	if err != nil && b != nil {
+		f.Close()
+	}
+	return le, err
 }
 
 func resolveParallelism(p int) int {
@@ -342,13 +369,13 @@ func resolveParallelism(p int) int {
 // match source when source is non-empty); when nil the stored config is
 // adopted. env supplies the environment fields, which come from the caller
 // and never from the snapshot: Parallelism bounds the decode workers and
-// the engine's searches, and ResidentBudget > 0 enables paged residency —
-// shard sections are parsed but their posting payloads stay encoded until
-// first touch, and a pager evicts decoded shards back to those payloads
-// whenever their total exact encoded size exceeds the budget. A non-empty
-// path names the file data was read from; with a pager it becomes the
-// paging backstore.
-func loadEngine(data []byte, path string, want *Config, source string, env Config) (*LoadedEngine, error) {
+// the engine's searches, and ResidentBudget > 0 attaches a pager. b, when
+// non-nil, is the file data was read from: each shard is decoded with a
+// ref to its section there, its posting payload stays cold until first
+// touch, and the pager evicts decoded shards back to their sections
+// whenever their total exact encoded size exceeds the budget. With a nil
+// b every shard decodes fully resident.
+func loadEngine(data []byte, b *index.Backing, want *Config, source string, env Config) (*LoadedEngine, error) {
 	t0 := time.Now()
 	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)
 	if err != nil {
@@ -439,7 +466,7 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 
 	// The index's shard roster: index.0 … index.N-1. The full Sections are
 	// kept — their Offset/Size/CRC become the shards' backing refs when the
-	// snapshot file doubles as the paging backstore.
+	// snapshot file is the paging backstore.
 	var shardSections []snapcodec.Section
 	for {
 		s, ok := byName[fmt.Sprintf("%s%d", secIndexShard, len(shardSections))]
@@ -485,15 +512,16 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 			}
 		},
 	}
-	decodeShard := index.DecodeShard
-	if env.ResidentBudget > 0 {
-		decodeShard = index.DecodeShardPaged
-	}
 	for i := range shardSections {
 		i := i
 		jobs = append(jobs, func() {
 			t := time.Now()
-			shards[i], shardErrs[i] = decodeShard(snapcodec.NewReader(shardSections[i].Payload), col)
+			sec := shardSections[i]
+			var ref *index.BackingRef
+			if b != nil {
+				ref = index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC)
+			}
+			shards[i], shardErrs[i] = index.DecodeShard(snapcodec.NewReader(sec.Payload), col, ref)
 			shardTimes[i] = time.Since(t)
 		})
 	}
@@ -538,18 +566,6 @@ func loadEngine(data []byte, path string, want *Config, source string, env Confi
 	le.Config = storedCfg
 
 	e := seal(nil, storedCfg, layers{col: col, ix: ix, g: g, dg: dg}, timings)
-	// Disk-backed residency: hand each shard a ref to its section in the
-	// snapshot file, so eviction drops the encoded payload too and page-in
-	// re-reads (and re-verifies) it from disk. Best-effort — on an open or
-	// bind failure the affected shards keep their in-heap encoded payloads,
-	// exactly like a built not-yet-saved engine or an in-memory load.
-	if e.pager != nil && path != "" {
-		if b, err := index.OpenBacking(path); err == nil {
-			for i, sec := range shardSections {
-				_ = ix.BindBacking(i, index.NewBackingRef(b, sec.Offset, sec.Size, sec.CRC))
-			}
-		}
-	}
 	timings["load"] = time.Since(t0)
 	le.Engine = e
 	return le, nil

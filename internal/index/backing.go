@@ -8,13 +8,13 @@ import (
 	"seda/internal/snapcodec"
 )
 
-// Disk-backed shard residency: a loaded engine's snapshot file doubles as
-// the paging backstore. Each shard may carry a BackingRef — the open file
-// plus its section's offset, length, and roster CRC — so eviction drops
-// BOTH the decoded state and the in-heap encoded payload, and page-in
-// pread()s the section back and re-verifies its CRC before decoding.
-// Built-not-yet-saved shards have no ref and degrade to in-heap encoded
-// eviction.
+// Disk-backed shard residency: a loaded or saved engine's snapshot file
+// doubles as the paging backstore. A shard carries a BackingRef — the
+// open file plus its section's offset, length, and roster CRC — and only
+// a shard with one is ever evicted: eviction drops the decoded state, and
+// page-in pread()s the section back and re-verifies its CRC before
+// decoding. A shard without a section (built or extended in memory, not
+// yet saved) stays resident and outside the pager.
 //
 // Refs are never invalidated in place. A save re-binds every shard to the
 // new file wholesale (the codec is canonical, so the new section bytes
@@ -23,16 +23,6 @@ import (
 // through the open descriptor — and os.File's finalizer closes it when
 // the last ref is collected.
 
-// Residency-tier names reported by ShardStats.Backing and /debug/stats.
-const (
-	// TierHeap: the shard's encoded payload (when evicted) lives on the
-	// Go heap — the PR 8 behavior, and the only tier for built engines.
-	TierHeap = "heap"
-	// TierDisk: the encoded payload lives in the snapshot file; page-in
-	// pread()s the section back.
-	TierDisk = "disk"
-)
-
 // Backing is one open snapshot file serving as a paging backstore, shared
 // by every shard loaded from it. Immutable once opened; reads are
 // positional (pread), so no mutable file offset exists and concurrent
@@ -40,27 +30,22 @@ const (
 //
 //seda:immutable
 type Backing struct {
-	path string
-	f    *os.File
+	f *os.File
 }
 
-// OpenBacking opens the snapshot at path as a paging backstore. The
-// handle is closed by os.File's own finalizer.
+// NewBacking makes f the paging backstore of the shards bound to it. The
+// caller hands over f — the same handle the sections were read or scanned
+// through, so every ref names the inode that was decoded — and it is
+// closed by os.File's own finalizer.
 //
 //seda:constructor
-func OpenBacking(path string) (*Backing, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: opening backing store: %w", err)
-	}
-	return &Backing{path: path, f: f}, nil
-}
+func NewBacking(f *os.File) *Backing { return &Backing{f: f} }
 
 // read returns a fresh buffer holding the size bytes at off.
 func (b *Backing) read(off int64, size int) ([]byte, error) {
 	buf := make([]byte, size)
 	if _, err := b.f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("%w: reading section [%d, +%d) from %s: %v", snapcodec.ErrCorrupt, off, size, b.path, err)
+		return nil, fmt.Errorf("%w: reading section [%d, +%d) from %s: %v", snapcodec.ErrCorrupt, off, size, b.f.Name(), err)
 	}
 	return buf, nil
 }
@@ -94,35 +79,34 @@ func (ref *BackingRef) payload() ([]byte, error) {
 		return nil, err
 	}
 	if got := snapcodec.Checksum(p); got != ref.crc {
-		return nil, fmt.Errorf("%w: shard section checksum mismatch (stored %08x, computed %08x) in %s", snapcodec.ErrCorrupt, ref.crc, got, ref.b.path)
+		return nil, fmt.Errorf("%w: shard section checksum mismatch (stored %08x, computed %08x) in %s", snapcodec.ErrCorrupt, ref.crc, got, ref.b.f.Name())
 	}
 	return p, nil
 }
 
-// Size returns the section's length in bytes.
-func (ref *BackingRef) Size() int { return ref.size }
-
 // BindBacking points shard s at its encoded section in the snapshot file:
-// from here on, eviction drops the in-heap encoded payload too, and
-// page-in re-reads the section. The section size must equal the shard's
-// exact encoded size — the codec is canonical, so a loaded-or-saved
-// shard's bytes ARE the section bytes; a mismatch means the caller bound
-// the wrong section (or a stale file) and is rejected before the heap
-// payload is dropped.
+// from here on the shard is evictable, and page-in re-reads the section.
+// A resident shard joins its pager here — this is how a built engine
+// comes under its budget at its first save. The section size must equal
+// the shard's exact encoded size — the codec is canonical, so a
+// loaded-or-saved shard's bytes ARE the section bytes; a mismatch means
+// the caller bound the wrong section (or a stale file) and is rejected.
 func (ix *Index) BindBacking(s int, ref *BackingRef) error {
 	sh := ix.shards[s]
 	if int64(ref.size) != sh.exactBytes() {
 		return fmt.Errorf("index: shard [%d,%d): section size %d != exact encoded size %d", sh.lo, sh.hi, ref.size, sh.exactBytes())
 	}
-	// Computing the lazy length may encode from the in-memory tiers, so it
-	// must happen before the heap payload drops.
-	sh.lazyLength()
-	sh.mu.Lock()
+	// Disk page-in slices the lazy block out of the section by its length.
+	// A built shard measures it here, from its decoded state; a cold shard
+	// is already bound and had it recorded when it was decoded.
+	if d := sh.data.Load(); d != nil && sh.lazyLen.Load() == 0 {
+		var w snapcodec.Writer
+		sh.encodeLazy(&w, d)
+		sh.lazyLen.Store(int64(w.Len()))
+	}
 	sh.backing.Store(ref)
-	rp := sh.raw.Swap(nil) // the disk section supersedes the heap copy
-	sh.mu.Unlock()
-	if p := sh.pager.Load(); p != nil && rp != nil {
-		p.noteRaw(sh)
+	if p := sh.pager.Load(); p != nil && sh.data.Load() != nil {
+		p.admit(sh, false, 0)
 	}
 	return nil
 }
@@ -144,9 +128,9 @@ func (sh *Shard) pageInBacked(ref *BackingRef) (*shardData, error) {
 	if ll < 0 || ll > len(payload) {
 		return nil, fmt.Errorf("index: paging in shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
 	}
-	// Unlike the in-heap path, the bytes may have changed since load (CRC
-	// collisions are possible against a non-cryptographic checksum), so a
-	// decode failure is an error, not an invariant violation.
+	// The bytes may have changed since load (CRC collisions are possible
+	// against a non-cryptographic checksum), so a decode failure is an
+	// error, not an invariant violation.
 	d, err := sh.decodeLazy(payload[len(payload)-ll:])
 	if err != nil {
 		return nil, fmt.Errorf("index: paging in shard [%d,%d): %w", sh.lo, sh.hi, err)

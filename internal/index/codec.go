@@ -44,9 +44,8 @@ func (ix *Index) EncodeShard(w *snapcodec.Writer, s int) error {
 
 // encodeInto appends the shard's compressed payload: version and range,
 // the summary block, then the lazy block (re-encoded from the decoded
-// state when resident, spliced from the stored in-heap bytes or the
-// backing section when cold). The error is a disk re-read failure on a
-// fully evicted disk-backed shard.
+// state when resident, spliced from the backing section when cold). The
+// error is a disk re-read failure on a cold shard.
 func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 	w.Int(shardCodecVersion)
 	w.Int(sh.lo)
@@ -88,26 +87,20 @@ func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 		sh.encodeLazy(w, d)
 		return nil
 	}
-	if rp := sh.raw.Load(); rp != nil {
-		w.Raw(*rp)
-		return nil
+	// Cold: re-read the section from the snapshot file and splice its lazy
+	// block — the codec is canonical, so the section's lazy tail IS the
+	// shard's current lazy encoding. A shard without decoded state always
+	// has a backing ref (see Shard).
+	payload, err := sh.backing.Load().payload()
+	if err != nil {
+		return fmt.Errorf("index: encoding shard [%d,%d): %w", sh.lo, sh.hi, err)
 	}
-	// Fully evicted: re-read the section from the snapshot file and splice
-	// its lazy block — the codec is canonical, so the section's lazy tail
-	// IS the shard's current lazy encoding.
-	if ref := sh.backing.Load(); ref != nil {
-		payload, err := ref.payload()
-		if err != nil {
-			return fmt.Errorf("index: encoding shard [%d,%d): %w", sh.lo, sh.hi, err)
-		}
-		ll := int(sh.lazyLen.Load())
-		if ll < 0 || ll > len(payload) {
-			return fmt.Errorf("index: encoding shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
-		}
-		w.Raw(payload[len(payload)-ll:])
-		return nil
+	ll := int(sh.lazyLen.Load())
+	if ll < 0 || ll > len(payload) {
+		return fmt.Errorf("index: encoding shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
 	}
-	panic(fmt.Sprintf("index: shard [%d,%d) has no decoded state, encoded payload, or backing ref", sh.lo, sh.hi))
+	w.Raw(payload[len(payload)-ll:])
+	return nil
 }
 
 // exactBytes returns the exact encoded size of the shard's full payload —
@@ -120,9 +113,9 @@ func (sh *Shard) exactBytes() int64 {
 	}
 	var w snapcodec.Writer
 	if err := sh.encodeInto(&w); err != nil {
-		// Unreachable: encBytes is always cached before a shard can become
-		// disk-only (BindBacking validates against it), and the in-memory
-		// encode paths cannot fail.
+		// Unreachable: encBytes is always cached before a shard can go
+		// cold (decoding seeds it, BindBacking validates against it), and
+		// encoding decoded state cannot fail.
 		panic(fmt.Sprintf("index: sizing shard [%d,%d): %v", sh.lo, sh.hi, err))
 	}
 	b := int64(w.Len())
@@ -130,63 +123,16 @@ func (sh *Shard) exactBytes() int64 {
 	return b
 }
 
-// lazyLength returns the shard's encoded lazy-block length, computing and
-// caching it if needed (from the in-heap payload, or by encoding the
-// decoded state). BindBacking calls this before dropping the heap payload
-// so disk page-in can always slice the lazy block out of the section.
-func (sh *Shard) lazyLength() int64 {
-	if ll := sh.lazyLen.Load(); ll != 0 {
-		return ll
-	}
-	var ll int64
-	if rp := sh.raw.Load(); rp != nil {
-		ll = int64(len(*rp))
-	} else if d := sh.data.Load(); d != nil {
-		var w snapcodec.Writer
-		sh.encodeLazy(&w, d)
-		ll = int64(w.Len())
-	} else {
-		// Unreachable for the same reason as exactBytes: a shard goes
-		// disk-only via BindBacking, which computes this first.
-		panic(fmt.Sprintf("index: shard [%d,%d): lazy length unknown with no in-memory tier", sh.lo, sh.hi))
-	}
-	sh.lazyLen.Store(ll)
-	return ll
-}
-
-// tryEvict drops the shard's decoded state. With a backing ref this is a
-// TRUE eviction: the in-heap encoded payload is dropped too, and the next
-// touch re-reads the section from the snapshot file. Without one the
-// lazy block is re-encoded into raw first (built or extended in memory,
-// nothing on disk yet). Readers already holding the decoded pointer keep
-// a consistent view — the maps are immutable — so eviction never blocks
-// or corrupts in-flight queries. Reports whether a transition happened.
+// tryEvict drops the shard's decoded state; the next touch re-reads the
+// section from the snapshot file. Only the pager calls it, and the pager
+// tracks only shards with a backing ref. Readers already holding the
+// decoded pointer keep a consistent view — the maps are immutable — so
+// eviction never blocks or corrupts in-flight queries. Reports whether a
+// transition happened.
 func (sh *Shard) tryEvict() bool {
 	sh.mu.Lock()
-	d := sh.data.Load()
-	if d == nil {
-		sh.mu.Unlock()
-		return false
-	}
-	var rawChanged bool
-	if sh.backing.Load() != nil {
-		rawChanged = sh.raw.Swap(nil) != nil
-	} else if sh.raw.Load() == nil {
-		var w snapcodec.Writer
-		sh.encodeLazy(&w, d)
-		b := w.Bytes()
-		sh.lazyLen.Store(int64(len(b)))
-		sh.raw.Store(&b)
-		rawChanged = true
-	}
-	sh.data.Store(nil)
-	sh.mu.Unlock()
-	if rawChanged {
-		if p := sh.pager.Load(); p != nil {
-			p.noteRaw(sh)
-		}
-	}
-	return true
+	defer sh.mu.Unlock()
+	return sh.data.Swap(nil) != nil
 }
 
 // encodeLazy appends the delta-compressed lazy block: per term (in
@@ -295,28 +241,21 @@ func sharedStrPrefixLen(a, b string) int {
 	return n
 }
 
-// DecodeShard reads one shard, binding it to col and materializing it
-// fully. Shards decode independently (and hence in parallel); FromShards
+// DecodeShard reads one shard payload, binding it to col. The summary
+// block is decoded and validated eagerly. With a nil ref the lazy block is
+// materialized too; otherwise ref names the payload's own section in the
+// snapshot file, and the lazy block is parse-validated but left cold: the
+// first query touch re-reads it from there (Shard.hot), and no copy of
+// the bytes is kept. Either way a malformed payload is rejected here.
+// Shards decode independently (and hence in parallel); FromShards
 // reassembles and validates the full index.
-func DecodeShard(r *snapcodec.Reader, col *store.Collection) (*Shard, error) {
-	return decodeShard(r, col, false)
-}
-
-// DecodeShardPaged reads only a shard's summary block, validates the lazy
-// block without materializing it, and keeps a private copy of the encoded
-// bytes for demand paging: the first query touch decodes them (Shard.hot).
-func DecodeShardPaged(r *snapcodec.Reader, col *store.Collection) (*Shard, error) {
-	return decodeShard(r, col, true)
-}
-
-// decodeShard reads a shard payload: the summary block is decoded and
-// validated eagerly; the lazy block is either materialized (resident load)
-// or parse-validated and retained as bytes (paged load). Either way a
-// malformed payload is rejected here, never at page-in time.
 //
 //seda:constructor
-func decodeShard(r *snapcodec.Reader, col *store.Collection, paged bool) (*Shard, error) {
+func DecodeShard(r *snapcodec.Reader, col *store.Collection, ref *BackingRef) (*Shard, error) {
 	total := r.Remaining()
+	if ref != nil && ref.size != total {
+		return nil, fmt.Errorf("index: decode shard: section size %d != payload size %d", ref.size, total)
+	}
 	if v := r.Int(); r.Err() == nil && v != shardCodecVersion {
 		return nil, fmt.Errorf("index: unsupported shard codec version %d (rebuild from source)", v)
 	}
@@ -434,14 +373,11 @@ func decodeShard(r *snapcodec.Reader, col *store.Collection, paged bool) (*Shard
 
 	lazy := r.Tail()
 	r.Skip(len(lazy))
-	if paged {
+	if ref != nil {
 		if err := sh.validateLazy(lazy); err != nil {
 			return nil, err
 		}
-		// Own the block: aliasing the container buffer would pin the whole
-		// snapshot in memory for the lifetime of one cold shard.
-		blk := append([]byte(nil), lazy...)
-		sh.raw.Store(&blk)
+		sh.backing.Store(ref)
 	} else {
 		d, err := sh.decodeLazy(lazy)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,15 +12,13 @@ import (
 )
 
 // Disk-backed residency, white-box: a shard bound to its encoded section
-// in a file truly evicts (no in-heap encoded payload), pages back in
-// through one CRC-verified read no matter how many goroutines race for
-// it, and classifies a hostile backstore as an error — never a panic,
-// never a silently wrong answer.
+// in a file evicts to nothing but its ref, pages back in through one
+// CRC-verified read no matter how many goroutines race for it, and
+// classifies a hostile backstore as an error — never a panic, never a
+// silently wrong answer.
 
 // bindFixture builds the single-shard fixture, writes its encoded payload
-// to a file, and binds the shard to it. The section is the whole file
-// (offset 0), which is all BackingRef needs — container framing is the
-// loader's business.
+// to a file, and binds the shard to it under a 1-byte budget.
 func bindFixture(t *testing.T) (ix *Index, p *Pager, path string, payload []byte) {
 	t.Helper()
 	_, ix = buildFixture(t)
@@ -29,17 +26,10 @@ func bindFixture(t *testing.T) (ix *Index, p *Pager, path string, payload []byte
 		t.Fatalf("fixture has %d shards, want 1", ix.NumShards())
 	}
 	payload = encodeShardBytes(t, ix, 0)
-	path = filepath.Join(t.TempDir(), "shard.bin")
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	ref, path := backedRef(t, payload)
 	p = NewPager(1)
 	ix.AttachPager(p)
-	b, err := OpenBacking(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.BindBacking(0, NewBackingRef(b, 0, len(payload), snapcodec.Checksum(payload))); err != nil {
+	if err := ix.BindBacking(0, ref); err != nil {
 		t.Fatal(err)
 	}
 	return ix, p, path, payload
@@ -48,49 +38,32 @@ func bindFixture(t *testing.T) (ix *Index, p *Pager, path string, payload []byte
 func TestDiskBackingLifecycle(t *testing.T) {
 	_, ix := buildFixture(t)
 	payload := encodeShardBytes(t, ix, 0)
-	path := filepath.Join(t.TempDir(), "shard.bin")
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := backedRef(t, payload)
 	p := NewPager(1)
 	ix.AttachPager(p)
 	sh := ix.shards[0]
 	want := mustHot(t, sh).postings
 
-	// Heap tier first: eviction without a backing ref re-encodes onto the
-	// heap, and the honesty gauge charges it.
-	if got := sh.backingTier(); got != TierHeap {
-		t.Fatalf("unbound shard tier = %q, want %q", got, TierHeap)
+	// An unbound shard has nowhere to page back from: the pager leaves it
+	// resident and untracked. Binding admits it.
+	if st := p.Stats(); st.Resident != 0 {
+		t.Fatalf("unbound shard tracked: Resident = %d, want 0", st.Resident)
 	}
+	if err := ix.BindBacking(0, ref); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Resident != 1 || st.ResidentBytes != int64(len(payload)) {
+		t.Fatalf("bound shard: Resident = %d (%d bytes), want 1 (%d bytes)", st.Resident, st.ResidentBytes, len(payload))
+	}
+
+	// True eviction drops the decoded state; page-in reads the section
+	// once and reproduces it.
 	if !sh.tryEvict() {
-		t.Fatal("tryEvict on a hot shard reported no transition")
+		t.Fatal("tryEvict on a bound hot shard reported no transition")
 	}
-	if st := p.Stats(); st.EncodedHeapBytes <= 0 {
-		t.Fatalf("heap-evicted EncodedHeapBytes = %d, want > 0 (the lazy block)", st.EncodedHeapBytes)
+	if sh.data.Load() != nil {
+		t.Fatal("eviction left decoded state behind")
 	}
-
-	// Binding drops the heap payload and flips the tier.
-	b, err := OpenBacking(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.BindBacking(0, NewBackingRef(b, 0, len(payload), snapcodec.Checksum(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if sh.raw.Load() != nil {
-		t.Fatal("bound shard kept its in-heap encoded payload")
-	}
-	if st := p.Stats(); st.EncodedHeapBytes != 0 {
-		t.Fatalf("bound EncodedHeapBytes = %d, want 0", st.EncodedHeapBytes)
-	}
-	if got := sh.backingTier(); got != TierDisk {
-		t.Fatalf("bound shard tier = %q, want %q", got, TierDisk)
-	}
-	if got := ix.ShardStats()[0].Backing; got != TierDisk {
-		t.Fatalf("ShardStats Backing = %q, want %q", got, TierDisk)
-	}
-
-	// Page-in reads the section once and reproduces the decoded state.
 	before := p.Stats()
 	if got := mustHot(t, sh).postings; !reflect.DeepEqual(got, want) {
 		t.Fatal("postings differ after disk page-in")
@@ -100,20 +73,11 @@ func TestDiskBackingLifecycle(t *testing.T) {
 		t.Fatalf("DiskReads = %d, want %d", after.DiskReads, before.DiskReads+1)
 	}
 
-	// True eviction: with a backing ref, no encoded payload survives on
-	// the heap.
+	// A save-path encode of the evicted shard splices the section from
+	// disk, byte-identically.
 	if !sh.tryEvict() {
-		t.Fatal("tryEvict on a bound hot shard reported no transition")
+		t.Fatal("tryEvict on a paged-in shard reported no transition")
 	}
-	if sh.raw.Load() != nil || sh.data.Load() != nil {
-		t.Fatal("true eviction left heap state behind")
-	}
-	if st := p.Stats(); st.EncodedHeapBytes != 0 {
-		t.Fatalf("EncodedHeapBytes after true eviction = %d, want 0", st.EncodedHeapBytes)
-	}
-
-	// A save-path encode of the fully evicted shard splices the section
-	// from disk, byte-identically.
 	var w snapcodec.Writer
 	if err := ix.EncodeShard(&w, 0); err != nil {
 		t.Fatal(err)

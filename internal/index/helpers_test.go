@@ -1,14 +1,34 @@
 package index
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"seda/internal/pathdict"
+	"seda/internal/snapcodec"
 	"seda/internal/xmldoc"
 )
 
-// The fixtures in this package are heap-resident (no disk backing), so
-// the fallible read APIs cannot actually fail; these helpers unwrap them.
+// Most fixtures in this package are resident (no disk backing), so the
+// fallible read APIs cannot actually fail; these helpers unwrap them.
+
+// backedRef writes payload to a file of its own and returns a ref to it
+// as a whole-file section (offset 0), which is all BackingRef needs —
+// container framing is the loader's business.
+func backedRef(tb testing.TB, payload []byte) (ref *BackingRef, path string) {
+	tb.Helper()
+	path = filepath.Join(tb.TempDir(), "shard.bin")
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.Close() })
+	return NewBackingRef(NewBacking(f), 0, len(payload), snapcodec.Checksum(payload)), path
+}
 
 func mustLookup(tb testing.TB, ix *Index, term string) []Posting {
 	tb.Helper()

@@ -87,22 +87,19 @@ type Shard struct {
 	pathCounts   []int             // per-path node counts, aligned with pathIDs
 
 	// Residency state. data holds the decoded posting lists and per-path
-	// node lists; raw holds the shard's encoded lazy block (see codec.go);
-	// backing, when set, points at the shard's encoded section inside the
-	// snapshot file (see backing.go). The residency invariant: data, raw,
-	// or backing is always non-nil. Without a backing ref eviction
-	// re-encodes into raw before dropping data (PR 8 behavior); with one,
-	// eviction drops BOTH data and raw — page-in re-reads the section from
-	// disk, re-verifies its CRC, and decodes. Readers snapshot data with
-	// one atomic load and the decoded maps are immutable, so the scatter
-	// path stays lock-free once hot; mu only serializes the page-in and
-	// eviction transitions — a re-armable once that doubles as the
-	// per-shard singleflight: N concurrent queries on one cold shard queue
-	// on mu, the winner decodes, the losers find data published and return
-	// it, so the shard pays exactly one page-in.
+	// node lists; backing, when set, points at the shard's encoded section
+	// inside the snapshot file (see backing.go). The residency invariant:
+	// data != nil || backing != nil. Only a shard with a backing ref is
+	// ever evicted; page-in re-reads the section from disk, re-verifies
+	// its CRC, and decodes. Readers snapshot data with one atomic load and
+	// the decoded maps are immutable, so the scatter path stays lock-free
+	// once hot; mu only serializes the page-in and eviction transitions —
+	// a re-armable once that doubles as the per-shard singleflight: N
+	// concurrent queries on one cold shard queue on mu, the winner
+	// decodes, the losers find data published and return it, so the shard
+	// pays exactly one page-in.
 	mu      sync.Mutex
 	data    atomic.Pointer[shardData]
-	raw     atomic.Pointer[[]byte]
 	backing atomic.Pointer[BackingRef]
 	// lazyLen caches the length of the shard's encoded lazy block (the
 	// payload suffix after the summary; 0 = not yet computed). Disk
@@ -136,10 +133,10 @@ func (sh *Shard) Docs() int { return sh.hi - sh.lo }
 
 // hot returns the shard's decoded state, paging it in on first touch. The
 // resident fast path is one atomic load (plus an LRU clock store when a
-// pager is attached). The error is always nil for shards whose encoded
-// payload is in memory; only the disk-backed cold path can fail (the file
-// is outside the process's control), and then with an error classified
-// under snapcodec.ErrCorrupt — never a panic.
+// pager is attached). The error is always nil for a resident shard; only
+// the cold path can fail (it re-reads the snapshot file, which is outside
+// the process's control), and then with an error classified under
+// snapcodec.ErrCorrupt — never a panic.
 func (sh *Shard) hot() (*shardData, error) {
 	if d := sh.data.Load(); d != nil {
 		if p := sh.pager.Load(); p != nil {
@@ -150,11 +147,10 @@ func (sh *Shard) hot() (*shardData, error) {
 	return sh.pageIn()
 }
 
-// pageIn decodes the shard's encoded lazy block — from the in-heap
-// payload, or by re-reading its section from the snapshot file — and
-// publishes it. sh.mu is the singleflight: concurrent callers queue here,
-// and whoever loses the race finds data published and returns it without
-// a second decode or disk read.
+// pageIn re-reads the shard's section from the snapshot file, decodes its
+// lazy block, and publishes it. sh.mu is the singleflight: concurrent
+// callers queue here, and whoever loses the race finds data published and
+// returns it without a second decode or disk read.
 func (sh *Shard) pageIn() (*shardData, error) {
 	sh.mu.Lock()
 	if d := sh.data.Load(); d != nil { // lost the race: someone else paged in
@@ -165,24 +161,10 @@ func (sh *Shard) pageIn() (*shardData, error) {
 		return d, nil
 	}
 	start := time.Now()
-	var d *shardData
-	if rawp := sh.raw.Load(); rawp != nil {
-		// In-heap payload: fully validated when the snapshot loaded, so a
-		// decode failure here is an internal invariant violation.
-		var err error
-		if d, err = sh.decodeLazy(*rawp); err != nil {
-			sh.mu.Unlock()
-			panic(fmt.Sprintf("index: paging in pre-validated shard [%d,%d): %v", sh.lo, sh.hi, err))
-		}
-	} else if ref := sh.backing.Load(); ref != nil {
-		var err error
-		if d, err = sh.pageInBacked(ref); err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-	} else {
+	d, err := sh.pageInBacked(sh.backing.Load())
+	if err != nil {
 		sh.mu.Unlock()
-		panic(fmt.Sprintf("index: shard [%d,%d) has no decoded state, encoded payload, or backing ref", sh.lo, sh.hi))
+		return nil, err
 	}
 	sh.data.Store(d)
 	sh.mu.Unlock()
@@ -192,15 +174,6 @@ func (sh *Shard) pageIn() (*shardData, error) {
 		p.admit(sh, true, time.Since(start))
 	}
 	return d, nil
-}
-
-// backingTier names the shard's coldest available residency tier: where
-// its encoded payload would live after eviction.
-func (sh *Shard) backingTier() string {
-	if sh.backing.Load() != nil {
-		return TierDisk
-	}
-	return TierHeap
 }
 
 // Index holds the node and context indexes for one collection, fragmented
@@ -567,13 +540,9 @@ type ShardStats struct {
 	// shard, derived from the encoded section rather than estimated.
 	Bytes int64
 	// Resident reports whether the shard's decoded posting lists are in
-	// memory right now (always true without a pager).
+	// memory right now (always true without a pager, and for a shard with
+	// no snapshot section).
 	Resident bool
-	// Backing names the shard's coldest residency tier — where its encoded
-	// payload lives after eviction: TierHeap (in-heap encoded bytes, the
-	// only tier for built-not-yet-saved engines) or TierDisk (pread from
-	// the snapshot file).
-	Backing string
 	// Fetches counts term-match evaluations (scatter tasks) served by the
 	// shard since build or load — the scatter-fanout view of query load.
 	Fetches uint64
@@ -588,7 +557,6 @@ func (sh *Shard) stats() ShardStats {
 		Postings: sh.nPostings,
 		Bytes:    sh.exactBytes(),
 		Resident: sh.data.Load() != nil,
-		Backing:  sh.backingTier(),
 		Fetches:  sh.fetches.Load(),
 	}
 }

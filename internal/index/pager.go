@@ -8,12 +8,15 @@ import (
 	"seda/internal/obs"
 )
 
-// Pager applies a byte budget to the decoded shards of one engine: shards
-// page in on first touch (Shard.hot) and, when the total exact encoded
-// size of resident shards exceeds the budget, the least-recently-touched
-// ones are evicted back to their encoded payloads. The cost unit is each
-// shard's exact encoded payload size — deterministic across runs, unlike
-// heap measurement.
+// Pager applies a byte budget to the decoded shards of one engine that
+// have a section in a snapshot file: shards page in on first touch
+// (Shard.hot) and, when the total exact encoded size of tracked resident
+// shards exceeds the budget, the least-recently-touched ones are evicted
+// back to their sections. A shard without a section is never tracked: the
+// pager could not evict it, and holding it would keep every tail shard an
+// ingest replaces reachable forever. The cost unit is each shard's exact
+// encoded payload size — deterministic across runs, unlike heap
+// measurement.
 //
 // Locking: the pager's own mutex only guards the accounting (the tracked
 // set and the running total); evictions happen after it is released, and
@@ -42,14 +45,6 @@ type Pager struct {
 	mu      sync.Mutex
 	tracked map[*Shard]struct{} // guarded by mu
 	used    int64               // guarded by mu: sum of tracked shards' exact bytes
-
-	// encHeap charges each shard whose ENCODED payload currently lives on
-	// the Go heap (Shard.raw) — the honesty gauge behind
-	// seda_paging_encoded_heap_bytes: a heap-backed shard keeps paying
-	// after eviction, a disk-backed one genuinely drops to zero. Guarded
-	// by mu; reconciled by noteRaw after any raw transition.
-	encHeap map[*Shard]int64
-	encUsed int64 // guarded by mu: sum of encHeap
 }
 
 // NewPager returns a pager enforcing the given resident budget in bytes.
@@ -61,7 +56,6 @@ func NewPager(budget int64) *Pager {
 	return &Pager{
 		budget:  budget,
 		tracked: make(map[*Shard]struct{}),
-		encHeap: make(map[*Shard]int64),
 	}
 }
 
@@ -82,40 +76,14 @@ func (p *Pager) SetMetrics(m *PagingMetrics) {
 	}
 	if old != nil {
 		old.ResidentBytes.Add(-float64(p.used))
-		old.EncodedHeapBytes.Add(-float64(p.encUsed))
 	}
 	if m != nil {
 		m.ResidentBytes.Add(float64(p.used))
-		m.EncodedHeapBytes.Add(float64(p.encUsed))
 	}
 }
 
 // touch stamps sh with the next LRU clock tick.
 func (p *Pager) touch(sh *Shard) { sh.lastUse.Store(p.clock.Add(1)) }
-
-// noteRaw reconciles sh's encoded-heap charge with its CURRENT raw state:
-// charged while the encoded payload sits on the heap, zero once it drops
-// (true eviction to disk) or never materializes. Idempotent — callers
-// invoke it after any raw transition without tracking direction, and
-// racing transitions converge on the last reconciler's observation.
-func (p *Pager) noteRaw(sh *Shard) {
-	var cost int64
-	if rp := sh.raw.Load(); rp != nil {
-		cost = int64(len(*rp))
-	}
-	p.mu.Lock()
-	delta := cost - p.encHeap[sh]
-	if cost == 0 {
-		delete(p.encHeap, sh)
-	} else {
-		p.encHeap[sh] = cost
-	}
-	p.encUsed += delta
-	if m := p.metrics.Load(); m != nil && delta != 0 {
-		m.EncodedHeapBytes.Add(float64(delta))
-	}
-	p.mu.Unlock()
-}
 
 // diskRead records one backing-section read (page-in or save splice) and
 // its read+CRC-verify latency.
@@ -130,8 +98,12 @@ func (p *Pager) diskRead(dur time.Duration) {
 // admit records sh as resident, charging its exact encoded size against
 // the budget, and evicts the coldest other shards until the budget holds
 // again. pagedIn marks an admit caused by an actual cold-shard decode
-// (as opposed to registering an already-resident shard).
+// (as opposed to registering an already-resident shard). A shard without
+// a backing ref is not admitted: it stays resident, outside the budget.
 func (p *Pager) admit(sh *Shard, pagedIn bool, dur time.Duration) {
+	if sh.backing.Load() == nil {
+		return
+	}
 	p.touch(sh)
 	if pagedIn {
 		p.pageIns.Add(1)
@@ -196,13 +168,9 @@ func (p *Pager) coldestLocked(keep *Shard) *Shard {
 type PagerStats struct {
 	Budget        int64
 	ResidentBytes int64
-	Resident      int // tracked (resident) shard count
-	// EncodedHeapBytes is the encoded payload bytes currently on the Go
-	// heap (evicted heap-backed shards; zero when every evicted shard
-	// pages from disk).
-	EncodedHeapBytes int64
-	PageIns          uint64
-	Evictions        uint64
+	Resident      int // tracked (resident, snapshot-backed) shard count
+	PageIns       uint64
+	Evictions     uint64
 	// DiskReads counts backing-section reads from the snapshot file.
 	DiskReads uint64
 }
@@ -218,15 +186,14 @@ func (p *Pager) Stats() PagerStats {
 	p.mu.Lock()
 	st.ResidentBytes = p.used
 	st.Resident = len(p.tracked)
-	st.EncodedHeapBytes = p.encUsed
 	p.mu.Unlock()
 	return st
 }
 
-// AttachPager installs p on every shard and admits the currently resident
-// ones, which may immediately evict down to the budget — this is how a
-// freshly built (fully resident) engine converges to its configured
-// residency. A nil pager is a no-op.
+// AttachPager installs p on every shard and admits the resident ones that
+// have a backing ref, which may immediately evict down to the budget.
+// Shards without one stay resident and untracked until BindBacking gives
+// them a section. A nil pager is a no-op.
 func (ix *Index) AttachPager(p *Pager) {
 	if p == nil {
 		return
@@ -235,7 +202,6 @@ func (ix *Index) AttachPager(p *Pager) {
 		sh.pager.Store(p)
 	}
 	for _, sh := range ix.shards {
-		p.noteRaw(sh) // pick up in-heap encoded payloads (paged loads)
 		if sh.data.Load() != nil {
 			p.admit(sh, false, 0)
 		}
@@ -248,13 +214,12 @@ func (ix *Index) AttachPager(p *Pager) {
 //
 //seda:nilgated
 type PagingMetrics struct {
-	PageIns          *obs.Counter
-	Evictions        *obs.Counter
-	ResidentBytes    *obs.Gauge
-	EncodedHeapBytes *obs.Gauge
-	PageInSeconds    *obs.Histogram
-	DiskReads        *obs.Counter
-	DiskReadSeconds  *obs.Histogram
+	PageIns         *obs.Counter
+	Evictions       *obs.Counter
+	ResidentBytes   *obs.Gauge
+	PageInSeconds   *obs.Histogram
+	DiskReads       *obs.Counter
+	DiskReadSeconds *obs.Histogram
 }
 
 // NewPagingMetrics registers the paging families on reg.
@@ -263,11 +228,9 @@ func NewPagingMetrics(reg *obs.Registry) *PagingMetrics {
 		PageIns: reg.NewCounter("seda_paging_pageins_total",
 			"Cold shards decoded on first touch (including re-touch after eviction)."),
 		Evictions: reg.NewCounter("seda_paging_evictions_total",
-			"Decoded shards evicted back to their encoded payloads by the resident budget."),
+			"Decoded shards evicted back to their snapshot sections by the resident budget."),
 		ResidentBytes: reg.NewGauge("seda_paging_resident_bytes",
 			"Exact encoded bytes of shard payloads whose decoded form is resident, summed over paged engines."),
-		EncodedHeapBytes: reg.NewGauge("seda_paging_encoded_heap_bytes",
-			"Encoded shard payload bytes held on the Go heap (evicted heap-backed shards; disk-backed shards drop to zero)."),
 		PageInSeconds: reg.NewHistogram("seda_paging_pagein_seconds",
 			"Shard page-in (lazy block decode) latency in seconds.", nil),
 		DiskReads: reg.NewCounter("seda_paging_disk_reads_total",

@@ -10,11 +10,10 @@ import (
 )
 
 // The shard codec's contract: the compressed payload round-trips both
-// resident and paged decodes to identical shard state, re-encodes
-// byte-identically from any residency (resident, paged-cold, evicted),
+// resident and disk-backed decodes to identical shard state, re-encodes
+// byte-identically from any residency (resident, cold, evicted),
 // reassembles through FromShards into an index that answers like the
-// built one, and rejects malformed payloads at decode time — page-in
-// afterwards is infallible by construction.
+// built one, and rejects malformed payloads at decode time.
 
 func encodeShardBytes(tb testing.TB, ix *Index, s int) []byte {
 	tb.Helper()
@@ -39,7 +38,7 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 		orig := ix.shards[s]
 		data := encodeShardBytes(t, ix, s)
 
-		resident, err := DecodeShard(snapcodec.NewReader(data), col)
+		resident, err := DecodeShard(snapcodec.NewReader(data), col, nil)
 		if err != nil {
 			t.Fatalf("shard %d: DecodeShard: %v", s, err)
 		}
@@ -47,19 +46,20 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 			t.Fatalf("shard %d: resident decode left shard cold", s)
 		}
 		decoded[s] = resident
-		paged, err := DecodeShardPaged(snapcodec.NewReader(data), col)
+		ref, _ := backedRef(t, data)
+		paged, err := DecodeShard(snapcodec.NewReader(data), col, ref)
 		if err != nil {
-			t.Fatalf("shard %d: DecodeShardPaged: %v", s, err)
+			t.Fatalf("shard %d: DecodeShard with a ref: %v", s, err)
 		}
 		if paged.data.Load() != nil {
-			t.Fatalf("shard %d: paged decode materialized the lazy block", s)
+			t.Fatalf("shard %d: disk-backed decode materialized the lazy block", s)
 		}
-		if paged.raw.Load() == nil {
-			t.Fatalf("shard %d: paged decode kept no encoded payload", s)
+		if paged.backing.Load() != ref {
+			t.Fatalf("shard %d: disk-backed decode did not bind its ref", s)
 		}
 
-		// Summary state matches without paging; a paged re-encode splices
-		// the stored lazy block and must reproduce the payload exactly.
+		// Summary state matches without paging; a cold re-encode splices
+		// the section's lazy block and must reproduce the payload exactly.
 		if !reflect.DeepEqual(paged.terms, orig.terms) ||
 			!reflect.DeepEqual(paged.termDocFreq, orig.termDocFreq) ||
 			!reflect.DeepEqual(paged.pathTerms, orig.pathTerms) ||
@@ -167,28 +167,40 @@ func TestShardCodecHostileInputs(t *testing.T) {
 	ix := BuildSharded(col, 1, 1)
 	data := encodeShardBytes(t, ix, 0)
 
-	// Truncation sweep: every prefix errors from both decoders — the paged
-	// decoder validates the lazy block up front, so a truncated payload
-	// can never defer its failure to page-in time.
+	// unread is a ref the decoder validates against but never reads: the
+	// payload's own size, no file behind it.
+	unread := func(payload []byte) *BackingRef { return &BackingRef{size: len(payload)} }
+
+	// Truncation sweep: every prefix errors from both decode modes — the
+	// disk-backed decode validates the lazy block up front, so a truncated
+	// payload can never defer its failure to page-in time.
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeShard(snapcodec.NewReader(data[:cut]), col); err == nil {
+		if _, err := DecodeShard(snapcodec.NewReader(data[:cut]), col, nil); err == nil {
 			t.Errorf("cut=%d: resident decode accepted a truncated payload", cut)
 		}
-		if _, err := DecodeShardPaged(snapcodec.NewReader(data[:cut]), col); err == nil {
-			t.Errorf("cut=%d: paged decode accepted a truncated payload", cut)
+		if _, err := DecodeShard(snapcodec.NewReader(data[:cut]), col, unread(data[:cut])); err == nil {
+			t.Errorf("cut=%d: disk-backed decode accepted a truncated payload", cut)
 		}
 	}
+	// A ref whose section is not the payload's size names the wrong
+	// section and is refused.
+	if _, err := DecodeShard(snapcodec.NewReader(data), col, unread(data[1:])); err == nil {
+		t.Error("decode accepted a ref of the wrong section size")
+	}
 
-	// Byte-flip sweep: no flip may panic either decoder, and any flip the
-	// paged decoder accepts must page in cleanly (decode validates, page-in
-	// trusts).
+	// Byte-flip sweep: no flip may panic either decode mode, and any flip
+	// the disk-backed decode accepts must page in cleanly from its section
+	// (decode validates what page-in decodes).
 	for i := range data {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0xFF
-		if sh, err := DecodeShardPaged(snapcodec.NewReader(bad), col); err == nil {
-			sh.hot()
+		ref, _ := backedRef(t, bad)
+		if sh, err := DecodeShard(snapcodec.NewReader(bad), col, ref); err == nil {
+			if _, err := sh.hot(); err != nil {
+				t.Errorf("flip at %d: accepted payload failed its page-in: %v", i, err)
+			}
 		}
-		_, _ = DecodeShard(snapcodec.NewReader(bad), col)
+		_, _ = DecodeShard(snapcodec.NewReader(bad), col, nil)
 	}
 
 	// Alloc bombs: giant counts in a tiny payload must be rejected by the
@@ -197,11 +209,11 @@ func TestShardCodecHostileInputs(t *testing.T) {
 		t.Helper()
 		var w snapcodec.Writer
 		build(&w)
-		if _, err := DecodeShard(snapcodec.NewReader(w.Bytes()), col); err == nil {
+		if _, err := DecodeShard(snapcodec.NewReader(w.Bytes()), col, nil); err == nil {
 			t.Error("alloc-bomb payload decoded successfully")
 		}
-		if _, err := DecodeShardPaged(snapcodec.NewReader(w.Bytes()), col); err == nil {
-			t.Error("alloc-bomb payload paged-decoded successfully")
+		if _, err := DecodeShard(snapcodec.NewReader(w.Bytes()), col, unread(w.Bytes())); err == nil {
+			t.Error("alloc-bomb payload decoded disk-backed successfully")
 		}
 	}
 	bomb(func(w *snapcodec.Writer) { // vocabulary count far beyond the payload
@@ -263,11 +275,10 @@ func TestShardCodecHostileInputs(t *testing.T) {
 	})
 }
 
-// FuzzShardDecode drives both shard decoders over mutated payloads. The
-// invariant under fuzz: no input panics either decoder, and any input the
-// paged decoder accepts must survive a full page-in → evict → page-in
-// cycle (paged validation is what lets Shard.hot treat decode failure as
-// a programming error).
+// FuzzShardDecode drives both shard decode modes over mutated payloads.
+// The invariant under fuzz: no input panics either mode, and any input
+// the disk-backed decode accepts must survive a full page-in → evict →
+// page-in cycle from its section.
 func FuzzShardDecode(f *testing.F) {
 	col := store.NewCollection()
 	if _, err := col.AddXML("doc0", []byte(`<a><b>hello world hello</b><c>world</c></a>`)); err != nil {
@@ -283,7 +294,7 @@ func FuzzShardDecode(f *testing.F) {
 		f.Add(data[:len(data)/2])
 		// The same payload led by the retired codec int 1 must be refused.
 		retired := append([]byte{1}, data[1:]...)
-		if _, err := DecodeShard(snapcodec.NewReader(retired), col); err == nil {
+		if _, err := DecodeShard(snapcodec.NewReader(retired), col, nil); err == nil {
 			f.Fatalf("shard %d: codec-1 payload decoded", s)
 		}
 		f.Add(retired)
@@ -291,13 +302,18 @@ func FuzzShardDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if sh, err := DecodeShard(snapcodec.NewReader(data), col); err == nil {
+		if sh, err := DecodeShard(snapcodec.NewReader(data), col, nil); err == nil {
 			sh.hot()
 		}
-		if sh, err := DecodeShardPaged(snapcodec.NewReader(data), col); err == nil {
-			sh.hot()
+		ref, _ := backedRef(t, data)
+		if sh, err := DecodeShard(snapcodec.NewReader(data), col, ref); err == nil {
+			if _, err := sh.hot(); err != nil {
+				t.Fatalf("validated payload failed its page-in: %v", err)
+			}
 			sh.tryEvict()
-			sh.hot()
+			if _, err := sh.hot(); err != nil {
+				t.Fatalf("validated payload failed its second page-in: %v", err)
+			}
 		}
 	})
 }

@@ -280,6 +280,14 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*regEntry)}
 }
 
+// snapshotsEnabled reports whether EnableSnapshots made the registry
+// disk-backed.
+func (r *Registry) snapshotsEnabled() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.dataDir != ""
+}
+
 // EnableSnapshots makes the registry disk-backed: every engine persists to
 // dir after its first build, and `<name>.snap` files already in dir are
 // registered immediately (their engines load lazily, on first use, with
@@ -646,18 +654,14 @@ type RegistryInfo struct {
 // PagingInfo is one paged engine's residency accounting on the wire.
 type PagingInfo struct {
 	// Budget is the configured resident budget in bytes; ResidentBytes
-	// the exact encoded size of the shards currently decoded, Resident
-	// their count.
-	Budget        int64 `json:"budget_bytes"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	Resident      int   `json:"resident_shards"`
-	// EncodedHeapBytes is the encoded payload bytes evicted shards still
-	// hold on the Go heap — zero when every evicted shard pages from the
-	// snapshot file (the honesty gauge behind
-	// seda_paging_encoded_heap_bytes).
-	EncodedHeapBytes int64  `json:"encoded_heap_bytes"`
-	PageIns          uint64 `json:"page_ins"`
-	Evictions        uint64 `json:"evictions"`
+	// the exact encoded size of the snapshot-backed shards currently
+	// decoded, Resident their count. Shards not yet saved to a snapshot
+	// stay resident outside this accounting.
+	Budget        int64  `json:"budget_bytes"`
+	ResidentBytes int64  `json:"resident_bytes"`
+	Resident      int    `json:"resident_shards"`
+	PageIns       uint64 `json:"page_ins"`
+	Evictions     uint64 `json:"evictions"`
 	// DiskReads counts shard sections re-read from the snapshot backing
 	// store (page-ins and save splices).
 	DiskReads uint64 `json:"disk_reads"`
@@ -676,9 +680,6 @@ type ShardInfo struct {
 	// (always true without a resident budget; a paged shard flips as it
 	// is touched and evicted).
 	Resident bool `json:"resident"`
-	// Backing is the shard's residency tier when evicted: "heap" (encoded
-	// payload on the Go heap) or "disk" (paged in from the snapshot file).
-	Backing string `json:"backing"`
 	// Fetches counts term-fetch tasks the top-k scatter has sent to this
 	// shard since it was built or loaded (runtime state, not persisted) —
 	// uneven numbers across shards reveal a skewed document partition.
@@ -731,18 +732,17 @@ func (r *Registry) List() []RegistryInfo {
 				info.Shards = append(info.Shards, ShardInfo{
 					Lo: st.Lo, Hi: st.Hi, Docs: st.Docs,
 					Terms: st.Terms, Postings: st.Postings, Bytes: st.Bytes,
-					Resident: st.Resident, Backing: st.Backing, Fetches: st.Fetches,
+					Resident: st.Resident, Fetches: st.Fetches,
 				})
 			}
 			if ps, ok := eng.PagerStats(); ok {
 				info.Paging = &PagingInfo{
-					Budget:           ps.Budget,
-					ResidentBytes:    ps.ResidentBytes,
-					Resident:         ps.Resident,
-					EncodedHeapBytes: ps.EncodedHeapBytes,
-					PageIns:          ps.PageIns,
-					Evictions:        ps.Evictions,
-					DiskReads:        ps.DiskReads,
+					Budget:        ps.Budget,
+					ResidentBytes: ps.ResidentBytes,
+					Resident:      ps.Resident,
+					PageIns:       ps.PageIns,
+					Evictions:     ps.Evictions,
+					DiskReads:     ps.DiskReads,
 				}
 			}
 		}

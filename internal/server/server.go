@@ -102,9 +102,12 @@ type Options struct {
 	// ResidentBudget is the default per-collection shard residency budget
 	// in bytes for collections registered over HTTP without their own
 	// "resident_budget" option and for snapshots discovered at boot. 0
-	// (the default) keeps engines fully resident; > 0 pages index shards
-	// in on first touch and evicts the least-recently-used past the
-	// budget. Answers are identical at any setting.
+	// (the default) keeps engines fully resident; > 0 pages the shards of
+	// a snapshot-backed engine in on first touch and evicts the
+	// least-recently-used past the budget. Shards not yet saved to a
+	// snapshot stay resident, so the budget acts only once the registry
+	// has a snapshot directory (EnableSnapshots). Answers are identical
+	// at any setting.
 	ResidentBudget int64
 	// AccessLog, when non-nil, receives one line per completed request:
 	// remote address, method, path, status, duration, and request id.
@@ -461,6 +464,10 @@ func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 	}
 	if req.ResidentBudget < 0 {
 		writeError(w, http.StatusBadRequest, "resident_budget must be >= 0 bytes")
+		return
+	}
+	if req.ResidentBudget > 0 && !s.registry.snapshotsEnabled() {
+		writeError(w, http.StatusBadRequest, "resident_budget needs a snapshot directory: only shards saved in a snapshot can be evicted")
 		return
 	}
 	par := req.Parallelism

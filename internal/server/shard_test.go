@@ -93,3 +93,33 @@ func TestShardedAnswersMatchOverHTTP(t *testing.T) {
 		t.Errorf("top-k over HTTP diverges between 1 and 4 shards\none: %+v\nfour: %+v", one.Results, four.Results)
 	}
 }
+
+// TestCollectionResidentBudgetNeedsSnapshots: a resident budget can only
+// evict shards saved in a snapshot, so a registry without a snapshot
+// directory refuses one; a disk-backed registry accepts it and pages the
+// collection's shards from its snapshot.
+func TestCollectionResidentBudgetNeedsSnapshots(t *testing.T) {
+	mem := newTestClient(t, Options{})
+	mem.call("POST", "/collections", collectionRequest{
+		Name: "wf", Builtin: "worldfactbook", Scale: 0.02, ResidentBudget: 1,
+	}, http.StatusBadRequest, nil)
+	mem.call("POST", "/collections", collectionRequest{
+		Name: "wf", Builtin: "worldfactbook", Scale: 0.02,
+	}, http.StatusCreated, nil)
+
+	disk := newDiskClient(t, t.TempDir(), Options{})
+	disk.call("POST", "/collections", collectionRequest{
+		Name: "wf", Builtin: "worldfactbook", Scale: 0.02, Shards: 4, ResidentBudget: 1,
+	}, http.StatusCreated, nil)
+	var sess sessionResponse
+	disk.call("POST", "/sessions", sessionRequest{Collection: "wf", Query: `(*, "united states")`}, http.StatusCreated, &sess)
+	disk.call("GET", "/sessions/"+sess.Session+"/topk?k=5", nil, http.StatusOK, nil)
+	var stats statsResponse
+	disk.call("GET", "/debug/stats", nil, http.StatusOK, &stats)
+	if len(stats.Collections) != 1 || stats.Collections[0].Paging == nil {
+		t.Fatalf("budgeted collection reports no paging: %+v", stats.Collections)
+	}
+	if p := stats.Collections[0].Paging; p.DiskReads == 0 || p.Evictions == 0 {
+		t.Errorf("budgeted disk-backed collection did not page from its snapshot: %+v", p)
+	}
+}

@@ -35,9 +35,10 @@ type collectionRequest struct {
 	Shards int `json:"shards,omitempty"`
 	// ResidentBudget overrides the server's shard residency budget in
 	// bytes for this collection (0 = server default). A positive budget
-	// pages index shards in on first touch and evicts the
-	// least-recently-used past the budget; answers are identical at any
-	// setting.
+	// pages index shards in from the collection's snapshot on first touch
+	// and evicts the least-recently-used past the budget, so it is refused
+	// on a registry without a snapshot directory; answers are identical at
+	// any setting.
 	ResidentBudget int64 `json:"resident_budget,omitempty"`
 }
 

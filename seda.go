@@ -200,8 +200,8 @@ func LoadEngineFile(path string, cfg Config) (*Engine, error) {
 }
 
 // LoadEngineAuto loads an engine snapshot from path adopting its stored
-// config. Only env's environment fields apply: Parallelism,
-// ResidentBudget and Backing.
+// config. Only env's environment fields apply: Parallelism and
+// ResidentBudget.
 func LoadEngineAuto(path string, env Config) (*LoadedEngine, error) {
 	return core.LoadEngineAuto(path, env)
 }
