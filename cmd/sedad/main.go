@@ -13,9 +13,9 @@
 //	sedad -data ./data                 # disk-backed: engines persist as
 //	                                   # snapshots and survive restarts
 //	sedad -data ./data -resident-budget 64MB
-//	                                   # page index shards in from their
-//	                                   # snapshots, evict cold ones past
-//	                                   # the budget
+//	                                   # read posting runs from the
+//	                                   # snapshots on demand, cache them
+//	                                   # within the budget
 //	sedad -slowlog 250ms               # log top-k searches >= 250ms
 //	sedad -pprof                       # profiling at /debug/pprof/
 //
@@ -85,16 +85,16 @@ func parseByteSize(s string) (int64, error) {
 	return 0, errTooLarge(s)
 }
 
-// parseBudget parses the -resident-budget flag. A budget can only evict
-// shards saved in a snapshot, so a positive one without a -data directory
-// would never act and is refused.
+// parseBudget parses the -resident-budget flag. A budget only acts on
+// shards saved in a snapshot, whose runs it reads from there, so a
+// positive one without a -data directory would never act and is refused.
 func parseBudget(s, data string) (int64, error) {
 	budget, err := parseByteSize(s)
 	if err != nil {
 		return 0, err
 	}
 	if budget > 0 && data == "" {
-		return 0, errors.New("needs -data: only shards saved in a snapshot can be evicted")
+		return 0, errors.New("needs -data: only shards saved in a snapshot can be paged")
 	}
 	return budget, nil
 }
@@ -112,7 +112,7 @@ func main() {
 	preload := flag.String("preload", "", "comma-separated builtin corpora to register at startup (worldfactbook,mondial,googlebase,recipeml)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds, snapshot I/O and the top-k match fetch (0 = all cores, 1 = sequential)")
 	shards := flag.Int("shards", 0, "horizontal index shards per collection (0 = single shard; answers are identical at any setting)")
-	residentBudget := flag.String("resident-budget", "", "per-collection shard residency budget, e.g. 64MB or 1.5GB; needs -data, since shards page in from and evict to their snapshots (empty or 0 = fully resident; answers are identical at any setting)")
+	residentBudget := flag.String("resident-budget", "", "per-collection budget for decoded index runs (one term's postings or one path's node list in one shard), in bytes of heap, e.g. 64MB or 1.5GB; needs -data, since runs are read on demand from the snapshots and the least recently used are dropped past the budget (empty or 0 = fully resident; answers are identical at any setting)")
 	compactThreshold := flag.Float64("compact-threshold", 0.3, "background-compact a collection when its tombstone ratio reaches this fraction (0 disables; compaction then runs only on explicit POST /collections/{name}/compact)")
 	data := flag.String("data", "", "snapshot directory: persist engines after first build and reload them at boot (empty = memory-only)")
 	slowlog := flag.Duration("slowlog", 0, "log top-k searches taking at least this long, with their request id (0 disables)")

@@ -12,8 +12,8 @@ import (
 )
 
 // Disk-backed residency at the engine level: LoadEngineFile hands every
-// shard a backing ref into the snapshot file, eviction under a budget
-// drops decoded state that page-in re-reads from there, a shard with no
+// shard a backing ref into the snapshot file, from which each fetch reads
+// only the runs it needs into a cache under the budget, a shard with no
 // file stays resident and outside the pager, SaveEngineFile brings a
 // built paged engine under its budget, and a backstore corrupted after
 // load degrades to errors — never panics or silently wrong answers.
@@ -39,7 +39,7 @@ func backingFixture(t *testing.T) (full *Engine, cfg Config, path string, querie
 // TestBackingTiers: under a 1-byte budget, an engine loaded from a
 // snapshot file ("disk") pages from that file, and one loaded from a
 // stream ("heap") has no file to page from, so it stays fully resident:
-// no page-in, eviction or disk read, and nothing in the pager. Both answer
+// no page-in, eviction or disk read, and no run in the pager. Both answer
 // byte-identically to the built engine.
 func TestBackingTiers(t *testing.T) {
 	_, cfg, path, queries, want := backingFixture(t)
@@ -75,7 +75,7 @@ func TestBackingTiers(t *testing.T) {
 			t.Fatal("budgeted engine reports no pager")
 		}
 		if st.PageIns != 0 || st.Evictions != 0 || st.DiskReads != 0 || st.Resident != 0 {
-			t.Errorf("memory-loaded engine paged: %+v, want no page-ins, evictions, disk reads or tracked shards", st)
+			t.Errorf("memory-loaded engine paged: %+v, want no page-ins, evictions, disk reads or resident runs", st)
 		}
 		for s, ss := range loaded.ShardStats() {
 			if !ss.Resident {
@@ -87,7 +87,7 @@ func TestBackingTiers(t *testing.T) {
 
 // TestSaveRebindsBacking: a BUILT paged engine has no snapshot, so it
 // evicts nothing; SaveEngineFile binds its shards to the file it wrote,
-// and from then on the engine pages from disk under its budget.
+// and from then on the engine reads runs from disk under its budget.
 func TestSaveRebindsBacking(t *testing.T) {
 	c := corpusConfigs()[0]
 	raw := renderXML(t, c.gen(c.scale))
@@ -106,22 +106,31 @@ func TestSaveRebindsBacking(t *testing.T) {
 	if err := SaveEngineFile(path, built, ""); err != nil {
 		t.Fatal(err)
 	}
+	// Binding drops each shard's whole decoded state, one eviction each.
 	before, _ := built.PagerStats()
-	if before.Evictions == 0 {
-		t.Error("saving under a 1-byte budget evicted no shard")
+	if before.Evictions != 4 {
+		t.Errorf("saving under a 1-byte budget dropped %d of 4 shards' decoded state", before.Evictions)
+	}
+	for s, ss := range built.ShardStats() {
+		if ss.Resident {
+			t.Errorf("shard %d kept its whole decoded state after being bound", s)
+		}
 	}
 	if got := mustCanonical(t, built, queries); got != want {
 		t.Error("re-bound engine diverges from its pre-save answers")
 	}
 	after, _ := built.PagerStats()
 	if after.DiskReads == before.DiskReads {
-		t.Error("re-bound engine answered without paging from the new snapshot")
+		t.Error("re-bound engine answered without reading runs from the new snapshot")
+	}
+	if after.Resident > 1 {
+		t.Errorf("1-byte budget left %d runs resident", after.Resident)
 	}
 }
 
 // TestUnsavedIngestStaysResident: generations derived from an unsaved
-// budgeted engine have no snapshot to page from, so the pager tracks none
-// of their shards — in particular not the tail shards each ingest
+// budgeted engine have no snapshot to page from, so the pager caches no
+// run of their shards — in particular not the tail shards each ingest
 // replaces, which would otherwise stay reachable through it forever.
 func TestUnsavedIngestStaysResident(t *testing.T) {
 	c := corpusConfigs()[0]
@@ -143,7 +152,7 @@ func TestUnsavedIngestStaysResident(t *testing.T) {
 		eng = next
 		mustCanonical(t, eng, pickQueries(eng))
 		if st, _ := eng.PagerStats(); st.Resident != 0 || st.Evictions != 0 {
-			t.Fatalf("generation %d: pager tracks %d shards (%d evictions), want none", i+1, st.Resident, st.Evictions)
+			t.Fatalf("generation %d: pager holds %d runs (%d evictions), want none", i+1, st.Resident, st.Evictions)
 		}
 	}
 }
@@ -172,9 +181,9 @@ func TestBackingSurvivesRenameOver(t *testing.T) {
 	}
 }
 
-// TestHostileBackstoreEngine: flipping bytes inside every shard section
-// (and truncating the whole file) AFTER a disk-backed load turns page-ins
-// into snapcodec.ErrCorrupt errors at the engine's read API — no panics —
+// TestHostileBackstoreEngine: flipping the bytes of every shard section
+// (and truncating the whole file) AFTER a disk-backed load turns run
+// fetches into snapcodec.ErrCorrupt errors at the engine's read API — no panics —
 // and restoring the file restores byte-identical service.
 func TestHostileBackstoreEngine(t *testing.T) {
 	_, cfg, path, queries, want := backingFixture(t)
@@ -201,11 +210,16 @@ func TestHostileBackstoreEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A run fetch reads and verifies only its own run, and damage outside
+	// it does not change its answer, so every byte of every shard section
+	// is flipped: any run a lookup reads is corrupt.
 	flipped := append([]byte(nil), pristine...)
 	shardSections := 0
 	for _, sec := range sections {
 		if strings.HasPrefix(sec.Name, secIndexShard) {
-			flipped[sec.Offset+int64(sec.Size)/2] ^= 0xFF
+			for i := sec.Offset; i < sec.Offset+int64(sec.Size); i++ {
+				flipped[i] ^= 0xFF
+			}
 			shardSections++
 		}
 	}
@@ -213,13 +227,15 @@ func TestHostileBackstoreEngine(t *testing.T) {
 		t.Fatalf("scanned %d shard sections, want 4", shardSections)
 	}
 
-	// With a 1-byte budget at most one shard is resident, so a flipped
-	// byte in EVERY shard section guarantees the next full lookup crosses
-	// a corrupt page-in.
+	// With a 1-byte budget at most one run is resident: after a lookup of
+	// another term, every run of term is cold and must be read.
+	term, other := paged.ix.Terms()[0], paged.ix.Terms()[1]
+	if _, err := paged.ix.Lookup(other); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	term := paged.ix.Terms()[0]
 	if _, err := paged.ix.Lookup(term); !errors.Is(err, snapcodec.ErrCorrupt) {
 		t.Fatalf("flipped backstore: Lookup err = %v, want ErrCorrupt", err)
 	}

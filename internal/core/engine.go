@@ -83,13 +83,14 @@ type Config struct {
 	// from the snapshot fingerprint (a loaded engine adopts the layout
 	// stored in the snapshot).
 	Shards int
-	// ResidentBudget bounds the total exact encoded bytes of index shards
-	// whose decoded form is held in memory. 0 (the default) keeps every
-	// shard fully resident. A positive budget enables paging over the
-	// shards that have a section in a snapshot file (LoadEngineFile, or a
-	// built engine after its first SaveEngineFile): they decode on first
-	// touch, and the least-recently-touched ones are evicted when the
-	// budget is exceeded, to be re-read from the file. A shard with no
+	// ResidentBudget bounds the decoded heap footprint of the index runs
+	// (one term's postings or one path's node list in one shard) held in
+	// memory. 0 (the default) keeps every shard fully resident. A positive
+	// budget pages the shards that have a section in a snapshot file
+	// (LoadEngineFile, or a built engine after its first SaveEngineFile)
+	// run by run: a fetch reads and decodes only the runs it needs, and
+	// the least-recently-used runs are dropped when the budget is
+	// exceeded, to be re-read from the file. A shard with no
 	// section — built, ingested or loaded from a stream, and not yet
 	// saved — stays resident outside the budget. Like Parallelism, it is
 	// environment, not identity: answers are byte-identical at every

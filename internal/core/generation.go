@@ -127,9 +127,9 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 // constructed. It wires the cheap derived components (searcher, twig
 // evaluator, summarizer, cube builder) and the session state: fresh for a
 // root (prev == nil), whose pager is created under cfg.ResidentBudget,
-// and inherited from prev otherwise. Attaching the pager admits the
-// index's resident shards that have a snapshot section and evicts down to
-// the budget; the others join when a save binds them (BindBacking).
+// and inherited from prev otherwise. Attaching the pager makes it the run
+// cache of the index's shards that are served from a snapshot section;
+// the resident others join when a save binds them (BindBacking).
 func seal(prev *Engine, cfg Config, l layers, timings map[string]time.Duration) *Engine {
 	e := &Engine{
 		col:          l.col,

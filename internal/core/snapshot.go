@@ -227,8 +227,9 @@ func SaveEngineFile(path string, e *Engine, source string) error {
 	}
 	// A paged engine re-binds its shards to the file just written: the
 	// codec is canonical, so each index.<n> section is byte-equal to the
-	// shard's current encoding, and a shard bound to one becomes evictable
-	// (this is how a BUILT engine comes under its budget). Best-effort: on
+	// shard's current encoding, and a shard bound to one drops its decoded
+	// state and is served run by run from the file (this is how a BUILT
+	// engine comes under its budget). Best-effort: on
 	// failure shards keep their previous refs — an old file's stay
 	// readable through their open descriptors even after the rename
 	// unlinked it — and unbound shards stay resident.
@@ -292,8 +293,9 @@ func LoadEngine(r io.Reader, cfg Config, source string) (*Engine, error) {
 
 // LoadEngineFile is LoadEngine over a file. With a positive
 // cfg.ResidentBudget the file additionally becomes the paging backstore:
-// each shard is handed a ref to its section, its postings stay cold until
-// first touch, and eviction under the budget drops them again.
+// each shard is handed a ref to its section, and its posting and node
+// lists stay in the file: a fetch reads just the runs it needs into the
+// pager's cache, which drops the least recently used past the budget.
 func LoadEngineFile(path string, cfg Config, source string) (*Engine, error) {
 	le, err := loadEngineFile(path, &cfg, source, cfg)
 	if err != nil {
@@ -371,10 +373,10 @@ func resolveParallelism(p int) int {
 // and never from the snapshot: Parallelism bounds the decode workers and
 // the engine's searches, and ResidentBudget > 0 attaches a pager. b, when
 // non-nil, is the file data was read from: each shard is decoded with a
-// ref to its section there, its posting payload stays cold until first
-// touch, and the pager evicts decoded shards back to their sections
-// whenever their total exact encoded size exceeds the budget. With a nil
-// b every shard decodes fully resident.
+// ref to its section there and served run by run from it: the pager
+// caches decoded runs and drops the least recently used whenever their
+// decoded footprint exceeds the budget. With a nil b every shard decodes
+// fully resident.
 func loadEngine(data []byte, b *index.Backing, want *Config, source string, env Config) (*LoadedEngine, error) {
 	t0 := time.Now()
 	sections, err := snapcodec.ReadContainer(data, snapshotFormatVersion)

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -10,11 +11,13 @@ import (
 
 // Disk-backed shard residency: a loaded or saved engine's snapshot file
 // doubles as the paging backstore. A shard carries a BackingRef — the
-// open file plus its section's offset, length, and roster CRC — and only
-// a shard with one is ever evicted: eviction drops the decoded state, and
-// page-in pread()s the section back and re-verifies its CRC before
-// decoding. A shard without a section (built or extended in memory, not
-// yet saved) stays resident and outside the pager.
+// open file plus its section's offset, length, and roster CRC — and a
+// shard with one, under a pager, holds no decoded state of its own: a
+// fetch pread()s just the runs it needs (one term's postings, one path's
+// node list), verifies each against the checksum its run table recorded,
+// and decodes it into the pager's run cache. A shard without a section
+// (built or extended in memory, not yet saved) stays resident and
+// outside the pager.
 //
 // Refs are never invalidated in place. A save re-binds every shard to the
 // new file wholesale (the codec is canonical, so the new section bytes
@@ -26,7 +29,7 @@ import (
 // Backing is one open snapshot file serving as a paging backstore, shared
 // by every shard loaded from it. Immutable once opened; reads are
 // positional (pread), so no mutable file offset exists and concurrent
-// page-ins need no lock here.
+// run fetches need no lock here.
 //
 //seda:immutable
 type Backing struct {
@@ -84,56 +87,65 @@ func (ref *BackingRef) payload() ([]byte, error) {
 	return p, nil
 }
 
-// BindBacking points shard s at its encoded section in the snapshot file:
-// from here on the shard is evictable, and page-in re-reads the section.
-// A resident shard joins its pager here — this is how a built engine
-// comes under its budget at its first save. The section size must equal
-// the shard's exact encoded size — the codec is canonical, so a
-// loaded-or-saved shard's bytes ARE the section bytes; a mismatch means
-// the caller bound the wrong section (or a stale file) and is rejected.
+// BindBacking points shard s at its encoded section in the snapshot file.
+// The section size must equal the shard's exact encoded size — the codec
+// is canonical, so a loaded-or-saved shard's bytes ARE the section bytes;
+// a mismatch means the caller bound the wrong section (or a stale file)
+// and is rejected. A shard that holds its whole decoded state gets its
+// run table from the encoding of that state, and under a pager it drops
+// the state — counted as one eviction — and is served run by run from
+// here on: this is how a built engine comes under its budget at its first
+// save.
 func (ix *Index) BindBacking(s int, ref *BackingRef) error {
 	sh := ix.shards[s]
 	if int64(ref.size) != sh.exactBytes() {
 		return fmt.Errorf("index: shard [%d,%d): section size %d != exact encoded size %d", sh.lo, sh.hi, ref.size, sh.exactBytes())
 	}
-	// Disk page-in slices the lazy block out of the section by its length.
-	// A built shard measures it here, from its decoded state; a cold shard
-	// is already bound and had it recorded when it was decoded.
-	if d := sh.data.Load(); d != nil && sh.lazyLen.Load() == 0 {
+	if sh.runs.Load() == nil {
+		// Never bound, hence resident: measure the runs on its encoding.
 		var w snapcodec.Writer
-		sh.encodeLazy(&w, d)
-		sh.lazyLen.Store(int64(w.Len()))
+		off := sh.encodeLazy(&w, sh.data.Load())
+		if uint64(w.Len()) > math.MaxUint32 {
+			return fmt.Errorf("index: shard [%d,%d): lazy block of %d bytes too large to page", sh.lo, sh.hi, w.Len())
+		}
+		sh.runs.Store(newRunTable(w.Bytes(), off))
 	}
 	sh.backing.Store(ref)
-	if p := sh.pager.Load(); p != nil && sh.data.Load() != nil {
-		p.admit(sh, false, 0)
+	if p := sh.pager.Load(); p != nil && sh.data.Swap(nil) != nil {
+		p.evicted(1)
 	}
 	return nil
 }
 
-// pageInBacked re-reads the shard's section from the snapshot file,
-// re-verifies its CRC, and decodes the lazy block. Callers hold sh.mu.
-func (sh *Shard) pageInBacked(ref *BackingRef) (*shardData, error) {
-	readStart := time.Now()
-	payload, err := ref.payload()
+// section reads the shard's whole section payload, CRC-verified, for the
+// two paths that need every run of a shard served by runs: a save splicing
+// its lazy block, and an ingest extending it.
+func (sh *Shard) section() ([]byte, error) {
+	start := time.Now()
+	payload, err := sh.backing.Load().payload()
 	if err != nil {
-		return nil, fmt.Errorf("index: paging in shard [%d,%d): %w", sh.lo, sh.hi, err)
+		return nil, fmt.Errorf("index: reading shard [%d,%d): %w", sh.lo, sh.hi, err)
 	}
-	// The disk-read observation covers the read plus the CRC re-verify,
-	// not the decode — the decode cost is already in pagein_seconds.
 	if p := sh.pager.Load(); p != nil {
-		p.diskRead(time.Since(readStart))
+		p.diskRead(time.Since(start))
 	}
-	ll := int(sh.lazyLen.Load())
-	if ll < 0 || ll > len(payload) {
-		return nil, fmt.Errorf("index: paging in shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
-	}
-	// The bytes may have changed since load (CRC collisions are possible
-	// against a non-cryptographic checksum), so a decode failure is an
-	// error, not an invariant violation.
-	d, err := sh.decodeLazy(payload[len(payload)-ll:])
+	return payload[len(payload)-int(sh.runs.Load().lazyLen()):], nil
+}
+
+// runBytes reads run i (see runTable) from the shard's section and
+// verifies it against the checksum the run table recorded when the run
+// was last known good. The file is outside the process's control, so a
+// short read or a mismatch is an error classified under
+// snapcodec.ErrCorrupt, never a panic.
+func (sh *Shard) runBytes(i int) ([]byte, error) {
+	ref, rt := sh.backing.Load(), sh.runs.Load()
+	start := ref.off + int64(ref.size) - int64(rt.lazyLen()) + int64(rt.off[i])
+	raw, err := ref.b.read(start, int(rt.off[i+1]-rt.off[i]))
 	if err != nil {
-		return nil, fmt.Errorf("index: paging in shard [%d,%d): %w", sh.lo, sh.hi, err)
+		return nil, fmt.Errorf("index: reading run %d of shard [%d,%d): %w", i, sh.lo, sh.hi, err)
 	}
-	return d, nil
+	if got := snapcodec.Checksum(raw); got != rt.crc[i] {
+		return nil, fmt.Errorf("%w: run %d of shard [%d,%d) checksum mismatch (stored %08x, computed %08x) in %s", snapcodec.ErrCorrupt, i, sh.lo, sh.hi, rt.crc[i], got, ref.b.f.Name())
+	}
+	return raw, nil
 }

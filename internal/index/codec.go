@@ -33,19 +33,19 @@ import (
 // value is refused; the snapshot is rebuilt from source.
 const shardCodecVersion = 2
 
-// EncodeShard appends shard s to w. A cold shard's lazy block is spliced
-// verbatim — canonical encodings make the splice byte-identical to a
-// re-encode of the decoded state, so SaveEngine stays deterministic
-// whatever the residency. The error is a disk-backed re-read failure on a
-// fully evicted shard.
+// EncodeShard appends shard s to w. The lazy block of a shard served by
+// runs is spliced verbatim from its section — canonical encodings make
+// the splice byte-identical to a re-encode of the decoded state, so
+// SaveEngine stays deterministic whatever the residency. The error is a
+// failure to re-read that section.
 func (ix *Index) EncodeShard(w *snapcodec.Writer, s int) error {
 	return ix.shards[s].encodeInto(w)
 }
 
 // encodeInto appends the shard's compressed payload: version and range,
 // the summary block, then the lazy block (re-encoded from the decoded
-// state when resident, spliced from the backing section when cold). The
-// error is a disk re-read failure on a cold shard.
+// state when resident, spliced from the backing section when served by
+// runs). The error is a disk re-read failure.
 func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 	w.Int(shardCodecVersion)
 	w.Int(sh.lo)
@@ -87,35 +87,30 @@ func (sh *Shard) encodeInto(w *snapcodec.Writer) error {
 		sh.encodeLazy(w, d)
 		return nil
 	}
-	// Cold: re-read the section from the snapshot file and splice its lazy
-	// block — the codec is canonical, so the section's lazy tail IS the
-	// shard's current lazy encoding. A shard without decoded state always
-	// has a backing ref (see Shard).
-	payload, err := sh.backing.Load().payload()
+	// Served by runs: re-read the section from the snapshot file and
+	// splice its lazy block — the codec is canonical, so the section's lazy
+	// tail IS the shard's current lazy encoding.
+	lazy, err := sh.section()
 	if err != nil {
-		return fmt.Errorf("index: encoding shard [%d,%d): %w", sh.lo, sh.hi, err)
+		return err
 	}
-	ll := int(sh.lazyLen.Load())
-	if ll < 0 || ll > len(payload) {
-		return fmt.Errorf("index: encoding shard [%d,%d): lazy block length %d outside payload of %d bytes", sh.lo, sh.hi, ll, len(payload))
-	}
-	w.Raw(payload[len(payload)-ll:])
+	w.Raw(lazy)
 	return nil
 }
 
 // exactBytes returns the exact encoded size of the shard's full payload —
-// the deterministic cost unit for /debug/stats and the resident-budget
-// accounting. Computed at most once and cached; decoding a shard seeds it
-// with the section payload length.
+// reported by /debug/stats and checked by BindBacking. Computed at most
+// once and cached; decoding a shard seeds it with the section payload
+// length.
 func (sh *Shard) exactBytes() int64 {
 	if b := sh.encBytes.Load(); b != 0 {
 		return b
 	}
 	var w snapcodec.Writer
 	if err := sh.encodeInto(&w); err != nil {
-		// Unreachable: encBytes is always cached before a shard can go
-		// cold (decoding seeds it, BindBacking validates against it), and
-		// encoding decoded state cannot fail.
+		// Unreachable: encBytes is always cached before a shard can lose
+		// its decoded state (decoding seeds it, BindBacking validates
+		// against it), and encoding decoded state cannot fail.
 		panic(fmt.Sprintf("index: sizing shard [%d,%d): %v", sh.lo, sh.hi, err))
 	}
 	b := int64(w.Len())
@@ -123,23 +118,16 @@ func (sh *Shard) exactBytes() int64 {
 	return b
 }
 
-// tryEvict drops the shard's decoded state; the next touch re-reads the
-// section from the snapshot file. Only the pager calls it, and the pager
-// tracks only shards with a backing ref. Readers already holding the
-// decoded pointer keep a consistent view — the maps are immutable — so
-// eviction never blocks or corrupts in-flight queries. Reports whether a
-// transition happened.
-func (sh *Shard) tryEvict() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.data.Swap(nil) != nil
-}
-
 // encodeLazy appends the delta-compressed lazy block: per term (in
 // vocabulary order) its postings, then per path (in roster order) its
-// node refs.
-func (sh *Shard) encodeLazy(w *snapcodec.Writer, d *shardData) {
+// node refs, each run delta-coded from the shard's lo on its own so it
+// decodes without its neighbours. It returns the run boundaries relative
+// to the block's start (see runTable).
+func (sh *Shard) encodeLazy(w *snapcodec.Writer, d *shardData) []uint32 {
+	base := w.Len()
+	off := make([]uint32, 0, len(sh.terms)+len(sh.pathIDs)+1)
 	for _, term := range sh.terms {
+		off = append(off, uint32(w.Len()-base))
 		ps := d.postings[term]
 		prevDoc := sh.lo
 		prevPath := int64(0)
@@ -167,6 +155,7 @@ func (sh *Shard) encodeLazy(w *snapcodec.Writer, d *shardData) {
 		}
 	}
 	for _, id := range sh.pathIDs {
+		off = append(off, uint32(w.Len()-base))
 		refs := d.pathNodes[id]
 		prevDoc := sh.lo
 		var prevID dewey.ID
@@ -174,7 +163,31 @@ func (sh *Shard) encodeLazy(w *snapcodec.Writer, d *shardData) {
 			prevDoc, prevID = encodeRefDelta(w, ref, prevDoc, prevID)
 		}
 	}
+	return append(off, uint32(w.Len()-base))
 }
+
+// runTable locates the runs of a shard's lazy block — the unit in which a
+// shard served from its snapshot section is read, verified, decoded and
+// cached. Run i < len(terms) is term i's posting list; run len(terms)+j
+// is path j's node list. It is derived from the canonical encoding (the
+// load-time walk, or BindBacking's encode) and never stored in the
+// snapshot. Immutable once published.
+type runTable struct {
+	off []uint32 // run i spans [off[i], off[i+1]) of the lazy block; the last entry is the block's length
+	crc []uint32 // CRC-32C of each run's bytes
+}
+
+// newRunTable checksums each run of lazy between the given boundaries.
+func newRunTable(lazy []byte, off []uint32) *runTable {
+	crc := make([]uint32, len(off)-1)
+	for i := range crc {
+		crc[i] = snapcodec.Checksum(lazy[off[i]:off[i+1]])
+	}
+	return &runTable{off: off, crc: crc}
+}
+
+// lazyLen is the length of the whole lazy block.
+func (rt *runTable) lazyLen() uint32 { return rt.off[len(rt.off)-1] }
 
 // Ref lead-byte layout: the doc-id gap, shared-prefix length, and suffix
 // length of a delta-coded node ref are almost always tiny (gap 0–2,
@@ -245,10 +258,11 @@ func sharedStrPrefixLen(a, b string) int {
 // block is decoded and validated eagerly. With a nil ref the lazy block is
 // materialized too; otherwise ref names the payload's own section in the
 // snapshot file, and the lazy block is parse-validated but left cold: the
-// first query touch re-reads it from there (Shard.hot), and no copy of
-// the bytes is kept. Either way a malformed payload is rejected here.
-// Shards decode independently (and hence in parallel); FromShards
-// reassembles and validates the full index.
+// walk records each run's boundaries and checksum (runTable), a fetch
+// re-reads only the runs it needs from there (Shard.postings,
+// Shard.nodes), and no copy of the bytes is kept. Either way a malformed
+// payload is rejected here. Shards decode independently (and hence in
+// parallel); FromShards reassembles and validates the full index.
 //
 //seda:constructor
 func DecodeShard(r *snapcodec.Reader, col *store.Collection, ref *BackingRef) (*Shard, error) {
@@ -374,9 +388,11 @@ func DecodeShard(r *snapcodec.Reader, col *store.Collection, ref *BackingRef) (*
 	lazy := r.Tail()
 	r.Skip(len(lazy))
 	if ref != nil {
-		if err := sh.validateLazy(lazy); err != nil {
+		rt, err := sh.validateLazy(lazy)
+		if err != nil {
 			return nil, err
 		}
+		sh.runs.Store(rt)
 		sh.backing.Store(ref)
 	} else {
 		d, err := sh.decodeLazy(lazy)
@@ -385,7 +401,6 @@ func DecodeShard(r *snapcodec.Reader, col *store.Collection, ref *BackingRef) (*
 		}
 		sh.data.Store(d)
 	}
-	sh.lazyLen.Store(int64(len(lazy)))
 	sh.encBytes.Store(int64(total))
 	return sh, nil
 }
@@ -406,24 +421,35 @@ func nextPathID(r *snapcodec.Reader, prev uint64, first bool) (uint64, error) {
 	return prev + gap, nil
 }
 
-// decodeLazy materializes the shard's lazy block into decoded posting
-// lists and per-path node lists.
+// decodeLazy materializes the shard's whole lazy block into decoded
+// posting lists and per-path node lists.
 func (sh *Shard) decodeLazy(raw []byte) (*shardData, error) {
-	return sh.walkLazy(raw, true)
+	d, _, err := sh.walkLazy(raw, true)
+	return d, err
 }
 
-// validateLazy parses the lazy block without materializing it, so a paged
-// load rejects corrupt payloads up front and page-in can trust the bytes.
-func (sh *Shard) validateLazy(raw []byte) error {
-	_, err := sh.walkLazy(raw, false)
-	return err
+// validateLazy parses the lazy block without materializing it, so a
+// snapshot-backed load rejects corrupt payloads up front, and returns the
+// run table the walk recorded: every run a later fetch decodes on its own
+// was parsed here, from the same bytes its checksum covers.
+func (sh *Shard) validateLazy(raw []byte) (*runTable, error) {
+	if uint64(len(raw)) > math.MaxUint32 {
+		return nil, fmt.Errorf("index: decode: lazy block of %d bytes too large to page", len(raw))
+	}
+	_, off, err := sh.walkLazy(raw, false)
+	if err != nil {
+		return nil, err
+	}
+	return newRunTable(raw, off), nil
 }
 
-// walkLazy decodes the lazy block against the shard's summary counts,
-// building the decoded state when build is set and only validating
-// otherwise. One shared walk keeps validation and materialization from
-// drifting. The block must be consumed exactly.
-func (sh *Shard) walkLazy(raw []byte, build bool) (*shardData, error) {
+// walkLazy walks the whole lazy block run by run against the shard's
+// summary counts, building the decoded state when build is set and only
+// validating otherwise, and returns the run boundaries it crossed. The
+// per-run walks are the same code a single run's decode uses, so
+// validation, whole-shard and per-run decoding cannot drift. The block
+// must be consumed exactly.
+func (sh *Shard) walkLazy(raw []byte, build bool) (*shardData, []uint32, error) {
 	r := snapcodec.NewReader(raw)
 	var d *shardData
 	if build {
@@ -432,93 +458,143 @@ func (sh *Shard) walkLazy(raw []byte, build bool) (*shardData, error) {
 			pathNodes: make(map[pathdict.PathID][]xmldoc.NodeRef, len(sh.pathIDs)),
 		}
 	}
+	off := make([]uint32, 0, len(sh.terms)+len(sh.pathIDs)+1)
 	for i, term := range sh.terms {
-		np := sh.termPostings[i]
-		var ps []Posting
-		if build {
-			ps = make([]Posting, 0, np)
-		}
-		prevDoc := sh.lo
-		prevPath := int64(0)
-		var prevID dewey.ID
-		for j := 0; j < np; j++ {
-			doc, id, err := sh.decodeRefDelta(r, prevDoc, prevID, build)
-			if err != nil {
-				return nil, fmt.Errorf("index: decode term %q: %w", term, err)
-			}
-			prevDoc, prevID = doc, id
-			pv := prevPath + r.Svarint()
-			if r.Err() == nil && (pv < 0 || pv > math.MaxInt32) {
-				return nil, fmt.Errorf("index: decode term %q: path id %d out of range", term, pv)
-			}
-			prevPath = pv
-			path := pathdict.PathID(pv)
-			var positions []int32
-			if u := r.Uvarint(); u&1 == 1 {
-				pos := u >> 1
-				if pos > math.MaxInt32 {
-					return nil, fmt.Errorf("index: decode term %q: position %d out of range", term, pos)
-				}
-				if build {
-					positions = []int32{int32(pos)}
-				}
-			} else {
-				numPos := int(u >> 1)
-				if r.Err() == nil && numPos > r.Remaining() { // each delta is at least one byte
-					return nil, fmt.Errorf("index: decode term %q: %d positions exceed remaining %d bytes", term, numPos, r.Remaining())
-				}
-				if build {
-					positions = make([]int32, 0, numPos)
-				}
-				pos := int32(0)
-				for k := 0; k < numPos; k++ {
-					pos += int32(r.Int())
-					if build {
-						positions = append(positions, pos)
-					}
-				}
-			}
-			if build {
-				ps = append(ps, Posting{
-					Ref:       xmldoc.NodeRef{Doc: xmldoc.DocID(doc), Dewey: id},
-					Path:      path,
-					Positions: positions,
-				})
-			}
+		off = append(off, uint32(len(raw)-r.Remaining()))
+		ps, err := sh.walkTermRun(r, i, build)
+		if err != nil {
+			return nil, nil, err
 		}
 		if build {
 			d.postings[term] = ps
 		}
 	}
-	for i, id := range sh.pathIDs {
-		n := sh.pathCounts[i]
-		var refs []xmldoc.NodeRef
-		if build {
-			refs = make([]xmldoc.NodeRef, 0, n)
-		}
-		prevDoc := sh.lo
-		var prevID dewey.ID
-		for j := 0; j < n; j++ {
-			doc, did, err := sh.decodeRefDelta(r, prevDoc, prevID, build)
-			if err != nil {
-				return nil, fmt.Errorf("index: decode path %d: %w", id, err)
-			}
-			prevDoc, prevID = doc, did
-			if build {
-				refs = append(refs, xmldoc.NodeRef{Doc: xmldoc.DocID(doc), Dewey: did})
-			}
+	for j, id := range sh.pathIDs {
+		off = append(off, uint32(len(raw)-r.Remaining()))
+		refs, err := sh.walkPathRun(r, j, build)
+		if err != nil {
+			return nil, nil, err
 		}
 		if build {
 			d.pathNodes[id] = refs
 		}
 	}
+	if err := endOfBlock(r); err != nil {
+		return nil, nil, err
+	}
+	return d, append(off, uint32(len(raw))), nil
+}
+
+// decodeRun decodes run i (see runTable) from raw, which must hold exactly
+// that run. A term run yields postings, a path run node refs.
+func (sh *Shard) decodeRun(i int, raw []byte) ([]Posting, []xmldoc.NodeRef, error) {
+	r := snapcodec.NewReader(raw)
+	var ps []Posting
+	var refs []xmldoc.NodeRef
+	var err error
+	if i < len(sh.terms) {
+		ps, err = sh.walkTermRun(r, i, true)
+	} else {
+		refs, err = sh.walkPathRun(r, i-len(sh.terms), true)
+	}
+	if err == nil {
+		err = endOfBlock(r)
+	}
+	return ps, refs, err
+}
+
+// endOfBlock reports a read error or unconsumed bytes left after a walk.
+func endOfBlock(r *snapcodec.Reader) error {
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("index: decode: %w", err)
+		return fmt.Errorf("index: decode: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after shard payload", snapcodec.ErrCorrupt, r.Remaining())
+		return fmt.Errorf("%w: %d trailing bytes after shard payload", snapcodec.ErrCorrupt, r.Remaining())
 	}
-	return d, nil
+	return nil
+}
+
+// walkTermRun reads term i's posting run, returning the postings when
+// build is set.
+func (sh *Shard) walkTermRun(r *snapcodec.Reader, i int, build bool) ([]Posting, error) {
+	term := sh.terms[i]
+	np := sh.termPostings[i]
+	var ps []Posting
+	if build {
+		ps = make([]Posting, 0, np)
+	}
+	prevDoc := sh.lo
+	prevPath := int64(0)
+	var prevID dewey.ID
+	for j := 0; j < np; j++ {
+		doc, id, err := sh.decodeRefDelta(r, prevDoc, prevID, build)
+		if err != nil {
+			return nil, fmt.Errorf("index: decode term %q: %w", term, err)
+		}
+		prevDoc, prevID = doc, id
+		pv := prevPath + r.Svarint()
+		if r.Err() == nil && (pv < 0 || pv > math.MaxInt32) {
+			return nil, fmt.Errorf("index: decode term %q: path id %d out of range", term, pv)
+		}
+		prevPath = pv
+		path := pathdict.PathID(pv)
+		var positions []int32
+		if u := r.Uvarint(); u&1 == 1 {
+			pos := u >> 1
+			if pos > math.MaxInt32 {
+				return nil, fmt.Errorf("index: decode term %q: position %d out of range", term, pos)
+			}
+			if build {
+				positions = []int32{int32(pos)}
+			}
+		} else {
+			numPos := int(u >> 1)
+			if r.Err() == nil && numPos > r.Remaining() { // each delta is at least one byte
+				return nil, fmt.Errorf("index: decode term %q: %d positions exceed remaining %d bytes", term, numPos, r.Remaining())
+			}
+			if build {
+				positions = make([]int32, 0, numPos)
+			}
+			pos := int32(0)
+			for k := 0; k < numPos; k++ {
+				pos += int32(r.Int())
+				if build {
+					positions = append(positions, pos)
+				}
+			}
+		}
+		if build {
+			ps = append(ps, Posting{
+				Ref:       xmldoc.NodeRef{Doc: xmldoc.DocID(doc), Dewey: id},
+				Path:      path,
+				Positions: positions,
+			})
+		}
+	}
+	return ps, nil
+}
+
+// walkPathRun reads path j's node-list run, returning the refs when build
+// is set.
+func (sh *Shard) walkPathRun(r *snapcodec.Reader, j int, build bool) ([]xmldoc.NodeRef, error) {
+	n := sh.pathCounts[j]
+	var refs []xmldoc.NodeRef
+	if build {
+		refs = make([]xmldoc.NodeRef, 0, n)
+	}
+	prevDoc := sh.lo
+	var prevID dewey.ID
+	for k := 0; k < n; k++ {
+		doc, did, err := sh.decodeRefDelta(r, prevDoc, prevID, build)
+		if err != nil {
+			return nil, fmt.Errorf("index: decode path %d: %w", sh.pathIDs[j], err)
+		}
+		prevDoc, prevID = doc, did
+		if build {
+			refs = append(refs, xmldoc.NodeRef{Doc: xmldoc.DocID(doc), Dewey: did})
+		}
+	}
+	return refs, nil
 }
 
 // decodeRefDelta reads one delta-coded node ref (see encodeRefDelta). The

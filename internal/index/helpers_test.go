@@ -66,11 +66,36 @@ func mustNodesAtPath(tb testing.TB, ix *Index, p pathdict.PathID) []xmldoc.NodeR
 	return refs
 }
 
-func mustHot(tb testing.TB, sh *Shard) *shardData {
+// decodedState collects every run of sh through the accessors queries
+// use — map lookups on a resident shard, run fetches on one served from
+// its section — into whole decoded state, for comparison with a build.
+func decodedState(sh *Shard) (*shardData, error) {
+	d := &shardData{
+		postings:  make(map[string][]Posting, len(sh.terms)),
+		pathNodes: make(map[pathdict.PathID][]xmldoc.NodeRef, len(sh.pathIDs)),
+	}
+	for _, term := range sh.terms {
+		ps, err := sh.postings(term)
+		if err != nil {
+			return nil, err
+		}
+		d.postings[term] = ps
+	}
+	for _, p := range sh.pathIDs {
+		refs, err := sh.nodes(p)
+		if err != nil {
+			return nil, err
+		}
+		d.pathNodes[p] = refs
+	}
+	return d, nil
+}
+
+func mustDecoded(tb testing.TB, sh *Shard) *shardData {
 	tb.Helper()
-	d, err := sh.hot()
+	d, err := decodedState(sh)
 	if err != nil {
-		tb.Fatalf("hot() on shard [%d,%d): %v", sh.lo, sh.hi, err)
+		tb.Fatalf("decoding shard [%d,%d): %v", sh.lo, sh.hi, err)
 	}
 	return d
 }

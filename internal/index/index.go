@@ -44,11 +44,11 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"seda/internal/fulltext"
 	"seda/internal/pathdict"
@@ -77,7 +77,7 @@ type Shard struct {
 	// Resident summary: always decoded, sized by the vocabulary and the
 	// path roster rather than the posting volume. Everything the scatter
 	// planner, the Figure-8 context summary, and /debug/stats need lives
-	// here, so those paths never force a cold shard resident.
+	// here, so those paths never read a run.
 	terms        []string       // sorted shard vocabulary
 	termDocFreq  map[string]int // # shard documents containing term
 	pathTerms    map[string]map[pathdict.PathID]int
@@ -86,30 +86,23 @@ type Shard struct {
 	pathIDs      []pathdict.PathID // sorted distinct paths with nodes in this shard
 	pathCounts   []int             // per-path node counts, aligned with pathIDs
 
-	// Residency state. data holds the decoded posting lists and per-path
-	// node lists; backing, when set, points at the shard's encoded section
-	// inside the snapshot file (see backing.go). The residency invariant:
-	// data != nil || backing != nil. Only a shard with a backing ref is
-	// ever evicted; page-in re-reads the section from disk, re-verifies
-	// its CRC, and decodes. Readers snapshot data with one atomic load and
-	// the decoded maps are immutable, so the scatter path stays lock-free
-	// once hot; mu only serializes the page-in and eviction transitions —
-	// a re-armable once that doubles as the per-shard singleflight: N
-	// concurrent queries on one cold shard queue on mu, the winner
-	// decodes, the losers find data published and return it, so the shard
-	// pays exactly one page-in.
-	mu      sync.Mutex
+	// Residency state. data holds the whole decoded state — every posting
+	// list and per-path node list — of a shard built in memory, or loaded
+	// or bound without a pager. backing, when set, points at the shard's
+	// encoded section inside the snapshot file (see backing.go), and runs
+	// locates each term's and path's run inside that section's lazy block.
+	// The residency invariant: data != nil || backing != nil, and runs is
+	// set whenever backing is. A shard without data is served run by run:
+	// a fetch reads, verifies and decodes only the runs it touches, cached
+	// by the pager under its byte budget. Readers snapshot data with one
+	// atomic load and the decoded maps are immutable, so the resident path
+	// takes no lock at all.
 	data    atomic.Pointer[shardData]
 	backing atomic.Pointer[BackingRef]
-	// lazyLen caches the length of the shard's encoded lazy block (the
-	// payload suffix after the summary; 0 = not yet computed). Disk
-	// page-in slices the lazy block out of the re-read section with it.
-	lazyLen atomic.Int64
+	runs    atomic.Pointer[runTable]
 
-	// pager, when set, applies the byte-budgeted LRU to this shard.
+	// pager, when set, caches this shard's decoded runs under its budget.
 	pager atomic.Pointer[Pager]
-	// lastUse is the pager's logical LRU clock value at the last touch.
-	lastUse atomic.Int64
 	// encBytes caches the shard's exact encoded payload size in bytes
 	// (0 = not yet computed).
 	encBytes atomic.Int64
@@ -120,9 +113,10 @@ type Shard struct {
 	fetches atomic.Uint64
 }
 
-// shardData is the evictable decoded state of a shard. It is immutable
-// once published: eviction and page-in swap the pointer, never the maps,
-// so readers holding a snapshot keep a consistent view.
+// shardData is the whole decoded state of a resident shard. It is
+// immutable once published: binding a shard to its section under a pager
+// drops the pointer, never the maps, so readers holding a snapshot keep a
+// consistent view.
 type shardData struct {
 	postings  map[string][]Posting // node index, (doc, Dewey)-ordered
 	pathNodes map[pathdict.PathID][]xmldoc.NodeRef
@@ -131,49 +125,51 @@ type shardData struct {
 // Docs returns the number of documents in the shard's range.
 func (sh *Shard) Docs() int { return sh.hi - sh.lo }
 
-// hot returns the shard's decoded state, paging it in on first touch. The
-// resident fast path is one atomic load (plus an LRU clock store when a
-// pager is attached). The error is always nil for a resident shard; only
-// the cold path can fail (it re-reads the snapshot file, which is outside
-// the process's control), and then with an error classified under
+// postings returns term's posting list in this shard (nil when the
+// vocabulary lacks it). A resident shard answers with one map lookup; a
+// shard served by runs fetches the term's run (see run). The returned
+// slice must not be modified. The error is always nil for a resident
+// shard; only a run read can fail (the snapshot file is outside the
+// process's control), and then with an error classified under
 // snapcodec.ErrCorrupt — never a panic.
-func (sh *Shard) hot() (*shardData, error) {
+func (sh *Shard) postings(term string) ([]Posting, error) {
 	if d := sh.data.Load(); d != nil {
-		if p := sh.pager.Load(); p != nil {
-			p.touch(sh)
-		}
-		return d, nil
+		return d.postings[term], nil
 	}
-	return sh.pageIn()
+	i, ok := slices.BinarySearch(sh.terms, term)
+	if !ok {
+		return nil, nil
+	}
+	ps, _, err := sh.run(i)
+	return ps, err
 }
 
-// pageIn re-reads the shard's section from the snapshot file, decodes its
-// lazy block, and publishes it. sh.mu is the singleflight: concurrent
-// callers queue here, and whoever loses the race finds data published and
-// returns it without a second decode or disk read.
-func (sh *Shard) pageIn() (*shardData, error) {
-	sh.mu.Lock()
-	if d := sh.data.Load(); d != nil { // lost the race: someone else paged in
-		sh.mu.Unlock()
-		if p := sh.pager.Load(); p != nil {
-			p.touch(sh)
-		}
-		return d, nil
+// nodes returns the shard's nodes at path p in (doc, Dewey) order, like
+// postings for the per-path node lists.
+func (sh *Shard) nodes(p pathdict.PathID) ([]xmldoc.NodeRef, error) {
+	if d := sh.data.Load(); d != nil {
+		return d.pathNodes[p], nil
 	}
-	start := time.Now()
-	d, err := sh.pageInBacked(sh.backing.Load())
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
+	j, ok := slices.BinarySearch(sh.pathIDs, p)
+	if !ok {
+		return nil, nil
 	}
-	sh.data.Store(d)
-	sh.mu.Unlock()
-	// Admit outside mu: the pager may evict other shards, and no shard
-	// lock may be held while another shard's is taken.
+	_, refs, err := sh.run(len(sh.terms) + j)
+	return refs, err
+}
+
+// run returns the decoded run i (see runTable) of a shard without decoded
+// state: through the pager's run cache, or straight from the section when
+// no pager is attached.
+func (sh *Shard) run(i int) ([]Posting, []xmldoc.NodeRef, error) {
 	if p := sh.pager.Load(); p != nil {
-		p.admit(sh, true, time.Since(start))
+		return p.run(sh, i)
 	}
-	return d, nil
+	raw, err := sh.runBytes(i)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sh.decodeRun(i, raw)
 }
 
 // Index holds the node and context indexes for one collection, fragmented
@@ -535,13 +531,13 @@ type ShardStats struct {
 	Terms int
 	// Postings is the shard's total posting count.
 	Postings int
-	// Bytes is the shard's exact encoded (index.<n> section) size: the
-	// deterministic cost unit the resident-budget pager charges for the
-	// shard, derived from the encoded section rather than estimated.
+	// Bytes is the shard's exact encoded (index.<n> section) size,
+	// derived from the encoded section rather than estimated.
 	Bytes int64
-	// Resident reports whether the shard's decoded posting lists are in
-	// memory right now (always true without a pager, and for a shard with
-	// no snapshot section).
+	// Resident reports whether the shard holds its whole decoded state:
+	// true without a pager and for a shard with no snapshot section, false
+	// for a shard served run by run from its section (whose cached runs
+	// the pager accounts for).
 	Resident bool
 	// Fetches counts term-match evaluations (scatter tasks) served by the
 	// shard since build or load — the scatter-fanout view of query load.
@@ -549,7 +545,7 @@ type ShardStats struct {
 }
 
 // stats reads entirely from the resident summary and the cached encoded
-// size: reporting never pages a cold shard in.
+// size: reporting never reads a run.
 func (sh *Shard) stats() ShardStats {
 	return ShardStats{
 		Lo: sh.lo, Hi: sh.hi, Docs: sh.hi - sh.lo,
@@ -576,41 +572,34 @@ func (ix *Index) ShardStats() []ShardStats {
 // without copying; otherwise the contributing per-shard lists are
 // concatenated into a fresh slice. Either way the returned slice must not
 // be modified. Shards whose vocabulary lacks the term are skipped via the
-// resident summary, so absent terms page nothing in. The error is a
-// disk-backed page-in failure (see Shard.hot).
+// resident summary, so absent terms read nothing. The error is a run read
+// failure (see Shard.postings).
 func (ix *Index) Lookup(term string) ([]Posting, error) {
-	var single []Posting
-	contributing, total := 0, 0
+	var buf [8][]Posting
+	lists := buf[:0]
+	total := 0
 	for s, sh := range ix.shards {
 		if sh.termDocFreq[term] == 0 {
 			continue
 		}
-		d, err := sh.hot()
+		ps, err := sh.postings(term)
 		if err != nil {
 			return nil, err
 		}
-		if ps := ix.livePostings(s, d.postings[term]); len(ps) > 0 {
-			contributing++
+		if ps := ix.livePostings(s, ps); len(ps) > 0 {
+			lists = append(lists, ps)
 			total += len(ps)
-			single = ps
 		}
 	}
-	switch contributing {
+	switch len(lists) {
 	case 0:
 		return nil, nil
 	case 1:
-		return single, nil
+		return lists[0], nil
 	}
 	out := make([]Posting, 0, total)
-	for s, sh := range ix.shards {
-		if sh.termDocFreq[term] == 0 {
-			continue
-		}
-		d, err := sh.hot()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ix.livePostings(s, d.postings[term])...)
+	for _, ps := range lists {
+		out = append(out, ps...)
 	}
 	return out, nil
 }
@@ -626,11 +615,11 @@ func (ix *Index) LookupPrefix(prefix string) ([]Posting, error) {
 			if sh.termDocFreq[ix.terms[i]] == 0 {
 				continue
 			}
-			d, err := sh.hot()
+			ps, err := sh.postings(ix.terms[i])
 			if err != nil {
 				return nil, err
 			}
-			if ps := ix.livePostings(s, d.postings[ix.terms[i]]); len(ps) > 0 {
+			if ps := ix.livePostings(s, ps); len(ps) > 0 {
 				lists = append(lists, ps)
 			}
 		}
@@ -639,21 +628,18 @@ func (ix *Index) LookupPrefix(prefix string) ([]Posting, error) {
 }
 
 // lookupPrefixShard is LookupPrefix restricted to one shard. The sorted
-// vocabulary scan is resident; the shard pages in only when at least one
-// term matches the prefix.
+// vocabulary scan is resident; only the runs of the matching terms are
+// fetched.
 func (ix *Index) lookupPrefixShard(s int, prefix string) ([]Posting, error) {
 	sh := ix.shards[s]
 	var lists [][]Posting
-	i := sort.SearchStrings(sh.terms, prefix)
-	if i < len(sh.terms) && strings.HasPrefix(sh.terms[i], prefix) {
-		d, err := sh.hot()
+	for i := sort.SearchStrings(sh.terms, prefix); i < len(sh.terms) && strings.HasPrefix(sh.terms[i], prefix); i++ {
+		ps, err := sh.postings(sh.terms[i])
 		if err != nil {
 			return nil, err
 		}
-		for ; i < len(sh.terms) && strings.HasPrefix(sh.terms[i], prefix); i++ {
-			if ps := ix.livePostings(s, d.postings[sh.terms[i]]); len(ps) > 0 {
-				lists = append(lists, ps)
-			}
+		if ps := ix.livePostings(s, ps); len(ps) > 0 {
+			lists = append(lists, ps)
 		}
 	}
 	return mergePostings(lists), nil
@@ -799,18 +785,21 @@ func (ix *Index) phrasePostingsShard(s int, terms []string) ([]Posting, error) {
 			return nil, nil // a missing member term kills every phrase here
 		}
 	}
-	d, err := sh.hot()
-	if err != nil {
-		return nil, err
+	lists := make([][]Posting, len(terms))
+	for k, t := range terms {
+		var err error
+		if lists[k], err = sh.postings(t); err != nil {
+			return nil, err
+		}
 	}
 	var out []Posting
 	// The intersection walks the first term's live postings; later terms
 	// are probed at the same (live) refs, so one filter masks the phrase.
-	for _, p := range ix.livePostings(s, d.postings[terms[0]]) {
+	for _, p := range ix.livePostings(s, lists[0]) {
 		ok := true
 		offsets := p.Positions // candidate phrase start positions
 		for k := 1; k < len(terms) && ok; k++ {
-			next := d.findPosting(terms[k], p.Ref)
+			next := findPosting(lists[k], p.Ref)
 			if next == nil {
 				ok = false
 				break
@@ -831,8 +820,8 @@ func (ix *Index) phrasePostingsShard(s int, terms []string) ([]Posting, error) {
 	return out, nil
 }
 
-func (d *shardData) findPosting(term string, ref xmldoc.NodeRef) *Posting {
-	ps := d.postings[term]
+// findPosting returns the posting at ref in the sorted list ps, or nil.
+func findPosting(ps []Posting, ref xmldoc.NodeRef) *Posting {
 	i := sort.Search(len(ps), func(i int) bool { return !ps[i].Ref.Less(ref) })
 	if i < len(ps) && ps[i].Ref.Equal(ref) {
 		return &ps[i]
@@ -882,28 +871,24 @@ func (ix *Index) NodesAtPath(p pathdict.PathID) ([]xmldoc.NodeRef, error) {
 		case 0:
 			return nil, nil
 		case 1:
-			d, err := last.hot()
-			if err != nil {
-				return nil, err
-			}
-			return d.pathNodes[p], nil
+			return last.nodes(p)
 		}
 		out := make([]xmldoc.NodeRef, 0, total)
 		for _, sh := range ix.shards {
 			if sh.pathCountAt(p) > 0 {
-				d, err := sh.hot()
+				refs, err := sh.nodes(p)
 				if err != nil {
 					return nil, err
 				}
-				out = append(out, d.pathNodes[p]...)
+				out = append(out, refs...)
 			}
 		}
 		return out, nil
 	}
 	// Masked: roster counts may overstate, so contribution is decided on
-	// the filtered lists (a shard overlapping the dead set pages in even
-	// when its live contribution turns out empty — those shards are the
-	// compactor's rewrite targets anyway).
+	// the filtered lists (a shard overlapping the dead set reads the run
+	// even when its live contribution turns out empty — those shards are
+	// the compactor's rewrite targets anyway).
 	var single []xmldoc.NodeRef
 	var out []xmldoc.NodeRef
 	contributing := 0
@@ -911,11 +896,11 @@ func (ix *Index) NodesAtPath(p pathdict.PathID) ([]xmldoc.NodeRef, error) {
 		if sh.pathCountAt(p) == 0 {
 			continue
 		}
-		d, err := sh.hot()
+		refs, err := sh.nodes(p)
 		if err != nil {
 			return nil, err
 		}
-		refs := ix.liveRefs(s, d.pathNodes[p])
+		refs = ix.liveRefs(s, refs)
 		if len(refs) == 0 {
 			continue
 		}

@@ -194,7 +194,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	seq := BuildSharded(c, 1, 1)
 	for _, p := range []int{2, 3, 8} {
 		par := BuildSharded(c, 1, p)
-		if !reflect.DeepEqual(mustHot(t, par.shards[0]).postings, mustHot(t, seq.shards[0]).postings) {
+		if !reflect.DeepEqual(mustDecoded(t, par.shards[0]).postings, mustDecoded(t, seq.shards[0]).postings) {
 			t.Errorf("parallelism %d: postings differ", p)
 		}
 		if !reflect.DeepEqual(par.terms, seq.terms) {
@@ -206,7 +206,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(par.termDocFreq, seq.termDocFreq) {
 			t.Errorf("parallelism %d: doc frequencies differ", p)
 		}
-		if !reflect.DeepEqual(mustHot(t, par.shards[0]).pathNodes, mustHot(t, seq.shards[0]).pathNodes) {
+		if !reflect.DeepEqual(mustDecoded(t, par.shards[0]).pathNodes, mustDecoded(t, seq.shards[0]).pathNodes) {
 			t.Errorf("parallelism %d: path-node lists differ", p)
 		}
 		if !reflect.DeepEqual(par.allPaths, seq.allPaths) {

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+
 	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
@@ -46,14 +48,25 @@ func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Ind
 }
 
 // extend merges a delta accumulator into a copy of the shard, extending
-// its range to [sh.lo, hi). The receiver pages in if it was evicted; the
-// error is a disk-backed page-in failure.
+// its range to [sh.lo, hi). A receiver served by runs is decoded whole
+// from its section for the merge — the only whole-shard decode a paged
+// engine makes — and the receiver keeps no copy of the result. The error
+// is a failure to re-read that section.
 //
 //seda:constructor
 func (sh *Shard) extend(delta *shardAcc, hi int) (*Shard, error) {
-	old, err := sh.hot()
-	if err != nil {
-		return nil, err
+	old := sh.data.Load()
+	if old == nil {
+		lazy, err := sh.section()
+		if err != nil {
+			return nil, err
+		}
+		// The bytes may have changed since load (CRC collisions are
+		// possible against a non-cryptographic checksum), so a decode
+		// failure is an error, not an invariant violation.
+		if old, err = sh.decodeLazy(lazy); err != nil {
+			return nil, fmt.Errorf("index: extending shard [%d,%d): %w", sh.lo, sh.hi, err)
+		}
 	}
 	acc := &shardAcc{
 		postings:    make(map[string][]Posting, len(old.postings)+len(delta.postings)),

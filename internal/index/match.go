@@ -165,15 +165,15 @@ func (ix *Index) matchByContextScan(t query.Term, s int) ([]Match, error) {
 	}
 	out := make([]Match, 0, total)
 	if len(runs) == 0 {
-		// Nothing matches in this shard: a cold shard stays cold.
+		// Nothing matches in this shard: nothing is read.
 		return out, nil
 	}
-	d, err := sh.hot()
-	if err != nil {
-		return nil, err
-	}
 	for i := range runs {
-		runs[i].refs = ix.liveRefs(s, d.pathNodes[runs[i].path])
+		refs, err := sh.nodes(runs[i].path)
+		if err != nil {
+			return nil, err
+		}
+		runs[i].refs = ix.liveRefs(s, refs)
 	}
 	out = mergeRuns(out, runs)
 	if fulltext.IsMatchAll(t.Search) {
@@ -434,7 +434,6 @@ func mergeToSingle(cs [][]probe) [][]probe {
 // so per-shard SLCA concatenated over shards equals the corpus-wide SLCA.
 func (ix *Index) clauseAnchors(dst []Match, clause []probe, s int) ([]Match, error) {
 	sh := ix.shards[s]
-	var d *shardData
 	lists := make([][]Posting, 0, len(clause))
 	for _, pr := range clause {
 		var ps []Posting
@@ -445,14 +444,12 @@ func (ix *Index) clauseAnchors(dst []Match, clause []probe, s int) ([]Match, err
 			}
 		} else if sh.termDocFreq[pr.term] > 0 {
 			// The resident vocabulary gates the probe: a term absent from
-			// this shard fails the clause without paging anything in.
-			if d == nil {
-				var err error
-				if d, err = sh.hot(); err != nil {
-					return nil, err
-				}
+			// this shard fails the clause without reading anything.
+			var err error
+			if ps, err = sh.postings(pr.term); err != nil {
+				return nil, err
 			}
-			ps = ix.livePostings(s, d.postings[pr.term])
+			ps = ix.livePostings(s, ps)
 		}
 		if len(ps) == 0 {
 			return dst, nil // clause cannot be satisfied in this shard

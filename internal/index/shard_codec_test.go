@@ -57,6 +57,9 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 		if paged.backing.Load() != ref {
 			t.Fatalf("shard %d: disk-backed decode did not bind its ref", s)
 		}
+		if rt := paged.runs.Load(); rt == nil || len(rt.crc) != len(orig.terms)+len(orig.pathIDs) {
+			t.Fatalf("shard %d: disk-backed decode recorded no run table", s)
+		}
 
 		// Summary state matches without paging; a cold re-encode splices
 		// the section's lazy block and must reproduce the payload exactly.
@@ -74,13 +77,14 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 			t.Errorf("shard %d: cold re-encode differs from stored payload", s)
 		}
 
-		// First touch materializes state identical to the original build.
+		// Every run, read whole or one at a time, decodes to the state of
+		// the original build.
 		for _, sh := range []*Shard{resident, paged} {
-			d := mustHot(t, sh)
-			if !reflect.DeepEqual(d.postings, mustHot(t, orig).postings) {
+			d := mustDecoded(t, sh)
+			if !reflect.DeepEqual(d.postings, mustDecoded(t, orig).postings) {
 				t.Errorf("shard %d: postings differ after decode", s)
 			}
-			if !reflect.DeepEqual(d.pathNodes, mustHot(t, orig).pathNodes) {
+			if !reflect.DeepEqual(d.pathNodes, mustDecoded(t, orig).pathNodes) {
 				t.Errorf("shard %d: path-node lists differ after decode", s)
 			}
 			var w snapcodec.Writer
@@ -92,12 +96,13 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 			}
 		}
 
-		// Evict → re-encode → page back in: the cycle is lossless.
-		if !paged.tryEvict() {
-			t.Fatalf("shard %d: tryEvict on a hot shard reported no transition", s)
-		}
-		if paged.data.Load() != nil {
-			t.Fatalf("shard %d: shard still resident after eviction", s)
+		// Under a 1-byte budget every run is fetched, cached, evicted and
+		// fetched again: the cycle is lossless, and so is a re-encode.
+		paged.pager.Store(NewPager(1))
+		for pass := 0; pass < 2; pass++ {
+			if !reflect.DeepEqual(mustDecoded(t, paged), mustDecoded(t, orig)) {
+				t.Errorf("shard %d: runs differ after evict→fetch, pass %d", s, pass)
+			}
 		}
 		var evicted snapcodec.Writer
 		if err := paged.encodeInto(&evicted); err != nil {
@@ -105,9 +110,6 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 		}
 		if !bytes.Equal(evicted.Bytes(), data) {
 			t.Errorf("shard %d: evicted re-encode differs from stored payload", s)
-		}
-		if !reflect.DeepEqual(mustHot(t, paged).postings, mustHot(t, orig).postings) {
-			t.Errorf("shard %d: postings differ after evict→page-in", s)
 		}
 	}
 
@@ -189,15 +191,15 @@ func TestShardCodecHostileInputs(t *testing.T) {
 	}
 
 	// Byte-flip sweep: no flip may panic either decode mode, and any flip
-	// the disk-backed decode accepts must page in cleanly from its section
-	// (decode validates what page-in decodes).
+	// the disk-backed decode accepts must serve every run cleanly from its
+	// section (the load-time walk validates what a run fetch decodes).
 	for i := range data {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0xFF
 		ref, _ := backedRef(t, bad)
 		if sh, err := DecodeShard(snapcodec.NewReader(bad), col, ref); err == nil {
-			if _, err := sh.hot(); err != nil {
-				t.Errorf("flip at %d: accepted payload failed its page-in: %v", i, err)
+			if _, err := decodedState(sh); err != nil {
+				t.Errorf("flip at %d: accepted payload failed a run fetch: %v", i, err)
 			}
 		}
 		_, _ = DecodeShard(snapcodec.NewReader(bad), col, nil)
@@ -277,8 +279,8 @@ func TestShardCodecHostileInputs(t *testing.T) {
 
 // FuzzShardDecode drives both shard decode modes over mutated payloads.
 // The invariant under fuzz: no input panics either mode, and any input
-// the disk-backed decode accepts must survive a full page-in → evict →
-// page-in cycle from its section.
+// the disk-backed decode accepts must serve every run from its section,
+// through a fetch → evict → fetch cycle under a 1-byte budget.
 func FuzzShardDecode(f *testing.F) {
 	col := store.NewCollection()
 	if _, err := col.AddXML("doc0", []byte(`<a><b>hello world hello</b><c>world</c></a>`)); err != nil {
@@ -302,17 +304,14 @@ func FuzzShardDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if sh, err := DecodeShard(snapcodec.NewReader(data), col, nil); err == nil {
-			sh.hot()
-		}
+		_, _ = DecodeShard(snapcodec.NewReader(data), col, nil)
 		ref, _ := backedRef(t, data)
 		if sh, err := DecodeShard(snapcodec.NewReader(data), col, ref); err == nil {
-			if _, err := sh.hot(); err != nil {
-				t.Fatalf("validated payload failed its page-in: %v", err)
-			}
-			sh.tryEvict()
-			if _, err := sh.hot(); err != nil {
-				t.Fatalf("validated payload failed its second page-in: %v", err)
+			sh.pager.Store(NewPager(1))
+			for pass := 0; pass < 2; pass++ {
+				if _, err := decodedState(sh); err != nil {
+					t.Fatalf("validated payload failed a run fetch, pass %d: %v", pass, err)
+				}
 			}
 		}
 	})

@@ -197,7 +197,7 @@ type Registry struct {
 	// open registration endpoint needs a bound.
 	MaxEntries int
 
-	// ResidentBudget is the shard residency budget in bytes applied to
+	// ResidentBudget is the run-cache budget in bytes applied to
 	// snapshot collections discovered at boot (EnableSnapshots); source
 	// registrations carry their budget in their own config. 0 = fully
 	// resident. Set it before serving.
@@ -646,24 +646,27 @@ type RegistryInfo struct {
 	// (document range, vocabulary, postings, exact encoded bytes); absent
 	// until the engine is built or loaded.
 	Shards []ShardInfo `json:"shards,omitempty"`
-	// Paging reports the engine's shard-residency accounting; absent for
-	// fully resident engines (no budget configured).
+	// Paging reports the engine's run-cache accounting; absent for fully
+	// resident engines (no budget configured).
 	Paging *PagingInfo `json:"paging,omitempty"`
 }
 
 // PagingInfo is one paged engine's residency accounting on the wire.
 type PagingInfo struct {
 	// Budget is the configured resident budget in bytes; ResidentBytes
-	// the exact encoded size of the snapshot-backed shards currently
-	// decoded, Resident their count. Shards not yet saved to a snapshot
-	// stay resident outside this accounting.
+	// the decoded heap footprint of the runs (one term's postings or one
+	// path's node list in one shard) currently cached, Resident their
+	// count. PageIns counts runs read and decoded on a miss, Evictions
+	// runs dropped past the budget plus shards whose whole decoded state
+	// a save dropped. Shards not yet saved to a snapshot stay resident
+	// outside this accounting.
 	Budget        int64  `json:"budget_bytes"`
 	ResidentBytes int64  `json:"resident_bytes"`
-	Resident      int    `json:"resident_shards"`
+	Resident      int    `json:"resident_runs"`
 	PageIns       uint64 `json:"page_ins"`
 	Evictions     uint64 `json:"evictions"`
-	// DiskReads counts shard sections re-read from the snapshot backing
-	// store (page-ins and save splices).
+	// DiskReads counts reads from the snapshot backing store: one per
+	// run fetched, one per whole section a save or an ingest re-reads.
 	DiskReads uint64 `json:"disk_reads"`
 }
 
@@ -676,9 +679,9 @@ type ShardInfo struct {
 	Terms    int   `json:"terms"`
 	Postings int   `json:"postings"`
 	Bytes    int64 `json:"bytes"`
-	// Resident reports whether the shard's decoded form is in memory
-	// (always true without a resident budget; a paged shard flips as it
-	// is touched and evicted).
+	// Resident reports whether the shard holds its whole decoded state
+	// (always true without a resident budget; false for a shard served
+	// run by run from its snapshot section).
 	Resident bool `json:"resident"`
 	// Fetches counts term-fetch tasks the top-k scatter has sent to this
 	// shard since it was built or loaded (runtime state, not persisted) —

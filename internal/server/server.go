@@ -99,12 +99,13 @@ type Options struct {
 	// over, snapshot I/O parallelizes across, and ingest extends the
 	// tail of.
 	Shards int
-	// ResidentBudget is the default per-collection shard residency budget
-	// in bytes for collections registered over HTTP without their own
-	// "resident_budget" option and for snapshots discovered at boot. 0
-	// (the default) keeps engines fully resident; > 0 pages the shards of
-	// a snapshot-backed engine in on first touch and evicts the
-	// least-recently-used past the budget. Shards not yet saved to a
+	// ResidentBudget is the default per-collection budget in bytes for
+	// decoded index runs, for collections registered over HTTP without
+	// their own "resident_budget" option and for snapshots discovered at
+	// boot. 0 (the default) keeps engines fully resident; > 0 serves the
+	// shards of a snapshot-backed engine run by run — each term's postings
+	// and each path's node list read from the snapshot on first use — and
+	// drops the least-recently-used runs past the budget. Shards not yet saved to a
 	// snapshot stay resident, so the budget acts only once the registry
 	// has a snapshot directory (EnableSnapshots). Answers are identical
 	// at any setting.

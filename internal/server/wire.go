@@ -33,10 +33,10 @@ type collectionRequest struct {
 	// identical at any setting; shards parallelize search scatter,
 	// snapshot I/O, and keep ingest cost shard-local.
 	Shards int `json:"shards,omitempty"`
-	// ResidentBudget overrides the server's shard residency budget in
-	// bytes for this collection (0 = server default). A positive budget
-	// pages index shards in from the collection's snapshot on first touch
-	// and evicts the least-recently-used past the budget, so it is refused
+	// ResidentBudget overrides the server's run-cache budget in bytes for
+	// this collection (0 = server default). A positive budget reads index
+	// runs from the collection's snapshot on first use and drops the
+	// least-recently-used past the budget, so it is refused
 	// on a registry without a snapshot directory; answers are identical at
 	// any setting.
 	ResidentBudget int64 `json:"resident_budget,omitempty"`

@@ -35,8 +35,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the container's CRC-32C (Castagnoli) of p — the same
 // sum WriteContainer stores and ReadContainer verifies. Disk-backed shard
-// residency re-verifies a section against its roster CRC on every
-// page-in, so the checksum function itself is part of the wire contract.
+// residency re-verifies a section against its roster CRC on every whole
+// re-read, and each run it reads against a checksum taken when the run
+// was validated, so the checksum function itself is part of the wire
+// contract.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // --- Writer ---
@@ -361,7 +363,7 @@ func ReadContainer(data []byte, version int) ([]Section, error) {
 // returns the roster with Offset/Size/CRC filled and Payload nil. It is
 // the cheap path for re-binding disk-backed shard refs after a snapshot
 // save: the CRCs live in the headers, so no payload is read or verified
-// (page-in re-verifies against the stored CRC anyway).
+// (a whole-section re-read verifies against the stored CRC anyway).
 func ScanSections(rd io.Reader, version int) ([]Section, error) {
 	br := bufio.NewReader(rd)
 	off := int64(0)

@@ -24,10 +24,9 @@ trap cleanup EXIT INT TERM
 # drives the compaction itself (the threshold path is covered by
 # TestBackgroundCompaction in CI). -data plus a 1-byte resident budget
 # forces disk-backed paging: the engine persists after first build,
-# re-binds to its snapshot, and queries page shards in from the file —
-# so the seda_paging_disk_* families below must move. Four shards so
-# the pager always has a cold shard to evict (it never evicts the one
-# shard a query is standing on).
+# re-binds to its snapshot, and queries read their posting runs from the
+# file, each evicting the run before it — so the seda_paging_disk_*
+# families below must move.
 "$WORK/sedad" -addr "$ADDR" -preload worldfactbook -scale 0.05 -shards 4 -slowlog 5s -compact-threshold 0 -data "$WORK/data" -resident-budget 1 2>"$WORK/sedad.log" &
 PID=$!
 
@@ -66,8 +65,7 @@ curl -fsS "$BASE/metrics" | "$WORK/promcheck" -require \
 
 # Disk-backed paging must actually have happened: the traced query above
 # ran against a snapshot-bound engine under a 1-byte budget, so at least
-# one shard section was re-read (and CRC-verified) from the snapshot
-# file.
+# one run was read (and CRC-verified) from the snapshot file.
 case "$(curl -fsS "$BASE/metrics")" in
 *'seda_paging_disk_reads_total 0'*)
 	echo "metrics-smoke: disk-backed engine served without a single disk read" >&2
