@@ -99,6 +99,16 @@ func parseBudget(s, data string) (int64, error) {
 	return budget, nil
 }
 
+// checkMaxSessions validates the -max-sessions flag. The session table
+// always has a bound: 0 would silently mean the library default, and a
+// negative value would remove the cap, so both are refused.
+func checkMaxSessions(n int) error {
+	if n < 1 {
+		return fmt.Errorf("must be at least 1, got %d", n)
+	}
+	return nil
+}
+
 func errTooLarge(s string) error {
 	return fmt.Errorf("byte size %q is too large (must be below 2^63 bytes)", s)
 }
@@ -107,8 +117,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.Float64("scale", 0.05, "default corpus scale for builtin collections")
 	ttl := flag.Duration("session-ttl", 30*time.Minute, "evict sessions idle longer than this (0 disables TTL eviction)")
-	maxSessions := flag.Int("max-sessions", 1024, "session table capacity (LRU-evicted beyond)")
-	cacheSize := flag.Int("cache-size", 256, "top-k result cache entries (0 disables caching)")
+	maxSessions := flag.Int("max-sessions", 1024, "session table capacity, at least 1 (LRU-evicted beyond)")
 	preload := flag.String("preload", "", "comma-separated builtin corpora to register at startup (worldfactbook,mondial,googlebase,recipeml)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for engine builds, snapshot I/O and the top-k match fetch (0 = all cores, 1 = sequential)")
 	shards := flag.Int("shards", 0, "horizontal index shards per collection (0 = single shard; answers are identical at any setting)")
@@ -124,6 +133,9 @@ func main() {
 	if *shards < 0 || *shards > seda.MaxShards {
 		log.Fatalf("sedad: -shards must be in 0..%d", seda.MaxShards)
 	}
+	if err := checkMaxSessions(*maxSessions); err != nil {
+		log.Fatalf("sedad: -max-sessions: %v", err)
+	}
 	budget, err := parseBudget(*residentBudget, *data)
 	if err != nil {
 		log.Fatalf("sedad: -resident-budget: %v", err)
@@ -136,16 +148,12 @@ func main() {
 
 	// The Options zero value means "use the default", so an explicit 0 on
 	// the command line maps to the negative "disabled" spelling.
-	if *cacheSize == 0 {
-		*cacheSize = -1
-	}
 	if *ttl == 0 {
 		*ttl = -1
 	}
 	srv := seda.NewServer(seda.ServerOptions{
 		SessionTTL:         *ttl,
 		MaxSessions:        *maxSessions,
-		CacheSize:          *cacheSize,
 		BuiltinScale:       *scale,
 		Parallelism:        *parallelism,
 		Shards:             *shards,

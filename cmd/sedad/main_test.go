@@ -86,3 +86,21 @@ func TestParseBudget(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckMaxSessions(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{1, true},
+		{1024, true},
+		// 0 would fall back to the library default, and a negative value
+		// would remove the cap.
+		{0, false},
+		{-1, false},
+	} {
+		if err := checkMaxSessions(tc.n); (err == nil) != tc.ok {
+			t.Errorf("checkMaxSessions(%d) = %v; want ok=%t", tc.n, err, tc.ok)
+		}
+	}
+}

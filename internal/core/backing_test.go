@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"seda/internal/fulltext"
+	"seda/internal/query"
 	"seda/internal/snapcodec"
 )
 
@@ -227,23 +229,25 @@ func TestHostileBackstoreEngine(t *testing.T) {
 		t.Fatalf("scanned %d shard sections, want 4", shardSections)
 	}
 
-	// With a 1-byte budget at most one run is resident: after a lookup of
+	// With a 1-byte budget at most one run is resident: after matching
 	// another term, every run of term is cold and must be read.
-	term, other := paged.ix.Terms()[0], paged.ix.Terms()[1]
-	if _, err := paged.ix.Lookup(other); err != nil {
+	words := paged.ix.Terms()
+	term := query.Term{Search: fulltext.Word{Term: words[0]}}
+	other := query.Term{Search: fulltext.Word{Term: words[1]}}
+	if _, err := paged.ix.MatchTerm(other); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := paged.ix.Lookup(term); !errors.Is(err, snapcodec.ErrCorrupt) {
-		t.Fatalf("flipped backstore: Lookup err = %v, want ErrCorrupt", err)
+	if _, err := paged.ix.MatchTerm(term); !errors.Is(err, snapcodec.ErrCorrupt) {
+		t.Fatalf("flipped backstore: MatchTerm err = %v, want ErrCorrupt", err)
 	}
 	if err := os.Truncate(path, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := paged.ix.Lookup(term); !errors.Is(err, snapcodec.ErrCorrupt) {
-		t.Fatalf("truncated backstore: Lookup err = %v, want ErrCorrupt", err)
+	if _, err := paged.ix.MatchTerm(term); !errors.Is(err, snapcodec.ErrCorrupt) {
+		t.Fatalf("truncated backstore: MatchTerm err = %v, want ErrCorrupt", err)
 	}
 
 	// Engine-level fallback: the backing refs survive the round-trip, so

@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +50,7 @@ import (
 	"seda/internal/summary"
 	"seda/internal/topk"
 	"seda/internal/twig"
+	"seda/internal/xmldoc"
 )
 
 // ValueLink declares a value-based (PK/FK) relationship to materialize in
@@ -320,28 +322,30 @@ func (s *Session) topKTrace(k int, tr *topk.Trace) ([]topk.Result, error) {
 		return nil, err
 	}
 	s.Timings["topk"] += time.Since(t0)
+	if !sameResults(s.topK, rs) {
+		// Top-k changed: downstream summaries are stale.
+		s.connections = nil
+		s.complete = nil
+	}
 	s.topK = rs
-	// Top-k changed: downstream summaries are stale.
-	s.connections = nil
-	s.complete = nil
 	return rs, nil
 }
 
-// TopKResults returns the session's current top-k results (nil before the
-// first TopK/SetTopK, or after a refinement cleared them). The slice must
-// be treated as read-only.
-func (s *Session) TopKResults() []topk.Result { return s.topK }
-
-// SetTopK installs externally-computed top-k results — e.g. results a
-// serving tier found in its cache for an identical (query, k) — exactly as
-// if TopK had produced them: downstream summaries are invalidated. The
-// slice is retained and read, never written, so cached results may be
-// shared between sessions.
-func (s *Session) SetTopK(rs []topk.Result) {
-	s.topK = rs
-	s.connections = nil
-	s.complete = nil
+// sameResults reports whether two top-k answers are identical: the same
+// tuples, node for node, with the same scores. A repeated search of an
+// unchanged query on the same engine yields the same answer, and the
+// summaries derived from the held one stay valid.
+func sameResults(a, b []topk.Result) bool {
+	return slices.EqualFunc(a, b, func(x, y topk.Result) bool {
+		return x.Score == y.Score && x.ContentScore == y.ContentScore && x.Compactness == y.Compactness &&
+			slices.Equal(x.Paths, y.Paths) && slices.EqualFunc(x.Nodes, y.Nodes, xmldoc.NodeRef.Equal)
+	})
 }
+
+// TopKResults returns the session's current top-k results (nil before the
+// first TopK, or after a refinement cleared them). The slice must be
+// treated as read-only.
+func (s *Session) TopKResults() []topk.Result { return s.topK }
 
 // ContextSummary computes the per-term context buckets (§5), annotated
 // with entity labels from the engine's registry.

@@ -9,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"seda/internal/fulltext"
 	"seda/internal/pathdict"
+	"seda/internal/query"
 	"seda/internal/snapcodec"
 	"seda/internal/xmldoc"
 )
@@ -77,11 +79,11 @@ func TestDiskBackingLifecycle(t *testing.T) {
 
 	// A lookup reads, verifies and decodes exactly its own run, charged
 	// at its decoded footprint; a second lookup is a hit.
-	got := mustLookup(t, ix, "united")
+	got := termPostings(t, ix, "united")
 	if st := p.Stats(); st.PageIns != 1 || st.DiskReads != 1 || st.Resident != 1 || st.ResidentBytes != runCost(got, nil) {
 		t.Fatalf("after one lookup: %+v, want 1 page-in, 1 disk read, 1 run of %d bytes", st, runCost(got, nil))
 	}
-	mustLookup(t, ix, "united")
+	termPostings(t, ix, "united")
 	if st := p.Stats(); st.DiskReads != 1 {
 		t.Fatalf("a resident run was read again: DiskReads = %d", st.DiskReads)
 	}
@@ -111,8 +113,9 @@ func TestDiskBackingLifecycle(t *testing.T) {
 // singleflight.
 func TestDiskBackingSingleflight(t *testing.T) {
 	ix, p, _, _ := bindFixture(t)
+	sh := ix.shards[0]
 	_, resident := buildFixture(t)
-	want := mustLookup(t, resident, "united")
+	want := termPostings(t, resident, "united")
 	before := p.Stats()
 
 	const K = 32
@@ -126,7 +129,7 @@ func TestDiskBackingSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = ix.Lookup("united")
+			results[i], errs[i] = sh.postings("united")
 		}()
 	}
 	close(start)
@@ -157,7 +160,7 @@ func TestDiskBackingHostileStore(t *testing.T) {
 	ix, p, path, payload := bindFixture(t)
 	sh := ix.shards[0]
 	_, resident := buildFixture(t)
-	want := mustLookup(t, resident, "united")
+	want := termPostings(t, resident, "united")
 
 	corrupt := func(t *testing.T, mutate func([]byte) []byte) {
 		t.Helper()
@@ -168,8 +171,12 @@ func TestDiskBackingHostileStore(t *testing.T) {
 	mustFail := func(t *testing.T, what, term string) {
 		t.Helper()
 		before := p.Stats()
-		if _, err := ix.Lookup(term); !errors.Is(err, snapcodec.ErrCorrupt) {
-			t.Fatalf("%s: Lookup(%q) err = %v, want ErrCorrupt", what, term, err)
+		if _, err := sh.postings(term); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Fatalf("%s: postings(%q) err = %v, want ErrCorrupt", what, term, err)
+		}
+		// The query path surfaces the same error.
+		if _, err := ix.MatchTerm(query.Term{Search: fulltext.Word{Term: term}}); !errors.Is(err, snapcodec.ErrCorrupt) {
+			t.Fatalf("%s: MatchTerm(%q) err = %v, want ErrCorrupt", what, term, err)
 		}
 		if after := p.Stats(); after.Resident != before.Resident || after.PageIns != before.PageIns {
 			t.Fatalf("%s: failed read changed the cache: %+v -> %+v", what, before, after)
@@ -186,7 +193,7 @@ func TestDiskBackingHostileStore(t *testing.T) {
 	// and the damaged run's own lookup errors.
 	olo, ohi := termRun(t, sh, payload, "states")
 	corrupt(t, func(b []byte) []byte { b[(olo+ohi)/2] ^= 0xFF; return b })
-	got, err := ix.Lookup("united")
+	got, err := sh.postings("united")
 	if err != nil {
 		t.Fatalf("flip in another run: %v", err)
 	}
@@ -199,13 +206,13 @@ func TestDiskBackingHostileStore(t *testing.T) {
 	// short. Read another run first, so the 1-byte budget evicts "united"
 	// and the lookup must go to disk.
 	corrupt(t, func(b []byte) []byte { return b })
-	mustLookup(t, ix, "mexico")
+	termPostings(t, ix, "mexico")
 	corrupt(t, func(b []byte) []byte { return b[:lo+1] })
 	mustFail(t, "truncated backstore", "united")
 
 	// Restoring the file restores byte-identical answers.
 	corrupt(t, func(b []byte) []byte { return b })
-	if got := mustLookup(t, ix, "united"); !reflect.DeepEqual(got, want) {
+	if got := termPostings(t, ix, "united"); !reflect.DeepEqual(got, want) {
 		t.Fatal("restored backstore served different postings")
 	}
 	if got := mustDecoded(t, sh); !reflect.DeepEqual(got, mustDecoded(t, resident.shards[0])) {
@@ -220,16 +227,17 @@ func TestDiskBackingHostileStore(t *testing.T) {
 // -race.
 func TestRunCacheConcurrentLookups(t *testing.T) {
 	ix, p, _, _ := bindFixture(t)
+	sh := ix.shards[0]
 	_, resident := buildFixture(t)
 	terms := resident.terms
 	paths := resident.shards[0].pathIDs
 	wantPostings := make(map[string][]Posting, len(terms))
 	for _, term := range terms {
-		wantPostings[term] = mustLookup(t, resident, term)
+		wantPostings[term] = termPostings(t, resident, term)
 	}
 	wantNodes := make(map[pathdict.PathID][]xmldoc.NodeRef, len(paths))
 	for _, path := range paths {
-		wantNodes[path] = mustNodesAtPath(t, resident, path)
+		wantNodes[path] = pathNodes(t, resident, path)
 	}
 
 	const G = 8
@@ -251,7 +259,7 @@ func TestRunCacheConcurrentLookups(t *testing.T) {
 					if g%2 == 1 && i%4 != g/2 {
 						continue
 					}
-					got, err := ix.Lookup(term)
+					got, err := sh.postings(term)
 					if err != nil {
 						errs <- err
 						return
@@ -262,7 +270,7 @@ func TestRunCacheConcurrentLookups(t *testing.T) {
 					}
 				}
 				for _, path := range paths[g%2:] {
-					got, err := ix.NodesAtPath(path)
+					got, err := sh.nodes(path)
 					if err != nil {
 						errs <- err
 						return

@@ -11,7 +11,7 @@ import (
 )
 
 // Most fixtures in this package are resident (no disk backing), so the
-// fallible read APIs cannot actually fail; these helpers unwrap them.
+// fallible read accessors cannot actually fail; these helpers unwrap them.
 
 // backedRef writes payload to a file of its own and returns a ref to it
 // as a whole-file section (offset 0), which is all BackingRef needs —
@@ -30,40 +30,50 @@ func backedRef(tb testing.TB, payload []byte) (ref *BackingRef, path string) {
 	return NewBackingRef(NewBacking(f), 0, len(payload), snapcodec.Checksum(payload)), path
 }
 
-func mustLookup(tb testing.TB, ix *Index, term string) []Posting {
+// termPostings gathers term's live postings over every shard through the
+// accessors a query's term probe uses (Shard.postings, then
+// livePostings), concatenated in shard order, so in (doc, Dewey) order.
+func termPostings(tb testing.TB, ix *Index, term string) []Posting {
 	tb.Helper()
-	ps, err := ix.Lookup(term)
-	if err != nil {
-		tb.Fatalf("Lookup(%q): %v", term, err)
+	var out []Posting
+	for s, sh := range ix.shards {
+		ps, err := sh.postings(term)
+		if err != nil {
+			tb.Fatalf("shard %d: postings(%q): %v", s, term, err)
+		}
+		out = append(out, ix.livePostings(s, ps)...)
 	}
-	return ps
+	return out
 }
 
-func mustLookupPrefix(tb testing.TB, ix *Index, prefix string) []Posting {
+// prefixPostings is termPostings for a prefix probe: lookupPrefixShard
+// per shard, concatenated in shard order.
+func prefixPostings(tb testing.TB, ix *Index, prefix string) []Posting {
 	tb.Helper()
-	ps, err := ix.LookupPrefix(prefix)
-	if err != nil {
-		tb.Fatalf("LookupPrefix(%q): %v", prefix, err)
+	var out []Posting
+	for s := range ix.shards {
+		ps, err := ix.lookupPrefixShard(s, prefix)
+		if err != nil {
+			tb.Fatalf("shard %d: lookupPrefixShard(%q): %v", s, prefix, err)
+		}
+		out = append(out, ps...)
 	}
-	return ps
+	return out
 }
 
-func mustPhrasePostings(tb testing.TB, ix *Index, terms []string) []Posting {
+// pathNodes gathers the live nodes at path p over every shard through the
+// accessors a context scan uses (Shard.nodes, then liveRefs).
+func pathNodes(tb testing.TB, ix *Index, p pathdict.PathID) []xmldoc.NodeRef {
 	tb.Helper()
-	ps, err := ix.PhrasePostings(terms)
-	if err != nil {
-		tb.Fatalf("PhrasePostings(%v): %v", terms, err)
+	var out []xmldoc.NodeRef
+	for s, sh := range ix.shards {
+		refs, err := sh.nodes(p)
+		if err != nil {
+			tb.Fatalf("shard %d: nodes(%d): %v", s, p, err)
+		}
+		out = append(out, ix.liveRefs(s, refs)...)
 	}
-	return ps
-}
-
-func mustNodesAtPath(tb testing.TB, ix *Index, p pathdict.PathID) []xmldoc.NodeRef {
-	tb.Helper()
-	refs, err := ix.NodesAtPath(p)
-	if err != nil {
-		tb.Fatalf("NodesAtPath(%d): %v", p, err)
-	}
-	return refs
+	return out
 }
 
 // decodedState collects every run of sh through the accessors queries

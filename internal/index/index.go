@@ -567,69 +567,10 @@ func (ix *Index) ShardStats() []ShardStats {
 	return out
 }
 
-// Lookup returns the postings of term in (doc, Dewey) order (nil if
-// absent). When exactly one shard holds the term its list is returned
-// without copying; otherwise the contributing per-shard lists are
-// concatenated into a fresh slice. Either way the returned slice must not
-// be modified. Shards whose vocabulary lacks the term are skipped via the
-// resident summary, so absent terms read nothing. The error is a run read
-// failure (see Shard.postings).
-func (ix *Index) Lookup(term string) ([]Posting, error) {
-	var buf [8][]Posting
-	lists := buf[:0]
-	total := 0
-	for s, sh := range ix.shards {
-		if sh.termDocFreq[term] == 0 {
-			continue
-		}
-		ps, err := sh.postings(term)
-		if err != nil {
-			return nil, err
-		}
-		if ps := ix.livePostings(s, ps); len(ps) > 0 {
-			lists = append(lists, ps)
-			total += len(ps)
-		}
-	}
-	switch len(lists) {
-	case 0:
-		return nil, nil
-	case 1:
-		return lists[0], nil
-	}
-	out := make([]Posting, 0, total)
-	for _, ps := range lists {
-		out = append(out, ps...)
-	}
-	return out, nil
-}
-
-// LookupPrefix returns merged postings of all terms starting with prefix,
-// in (doc, Dewey) order, by a k-way merge of the already-sorted per-term
-// (and per-shard) posting lists.
-func (ix *Index) LookupPrefix(prefix string) ([]Posting, error) {
-	var lists [][]Posting
-	lo := sort.SearchStrings(ix.terms, prefix)
-	for i := lo; i < len(ix.terms) && strings.HasPrefix(ix.terms[i], prefix); i++ {
-		for s, sh := range ix.shards {
-			if sh.termDocFreq[ix.terms[i]] == 0 {
-				continue
-			}
-			ps, err := sh.postings(ix.terms[i])
-			if err != nil {
-				return nil, err
-			}
-			if ps := ix.livePostings(s, ps); len(ps) > 0 {
-				lists = append(lists, ps)
-			}
-		}
-	}
-	return mergePostings(lists), nil
-}
-
-// lookupPrefixShard is LookupPrefix restricted to one shard. The sorted
-// vocabulary scan is resident; only the runs of the matching terms are
-// fetched.
+// lookupPrefixShard returns the merged postings of shard s's terms that
+// start with prefix, in (doc, Dewey) order, by a k-way merge of the
+// already-sorted per-term lists. The sorted vocabulary scan is resident;
+// only the runs of the matching terms are fetched.
 func (ix *Index) lookupPrefixShard(s int, prefix string) ([]Posting, error) {
 	sh := ix.shards[s]
 	var lists [][]Posting
@@ -747,99 +688,9 @@ func mergePositions(dst, src []int32) []int32 {
 	return out
 }
 
-// LookupQuery resolves a TermQuery (exact or prefix) to postings.
-func (ix *Index) LookupQuery(tq fulltext.TermQuery) ([]Posting, error) {
-	if tq.Prefix {
-		return ix.LookupPrefix(tq.Term)
-	}
-	return ix.Lookup(tq.Term)
-}
-
-// PhrasePostings returns postings of nodes whose direct text contains the
-// exact phrase, computed by position intersection on the node index. The
-// intersection runs shard-locally (a node and all its phrase terms live in
-// one shard); shards where a later phrase term is absent simply contribute
-// nothing.
-func (ix *Index) PhrasePostings(terms []string) ([]Posting, error) {
-	if len(terms) == 0 {
-		return nil, nil
-	}
-	if len(terms) == 1 {
-		return ix.Lookup(terms[0])
-	}
-	var out []Posting
-	for s := range ix.shards {
-		ps, err := ix.phrasePostingsShard(s, terms)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
-	}
-	return out, nil
-}
-
-func (ix *Index) phrasePostingsShard(s int, terms []string) ([]Posting, error) {
-	sh := ix.shards[s]
-	for _, t := range terms {
-		if sh.termDocFreq[t] == 0 {
-			return nil, nil // a missing member term kills every phrase here
-		}
-	}
-	lists := make([][]Posting, len(terms))
-	for k, t := range terms {
-		var err error
-		if lists[k], err = sh.postings(t); err != nil {
-			return nil, err
-		}
-	}
-	var out []Posting
-	// The intersection walks the first term's live postings; later terms
-	// are probed at the same (live) refs, so one filter masks the phrase.
-	for _, p := range ix.livePostings(s, lists[0]) {
-		ok := true
-		offsets := p.Positions // candidate phrase start positions
-		for k := 1; k < len(terms) && ok; k++ {
-			next := findPosting(lists[k], p.Ref)
-			if next == nil {
-				ok = false
-				break
-			}
-			var keep []int32
-			for _, start := range offsets {
-				if containsI32(next.Positions, start+int32(k)) {
-					keep = append(keep, start)
-				}
-			}
-			offsets = keep
-			ok = len(offsets) > 0
-		}
-		if ok {
-			out = append(out, Posting{Ref: p.Ref, Path: p.Path, Positions: offsets})
-		}
-	}
-	return out, nil
-}
-
-// findPosting returns the posting at ref in the sorted list ps, or nil.
-func findPosting(ps []Posting, ref xmldoc.NodeRef) *Posting {
-	i := sort.Search(len(ps), func(i int) bool { return !ps[i].Ref.Less(ref) })
-	if i < len(ps) && ps[i].Ref.Equal(ref) {
-		return &ps[i]
-	}
-	return nil
-}
-
-func containsI32(xs []int32, v int32) bool {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
-	return i < len(xs) && xs[i] == v
-}
-
 // DocFreq returns the number of documents containing term (corpus-global —
 // it feeds IDF, so scores are independent of the shard layout).
 func (ix *Index) DocFreq(term string) int { return ix.termDocFreq[term] }
-
-// NumTerms returns the vocabulary size of the node index.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
 
 // pathCountAt returns the number of the shard's nodes at path p, answered
 // from the resident roster (never pages).
@@ -851,77 +702,8 @@ func (sh *Shard) pathCountAt(p pathdict.PathID) int {
 	return 0
 }
 
-// NodesAtPath returns all nodes with the given path in (doc, Dewey) order.
-// When exactly one shard holds the path its list is returned without
-// copying; otherwise the contributing lists are concatenated into a fresh
-// slice. Either way the returned slice must not be modified. Shards
-// without the path are skipped via the resident roster.
-func (ix *Index) NodesAtPath(p pathdict.PathID) ([]xmldoc.NodeRef, error) {
-	if ix.dead == nil {
-		var last *Shard
-		contributing, total := 0, 0
-		for _, sh := range ix.shards {
-			if n := sh.pathCountAt(p); n > 0 {
-				contributing++
-				total += n
-				last = sh
-			}
-		}
-		switch contributing {
-		case 0:
-			return nil, nil
-		case 1:
-			return last.nodes(p)
-		}
-		out := make([]xmldoc.NodeRef, 0, total)
-		for _, sh := range ix.shards {
-			if sh.pathCountAt(p) > 0 {
-				refs, err := sh.nodes(p)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, refs...)
-			}
-		}
-		return out, nil
-	}
-	// Masked: roster counts may overstate, so contribution is decided on
-	// the filtered lists (a shard overlapping the dead set reads the run
-	// even when its live contribution turns out empty — those shards are
-	// the compactor's rewrite targets anyway).
-	var single []xmldoc.NodeRef
-	var out []xmldoc.NodeRef
-	contributing := 0
-	for s, sh := range ix.shards {
-		if sh.pathCountAt(p) == 0 {
-			continue
-		}
-		refs, err := sh.nodes(p)
-		if err != nil {
-			return nil, err
-		}
-		refs = ix.liveRefs(s, refs)
-		if len(refs) == 0 {
-			continue
-		}
-		switch contributing {
-		case 0:
-			single = refs
-		case 1:
-			out = append(append(out, single...), refs...)
-		default:
-			out = append(out, refs...)
-		}
-		contributing++
-	}
-	if contributing == 1 {
-		return single, nil
-	}
-	return out, nil
-}
-
-// nodesAtPathLen is len(NodesAtPath(p)) without the concatenation; it
-// reads only the resident roster (and, when masked, the dead path
+// nodesAtPathLen is the number of live nodes at path p across all shards;
+// it reads only the resident roster (and, when masked, the dead path
 // counts).
 func (ix *Index) nodesAtPathLen(p pathdict.PathID) int {
 	n := 0
@@ -934,12 +716,6 @@ func (ix *Index) nodesAtPathLen(p pathdict.PathID) int {
 // AllPaths returns every distinct path of the collection, sorted by string
 // form. The returned slice must not be modified.
 func (ix *Index) AllPaths() []pathdict.PathID { return ix.allPaths }
-
-// PathsForTerm implements the Figure 8 probe for a single keyword: the
-// distinct paths the term occurs in, with occurrence counts.
-func (ix *Index) PathsForTerm(term string) map[pathdict.PathID]int {
-	return ix.pathTerms[fulltext.NormalizeTerm(term)]
-}
 
 // PathsForExpr computes the distinct paths an expression can match in,
 // combining per-term path sets: intersection across conjuncts and phrase

@@ -8,6 +8,7 @@ import (
 
 	"seda/internal/fulltext"
 	"seda/internal/pathdict"
+	"seda/internal/query"
 	"seda/internal/store"
 )
 
@@ -41,7 +42,7 @@ func buildFixture(t testing.TB) (*store.Collection, *Index) {
 
 func TestLookupBasics(t *testing.T) {
 	_, ix := buildFixture(t)
-	ps := mustLookup(t, ix, "united")
+	ps := termPostings(t, ix, "united")
 	if len(ps) != 4 {
 		t.Fatalf("postings(united) = %d, want 4", len(ps))
 	}
@@ -51,7 +52,7 @@ func TestLookupBasics(t *testing.T) {
 			t.Errorf("postings out of order at %d", i)
 		}
 	}
-	if mustLookup(t, ix, "nonexistent") != nil {
+	if termPostings(t, ix, "nonexistent") != nil {
 		t.Error("unknown term should have nil postings")
 	}
 	if ix.DocFreq("united") != 4 {
@@ -64,38 +65,40 @@ func TestLookupBasics(t *testing.T) {
 
 func TestLookupPrefix(t *testing.T) {
 	_, ix := buildFixture(t)
-	got := mustLookupPrefix(t, ix, "germ")
+	got := prefixPostings(t, ix, "germ")
 	if len(got) != 1 {
-		t.Fatalf("LookupPrefix(germ) = %d postings", len(got))
+		t.Fatalf("prefix germ = %d postings", len(got))
 	}
 	// "10.082t" and "15.3%" both start with "1".
-	ones := mustLookupPrefix(t, ix, "1")
+	ones := prefixPostings(t, ix, "1")
 	if len(ones) < 2 {
-		t.Errorf("LookupPrefix(1) = %d, want >= 2", len(ones))
+		t.Errorf("prefix 1 = %d postings, want >= 2", len(ones))
 	}
-	if mustLookupPrefix(t, ix, "zzz") != nil {
+	if prefixPostings(t, ix, "zzz") != nil {
 		t.Error("no-match prefix should be nil")
 	}
 }
 
+// TestPhrasePostings: a phrase term matches where its words are adjacent
+// and in order inside one node's content — nowhere else.
 func TestPhrasePostings(t *testing.T) {
-	_, ix := buildFixture(t)
-	ps := mustPhrasePostings(t, ix, []string{"united", "states"})
-	if len(ps) != 4 {
-		t.Fatalf("phrase postings = %d, want 4", len(ps))
-	}
-	if got := mustPhrasePostings(t, ix, []string{"states", "united"}); got != nil {
-		t.Errorf("reversed phrase matched: %v", got)
-	}
-	if got := mustPhrasePostings(t, ix, []string{"pacific", "states"}); got != nil {
-		t.Errorf("cross-node phrase in direct text matched: %v", got)
-	}
-	if mustPhrasePostings(t, ix, nil) != nil {
-		t.Error("empty phrase should be nil")
-	}
-	single := mustPhrasePostings(t, ix, []string{"pacific"})
-	if len(single) != 1 {
-		t.Errorf("single-term phrase = %d", len(single))
+	c, ix := buildFixture(t)
+	for _, tc := range []struct {
+		phrase string
+		want   int
+	}{
+		{"united states", 4},
+		{"states united", 0}, // reversed
+		{"pacific states", 0},
+		{"pacific", 1}, // a one-word phrase is the word
+	} {
+		ms, err := ix.MatchTerm(mustTerm(t, "*", `"`+tc.phrase+`"`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != tc.want {
+			t.Errorf("phrase %q matches %v, want %d nodes", tc.phrase, matchPaths(t, c, ms), tc.want)
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func TestContextIndexFig8(t *testing.T) {
 	c, ix := buildFixture(t)
 	dict := c.Dict()
 	// "united" occurs in three element contexts + the sea bordering context.
-	paths := ix.PathsForTerm("united")
+	paths := ix.PathsForExpr(fulltext.Word{Term: "united"})
 	var got []string
 	for p := range paths {
 		got = append(got, dict.Path(p))
@@ -115,7 +118,7 @@ func TestContextIndexFig8(t *testing.T) {
 		"/sea/bordering": true,
 	}
 	if len(paths) != len(want) {
-		t.Fatalf("PathsForTerm(united) = %v, want %d contexts", got, len(want))
+		t.Fatalf("paths of united = %v, want %d contexts", got, len(want))
 	}
 	for p := range paths {
 		if !want[dict.Path(p)] {
@@ -123,9 +126,9 @@ func TestContextIndexFig8(t *testing.T) {
 		}
 	}
 	// Tag names are indexed as keywords (Fig. 8).
-	tagPaths := ix.PathsForTerm("trade_country")
+	tagPaths := ix.PathsForExpr(fulltext.Word{Term: "trade_country"})
 	if len(tagPaths) != 2 {
-		t.Errorf("PathsForTerm(trade_country) = %d contexts, want 2", len(tagPaths))
+		t.Errorf("paths of trade_country = %d contexts, want 2", len(tagPaths))
 	}
 }
 
@@ -166,13 +169,16 @@ func TestNodesAtPath(t *testing.T) {
 	c, ix := buildFixture(t)
 	dict := c.Dict()
 	p := dict.LookupPath("/country/economy/import_partners/item")
-	refs := mustNodesAtPath(t, ix, p)
+	refs := pathNodes(t, ix, p)
 	if len(refs) != 2 {
-		t.Fatalf("NodesAtPath(item) = %d, want 2", len(refs))
+		t.Fatalf("nodes at item = %d, want 2", len(refs))
+	}
+	if n := ix.nodesAtPathLen(p); n != len(refs) {
+		t.Errorf("nodesAtPathLen(item) = %d, want %d", n, len(refs))
 	}
 	for i := 1; i < len(refs); i++ {
 		if !refs[i-1].Less(refs[i]) {
-			t.Error("NodesAtPath not ordered")
+			t.Error("nodes at item not ordered")
 		}
 	}
 }
@@ -215,9 +221,9 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBuildShardedMatchesSingleShard: the read API of a multi-shard index
-// must be indistinguishable from the single-shard one — lookups, prefix
-// merges, phrase intersections, matches, and global statistics.
+// TestBuildShardedMatchesSingleShard: the read paths of a multi-shard
+// index must be indistinguishable from the single-shard one — postings,
+// prefix merges, node lists, matches, and global statistics.
 func TestBuildShardedMatchesSingleShard(t *testing.T) {
 	c, _ := buildFixture(t)
 	one := BuildSharded(c, 1, 1)
@@ -243,22 +249,35 @@ func TestBuildShardedMatchesSingleShard(t *testing.T) {
 			t.Errorf("shards %d: path orders differ", n)
 		}
 		for _, term := range one.terms {
-			if !reflect.DeepEqual(mustLookup(t, sharded, term), mustLookup(t, one, term)) {
-				t.Errorf("shards %d: Lookup(%q) differs", n, term)
+			if !reflect.DeepEqual(termPostings(t, sharded, term), termPostings(t, one, term)) {
+				t.Errorf("shards %d: postings of %q differ", n, term)
 			}
 		}
 		for _, prefix := range []string{"", "u", "un", "germ", "1", "zzz"} {
-			if !reflect.DeepEqual(mustLookupPrefix(t, sharded, prefix), mustLookupPrefix(t, one, prefix)) {
-				t.Errorf("shards %d: LookupPrefix(%q) differs", n, prefix)
+			if !reflect.DeepEqual(prefixPostings(t, sharded, prefix), prefixPostings(t, one, prefix)) {
+				t.Errorf("shards %d: prefix %q postings differ", n, prefix)
 			}
 		}
-		if !reflect.DeepEqual(mustPhrasePostings(t, sharded, []string{"united", "states"}),
-			mustPhrasePostings(t, one, []string{"united", "states"})) {
-			t.Errorf("shards %d: PhrasePostings differ", n)
+		for _, term := range []query.Term{
+			mustTerm(t, "*", `"united states"`),
+			mustTerm(t, "trade_country", "*"),
+			mustTerm(t, "*", "germ* OR mexico"),
+		} {
+			ms, err := sharded.MatchTerm(term)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := one.MatchTerm(term)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ms, want) {
+				t.Errorf("shards %d: MatchTerm(%s) differs", n, term)
+			}
 		}
 		for _, p := range one.allPaths {
-			if !reflect.DeepEqual(mustNodesAtPath(t, sharded, p), mustNodesAtPath(t, one, p)) {
-				t.Errorf("shards %d: NodesAtPath(%d) differs", n, p)
+			if !reflect.DeepEqual(pathNodes(t, sharded, p), pathNodes(t, one, p)) {
+				t.Errorf("shards %d: nodes at path %d differ", n, p)
 			}
 		}
 		stats := sharded.ShardStats()

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,50 +36,73 @@ func widePrefixFixture(tb testing.TB, terms, docs int) *store.Collection {
 	return col
 }
 
-// lookupPrefixNaive is the pre-shard implementation kept as the benchmark
-// baseline: append every matching term's postings and re-sort the whole
-// concatenation via normalizePostings.
-func lookupPrefixNaive(tb testing.TB, ix *Index, prefix string) []Posting {
-	lo := 0
-	for lo < len(ix.terms) && ix.terms[lo] < prefix {
-		lo++
-	}
+// lookupPrefixNaive is the append-then-re-sort baseline for
+// lookupPrefixShard: append every matching term's postings in shard s and
+// re-sort the whole concatenation via normalizePostings.
+func lookupPrefixNaive(tb testing.TB, ix *Index, s int, prefix string) []Posting {
+	tb.Helper()
+	sh := ix.shards[s]
 	var merged []Posting
-	for i := lo; i < len(ix.terms) && strings.HasPrefix(ix.terms[i], prefix); i++ {
-		merged = append(merged, mustLookup(tb, ix, ix.terms[i])...)
+	for _, term := range sh.terms {
+		if !strings.HasPrefix(term, prefix) {
+			continue
+		}
+		ps, err := sh.postings(term)
+		if err != nil {
+			tb.Fatalf("postings(%q): %v", term, err)
+		}
+		for _, p := range ix.livePostings(s, ps) {
+			// normalizePostings merges positions in place: copy them off
+			// the index's storage first.
+			p.Positions = slices.Clone(p.Positions)
+			merged = append(merged, p)
+		}
 	}
 	return normalizePostings(merged)
 }
 
-// TestLookupPrefixMatchesNaive pins the k-way merge to the naive
-// append-then-re-sort semantics on the wide fixture.
+// mustLookupPrefixShard unwraps lookupPrefixShard.
+func mustLookupPrefixShard(tb testing.TB, ix *Index, s int, prefix string) []Posting {
+	tb.Helper()
+	ps, err := ix.lookupPrefixShard(s, prefix)
+	if err != nil {
+		tb.Fatalf("lookupPrefixShard(%d, %q): %v", s, prefix, err)
+	}
+	return ps
+}
+
+// TestLookupPrefixMatchesNaive pins lookupPrefixShard's k-way merge to the
+// naive append-then-re-sort semantics on the wide fixture, in every shard.
 func TestLookupPrefixMatchesNaive(t *testing.T) {
 	col := widePrefixFixture(t, 120, 16)
 	for _, shards := range []int{1, 4} {
 		ix := BuildSharded(col, shards, 1)
-		for _, prefix := range []string{"item", "itema", "itemz", "filler", "nope"} {
-			got := mustLookupPrefix(t, ix, prefix)
-			want := lookupPrefixNaive(t, ix, prefix)
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d prefix %q: merge diverges from naive (%d vs %d postings)",
-					shards, prefix, len(got), len(want))
+		for s := range ix.shards {
+			for _, prefix := range []string{"item", "itema", "itemz", "filler", "nope"} {
+				got := mustLookupPrefixShard(t, ix, s, prefix)
+				want := lookupPrefixNaive(t, ix, s, prefix)
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("shards=%d shard %d prefix %q: merge diverges from naive (%d vs %d postings)",
+						shards, s, prefix, len(got), len(want))
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkLookupPrefixWide measures the k-way merge on a wide prefix
-// (hundreds of matching terms). Compare against
-// BenchmarkLookupPrefixWideNaive, the old append-then-re-sort path.
+// BenchmarkLookupPrefixWide measures lookupPrefixShard's k-way merge on a
+// wide prefix (hundreds of matching terms), the path a prefix probe of a
+// query runs. Compare against BenchmarkLookupPrefixWideNaive, the
+// append-then-re-sort baseline.
 func BenchmarkLookupPrefixWide(b *testing.B) {
 	col := widePrefixFixture(b, 400, 32)
 	ix := Build(col)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ps := mustLookupPrefix(b, ix, "item"); len(ps) == 0 {
+		if ps := mustLookupPrefixShard(b, ix, 0, "item"); len(ps) == 0 {
 			b.Fatal("no postings")
 		}
 	}
@@ -89,7 +113,7 @@ func BenchmarkLookupPrefixWideNaive(b *testing.B) {
 	ix := Build(col)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ps := lookupPrefixNaive(b, ix, "item"); len(ps) == 0 {
+		if ps := lookupPrefixNaive(b, ix, 0, "item"); len(ps) == 0 {
 			b.Fatal("no postings")
 		}
 	}

@@ -13,10 +13,10 @@
 //     Figure-8 context index drop terms and paths with no live
 //     occurrence;
 //   - allPaths drops paths occurring only in dead documents;
-//   - per-shard overlap flags route the posting read paths (Lookup,
-//     prefix scans, phrase intersection, SLCA anchors, context scans)
-//     through a live-filter — shards with no dead documents keep the
-//     zero-copy fast paths untouched.
+//   - per-shard overlap flags route the posting read paths (term and
+//     prefix probes of the SLCA anchors, context scans) through a
+//     live-filter — shards with no dead documents keep the zero-copy
+//     fast paths untouched.
 //
 // The equivalence contract: a masked index answers every query exactly as
 // an index built from scratch over the live documents (modulo document

@@ -5,10 +5,10 @@
 // Each operation mirrors Ingest: the current engine derives a new
 // generation (core.DeleteDocuments / UpdateDocumentXML / Compact) and
 // the registry swaps the entry to it atomically. In-flight sessions
-// keep reading the generation they hold, the shared top-k cache
-// self-invalidates (keys include the engine id), and disk-backed
-// entries re-snapshot asynchronously — a masked generation persists as
-// a SEDASNAP v4 container carrying the tombstone section.
+// keep reading the generation they hold, new sessions read the new one,
+// and disk-backed entries re-snapshot asynchronously — a masked
+// generation persists as a SEDASNAP v4 container carrying the tombstone
+// section.
 //
 // The background compactor is threshold-triggered: when a delete or
 // update leaves the tombstone ratio at or above Registry.CompactThreshold,

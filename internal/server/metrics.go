@@ -5,7 +5,7 @@
 // the seda_topk_* search counters (installed on every engine the registry
 // adopts), the registry reports engine lifecycle phase timings through the
 // observer installed here, and everything HTTP-shaped — request counters,
-// latency histograms, the in-flight gauge, cache and session gauges — is
+// latency histograms, the in-flight gauge, session gauges — is
 // owned by this file. One scrape of GET /metrics renders all of it from a
 // single obs.Registry.
 
@@ -33,7 +33,7 @@ var engineOpBuckets = []float64{
 
 // serverMetrics owns the daemon's metric registry. Counter and histogram
 // handles the request path updates directly live here; gauges derived
-// from existing server state (cache, sessions, registry) are func-backed
+// from existing server state (sessions, registry) are func-backed
 // and read that state only at scrape time.
 type serverMetrics struct {
 	reg *obs.Registry
@@ -78,21 +78,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.slow = reg.NewCounter("seda_http_slow_queries_total",
 		"Top-k searches at or above the slow-query threshold.")
 	m.served = reg.NewCounterVec("seda_topk_served_total",
-		"Top-k answers by source: a fresh search, the shared result cache, or results the session already held.",
+		"Top-k answers by source: a fresh search, or results the session already held.",
 		"source")
-
-	reg.NewCounterFunc("seda_topk_cache_hits_total",
-		"Top-k result cache hits.",
-		func() uint64 { return s.cache.stats().Hits })
-	reg.NewCounterFunc("seda_topk_cache_misses_total",
-		"Top-k result cache misses.",
-		func() uint64 { return s.cache.stats().Misses })
-	reg.NewGaugeFunc("seda_topk_cache_entries",
-		"Result slices currently cached.",
-		func() float64 { return float64(s.cache.stats().Entries) })
-	reg.NewGaugeFunc("seda_topk_cache_bytes",
-		"Estimated heap bytes pinned by cached result slices.",
-		func() float64 { return float64(s.cache.stats().Bytes) })
 
 	reg.NewGaugeFunc("seda_sessions_active",
 		"Live exploration sessions.",

@@ -73,8 +73,9 @@ func TestMetricsExposition(t *testing.T) {
 	c.call("GET", "/sessions/"+id+"/topk?k=5", nil, http.StatusOK, nil)
 	after := c.scrape()
 
-	// One family per owning layer: topk (search), server (HTTP + cache +
-	// sessions), registry (engine lifecycle), core build phases.
+	// One family per owning layer: topk (search), server (HTTP, serving
+	// disposition, sessions), registry (engine lifecycle), core build
+	// phases.
 	for _, fam := range []string{
 		"seda_topk_searches_total",
 		"seda_topk_search_duration_seconds",
@@ -83,10 +84,6 @@ func TestMetricsExposition(t *testing.T) {
 		"seda_http_request_duration_seconds",
 		"seda_http_inflight_requests",
 		"seda_topk_served_total",
-		"seda_topk_cache_hits_total",
-		"seda_topk_cache_misses_total",
-		"seda_topk_cache_entries",
-		"seda_topk_cache_bytes",
 		"seda_sessions_active",
 		"seda_collections",
 		"seda_engine_ops_total",
@@ -100,10 +97,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	if got := sampleValue(c, after, "seda_topk_searches_total", nil); got != 1 {
-		t.Errorf("searches_total = %v, want 1 (second request served from session/cache)", got)
+		t.Errorf("searches_total = %v, want 1 (second request served from the session)", got)
 	}
 	if got := sampleValue(c, after, "seda_topk_served_total", map[string]string{"source": "search"}); got != 1 {
 		t.Errorf("served{search} = %v, want 1", got)
+	}
+	if got := sampleValue(c, after, "seda_topk_served_total", map[string]string{"source": "session"}); got != 1 {
+		t.Errorf("served{session} = %v, want 1", got)
 	}
 	if got := sampleValue(c, after, "seda_sessions_active", nil); got != 1 {
 		t.Errorf("sessions_active = %v, want 1", got)
@@ -113,12 +113,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := sampleValue(c, after, "seda_engine_ops_total", map[string]string{"op": "build"}); got != 1 {
 		t.Errorf("engine_ops{build} = %v, want 1", got)
-	}
-	if sampleValue(c, after, "seda_topk_cache_entries", nil) == 0 {
-		t.Error("cache entries gauge is zero after a cached search")
-	}
-	if sampleValue(c, after, "seda_topk_cache_bytes", nil) == 0 {
-		t.Error("cache bytes gauge is zero after a cached search")
 	}
 
 	// Counter monotonicity between the two scrapes, for every counter
@@ -193,15 +187,15 @@ func TestExplainTrace(t *testing.T) {
 		t.Error("trace reports no kth score")
 	}
 
-	// Second explain reports where a plain request would have been served
-	// from; results must match the plain spelling.
+	// Second explain reports that a plain request would have been served
+	// from the session; results must match the plain spelling.
 	var tk2 topkResponse
 	c.call("GET", "/sessions/"+id+"/topk?k=5&explain=1", nil, http.StatusOK, &tk2)
 	if tk2.Trace == nil {
 		t.Fatal("?explain=1 returned no trace")
 	}
-	if got := tk2.Trace.Cache; got != "session" && got != "cache" {
-		t.Errorf("repeat disposition = %q, want session or cache", got)
+	if got := tk2.Trace.Cache; got != "session" {
+		t.Errorf("repeat disposition = %q, want session", got)
 	}
 	var plain topkResponse
 	c.call("GET", "/sessions/"+id+"/topk?k=5", nil, http.StatusOK, &plain)
@@ -278,8 +272,8 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatsBuildInfo covers the satellite: uptime, Go version, and cache
-// byte estimates on /stats (and its /debug/stats alias).
+// TestStatsBuildInfo: uptime, Go version, and the per-collection state on
+// /stats (and its /debug/stats alias).
 func TestStatsBuildInfo(t *testing.T) {
 	c := newTestClient(t, Options{})
 	col := c.setupWorldFactbook()
@@ -294,10 +288,6 @@ func TestStatsBuildInfo(t *testing.T) {
 		}
 		if stats.Runtime.UptimeSeconds < 0 {
 			t.Errorf("%s uptime_seconds = %v", path, stats.Runtime.UptimeSeconds)
-		}
-		if stats.TopKCache.Entries == 0 || stats.TopKCache.Bytes <= 0 {
-			t.Errorf("%s cache entries=%d bytes=%d, want both positive",
-				path, stats.TopKCache.Entries, stats.TopKCache.Bytes)
 		}
 		if len(stats.Collections) != 1 || stats.Collections[0].State != StateBuilt {
 			t.Errorf("%s collections = %+v", path, stats.Collections)

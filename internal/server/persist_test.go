@@ -235,7 +235,7 @@ func TestSupersededEntryDoesNotPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.persistLocked(stale, eng)
+	r.persist(stale, eng, stale.source)
 
 	// The file on disk still validates as the live entry's snapshot.
 	if _, err := core.LoadEngineFile(current.snapshotPath, core.Config{}, "new-source"); err != nil {

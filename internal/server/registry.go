@@ -80,7 +80,7 @@ type regEntry struct {
 	build   engineBuilder // guarded by buildMu
 	eng     *core.Engine  // guarded by buildMu
 	// live mirrors eng for lock-free reads: generation checks by the async
-	// snapshot writer (which must not take buildMu — see persistGeneration)
+	// snapshot writer (which must not take buildMu — see persist)
 	// and the stats listing. Written under buildMu.
 	live atomic.Pointer[core.Engine]
 	// fromSnapshot records whether the served engine came from snapshotPath
@@ -143,11 +143,11 @@ func (e *regEntry) engineLocked(r *Registry) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.snapshotPath != "" {
-		r.persistLocked(e, eng)
-	}
 	e.adoptLocked(eng, false)
 	r.observeEngine(eng, "build")
+	if e.snapshotPath != "" {
+		r.persist(e, eng, e.source)
+	}
 	return eng, nil
 }
 
@@ -421,10 +421,10 @@ func uploadSource(docs []documentPayload) string {
 	return fmt.Sprintf("upload:sha256=%x", h.Sum(nil))
 }
 
-// validName restricts collection names to a URL- and cache-key-safe
-// charset: names appear as path segments and as components of the top-k
-// cache key, so control characters (the key separator in particular) and
-// slashes must not sneak in.
+// validName restricts collection names to a URL- and file-name-safe
+// charset: names appear as path segments and as snapshot file names in
+// the data directory, so control characters and slashes must not sneak
+// in.
 func validName(name string) bool {
 	if name == "" || len(name) > 64 {
 		return false
@@ -457,9 +457,8 @@ func (r *Registry) register(e *regEntry) error {
 		// a config or source change rebuilds and replaces it. (A request
 		// racing this swap may still build the discovered entry's engine;
 		// that engine is dropped — its snapshot write is skipped because
-		// the entry is no longer current (see persist), and the top-k
-		// cache keys on engine id, so nothing it computed leaks into the
-		// replacement.)
+		// the entry is no longer current (see persist), and only sessions
+		// created on it ever read it.)
 		if !prev.discovered || prev.done.Load() {
 			return fmt.Errorf("server: collection %q: %w", e.name, ErrAlreadyRegistered)
 		}
@@ -472,33 +471,6 @@ func (r *Registry) register(e *regEntry) error {
 	}
 	r.entries[e.name] = e
 	return nil
-}
-
-// persistLocked writes e's engine snapshot best-effort: a full disk must not
-// take down serving, but the failure is recorded for /stats. Only the
-// entry currently registered under the name may write — a superseded
-// entry finishing a slow build skips its persist, and concurrent persists
-// serialize on persistMu — so a stale engine can never clobber the live
-// entry's snapshot on disk. Callers hold e.buildMu.
-func (r *Registry) persistLocked(e *regEntry, eng *core.Engine) {
-	r.persistMu.Lock()
-	defer r.persistMu.Unlock()
-	r.mu.RLock()
-	current := r.entries[e.name] == e
-	r.mu.RUnlock()
-	if !current {
-		return
-	}
-	t0 := time.Now()
-	if err := core.SaveEngineFile(e.snapshotPath, eng, e.source); err != nil {
-		e.persistErr.Store(err.Error())
-		return
-	}
-	if r.onOp != nil {
-		r.onOp("save", map[string]time.Duration{"total": time.Since(t0)})
-	}
-	e.persistErr.Store("")
-	e.statSnapshot()
 }
 
 // Engine returns the engine for name, building it on first use. Every
@@ -527,9 +499,8 @@ var errColdBuildFailed = errors.New("building collection before ingest")
 // or loaded on the spot if the entry is still cold) derives a new
 // generation via core's incremental AddDocuments, and the registry swaps
 // the entry to it atomically. In-flight sessions keep reading the old
-// generation (they hold the engine pointer), the shared top-k cache
-// self-invalidates (it keys on the engine id, and the new generation has a
-// new id), and — when the registry is disk-backed — the new generation
+// generation (they hold the engine pointer), new sessions read the new
+// one, and — when the registry is disk-backed — the new generation
 // re-snapshots asynchronously so the append survives a restart without
 // stalling the request.
 //
@@ -576,7 +547,7 @@ func (r *Registry) swapGenerationLocked(e *regEntry, next *core.Engine, op, sour
 	r.observeEngine(next, op)
 	e.source = source
 	if e.snapshotPath != "" {
-		go r.persistGeneration(e, next, e.source)
+		go r.persist(e, next, e.source)
 	}
 }
 
@@ -594,14 +565,21 @@ func ingestSource(prev string, docs []documentPayload) string {
 	return fmt.Sprintf("ingest:sha256=%x", h.Sum(nil))
 }
 
-// persistGeneration is the asynchronous re-snapshot after an ingest. It
-// deliberately avoids buildMu (a sync persist inside engineLocked may hold
-// it while waiting on persistMu; taking them in the other order here would
-// deadlock) and instead checks the lock-free generation mirror under
-// persistMu: if the entry has been superseded, or a newer generation has
-// already been swapped in, this write is skipped — the newest generation's
-// own persist is (or was) responsible for the file.
-func (r *Registry) persistGeneration(e *regEntry, eng *core.Engine, source string) {
+// persist writes eng's snapshot for e best-effort: a full disk must not
+// take down serving, but the failure is recorded for /stats. It is the one
+// snapshot write, for the synchronous first build (inside engineLocked)
+// and for the asynchronous re-snapshot of every derived generation.
+//
+// Two guards, checked under persistMu, keep a stale engine from clobbering
+// the live snapshot on disk: only the entry currently registered under the
+// name may write (a superseded entry finishing a slow build skips its
+// persist), and only its newest generation (a re-snapshot overtaken by a
+// later swap is skipped — the newest generation's own persist is, or was,
+// responsible for the file). persist deliberately reads the lock-free
+// generation mirror instead of taking buildMu: the synchronous build
+// persists while holding buildMu and then waits on persistMu, so taking
+// them in the other order here would deadlock.
+func (r *Registry) persist(e *regEntry, eng *core.Engine, source string) {
 	r.persistMu.Lock()
 	defer r.persistMu.Unlock()
 	r.mu.RLock()

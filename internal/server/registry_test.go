@@ -122,8 +122,8 @@ func TestRegistryErrors(t *testing.T) {
 	if err := r.RegisterCollection("", testCollection(t), core.Config{}, ""); err == nil {
 		t.Error("empty name accepted")
 	}
-	// Names land in URLs and cache keys; the separator byte and slashes
-	// must be rejected.
+	// Names land in URLs and snapshot file names; control bytes and
+	// slashes must be rejected.
 	for _, bad := range []string{"a\x1fb", "a/b", "a b", "ä"} {
 		if err := r.RegisterCollection(bad, testCollection(t), core.Config{}, ""); err == nil {
 			t.Errorf("invalid name %q accepted", bad)

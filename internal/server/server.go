@@ -12,17 +12,15 @@
 //     longer matches is rebuilt, never silently served;
 //   - a session manager: a concurrent session table with TTL and
 //     max-count eviction, locking per session so one session's refinement
-//     never blocks another session's top-k;
-//   - a bounded LRU result cache on the hot top-k read path, keyed on
-//     (collection, query, k). Engines are immutable once built and a
-//     refined query keys differently from its parent, so entries never go
-//     stale and are evicted only by LRU pressure.
+//     never blocks another session's top-k. A session keeps the top-k
+//     results of its current (query, k), so a repeated request is served
+//     from them without a search; every other request searches.
 //
 // Every response carries an X-Request-ID header that also tags the
 // access-log and slow-query-log lines for the request, GET /metrics
 // exposes every layer's counters in Prometheus text format, and top-k
 // requests accept an opt-in explain flag returning the search's trace
-// (stage timings, TA wave evolution, cache disposition).
+// (stage timings, TA wave evolution, serving disposition).
 //
 // Endpoints:
 //
@@ -38,7 +36,7 @@
 //	POST   /sessions                        parse a query, start an exploration
 //	GET    /sessions/{id}                   session info
 //	DELETE /sessions/{id}                   end a session
-//	GET    /sessions/{id}/topk?k=&explain=  ranked results (cached)
+//	GET    /sessions/{id}/topk?k=&explain=  ranked results (a repeat is served from the session)
 //	POST   /sessions/{id}/query             ranked results; body selects k and explain
 //	GET    /sessions/{id}/contexts          context summary (§5)
 //	POST   /sessions/{id}/refine            restrict a term to chosen contexts
@@ -77,11 +75,10 @@ type Options struct {
 	// negative disables TTL eviction).
 	SessionTTL time.Duration
 	// MaxSessions caps the session table; the least recently used session
-	// is evicted when a create would exceed it (default 1024).
+	// is evicted when a create would exceed it (default 1024). A negative
+	// value removes the cap: the table then grows without bound, held back
+	// only by SessionTTL.
 	MaxSessions int
-	// CacheSize bounds the top-k result cache in entries (default 256;
-	// negative disables caching).
-	CacheSize int
 	// BuiltinScale is the corpus scale used when POST /collections selects
 	// a builtin without an explicit scale (default 0.05).
 	BuiltinScale float64
@@ -134,9 +131,6 @@ func (o *Options) defaults() {
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 1024
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 256
-	}
 	if o.BuiltinScale == 0 {
 		o.BuiltinScale = 0.05
 	}
@@ -162,7 +156,6 @@ type Server struct {
 	opts     Options
 	registry *Registry
 	sessions *sessionManager
-	cache    *resultCache
 	mux      *http.ServeMux
 	started  time.Time
 	now      func() time.Time
@@ -191,7 +184,6 @@ func New(opts Options) *Server {
 		opts:      opts,
 		registry:  reg,
 		sessions:  newSessionManager(opts.SessionTTL, opts.MaxSessions, opts.Clock),
-		cache:     newResultCache(opts.CacheSize),
 		mux:       http.NewServeMux(),
 		started:   now(),
 		now:       now,
@@ -341,7 +333,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // maxTopK caps GET /topk's k so one request cannot force an arbitrarily
-// large search and cache entry.
+// large search.
 const maxTopK = 1000
 
 // MaxShards caps the per-collection shard count: beyond the core count
@@ -408,7 +400,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Uptime:      uptime.Round(time.Millisecond).String(),
 		Collections: s.registry.List(),
 		Sessions:    s.sessions.stats(),
-		TopKCache:   s.cache.stats(),
 		Runtime: runtimeStats{
 			UptimeSeconds: uptime.Seconds(),
 			GoVersion:     s.build.GoVersion,
@@ -527,8 +518,7 @@ func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 // handleIngestDocuments appends uploaded documents to a live collection.
 // The registry swaps in a new engine generation built by incremental
 // ingest (core.Engine.AddDocuments): sessions created before the swap keep
-// reading the old generation, new sessions see the extended corpus, and
-// the top-k cache needs no eviction because its keys include the engine id.
+// reading the old generation, and new sessions see the extended corpus.
 func (s *Server) handleIngestDocuments(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req ingestRequest
@@ -707,10 +697,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveTopK answers both top-k spellings. Without explain it serves the
-// cheapest correct source — session-held results, the shared cache, or a
+// results the session already holds for its current (query, k), or runs a
 // fresh search. With explain it always runs a real traced search (a trace
-// of a cache lookup would explain nothing) and reports where a plain
-// request would have been served from as the trace's cache disposition.
+// of held results would explain nothing) and reports where a plain request
+// would have been served from as the trace's disposition.
 func (s *Server) serveTopK(w http.ResponseWriter, r *http.Request, k int, explain bool) {
 	sess := s.getSession(w, r)
 	if sess == nil {
@@ -719,60 +709,47 @@ func (s *Server) serveTopK(w http.ResponseWriter, r *http.Request, k int, explai
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	q := sess.queryStringLocked()
-	key := cacheKey(sess.eng.ID(), q, k)
-	rs, cached := s.cache.get(key)
-	resp := topkResponse{Session: sess.id, Query: q, K: k, Cached: cached}
+	held := sess.heldK == k && sess.heldQuery == q
+	resp := topkResponse{Session: sess.id, Query: q, K: k}
+	var rs []topk.Result
 	var searched time.Duration
 	var trace *topk.Trace
-	switch {
-	case explain:
-		disposition := "search"
-		switch {
-		case sess.lastTopK == key:
-			disposition = "session"
-		case cached:
-			disposition = "cache"
-		}
-		trace = new(topk.Trace)
+	if held && !explain {
+		// A repeated request is truly read-only: it serves the held
+		// results and leaves the downstream summaries (connections etc.)
+		// intact.
+		rs = sess.sess.TopKResults()
+		resp.Cached = true
+		s.metrics.served.With("session").Inc()
+	} else {
 		t0 := time.Now()
 		var err error
-		rs, err = sess.sess.TopKTraced(k, trace)
+		if explain {
+			trace = new(topk.Trace)
+			rs, err = sess.sess.TopKTraced(k, trace)
+		} else {
+			rs, err = sess.sess.TopK(k)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		searched = time.Since(t0)
-		s.cache.put(key, rs)
 		s.metrics.served.With("search").Inc()
+		sess.heldQuery, sess.heldK = q, k
+	}
+	if explain {
+		disposition := "search"
+		if held {
+			disposition = "session"
+		}
 		resp.Trace = &wireTrace{
 			RequestID: requestIDFrom(r.Context()),
 			Cache:     disposition,
 			TotalNs:   searched.Nanoseconds(),
 			TopK:      trace,
 		}
-	case sess.lastTopK == key:
-		// The session already holds exactly these results — even if the
-		// shared cache entry is gone (LRU may evict it). Serve from
-		// session state and leave the downstream summaries (connections
-		// etc.) intact: a repeated GET is truly read-only.
-		rs = sess.sess.TopKResults()
-		s.metrics.served.With("session").Inc()
-	case cached:
-		sess.sess.SetTopK(rs)
-		s.metrics.served.With("cache").Inc()
-	default:
-		t0 := time.Now()
-		var err error
-		rs, err = sess.sess.TopK(k)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		searched = time.Since(t0)
-		s.cache.put(key, rs)
-		s.metrics.served.With("search").Inc()
 	}
-	sess.lastTopK = key
 	if t := s.opts.SlowQueryThreshold; t > 0 && searched >= t {
 		s.metrics.slow.Inc()
 		s.logSlowQuery(r, sess.id, q, k, searched, trace)
@@ -822,12 +799,10 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// No cache eviction: the engine is immutable, so the cached entries for
-	// the pre-refinement query are still correct for every other session
-	// asking that query, and this session's refined query keys differently.
-	// Clearing lastTopK is what makes this session recompute.
+	// The refinement cleared the session's results; the next top-k
+	// request searches again.
 	sess.star = nil
-	sess.lastTopK = ""
+	sess.heldQuery, sess.heldK = "", 0
 	writeJSON(w, http.StatusOK, sessionResponse{
 		Session:    sess.id,
 		Collection: sess.collection,
@@ -875,9 +850,8 @@ func (s *Server) handleChoose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Choosing connections is per-session state and cannot change top-k
-	// results for this or any other session, so the shared cache is left
-	// alone.
+	// Choosing connections cannot change the session's top-k results, so
+	// they stay held.
 	sess.star = nil
 	writeJSON(w, http.StatusOK, map[string]any{
 		"session": sess.id,

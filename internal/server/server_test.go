@@ -229,69 +229,69 @@ func TestFullExplorationLoop(t *testing.T) {
 	c.call("GET", "/sessions/"+id, nil, http.StatusNotFound, nil)
 }
 
-// TestTopKCacheHit exercises the result cache: identical (collection,
-// query, k) requests from distinct sessions share one search, and one
-// session refining its query does not evict the entries other sessions on
-// the original query still use (the engine is immutable; a refined query
-// keys differently).
+// TestTopKCacheHit: a session serves an identical repeat of its current
+// (query, k) from the results it holds, without a search. Everything else
+// searches: a second session asking the same question, another k, and the
+// session's own refined query.
 func TestTopKCacheHit(t *testing.T) {
 	c := newTestClient(t, Options{})
 	col := c.setupWorldFactbook()
 
 	a := c.newSession(col, query1)
 	b := c.newSession(col, query1)
+	searches := func() float64 {
+		t.Helper()
+		return sampleValue(c, c.scrape(), "seda_topk_searches_total", nil)
+	}
 
 	var tk topkResponse
 	c.call("GET", "/sessions/"+a+"/topk?k=10", nil, http.StatusOK, &tk)
 	if tk.Cached {
-		t.Fatal("first request cannot be a cache hit")
+		t.Fatal("first request reported cached=true")
 	}
 	first := tk.Results
 
-	c.call("GET", "/sessions/"+b+"/topk?k=10", nil, http.StatusOK, &tk)
-	if !tk.Cached {
-		t.Fatal("identical request from a second session missed the cache")
-	}
-	if fmt.Sprint(tk.Results) != fmt.Sprint(first) {
-		t.Error("cached results differ from the original")
-	}
-
-	// Same session, repeated request: also a hit.
+	// Same session, identical repeat: served from the session, no search.
+	before := searches()
 	c.call("GET", "/sessions/"+a+"/topk?k=10", nil, http.StatusOK, &tk)
 	if !tk.Cached {
-		t.Error("repeated request missed the cache")
+		t.Error("identical repeat in the same session was not served from the session")
 	}
-	// Different k keys separately.
+	if got := searches(); got != before {
+		t.Errorf("identical repeat ran a search: searches_total %v -> %v", before, got)
+	}
+	if fmt.Sprint(tk.Results) != fmt.Sprint(first) {
+		t.Error("session-held results differ from the original")
+	}
+
+	// A second session with the same query holds nothing yet: it searches.
+	c.call("GET", "/sessions/"+b+"/topk?k=10", nil, http.StatusOK, &tk)
+	if tk.Cached {
+		t.Error("a second session's first request reported cached=true")
+	}
+	if got := searches(); got != before+1 {
+		t.Errorf("second session: searches_total %v -> %v, want one search", before, got)
+	}
+	if fmt.Sprint(tk.Results) != fmt.Sprint(first) {
+		t.Error("the second session's results differ from the first's")
+	}
+
+	// Another k is another question.
 	c.call("GET", "/sessions/"+a+"/topk?k=5", nil, http.StatusOK, &tk)
 	if tk.Cached {
-		t.Error("k=5 must not hit the k=10 entry")
+		t.Error("k=5 was served from the session's k=10 results")
 	}
 
-	var stats statsResponse
-	c.call("GET", "/debug/stats", nil, http.StatusOK, &stats)
-	if stats.TopKCache.Hits < 2 {
-		t.Errorf("cache hits = %d, want >= 2", stats.TopKCache.Hits)
-	}
-	if stats.TopKCache.Entries == 0 {
-		t.Error("cache reports no entries")
-	}
-
-	// Refining session a must NOT evict session b's entry for the original
-	// query: the engine is immutable, so that entry can never go stale, and
-	// under concurrent users eviction here is pure hit-rate loss.
+	// A refinement drops the held results: the refined query searches,
+	// and the other session still holds its own.
 	c.call("POST", "/sessions/"+a+"/refine", refineRequest{Term: 1, Paths: []string{tcP}}, http.StatusOK, nil)
-	c.call("GET", "/sessions/"+b+"/topk?k=10", nil, http.StatusOK, &tk)
-	if !tk.Cached {
-		t.Error("refine in one session evicted another session's cache entry")
-	}
-	if fmt.Sprint(tk.Results) != fmt.Sprint(first) {
-		t.Error("session b's post-refine results differ from the original")
-	}
-	// Session a itself runs a fresh search: its refined query keys
-	// differently and has no entry yet.
 	c.call("GET", "/sessions/"+a+"/topk?k=10", nil, http.StatusOK, &tk)
 	if tk.Cached {
-		t.Error("refined query hit the cache entry of its parent query")
+		t.Error("refined query was served from the results of its parent query")
+	}
+	c.call("GET", "/sessions/"+b+"/topk?k=10", nil, http.StatusOK, &tk)
+	if !tk.Cached || fmt.Sprint(tk.Results) != fmt.Sprint(first) {
+		t.Error("refine in one session changed what another session holds")
 	}
 }
 
@@ -309,12 +309,12 @@ func TestRepeatedTopKIsReadOnly(t *testing.T) {
 	if len(conns.Connections) == 0 {
 		t.Fatal("no connections")
 	}
-	// Identical re-fetch (cache hit), then choose against the summary
-	// computed before it.
+	// Identical re-fetch (served from the session), then choose against
+	// the summary computed before it.
 	var tk topkResponse
 	c.call("GET", "/sessions/"+id+"/topk?k=10", nil, http.StatusOK, &tk)
 	if !tk.Cached {
-		t.Fatal("expected a cache hit")
+		t.Fatal("expected the session's held results")
 	}
 	c.call("POST", "/sessions/"+id+"/choose", chooseRequest{Connections: []int{0}}, http.StatusOK, nil)
 
@@ -324,6 +324,36 @@ func TestRepeatedTopKIsReadOnly(t *testing.T) {
 	c.call("GET", "/sessions/"+id+"/topk?k=10", nil, http.StatusOK, &tk)
 	if len(tk.Results) == 0 {
 		t.Fatal("no results from session-held top-k")
+	}
+	c.call("POST", "/sessions/"+id+"/choose", chooseRequest{Connections: []int{0}}, http.StatusOK, nil)
+}
+
+// TestExplainKeepsSessionSummaries: an explain request for the (query, k)
+// the session already holds runs a real search, but its answer equals the
+// held one, so the connection summary computed from it survives and a
+// following choose still works.
+func TestExplainKeepsSessionSummaries(t *testing.T) {
+	c := newTestClient(t, Options{})
+	col := c.setupWorldFactbook()
+	id := c.newSession(col, query1)
+
+	var held topkResponse
+	c.call("GET", "/sessions/"+id+"/topk?k=10", nil, http.StatusOK, &held)
+	var conns connectionsResponse
+	c.call("GET", "/sessions/"+id+"/connections", nil, http.StatusOK, &conns)
+	if len(conns.Connections) == 0 {
+		t.Fatal("no connections")
+	}
+	var tk topkResponse
+	c.call("POST", "/sessions/"+id+"/query", queryRequest{K: 10, Explain: true}, http.StatusOK, &tk)
+	if tk.Trace == nil || tk.Trace.TopK == nil || len(tk.Trace.TopK.Waves) == 0 {
+		t.Fatal("explain did not trace a real search")
+	}
+	if tk.Trace.Cache != "session" {
+		t.Errorf("disposition = %q, want %q", tk.Trace.Cache, "session")
+	}
+	if fmt.Sprint(tk.Results) != fmt.Sprint(held.Results) {
+		t.Fatal("explain answered differently from the held results")
 	}
 	c.call("POST", "/sessions/"+id+"/choose", chooseRequest{Connections: []int{0}}, http.StatusOK, nil)
 }
@@ -360,8 +390,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			if i%2 == 1 {
 				// Odd clients refine mid-loop: their next topk runs the
-				// rewritten query while even clients keep hitting the
-				// shared cache entry.
+				// rewritten query while even clients keep the original.
 				steps = append(steps,
 					func() error {
 						return cl.post("/sessions/"+id+"/refine", refineRequest{Term: 1, Paths: []string{tcP}})

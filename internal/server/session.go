@@ -28,14 +28,16 @@ type session struct {
 	mu   sync.Mutex
 	sess *core.Session // guarded by mu
 	star *cube.Star    // guarded by mu; last BuildCube result, consumed by /analyze
-	// lastTopK is the cache key of the top-k results the session currently
-	// holds; a repeated identical GET /topk is then fully read-only (it
-	// must not clear the session's downstream summaries).
-	lastTopK string // guarded by mu
+	// heldQuery and heldK name the (query, k) whose top-k results the
+	// session currently holds (heldK is 0 when it holds none); a repeated
+	// identical top-k request is then served from them, fully read-only
+	// (it must not clear the session's downstream summaries).
+	heldQuery string // guarded by mu
+	heldK     int    // guarded by mu
 }
 
-// queryStringLocked renders the session's current (possibly refined) query; it
-// is the cache key component. Callers must hold s.mu.
+// queryStringLocked renders the session's current (possibly refined)
+// query. Callers must hold s.mu.
 func (s *session) queryStringLocked() string { return s.sess.Query().String() }
 
 // sessionManager is the concurrent session table with TTL and max-count

@@ -172,7 +172,7 @@ type topkResponse struct {
 
 // wireTrace is the per-request query trace: the request id (matching the
 // X-Request-ID header and log lines), where a plain request would have
-// been served from ("session", "cache", or "search"), the end-to-end
+// been served from ("session" or "search"), the end-to-end
 // search time, and the TA search's own stage timings, per-term fetch
 // counts, and wave-by-wave threshold evolution.
 type wireTrace struct {
@@ -264,7 +264,6 @@ type statsResponse struct {
 	Uptime      string         `json:"uptime"`
 	Collections []RegistryInfo `json:"collections"`
 	Sessions    sessionStats   `json:"sessions"`
-	TopKCache   cacheStats     `json:"topk_cache"`
 	Runtime     runtimeStats   `json:"runtime"`
 }
 

@@ -137,11 +137,11 @@ type (
 // Serving tier types (the cmd/sedad daemon; see internal/server).
 type (
 	// Server is the HTTP/JSON serving tier exposing the Figure 6 loop as
-	// stateful endpoints, with an engine registry, a TTL/LRU-evicted
-	// session table, and a bounded top-k result cache.
+	// stateful endpoints, with an engine registry and a TTL/LRU-evicted
+	// session table whose sessions hold their top-k results.
 	Server = server.Server
-	// ServerOptions tunes session TTL, table capacity, cache size, build
-	// and search parallelism, and the default builtin corpus scale.
+	// ServerOptions tunes session TTL, table capacity, build and search
+	// parallelism, and the default builtin corpus scale.
 	ServerOptions = server.Options
 	// EngineRegistry maps collection names to lazily-built engines.
 	EngineRegistry = server.Registry
