@@ -231,7 +231,7 @@ func TestHostileBackstoreEngine(t *testing.T) {
 
 	// With a 1-byte budget at most one run is resident: after matching
 	// another term, every run of term is cold and must be read.
-	words := paged.ix.Terms()
+	words := docWords(paged)
 	term := query.Term{Search: fulltext.Word{Term: words[0]}}
 	other := query.Term{Search: fulltext.Word{Term: words[1]}}
 	if _, err := paged.ix.MatchTerm(other); err != nil {

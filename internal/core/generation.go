@@ -68,11 +68,12 @@ type layers struct {
 // from-source build) under cfg. The layers run in one order for every
 // op: the index step with the full Parallelism, then the link graph, then
 // the dataguide summary. Both of the latter are order-dependent folds
-// (first-occurrence-wins id tables, §6.1 absorption): when nothing died
-// since prev they continue over the appended documents, otherwise they
-// are rebuilt over the survivors with the functions a from-source build
-// uses — a deletion cannot be un-folded, and re-folding the live
-// documents in id order reaches exactly the from-scratch state.
+// (first-occurrence-wins id tables, §6.1 absorption) with one Extend
+// each, and derive only picks where they start: from prev's layers over
+// the appended documents when nothing died since prev, otherwise from
+// empty layers over the live documents — a deletion cannot be un-folded,
+// and re-folding the live documents in id order reaches exactly the
+// from-scratch state.
 func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	timings := make(map[string]time.Duration)
 	key := func(layer string) string {
@@ -90,28 +91,18 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	}
 	timings[key("index")] = time.Since(t)
 
-	extend := prev != nil && s.col.Tombstones().Len() == prev.col.Tombstones().Len()
-	t = time.Now()
-	if extend {
-		l.g = prev.g.CloneFor(s.col)
-		l.g.DiscoverIncremental(cfg.Discover, s.added)
-		l.g.ExtendValueLinks(cfg.ValueLinks, s.added)
-	} else {
-		l.g = graph.New(s.col)
-		l.g.DiscoverLinks(cfg.Discover)
-		for _, vl := range cfg.ValueLinks {
-			l.g.AddValueLinks(vl.FromPath, vl.ToPath, vl.Label)
-		}
+	g := graph.New(s.col, cfg.Discover, cfg.ValueLinks)
+	dg := &dataguide.Set{Threshold: cfg.DataguideThreshold}
+	docs := s.col.LiveDocs()
+	if prev != nil && s.col.Tombstones().Len() == prev.col.Tombstones().Len() {
+		g, dg, docs = prev.g, prev.dg, s.added
 	}
+	t = time.Now()
+	l.g = g.Extend(s.col, docs)
 	timings[key("graph")] = time.Since(t)
 
 	t = time.Now()
-	if extend {
-		l.dg, err = prev.dg.Extend(s.col, l.g, s.added)
-	} else {
-		l.dg, err = dataguide.Build(s.col, l.g, cfg.DataguideThreshold)
-	}
-	if err != nil {
+	if l.dg, err = dg.Extend(s.col, l.g, docs); err != nil {
 		return nil, err
 	}
 	timings[key("dataguide")] = time.Since(t)

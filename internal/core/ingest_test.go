@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"seda/internal/datagen"
+	"seda/internal/fulltext"
 	"seda/internal/store"
+	"seda/internal/xmldoc"
 )
 
 // The tentpole invariant of incremental ingest: an engine produced by any
@@ -70,14 +74,29 @@ func incrementalEngine(t *testing.T, raw []IngestDoc, cfg Config, base, batches 
 	return eng
 }
 
+// docWords returns the distinct words of the engine's live document text
+// in sorted order — the node index's vocabulary, read from the documents.
+func docWords(eng *Engine) []string {
+	seen := make(map[string]bool)
+	for _, d := range eng.Collection().LiveDocs() {
+		d.Walk(func(n *xmldoc.Node) bool {
+			for _, w := range fulltext.TokenizeTerms(n.Text) {
+				seen[w] = true
+			}
+			return true
+		})
+	}
+	return slices.Sorted(maps.Keys(seen))
+}
+
 // pickQueries derives corpus-agnostic queries from the engine's own
-// vocabulary: a couple of mid-frequency terms combined into one- and
+// documents: a couple of mid-frequency words combined into one- and
 // two-term queries, so every corpus exercises tuples, contexts, and
 // connections without hand-picked keywords.
 func pickQueries(eng *Engine) []string {
 	var terms []string
 	numDocs := eng.Collection().NumDocs()
-	for _, term := range eng.Index().Terms() {
+	for _, term := range docWords(eng) {
 		df := eng.Index().DocFreq(term)
 		if df >= 2 && df <= numDocs/2+1 && len(term) >= 3 {
 			terms = append(terms, term)
@@ -244,28 +263,49 @@ func TestIngestValueLinks(t *testing.T) {
 	}
 	cfg := Config{ValueLinks: []ValueLink{{FromPath: "/order/customer", ToPath: "/order/account/owner", Label: "owns"}}}
 
-	scratch := scratchEngine(t, raw, cfg)
-	incr := incrementalEngine(t, raw, cfg, 3, 2)
-	if got, want := incr.Graph().NumEdges(), scratch.Graph().NumEdges(); got != want {
-		t.Fatalf("value-link edge count diverges: incremental %d, scratch %d", got, want)
-	}
-	// The edge SETS must match (order may differ for late-resolved pairs).
-	toSet := func(e *Engine) map[string]int {
-		out := make(map[string]int)
+	// edges renders the link edges as a sorted multiset (order may differ
+	// for late-resolved pairs), with document names for ids so a masked
+	// engine compares with a from-scratch one over its survivors.
+	edges := func(e *Engine) []string {
+		col := e.Collection()
+		var out []string
 		for _, ed := range e.Graph().Edges() {
-			out[fmt.Sprintf("%v->%v %v %s", ed.From, ed.To, ed.Kind, ed.Label)]++
+			out = append(out, fmt.Sprintf("%s@%s->%s@%s %v %s",
+				col.Doc(ed.From.Doc).Name, ed.From.Dewey, col.Doc(ed.To.Doc).Name, ed.To.Dewey, ed.Kind, ed.Label))
 		}
+		slices.Sort(out)
 		return out
 	}
-	got, want := toSet(incr), toSet(scratch)
-	if len(got) != len(want) {
-		t.Fatalf("edge sets diverge: %d vs %d distinct", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("edge %q: incremental %d, scratch %d", k, got[k], n)
+	check := func(step string, got *Engine, live []IngestDoc) {
+		t.Helper()
+		want := edges(scratchEngine(t, live, cfg))
+		if len(want) == 0 {
+			t.Fatalf("%s: the corpus has no value-link edges", step)
+		}
+		if g := edges(got); !slices.Equal(g, want) {
+			t.Errorf("%s: edges diverge from scratch\n got %q\nwant %q", step, g, want)
 		}
 	}
+
+	check("ingest", incrementalEngine(t, raw, cfg, 3, 2), raw)
+
+	// A saved and loaded engine carries no fold state: its first ingest
+	// rebuilds the joins from the loaded documents.
+	loaded, err := LoadEngine(bytes.NewReader(saveToBytes(t, scratchEngine(t, raw[:3], cfg), "")), cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := loaded.AddDocumentsXML(raw[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ingest after load", eng, raw)
+
+	// A delete re-folds the survivors' joins from empty layers.
+	if eng, _, err = eng.DeleteDocuments(raw[1].Name); err != nil {
+		t.Fatal(err)
+	}
+	check("delete", eng, append(raw[:1:1], raw[2:]...))
 }
 
 // TestIngestLateLinkResolution: a dangling IDREF in an old document must

@@ -509,7 +509,7 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 				gErr = err
 				return
 			}
-			if g, err = graph.Decode(gr, col); err != nil {
+			if g, err = graph.Decode(gr, col, storedCfg.Discover, storedCfg.ValueLinks); err != nil {
 				gErr = fmt.Errorf("core: load engine: %w", err)
 			}
 		},

@@ -82,7 +82,7 @@ func figure3Catalog(t testing.TB) *Catalog {
 func query1Tuples(t testing.TB, c *store.Collection) []twig.Tuple {
 	t.Helper()
 	ix := index.Build(c)
-	g := graph.New(c)
+	g := graph.New(c, graph.DiscoverOptions{}, nil)
 	e := twig.New(ix, g)
 	dict := c.Dict()
 	mk := func(ctx, search string) query.Term {
@@ -260,7 +260,7 @@ func TestPartialMatchWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.Build(c)
-	e := twig.New(ix, graph.New(c))
+	e := twig.New(ix, graph.New(c, graph.DiscoverOptions{}, nil))
 	tm, err := query.NewTerm("percentage", "*")
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestMergeFactTablesSameKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.Build(c)
-	e := twig.New(ix, graph.New(c))
+	e := twig.New(ix, graph.New(c, graph.DiscoverOptions{}, nil))
 	tm, err := query.NewTerm("GDP", "*")
 	if err != nil {
 		t.Fatal(err)

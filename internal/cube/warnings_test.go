@@ -41,7 +41,7 @@ func TestPrimaryKeyWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.Build(c)
-	e := twig.New(ix, graph.New(c))
+	e := twig.New(ix, graph.New(c, graph.DiscoverOptions{}, nil))
 	tm, err := query.NewTerm("percentage", "*")
 	if err != nil {
 		t.Fatal(err)

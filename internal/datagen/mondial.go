@@ -40,8 +40,8 @@ var mondialKinds = []mondialKind{
 const MondialTotalDocs = 5563
 
 // Mondial generates the corpus at the given scale (1.0 = 5563 documents).
-// Link edges are encoded as id / ref-style attributes; resolve them with
-// graph.DiscoverLinks using MondialDiscoverOptions.
+// Link edges are encoded as id / ref-style attributes; resolve them by
+// folding the collection into a graph under DiscoverOptionsFor("mondial").
 func Mondial(scale float64) *store.Collection {
 	col := store.NewCollection()
 	// Country ids come first so other entities can reference them.
@@ -138,14 +138,7 @@ func mondialName(kind string, i int) string {
 	return fmt.Sprintf("%s-%04d", kind, i)
 }
 
-// MondialDiscoverOptions configures graph.DiscoverLinks for this corpus's
-// reference attributes.
-type MondialDiscoverOptions struct {
-	IDAttrs    []string
-	IDRefAttrs []string
-}
-
-// MondialLinkAttrs returns the attribute sets that DiscoverLinks should
+// MondialLinkAttrs returns the attribute sets that link discovery should
 // treat as ids and references for this corpus.
 func MondialLinkAttrs() (idAttrs, idrefAttrs []string) {
 	return []string{"id"}, []string{"bordering", "country", "insea", "members"}

@@ -2,7 +2,9 @@ package dataguide
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"seda/internal/graph"
@@ -205,24 +207,52 @@ func (s *Set) GuidesContaining(p pathdict.PathID) []*Guide {
 }
 
 // Build computes the dataguide summary of col's live documents at the
-// given overlap threshold (the paper evaluates 0.40), absorbing them in id
-// order — absorption order determines guide merging. A non-nil data graph
-// also folds its link edges into cross-guide Links, so the connection
-// summary can propose IDREF/XLink/value relationships (§6.1: "a set of
-// links between the dataguides corresponding to the external edges
-// between documents").
+// given overlap threshold (the paper evaluates 0.40): the empty Set's
+// Extend.
 func Build(col *store.Collection, g *graph.Graph, threshold float64) (*Set, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, fmt.Errorf("dataguide: threshold %v outside [0,1]", threshold)
+	return (&Set{Threshold: threshold}).Extend(col, g, col.LiveDocs())
+}
+
+// Extend returns the summary of col, which must hold every document the
+// receiver summarizes plus docs, the live documents to absorb now, in id
+// order — absorption order determines guide merging. The §6.1 merge is a
+// left fold, so continuing it over appended documents yields exactly the
+// summary one fold over the extended collection would, with no
+// re-profiling of old documents. The receiver is deep-copied first —
+// guides, repeatability marks and document assignments — so readers of
+// its generation are undisturbed. A non-nil data graph (the one already
+// derived for col) is aggregated into cross-guide Links, so the
+// connection summary can propose IDREF/XLink/value relationships (§6.1:
+// "a set of links between the dataguides corresponding to the external
+// edges between documents"); the links are recomputed whole because new
+// edges can touch old documents.
+//
+//seda:constructor
+func (s *Set) Extend(col *store.Collection, g *graph.Graph, docs []*xmldoc.Document) (*Set, error) {
+	if s.Threshold < 0 || s.Threshold > 1 {
+		return nil, fmt.Errorf("dataguide: threshold %v outside [0,1]", s.Threshold)
 	}
-	s := &Set{col: col, Threshold: threshold, docGuide: make(map[xmldoc.DocID]int)}
-	for _, doc := range col.LiveDocs() { // masked documents get no guide assignment
-		s.absorb(doc.ID, docProfile(doc))
+	ns := &Set{
+		col:       col,
+		Threshold: s.Threshold,
+		docGuide:  make(map[xmldoc.DocID]int, len(s.docGuide)+len(docs)),
+		Guides:    make([]*Guide, len(s.Guides)),
+	}
+	maps.Copy(ns.docGuide, s.docGuide)
+	for i, gd := range s.Guides {
+		ng := *gd
+		ng.Docs = slices.Clone(gd.Docs)
+		ng.paths = slices.Clone(gd.paths)
+		ng.repeatable = slices.Clone(gd.repeatable)
+		ns.Guides[i] = &ng
+	}
+	for _, doc := range docs {
+		ns.absorb(doc.ID, docProfile(doc))
 	}
 	if g != nil {
-		s.buildLinks(g)
+		ns.buildLinks(g)
 	}
-	return s, nil
+	return ns, nil
 }
 
 // profile is one document's path set, its size, and its repeatability

@@ -287,8 +287,7 @@ func TestLinksAcrossGuides(t *testing.T) {
 		`<country id="us"><name>United States</name></country>`,
 		`<sea id="pac" bordering="us"><name>Pacific</name></sea>`,
 	)
-	g := graph.New(c)
-	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
 	s, err := Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)

@@ -21,15 +21,17 @@
 // overlap meets the threshold, or starts a new guide. Table 1 of the paper
 // reports the resulting guide counts at threshold 40% for four corpora.
 //
-// Because the merge is a left fold over documents in id order, the
-// summary extends incrementally: Set.Extend continues the fold over
-// appended documents against a deep copy of the guide set, producing
-// exactly the summary a from-scratch build over the extended collection
-// would (the ingest equivalence invariant; see internal/core/ingest.go).
+// Because the merge is a left fold over documents in id order, one
+// function derives every summary: Set.Extend continues the fold over the
+// given documents against a deep copy of the receiver's guide set. A
+// build is the empty Set's Extend over the whole collection (Build), an
+// ingest the previous summary's Extend over the appended documents, and
+// both reach exactly the summary one fold over the collection would (the
+// ingest equivalence invariant; see internal/core/generation.go).
 //
 // # Concurrency
 //
-// A Set is immutable once Build (or Extend) returns, and all read methods
+// A Set is immutable once Extend returns, and all read methods
 // are then safe for concurrent use. Extend never modifies its receiver —
 // it returns a new Set for the new engine generation, leaving readers of
 // the old one undisturbed. Construction is sequential in document order

@@ -8,10 +8,11 @@ import (
 	"seda/internal/xmldoc"
 )
 
-// Binary codec (engine snapshots). Only the link-edge list is persisted —
-// the adjacency maps are derived and rebuilt on decode by replaying
-// AddEdge, which also re-validates that every endpoint still resolves in
-// the decoded collection (a structural integrity check on the snapshot).
+// Binary codec (engine snapshots). Only the link-edge list is persisted.
+// Decode replays AddEdge, which rebuilds the per-document edge indexes
+// and re-validates that every endpoint still resolves in the decoded
+// collection (a structural integrity check on the snapshot). The fold
+// state is not persisted: the decoded graph's first Extend rebuilds it.
 
 // codecVersion is the layer format version written by Encode.
 const codecVersion = 1
@@ -31,12 +32,16 @@ func (g *Graph) Encode(w *snapcodec.Writer) {
 }
 
 // Decode reads a graph overlay previously written by Encode, re-binding
-// it to col.
-func Decode(r *snapcodec.Reader, col *store.Collection) (*Graph, error) {
+// it to col, with the discovery options and value-link specs it was
+// derived under.
+//
+//seda:constructor
+func Decode(r *snapcodec.Reader, col *store.Collection, opts DiscoverOptions, specs []ValueLinkSpec) (*Graph, error) {
 	if v := r.Int(); r.Err() == nil && v != codecVersion {
 		return nil, fmt.Errorf("graph: unsupported codec version %d", v)
 	}
-	g := New(col)
+	g := New(col, opts, specs)
+	g.state = nil
 	numEdges := r.Count(7)
 	for i := 0; i < numEdges; i++ {
 		from := xmldoc.NodeRef{Doc: xmldoc.DocID(r.Int()), Dewey: r.Dewey()}

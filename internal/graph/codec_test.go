@@ -10,28 +10,29 @@ import (
 )
 
 func TestCodecRoundTrip(t *testing.T) {
-	col, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	col, _ := fixture(t)
+	opts := DiscoverOptions{IDRefAttrs: []string{"bordering"}}
+	g := folded(col, opts)
 	if g.NumEdges() == 0 {
 		t.Fatal("fixture discovered no edges")
 	}
 
 	var w snapcodec.Writer
 	g.Encode(&w)
-	got, err := Decode(snapcodec.NewReader(w.Bytes()), col)
+	got, err := Decode(snapcodec.NewReader(w.Bytes()), col, opts, nil)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
 	if !reflect.DeepEqual(got.Edges(), g.Edges()) {
 		t.Errorf("edges mismatch:\n got %v\nwant %v", got.Edges(), g.Edges())
 	}
-	// Adjacency is rebuilt, not copied — spot-check it.
-	for _, e := range g.Edges() {
-		if !reflect.DeepEqual(got.EdgesFrom(e.From), g.EdgesFrom(e.From)) {
-			t.Errorf("EdgesFrom(%v) mismatch", e.From)
+	// The per-document edge indexes are rebuilt, not copied — check them.
+	for _, d := range col.Docs() {
+		if !reflect.DeepEqual(got.EdgesOfDoc(d.ID), g.EdgesOfDoc(d.ID)) {
+			t.Errorf("EdgesOfDoc(%d) mismatch", d.ID)
 		}
-		if !reflect.DeepEqual(got.EdgesTo(e.To), g.EdgesTo(e.To)) {
-			t.Errorf("EdgesTo(%v) mismatch", e.To)
+		if !reflect.DeepEqual(got.LinkedDocs(nil, d.ID), g.LinkedDocs(nil, d.ID)) {
+			t.Errorf("LinkedDocs(%d) mismatch", d.ID)
 		}
 	}
 
@@ -43,13 +44,13 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecHostileInputs(t *testing.T) {
-	col, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{})
+	col, _ := fixture(t)
+	g := folded(col, DiscoverOptions{})
 	var w snapcodec.Writer
 	g.Encode(&w)
 	data := w.Bytes()
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Decode(snapcodec.NewReader(data[:cut]), col); err == nil {
+		if _, err := Decode(snapcodec.NewReader(data[:cut]), col, DiscoverOptions{}, nil); err == nil {
 			t.Errorf("cut=%d: expected error", cut)
 		}
 	}
@@ -64,7 +65,7 @@ func TestCodecHostileInputs(t *testing.T) {
 	wb.Dewey(dewey.Root())
 	wb.Byte(0)
 	wb.String("label")
-	if _, err := Decode(snapcodec.NewReader(wb.Bytes()), col); err == nil {
+	if _, err := Decode(snapcodec.NewReader(wb.Bytes()), col, DiscoverOptions{}, nil); err == nil {
 		t.Error("dangling endpoint should fail")
 	}
 }

@@ -1,17 +1,13 @@
 package graph
 
-import (
-	"strings"
-
-	"seda/internal/store"
-	"seda/internal/xmldoc"
-)
+import "strings"
 
 // Link discovery (paper §3): "discovering and adding appropriate edges into
-// the data graph may require preprocessing of the XML data". DiscoverLinks
-// performs that preprocessing for ID/IDREF and XLink/XPointer-style
-// references; AddValueLinks materializes value-based (PK/FK) relationships,
-// which the paper assumes "are provided as input into the system".
+// the data graph may require preprocessing of the XML data". The fold
+// (fold.go) performs that preprocessing for ID/IDREF and XLink/XPointer-
+// style references, and materializes the value-based (PK/FK)
+// relationships the paper assumes "are provided as input into the
+// system".
 
 // DiscoverOptions tunes link discovery. Zero value means defaults.
 type DiscoverOptions struct {
@@ -46,46 +42,11 @@ func (o *DiscoverOptions) defaults() {
 	}
 }
 
-// DiscoverStats reports what DiscoverLinks found.
-type DiscoverStats struct {
-	IDs       int // nodes carrying an ID attribute
-	IDRefs    int // IDREF edges added
-	XLinks    int // XLink edges added
-	Dangling  int // references whose target id is unknown
-	Duplicate int // ids seen more than once (first occurrence wins)
-}
-
-// DiscoverLinks scans the collection for ID/IDREF and XLink attributes and
-// adds the corresponding edges. IDs are collection-global (the paper's
-// collections interlink documents). The edge label is the tag of the
-// referencing element.
-//
-// The id table and the unresolved references are retained on the graph so
-// a later incremental extension (DiscoverIncremental) can resolve links
-// incident to newly added documents — in either direction — without
-// rescanning the whole collection. Retaining at build time is a
-// deliberate memory-for-latency trade: it keeps even a collection's
-// FIRST append O(new documents) — the serving tier's workload — where
-// the lazy rebuild that snapshot-loaded graphs use would put an
-// O(corpus) rescan inside that first append.
-//
-//seda:constructor
-func (g *Graph) DiscoverLinks(opts DiscoverOptions) DiscoverStats {
-	opts.defaults()
-	st := &discoveryState{opts: opts, ids: make(map[string]xmldoc.NodeRef)}
-	var stats DiscoverStats
-
-	// Pass 1: collect ids.
-	g.col.EachNode(func(d *xmldoc.Document, n *xmldoc.Node) {
-		st.collectID(d, n, &stats)
-	})
-
-	// Pass 2: resolve references.
-	g.col.EachNode(func(d *xmldoc.Document, n *xmldoc.Node) {
-		g.resolveNode(st, d, n, true, &stats)
-	})
-	g.disc = st
-	return stats
+// ValueLinkSpec names one value-based (PK/FK) relationship: nodes at
+// FromPath join nodes at ToPath on equal content, as Value edges labeled
+// Label. core.ValueLink is an alias.
+type ValueLinkSpec struct {
+	FromPath, ToPath, Label string
 }
 
 func isOneOf(name string, set []string) bool {
@@ -96,108 +57,4 @@ func isOneOf(name string, set []string) bool {
 		}
 	}
 	return false
-}
-
-// collectID records an ID attribute node into the state (first occurrence
-// wins, matching a full document-order scan). stats may be nil when the
-// state is being rebuilt rather than discovered.
-func (st *discoveryState) collectID(d *xmldoc.Document, n *xmldoc.Node, stats *DiscoverStats) {
-	if n.Kind != xmldoc.Attribute || !isOneOf(n.Tag, st.opts.IDAttrs) {
-		return
-	}
-	v := strings.TrimSpace(n.Text)
-	if v == "" {
-		return
-	}
-	if stats != nil {
-		stats.IDs++
-	}
-	// The edge target is the element owning the attribute.
-	owner := store.RefOf(d, n.Parent)
-	if _, dup := st.ids[v]; dup {
-		if stats != nil {
-			stats.Duplicate++
-		}
-		return
-	}
-	st.ids[v] = owner
-}
-
-// resolveNode handles one node of the reference pass: resolvable
-// references become edges (when addEdges is set; the state-rebuild pass
-// clears it because the edges already exist), unresolvable ones are
-// recorded as dangling so a later ingest can revisit them.
-func (g *Graph) resolveNode(st *discoveryState, d *xmldoc.Document, n *xmldoc.Node, addEdges bool, stats *DiscoverStats) {
-	if n.Kind != xmldoc.Attribute {
-		return
-	}
-	switch {
-	case isOneOf(n.Tag, st.opts.IDRefAttrs):
-		for _, v := range strings.Fields(n.Text) {
-			src := store.RefOf(d, n.Parent)
-			target, ok := st.ids[v]
-			if !ok {
-				if stats != nil {
-					stats.Dangling++
-				}
-				st.dangling = append(st.dangling, danglingRef{src: src, value: v, kind: IDRef, label: n.Parent.Tag})
-				continue
-			}
-			if !addEdges {
-				continue
-			}
-			if err := g.AddEdge(src, target, IDRef, n.Parent.Tag); err == nil && stats != nil {
-				stats.IDRefs++
-			}
-		}
-	case isOneOf(n.Tag, st.opts.XLinkAttrs):
-		v := strings.TrimSpace(n.Text)
-		if !strings.HasPrefix(v, "#") {
-			return // external URI; not resolvable inside the collection
-		}
-		src := store.RefOf(d, n.Parent)
-		target, ok := st.ids[v[1:]]
-		if !ok {
-			if stats != nil {
-				stats.Dangling++
-			}
-			st.dangling = append(st.dangling, danglingRef{src: src, value: v[1:], kind: XLink, label: n.Parent.Tag})
-			return
-		}
-		if !addEdges {
-			return
-		}
-		if err := g.AddEdge(src, target, XLink, n.Parent.Tag); err == nil && stats != nil {
-			stats.XLinks++
-		}
-	}
-}
-
-// AddValueLinks joins nodes at fromPath to nodes at toPath on equal content
-// (a primary key/foreign key relationship) and adds a Value edge per pair,
-// labeled label. It returns the number of edges added. Nodes with empty
-// content never join.
-//
-// The per-value source and target tables are retained on the graph so an
-// incremental extension (ExtendValueLinks) can join newly added documents
-// against the existing ones without rescanning them.
-//
-//seda:constructor
-func (g *Graph) AddValueLinks(fromPath, toPath, label string) int {
-	st := &valueLinkState{fromPath: fromPath, toPath: toPath, label: label}
-	srcs, tgts := st.collect(g.col, g.col.Docs())
-	st.srcs, st.targets = srcs, tgts
-	added := 0
-	for _, s := range st.srcs {
-		for _, t := range st.targets[s.value] {
-			if s.ref.Equal(t) {
-				continue
-			}
-			if err := g.AddEdge(s.ref, t, Value, label); err == nil {
-				added++
-			}
-		}
-	}
-	g.vls = append(g.vls, st)
-	return added
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 
 	"seda/internal/dewey"
@@ -79,6 +80,8 @@ type settledKey struct {
 	ref  string
 	hops int
 }
+
+func key(r xmldoc.NodeRef) string { return fmt.Sprintf("%d|%s", r.Doc, r.Dewey) }
 
 type pqItem struct {
 	state portalState

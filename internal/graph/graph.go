@@ -55,41 +55,44 @@ type Edge struct {
 	Label    string
 }
 
-// Graph is the link-edge overlay of a collection. Build it once after the
-// collection is loaded; reads are then safe for concurrent use. Published
-// graphs are shared across engine generations, so writes outside the
-// build/extend/decode paths are sedalint diagnostics (genimmutable).
+// Graph is the link-edge overlay of a collection. Derive it with one
+// fold, Extend; reads are then safe for concurrent use. Published graphs
+// are shared across engine generations, so writes outside the fold and
+// decode paths are sedalint diagnostics (genimmutable).
 //
 //seda:immutable
 type Graph struct {
 	col   *store.Collection
 	edges []Edge
-	out   map[string][]int // refKey -> indexes into edges
-	in    map[string][]int
 	// outByDoc lists, per document, the edge indexes whose From node lives
-	// in that document. It feeds the portal graph for cross-document
-	// distances.
+	// in that document, and inByDoc those whose To node does. They are the
+	// only edge indexes: LinkedDocs, EdgesOfDoc and the portal graph read
+	// them.
 	outByDoc map[xmldoc.DocID][]int
 	inByDoc  map[xmldoc.DocID][]int
 
-	// disc is the retained link-discovery state (ids seen, references that
-	// did not resolve) enabling incremental extension. DiscoverLinks
-	// populates it; decoded snapshots carry none, so the first incremental
-	// ingest after a load rebuilds it by rescanning (see ingest.go).
-	disc *discoveryState
-	// vls retains per-call value-link join state, in AddValueLinks call
-	// order, for the same purpose.
-	vls []*valueLinkState
+	// opts (resolved) and specs configure the fold.
+	opts  DiscoverOptions
+	specs []ValueLinkSpec
+	// state is the fold's retained state over the documents folded so far
+	// (see fold.go); nil on a decoded graph until its first Extend
+	// rebuilds it.
+	state *foldState
 }
 
-// New returns an empty overlay for col.
-func New(col *store.Collection) *Graph {
+// New returns an overlay for col with no documents folded yet: a
+// from-source build is New(col, opts, specs).Extend(col, col.LiveDocs()).
+// opts names the ID/IDREF/XLink attributes (zero value: defaults) and
+// specs the value-based relationships joined by every later fold.
+func New(col *store.Collection, opts DiscoverOptions, specs []ValueLinkSpec) *Graph {
+	opts.defaults()
 	return &Graph{
 		col:      col,
-		out:      make(map[string][]int),
-		in:       make(map[string][]int),
 		outByDoc: make(map[xmldoc.DocID][]int),
 		inByDoc:  make(map[xmldoc.DocID][]int),
+		opts:     opts,
+		specs:    specs,
+		state:    newFoldState(len(specs)),
 	}
 }
 
@@ -108,9 +111,6 @@ func (g *Graph) AddEdge(from, to xmldoc.NodeRef, kind EdgeKind, label string) er
 	}
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{From: from, To: to, Kind: kind, Label: label})
-	fk, tk := key(from), key(to)
-	g.out[fk] = append(g.out[fk], idx)
-	g.in[tk] = append(g.in[tk], idx)
 	g.outByDoc[from.Doc] = append(g.outByDoc[from.Doc], idx)
 	g.inByDoc[to.Doc] = append(g.inByDoc[to.Doc], idx)
 	return nil
@@ -140,12 +140,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Edges returns all link edges; the slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// EdgesFrom returns the link edges whose source is ref.
-func (g *Graph) EdgesFrom(ref xmldoc.NodeRef) []Edge { return g.pick(g.out[key(ref)]) }
-
-// EdgesTo returns the link edges whose target is ref.
-func (g *Graph) EdgesTo(ref xmldoc.NodeRef) []Edge { return g.pick(g.in[key(ref)]) }
 
 // EdgesOfDoc returns the link edges touching a document (either endpoint).
 func (g *Graph) EdgesOfDoc(doc xmldoc.DocID) []Edge {
@@ -177,43 +171,3 @@ func (g *Graph) pick(idxs []int) []Edge {
 	}
 	return out
 }
-
-// DocsConnected reports whether two documents are linked by a chain of at
-// most maxHops link edges (in either direction). Same document is trivially
-// connected.
-func (g *Graph) DocsConnected(a, b xmldoc.DocID, maxHops int) bool {
-	if a == b {
-		return true
-	}
-	visited := map[xmldoc.DocID]struct{}{a: {}}
-	frontier := []xmldoc.DocID{a}
-	for hop := 0; hop < maxHops && len(frontier) > 0; hop++ {
-		var next []xmldoc.DocID
-		for _, d := range frontier {
-			for _, i := range g.outByDoc[d] {
-				nd := g.edges[i].To.Doc
-				if _, ok := visited[nd]; !ok {
-					if nd == b {
-						return true
-					}
-					visited[nd] = struct{}{}
-					next = append(next, nd)
-				}
-			}
-			for _, i := range g.inByDoc[d] {
-				nd := g.edges[i].From.Doc
-				if _, ok := visited[nd]; !ok {
-					if nd == b {
-						return true
-					}
-					visited[nd] = struct{}{}
-					next = append(next, nd)
-				}
-			}
-		}
-		frontier = next
-	}
-	return false
-}
-
-func key(r xmldoc.NodeRef) string { return fmt.Sprintf("%d|%s", r.Doc, r.Dewey) }

@@ -31,48 +31,46 @@ func fixture(t testing.TB) (*store.Collection, *Graph) {
 			t.Fatal(err)
 		}
 	}
-	return c, New(c)
+	return c, New(c, DiscoverOptions{}, nil)
+}
+
+// folded folds every live document of c into an empty graph, as a
+// from-source build does.
+func folded(c *store.Collection, opts DiscoverOptions, specs ...ValueLinkSpec) *Graph {
+	return New(c, opts, specs).Extend(c, c.LiveDocs())
 }
 
 func TestDiscoverLinks(t *testing.T) {
-	_, g := fixture(t)
-	stats := g.DiscoverLinks(DiscoverOptions{
-		IDRefAttrs: []string{"bordering"},
-	})
-	if stats.IDs != 4 {
-		t.Errorf("IDs = %d, want 4", stats.IDs)
+	c, _ := fixture(t)
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	// References in document order: doc0's trade_country href="#cn" (an
+	// XLink), the sea's bordering="us cn", then ph's bordering="pacific".
+	// Each edge targets the element owning the id and is labeled with the
+	// referencing element's tag.
+	want := []struct {
+		from, to xmldoc.DocID
+		kind     EdgeKind
+		label    string
+	}{
+		{0, 1, XLink, "trade_country"},
+		{2, 0, IDRef, "sea"},
+		{2, 1, IDRef, "sea"},
+		{3, 2, IDRef, "country"},
 	}
-	// sea->us, sea->cn, ph->pacific = 3 IDREF edges.
-	if stats.IDRefs != 3 {
-		t.Errorf("IDRefs = %d, want 3", stats.IDRefs)
+	if g.NumEdges() != len(want) {
+		t.Fatalf("edges = %v, want %d", g.Edges(), len(want))
 	}
-	// trade_country href="#cn" = 1 XLink edge.
-	if stats.XLinks != 1 {
-		t.Errorf("XLinks = %d, want 1", stats.XLinks)
-	}
-	if stats.Dangling != 0 {
-		t.Errorf("Dangling = %d", stats.Dangling)
-	}
-	if g.NumEdges() != 4 {
-		t.Errorf("NumEdges = %d", g.NumEdges())
-	}
-	// Edge labels carry the referencing element tag.
-	sea := xmldoc.NodeRef{Doc: 2, Dewey: dewey.Root()}
-	from := g.EdgesFrom(sea)
-	if len(from) != 2 {
-		t.Fatalf("EdgesFrom(sea) = %d", len(from))
-	}
-	for _, e := range from {
-		if e.Label != "sea" || e.Kind != IDRef {
-			t.Errorf("edge = %+v", e)
+	for i, e := range g.Edges() {
+		w := want[i]
+		if e.From.Doc != w.from || e.To.Doc != w.to || e.Kind != w.kind || e.Label != w.label || !dewey.Equal(e.To.Dewey, dewey.Root()) {
+			t.Errorf("edge %d = %+v, want %+v to the root", i, e, w)
 		}
-	}
-	us := xmldoc.NodeRef{Doc: 0, Dewey: dewey.Root()}
-	if got := g.EdgesTo(us); len(got) != 1 {
-		t.Errorf("EdgesTo(us) = %d", len(got))
 	}
 }
 
+// TestDiscoverDanglingAndDuplicates: a reference to an unknown id dangles
+// until a later batch defines the id, and a duplicate id keeps its first
+// owner, across batches too.
 func TestDiscoverDanglingAndDuplicates(t *testing.T) {
 	c := store.NewCollection()
 	for i, d := range []string{
@@ -83,16 +81,25 @@ func TestDiscoverDanglingAndDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := New(c)
-	stats := g.DiscoverLinks(DiscoverOptions{})
-	if stats.Dangling != 1 {
-		t.Errorf("Dangling = %d, want 1", stats.Dangling)
-	}
-	if stats.Duplicate != 1 {
-		t.Errorf("Duplicate = %d, want 1", stats.Duplicate)
-	}
+	g := folded(c, DiscoverOptions{})
 	if g.NumEdges() != 0 {
 		t.Errorf("edges = %d", g.NumEdges())
+	}
+	late, err := xmldoc.Parse([]byte(`<c id="nope" ref="x"/>`), c.Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := c.Extend([]*xmldoc.Document{late})
+	g2 := g.Extend(c2, []*xmldoc.Document{late})
+	got := make([]string, 0, g2.NumEdges())
+	for _, e := range g2.Edges() {
+		got = append(got, fmt.Sprintf("%d->%d %s", e.From.Doc, e.To.Doc, e.Label))
+	}
+	if want := []string{"0->2 a", "2->0 c"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("edges after the late batch = %v, want %v", got, want)
+	}
+	if g.NumEdges() != 0 {
+		t.Error("Extend modified its receiver")
 	}
 }
 
@@ -123,10 +130,9 @@ func TestAddValueLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := New(c)
-	n := g.AddValueLinks("/country/economy/import_partners/item/trade_country", "/country/name", "trade partner")
-	if n != 1 {
-		t.Fatalf("AddValueLinks = %d, want 1", n)
+	g := folded(c, DiscoverOptions{}, ValueLinkSpec{"/country/economy/import_partners/item/trade_country", "/country/name", "trade partner"})
+	if g.NumEdges() != 1 {
+		t.Fatalf("value-link edges = %d, want 1", g.NumEdges())
 	}
 	e := g.Edges()[0]
 	if e.Kind != Value || e.Label != "trade partner" {
@@ -135,8 +141,8 @@ func TestAddValueLinks(t *testing.T) {
 	if e.To.Doc != 0 {
 		t.Errorf("edge target doc = %d", e.To.Doc)
 	}
-	// Unknown paths are a no-op.
-	if g.AddValueLinks("/nope", "/country/name", "x") != 0 {
+	// Unknown paths join nothing.
+	if folded(c, DiscoverOptions{}, ValueLinkSpec{"/nope", "/country/name", "x"}).NumEdges() != 0 {
 		t.Error("unknown from-path should add nothing")
 	}
 }
@@ -159,8 +165,8 @@ func TestTreeDistanceAndPairDistance(t *testing.T) {
 }
 
 func TestCrossDocDistanceViaLinks(t *testing.T) {
-	_, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	c, _ := fixture(t)
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	us := xmldoc.NodeRef{Doc: 0, Dewey: dewey.Root()}
 	cnName := xmldoc.NodeRef{Doc: 1, Dewey: dewey.ID{1, 2}}
 	// Two routes exist: via the trade_country XLink (us root to
@@ -193,7 +199,7 @@ func TestCrossDocDistanceViaLinks(t *testing.T) {
 // the full portal search: on every node pair of a corpus mixing linked
 // and unlinked documents, at every hop cap, both give the same distance.
 func TestPairDistanceUnlinkedShortcut(t *testing.T) {
-	c, g := fixture(t)
+	c, _ := fixture(t)
 	for i, d := range []string{
 		`<country id="fr"><name>France</name><economy><item>x</item></economy></country>`,
 		`<sea id="north"><name>North Sea</name></sea>`,
@@ -202,7 +208,7 @@ func TestPairDistanceUnlinkedShortcut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	search := func(a, b xmldoc.NodeRef, hops int) int {
 		d := g.portalDistance(a, b, hops)
 		if td := TreeDistance(a, b); td < d {
@@ -225,23 +231,9 @@ func TestPairDistanceUnlinkedShortcut(t *testing.T) {
 	}
 }
 
-func TestDocsConnected(t *testing.T) {
-	_, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
-	if !g.DocsConnected(3, 1, 2) {
-		t.Error("ph and cn should connect within 2 hops")
-	}
-	if g.DocsConnected(3, 1, 1) {
-		t.Error("ph and cn should not connect within 1 hop")
-	}
-	if !g.DocsConnected(2, 2, 0) {
-		t.Error("same doc always connected")
-	}
-}
-
 func TestSteinerWeightAndCompactness(t *testing.T) {
-	_, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	c, _ := fixture(t)
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	// Same-doc triple: trade_country, percentage, country root.
 	refs := []xmldoc.NodeRef{
 		{Doc: 0, Dewey: dewey.Root()},
@@ -300,7 +292,7 @@ func TestPropPairDistanceMetric(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	c.AddDocument(xmldoc.Build("d", build(r, 0), c.Dict()))
-	g := New(c)
+	g := New(c, DiscoverOptions{}, nil)
 	var refs []xmldoc.NodeRef
 	c.EachNode(func(d *xmldoc.Document, n *xmldoc.Node) {
 		refs = append(refs, store.RefOf(d, n))
@@ -325,8 +317,8 @@ func TestPropPairDistanceMetric(t *testing.T) {
 }
 
 func TestEdgesOfDoc(t *testing.T) {
-	_, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	c, _ := fixture(t)
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	// doc2 (sea): 2 outgoing + 1 incoming (from ph).
 	es := g.EdgesOfDoc(2)
 	if len(es) != 3 {
@@ -341,8 +333,8 @@ func TestEdgesOfDoc(t *testing.T) {
 // pair units from: ascending, without repeats, symmetric, and blind to
 // intra-document edges, appended after whatever dst already holds.
 func TestLinkedDocs(t *testing.T) {
-	_, g := fixture(t)
-	g.DiscoverLinks(DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	c, _ := fixture(t)
+	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	root := func(doc xmldoc.DocID) xmldoc.NodeRef { return xmldoc.NodeRef{Doc: doc, Dewey: dewey.Root()} }
 	// A repeated pair and an intra-document edge add no partner.
 	if err := g.AddEdge(root(1), root(0), IDRef, "again"); err != nil {
@@ -385,7 +377,7 @@ func TestPairDistanceHopBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := New(c)
+	g := New(c, DiscoverOptions{}, nil)
 	ref := func(doc xmldoc.DocID, path ...uint32) xmldoc.NodeRef {
 		return xmldoc.NodeRef{Doc: doc, Dewey: append(dewey.ID{1}, path...)}
 	}
@@ -466,7 +458,7 @@ func TestPairDistanceMatchesLayeredSearch(t *testing.T) {
 		c.EachNode(func(doc *xmldoc.Document, n *xmldoc.Node) {
 			refs = append(refs, store.RefOf(doc, n))
 		})
-		g := New(c)
+		g := New(c, DiscoverOptions{}, nil)
 		for n := 1 + r.Intn(14); n > 0; n-- {
 			from, to := refs[r.Intn(len(refs))], refs[r.Intn(len(refs))]
 			if err := g.AddEdge(from, to, IDRef, ""); err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"seda/internal/pathdict"
-	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
 
@@ -31,9 +30,6 @@ type ValueLinkOptions struct {
 	// MaxValueLen skips long text content, which is prose rather than a
 	// join value (default 64 bytes).
 	MaxValueLen int
-	// AddEdges materializes the discovered relationships as Value edges
-	// (default true when invoked through DiscoverValueLinks).
-	AddEdges bool
 }
 
 func (o *ValueLinkOptions) defaults() {
@@ -52,25 +48,27 @@ func (o *ValueLinkOptions) defaults() {
 }
 
 // ValueLinkCandidate is one discovered PK/FK relationship between two
-// paths.
+// paths. It only proposes the link: a graph materializes it when its
+// FromPath, ToPath and Label are given as a ValueLinkSpec (core's
+// Config.ValueLinks), so every later fold keeps the edges.
 type ValueLinkCandidate struct {
 	FromPath, ToPath string  // foreign side → key side
+	Label            string  // the foreign side's leaf name
 	Support          int     // foreign nodes that resolved
 	Containment      float64 // fraction of distinct foreign values found on the key side
-	EdgesAdded       int
 }
 
 // DiscoverValueLinks scans leaf paths, identifies key-quality paths, tests
 // inclusion dependencies between leaf paths in *different* path subtrees,
-// adds Value edges for accepted pairs, and returns the candidates sorted by
-// support. Only leaf nodes (no element children) participate: interior
+// and returns the accepted pairs sorted by support; the graph is not
+// modified. Only leaf nodes (no element children) participate: interior
 // content is prose.
 func (g *Graph) DiscoverValueLinks(opts ValueLinkOptions) []ValueLinkCandidate {
 	opts.defaults()
 	dict := g.col.Dict()
 
 	type pathVals struct {
-		values map[string][]xmldoc.NodeRef // value -> nodes
+		values map[string]int // value -> nodes carrying it
 		total  int
 	}
 	byPath := make(map[pathdict.PathID]*pathVals)
@@ -84,10 +82,10 @@ func (g *Graph) DiscoverValueLinks(opts ValueLinkOptions) []ValueLinkCandidate {
 		}
 		pv, ok := byPath[n.Path]
 		if !ok {
-			pv = &pathVals{values: make(map[string][]xmldoc.NodeRef)}
+			pv = &pathVals{values: make(map[string]int)}
 			byPath[n.Path] = pv
 		}
-		pv.values[v] = append(pv.values[v], store.RefOf(d, n))
+		pv.values[v]++
 		pv.total++
 	})
 
@@ -117,7 +115,7 @@ func (g *Graph) DiscoverValueLinks(opts ValueLinkOptions) []ValueLinkCandidate {
 			for v, nodes := range fv.values {
 				if _, ok := kv.values[v]; ok {
 					contained++
-					support += len(nodes)
+					support += nodes
 				}
 			}
 			if support < opts.MinSupport {
@@ -127,29 +125,13 @@ func (g *Graph) DiscoverValueLinks(opts ValueLinkOptions) []ValueLinkCandidate {
 			if containment < opts.MinContainment {
 				continue
 			}
-			cand := ValueLinkCandidate{
+			out = append(out, ValueLinkCandidate{
 				FromPath:    dict.Path(fp),
 				ToPath:      dict.Path(kp),
+				Label:       dict.LeafName(fp),
 				Support:     support,
 				Containment: containment,
-			}
-			if opts.AddEdges {
-				label := dict.LeafName(fp)
-				for v, nodes := range fv.values {
-					targets, ok := kv.values[v]
-					if !ok {
-						continue
-					}
-					for _, src := range nodes {
-						for _, dst := range targets {
-							if g.AddEdge(src, dst, Value, label) == nil {
-								cand.EdgesAdded++
-							}
-						}
-					}
-				}
-			}
-			out = append(out, cand)
+			})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -31,8 +31,8 @@ func valueFixture(t testing.TB) *store.Collection {
 
 func TestDiscoverValueLinks(t *testing.T) {
 	c := valueFixture(t)
-	g := New(c)
-	cands := g.DiscoverValueLinks(ValueLinkOptions{AddEdges: true})
+	g := New(c, DiscoverOptions{}, nil)
+	cands := g.DiscoverValueLinks(ValueLinkOptions{})
 	var found *ValueLinkCandidate
 	for i := range cands {
 		if cands[i].FromPath == "/trade/partner" && cands[i].ToPath == "/country/name" {
@@ -54,11 +54,17 @@ func TestDiscoverValueLinks(t *testing.T) {
 	if found.Containment != 1.0 {
 		t.Errorf("containment = %v", found.Containment)
 	}
-	if found.EdgesAdded != 5 {
-		t.Errorf("edges = %d, want 5", found.EdgesAdded)
+	if found.Label != "partner" {
+		t.Errorf("label = %q, want the foreign leaf name", found.Label)
 	}
-	if g.NumEdges() < 5 {
-		t.Errorf("graph edges = %d", g.NumEdges())
+	// Discovery only proposes; a graph folded with the candidate as a spec
+	// links every trade to its country.
+	if g.NumEdges() != 0 {
+		t.Errorf("discovery added %d edges", g.NumEdges())
+	}
+	spec := ValueLinkSpec{FromPath: found.FromPath, ToPath: found.ToPath, Label: found.Label}
+	if n := folded(c, DiscoverOptions{}, spec).NumEdges(); n != 5 {
+		t.Errorf("edges from the candidate's spec = %d, want 5", n)
 	}
 	for _, cand := range cands {
 		if cand.FromPath == "/country/name" && cand.ToPath == "/trade/partner" {
@@ -69,28 +75,24 @@ func TestDiscoverValueLinks(t *testing.T) {
 
 func TestDiscoverValueLinksThresholds(t *testing.T) {
 	c := valueFixture(t)
-	g := New(c)
+	g := New(c, DiscoverOptions{}, nil)
 	// Impossible support requirement yields nothing.
 	if cands := g.DiscoverValueLinks(ValueLinkOptions{MinSupport: 100}); len(cands) != 0 {
 		t.Errorf("high support still found %v", cands)
-	}
-	if g.NumEdges() != 0 {
-		t.Error("edges added despite rejection")
 	}
 	// Dirty references: one dangling partner value drops containment to
 	// 4/5 = 0.8, accepted at 0.7 but rejected at 0.95.
 	if _, err := c.AddXML("dirty", []byte(`<trade><partner>Atlantis</partner><volume>9</volume></trade>`)); err != nil {
 		t.Fatal(err)
 	}
-	g2 := New(c)
+	g2 := New(c, DiscoverOptions{}, nil)
 	strict := g2.DiscoverValueLinks(ValueLinkOptions{})
 	for _, cand := range strict {
 		if cand.FromPath == "/trade/partner" {
 			t.Errorf("dirty link accepted at default containment: %+v", cand)
 		}
 	}
-	g3 := New(c)
-	loose := g3.DiscoverValueLinks(ValueLinkOptions{MinContainment: 0.7, AddEdges: true})
+	loose := g2.DiscoverValueLinks(ValueLinkOptions{MinContainment: 0.7})
 	ok := false
 	for _, cand := range loose {
 		if cand.FromPath == "/trade/partner" && cand.ToPath == "/country/name" {
@@ -110,7 +112,7 @@ func TestDiscoverValueLinksSkipsIntraSubtree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := New(c)
+	g := New(c, DiscoverOptions{}, nil)
 	cands := g.DiscoverValueLinks(ValueLinkOptions{})
 	if len(cands) != 0 {
 		t.Errorf("intra-subtree pairs reported: %+v", cands)

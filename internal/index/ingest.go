@@ -129,7 +129,3 @@ func (sh *Shard) extend(delta *shardAcc, hi int) (*Shard, error) {
 
 	return sealShard(sh.lo, hi, acc), nil
 }
-
-// Terms returns the node index's vocabulary in sorted order. The returned
-// slice must not be modified.
-func (ix *Index) Terms() []string { return ix.terms }

@@ -118,6 +118,9 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatalf("FromShards: %v", err)
 	}
+	if !reflect.DeepEqual(got.terms, ix.terms) {
+		t.Errorf("%d shards: vocabulary differs after decode", shards)
+	}
 	for _, term := range ix.terms {
 		if got.DocFreq(term) != ix.DocFreq(term) {
 			t.Errorf("%d shards: DocFreq mismatch for %q", shards, term)

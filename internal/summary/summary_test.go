@@ -36,7 +36,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph, *data
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
+	g := graph.New(c, graph.DiscoverOptions{}, nil)
 	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestConnectionFalsePositives(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
+	g := graph.New(c, graph.DiscoverOptions{}, nil)
 	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +240,7 @@ func TestConnectionLinkEdges(t *testing.T) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
-	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
 	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,7 @@ func TestSearchMaskedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := graph.New(mc)
-	mg.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	mg := graph.New(mc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(mc, mc.LiveDocs())
 
 	// The scratch side: the three survivors re-added under their own
 	// names (ids renumber, names identify).
@@ -51,8 +50,7 @@ func TestSearchMaskedIndex(t *testing.T) {
 		}
 	}
 	six := index.Build(sc)
-	sg := graph.New(sc)
-	sg.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	sg := graph.New(sc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(sc, sc.LiveDocs())
 
 	render := func(col *store.Collection, rs []Result) string {
 		var b strings.Builder

@@ -100,7 +100,7 @@ type Searcher struct {
 // edges only), so same-document tuples still connect and score.
 func New(ix *index.Index, g *graph.Graph) *Searcher {
 	if g == nil {
-		g = graph.New(ix.Collection())
+		g = graph.New(ix.Collection(), graph.DiscoverOptions{}, nil)
 	}
 	return &Searcher{ix: ix, g: g}
 }

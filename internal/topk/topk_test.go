@@ -44,8 +44,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
-	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
 	return c, ix, g
 }
 
@@ -299,8 +298,7 @@ func linkedFixture(t testing.TB, pairs int) (*index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
-	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"ref"}})
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"ref"}}, nil).Extend(c, c.LiveDocs())
 	return ix, g
 }
 
@@ -446,7 +444,7 @@ func TestPropTopKAgainstBruteForce(t *testing.T) {
 			c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), root, c.Dict()))
 		}
 		ix := index.Build(c)
-		g := graph.New(c)
+		g := graph.New(c, graph.DiscoverOptions{}, nil)
 		s := New(ix, g)
 		q := query.MustParse(`(*, red) AND (*, green)`)
 		got, err := s.Search(q, Options{K: 5, PerDocPerTerm: 1000})

@@ -37,7 +37,7 @@ type Evaluator struct {
 // New returns an Evaluator over an index and data graph.
 func New(ix *index.Index, g *graph.Graph) *Evaluator {
 	if g == nil {
-		g = graph.New(ix.Collection())
+		g = graph.New(ix.Collection(), graph.DiscoverOptions{}, nil)
 	}
 	return &Evaluator{ix: ix, g: g}
 }

@@ -39,8 +39,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c)
-	g.DiscoverLinks(graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}})
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
 	return c, ix, g
 }
 
@@ -253,7 +252,7 @@ func TestPropHolisticEqualsNaive(t *testing.T) {
 			c.AddDocument(xmldoc.Build(fmt.Sprintf("d%d", i), root, c.Dict()))
 		}
 		ix := index.Build(c)
-		g := graph.New(c)
+		g := graph.New(c, graph.DiscoverOptions{}, nil)
 		e := New(ix, g)
 		dict := c.Dict()
 		plan := Plan{Terms: make([]query.Term, 2+r.Intn(2))}

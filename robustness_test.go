@@ -5,6 +5,7 @@ package seda
 // usable, and Unicode content must survive the whole pipeline.
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -172,9 +173,13 @@ func TestDeepNestingSurvives(t *testing.T) {
 	}
 }
 
+// TestValueLinkDiscoveryPublicAPI: discovered candidates only propose
+// links; given back as Config.ValueLinks they become edges that every
+// later generation re-derives, so the linked answer survives a delete of
+// an unrelated document.
 func TestValueLinkDiscoveryPublicAPI(t *testing.T) {
 	col := NewCollection()
-	for _, d := range []string{
+	for i, d := range []string{
 		`<country><name>China</name></country>`,
 		`<country><name>Canada</name></country>`,
 		`<country><name>Mexico</name></country>`,
@@ -182,29 +187,60 @@ func TestValueLinkDiscoveryPublicAPI(t *testing.T) {
 		`<trade><partner>Canada</partner></trade>`,
 		`<trade><partner>Mexico</partner></trade>`,
 	} {
-		if _, err := col.AddXML(d[:9], []byte(d)); err != nil {
+		if _, err := col.AddXML(fmt.Sprintf("doc%d.xml", i), []byte(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng, err := NewEngine(col, Config{})
+	plain, err := NewEngine(col, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := eng.Graph().DiscoverValueLinks(ValueLinkOptions{AddEdges: true})
+	cands := plain.Graph().DiscoverValueLinks(ValueLinkOptions{})
 	if len(cands) == 0 {
 		t.Fatal("no value links discovered through public API")
 	}
-	// With edges in place, cross-doc search connects trade to country.
-	s, err := eng.NewSession(`(partner, china) AND (name, china)`)
+	if plain.Graph().NumEdges() != 0 {
+		t.Fatalf("discovery added %d edges to a published graph", plain.Graph().NumEdges())
+	}
+	var cfg Config
+	for _, c := range cands {
+		cfg.ValueLinks = append(cfg.ValueLinks, ValueLink{FromPath: c.FromPath, ToPath: c.ToPath, Label: c.Label})
+	}
+	eng, err := NewEngine(col, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.TopK(3)
+	// With the edges in place, cross-doc search connects trade to country.
+	linked := func(eng *Engine) int {
+		t.Helper()
+		s, err := eng.NewSession(`(partner, china) AND (name, china)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := s.TopK(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range rs {
+			if r.Nodes[0].Doc != r.Nodes[1].Doc {
+				n++
+			}
+		}
+		return n
+	}
+	if linked(plain) != 0 {
+		t.Error("linked answer without value links")
+	}
+	if linked(eng) == 0 {
+		t.Fatal("no linked answer over discovered value links")
+	}
+	after, _, err := eng.DeleteDocuments("doc5.xml") // the Mexico trade
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) == 0 {
-		t.Error("no results over discovered value links")
+	if linked(after) == 0 {
+		t.Error("linked answer lost after deleting an unrelated document")
 	}
 }
 
