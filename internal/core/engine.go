@@ -204,6 +204,14 @@ func (e *Engine) SetPagingMetrics(m *index.PagingMetrics) {
 	}
 }
 
+// SetTermCacheMetrics installs the term-cache metric family set on the
+// engine's index; like the search metric set, derived generations
+// inherit it, so the counters stay monotonic across generation swaps.
+func (e *Engine) SetTermCacheMetrics(m *index.TermCacheMetrics) { e.ix.SetTermCacheMetrics(m) }
+
+// TermCacheStats snapshots this generation's term cache.
+func (e *Engine) TermCacheStats() index.TermCacheStats { return e.ix.TermCacheStats() }
+
 // PagerStats snapshots the pager's accounting. ok is false when the
 // engine is fully resident (no budget configured).
 func (e *Engine) PagerStats() (st index.PagerStats, ok bool) {

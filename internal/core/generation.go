@@ -17,11 +17,13 @@
 //     ingest_test.go and lifecycle_test.go, run under -race; measured by
 //     bench/'s lifecycle.churn workload).
 //   - Session state carries over. The fact/dimension catalog, the entity
-//     registry, the search metric set and the pager are user or serving
-//     state, not derived data: a derived generation shares them with its
-//     predecessor, so definitions added while exploring survive an op,
-//     counters stay monotonic, and the resident budget spans the shards
-//     actually serving queries.
+//     registry, the search and term-cache metric sets and the pager are
+//     user or serving state, not derived data: a derived generation
+//     shares them with its predecessor, so definitions added while
+//     exploring survive an op, counters stay monotonic, and the resident
+//     budget spans the shards actually serving queries. The term cache
+//     itself is derived data: each generation's index starts its own,
+//     empty, so no cached answer outlives the generation it describes.
 
 package core
 
@@ -141,6 +143,7 @@ func seal(prev *Engine, cfg Config, l layers, timings map[string]time.Duration) 
 	} else {
 		e.catalog, e.entities, e.pager = prev.catalog, prev.entities, prev.pager
 		e.searchMetrics.Store(prev.searchMetrics.Load())
+		e.ix.SetTermCacheMetrics(prev.ix.TermCacheMetrics())
 	}
 	e.builder = cube.NewBuilder(l.col, e.catalog)
 	e.ix.AttachPager(e.pager)

@@ -112,7 +112,15 @@ func (a And) Matches(c *Content) bool {
 	return true
 }
 
-func (a And) String() string { return joinExprs(a.Children, " AND ") }
+// String joins the children with AND, parenthesizing a child that is
+// itself an And: juxtaposition would flatten it into this one on reparse.
+func (a And) String() string {
+	parts := make([]string, len(a.Children))
+	for i, ch := range a.Children {
+		parts[i] = groupAnd(ch)
+	}
+	return strings.Join(parts, " AND ")
+}
 
 func (a And) collectTerms(out *[]TermQuery) {
 	for _, ch := range a.Children {
@@ -163,7 +171,19 @@ type Not struct {
 // Matches implements Expr.
 func (n Not) Matches(c *Content) bool { return !n.Child.Matches(c) }
 
-func (n Not) String() string { return "NOT " + n.Child.String() }
+// String parenthesizes an And child: NOT binds tighter than AND, so
+// "NOT a AND b" reads as (NOT a) AND b.
+func (n Not) String() string { return "NOT " + groupAnd(n.Child) }
+
+// groupAnd renders e, in parentheses when it is an And, so that an And
+// nested under an And or a Not reparses to the same tree. Or renders its
+// own parentheses.
+func groupAnd(e Expr) string {
+	if _, ok := e.(And); ok {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
+}
 
 func (n Not) collectTerms(*[]TermQuery) {} // negative terms never probe the index
 

@@ -157,6 +157,10 @@ func TestParseQuery(t *testing.T) {
 		{``, `*`},
 		{`"single"`, `single`},
 		{`a b OR c`, `(a AND b OR c)`},
+		{`NOT (a AND b)`, `NOT (a AND b)`},
+		{`NOT a AND b`, `NOT a AND b`},
+		{`a (b c)`, `a AND (b AND c)`},
+		{`NOT NOT (a b)`, `NOT NOT (a AND b)`},
 	}
 	for _, c := range cases {
 		e, err := ParseQuery(c.in)
@@ -166,6 +170,9 @@ func TestParseQuery(t *testing.T) {
 		}
 		if e.String() != c.want {
 			t.Errorf("ParseQuery(%q).String() = %q, want %q", c.in, e.String(), c.want)
+		}
+		if e2, err := ParseQuery(e.String()); err != nil || !reflect.DeepEqual(e2, e) {
+			t.Errorf("rendering %q of %q reparses to %#v (%v), want %#v", e.String(), c.in, e2, err, e)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	// The per-document edge indexes are rebuilt, not copied — check them.
 	for _, d := range col.Docs() {
-		if !reflect.DeepEqual(got.EdgesOfDoc(d.ID), g.EdgesOfDoc(d.ID)) {
+		if !reflect.DeepEqual(got.EdgesOfDoc(nil, d.ID), g.EdgesOfDoc(nil, d.ID)) {
 			t.Errorf("EdgesOfDoc(%d) mismatch", d.ID)
 		}
 		if !reflect.DeepEqual(got.LinkedDocs(nil, d.ID), g.LinkedDocs(nil, d.ID)) {

@@ -108,6 +108,7 @@ func (g *Graph) portalDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 	}
 	dist := map[settledKey]int{}
 	q := &pq{{state: portalState{ref: a, hops: 0}, dist: 0}}
+	var edges []Edge // scratch, reused for every settled vertex
 
 	best := Unreachable
 	for q.Len() > 0 {
@@ -133,7 +134,8 @@ func (g *Graph) portalDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 		// Move to any portal in the current document, then across its link
 		// edge, in either direction: an edge inside the document has a
 		// portal at both ends.
-		for _, e := range g.EdgesOfDoc(cur.Doc) {
+		edges = g.EdgesOfDoc(edges[:0], cur.Doc)
+		for _, e := range edges {
 			for _, hop := range [2][2]xmldoc.NodeRef{{e.From, e.To}, {e.To, e.From}} {
 				exit, entry := hop[0], hop[1]
 				if exit.Doc != cur.Doc {

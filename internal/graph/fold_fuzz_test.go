@@ -178,6 +178,7 @@ func FuzzGraphFold(f *testing.F) {
 		if got := edgeStrings(oneShot.Edges()); !slices.Equal(got, want) {
 			t.Fatalf("one-shot fold edges\n got %q\nwant %q", got, want)
 		}
+		checkEdgesOfDoc(t, oneShot, whole)
 
 		// Batches: each batching byte takes 1+b%4 documents; its high bit
 		// round-trips the graph through the codec before the next batch.
@@ -216,5 +217,50 @@ func FuzzGraphFold(f *testing.F) {
 		if !slices.Equal(got, sorted) {
 			t.Fatalf("batched fold edge multiset\n got %q\nwant %q", got, sorted)
 		}
+		checkEdgesOfDoc(t, g, col)
 	})
+}
+
+// edgesOfDocOracle is EdgesOfDoc's former body: collect the indexes of
+// both of doc's edge lists through a set, sort them, and copy the edges
+// out.
+func edgesOfDocOracle(g *Graph, doc xmldoc.DocID) []Edge {
+	seen := make(map[int]struct{})
+	var idxs []int
+	for _, i := range g.outByDoc[doc] {
+		if _, ok := seen[i]; !ok {
+			seen[i] = struct{}{}
+			idxs = append(idxs, i)
+		}
+	}
+	for _, i := range g.inByDoc[doc] {
+		if _, ok := seen[i]; !ok {
+			seen[i] = struct{}{}
+			idxs = append(idxs, i)
+		}
+	}
+	slices.Sort(idxs)
+	var out []Edge
+	for _, i := range idxs {
+		out = append(out, g.edges[i])
+	}
+	return out
+}
+
+// checkEdgesOfDoc compares EdgesOfDoc with the oracle on every document
+// of col, appending after a non-empty prefix so the append contract is
+// checked too.
+func checkEdgesOfDoc(t *testing.T, g *Graph, col *store.Collection) {
+	t.Helper()
+	prefix := []Edge{{Label: "prefix"}}
+	for _, d := range col.Docs() {
+		want := edgesOfDocOracle(g, d.ID)
+		got := g.EdgesOfDoc(slices.Clone(prefix), d.ID)
+		if !slices.Equal(edgeStrings(got[:1]), edgeStrings(prefix)) {
+			t.Fatalf("EdgesOfDoc(%d) overwrote dst's prefix", d.ID)
+		}
+		if !slices.Equal(edgeStrings(got[1:]), edgeStrings(want)) {
+			t.Fatalf("EdgesOfDoc(%d)\n got %q\nwant %q", d.ID, edgeStrings(got[1:]), edgeStrings(want))
+		}
+	}
 }

@@ -17,7 +17,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"seda/internal/store"
 	"seda/internal/xmldoc"
@@ -141,33 +140,24 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Edges returns all link edges; the slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
 
-// EdgesOfDoc returns the link edges touching a document (either endpoint).
-func (g *Graph) EdgesOfDoc(doc xmldoc.DocID) []Edge {
-	seen := make(map[int]struct{})
-	var idxs []int
-	for _, i := range g.outByDoc[doc] {
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idxs = append(idxs, i)
+// EdgesOfDoc appends to dst the link edges touching doc (either
+// endpoint), in edge order and each once. doc's two edge lists are both
+// ascending, and an edge sits in both only when both its ends are in doc,
+// so one merge that takes such an edge once needs no set; with a dst of
+// sufficient capacity it allocates nothing.
+func (g *Graph) EdgesOfDoc(dst []Edge, doc xmldoc.DocID) []Edge {
+	out, in := g.outByDoc[doc], g.inByDoc[doc]
+	for len(out) > 0 || len(in) > 0 {
+		var i int
+		switch {
+		case len(in) == 0 || len(out) > 0 && out[0] < in[0]:
+			i, out = out[0], out[1:]
+		case len(out) > 0 && out[0] == in[0]:
+			i, out, in = out[0], out[1:], in[1:]
+		default:
+			i, in = in[0], in[1:]
 		}
+		dst = append(dst, g.edges[i])
 	}
-	for _, i := range g.inByDoc[doc] {
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idxs = append(idxs, i)
-		}
-	}
-	sort.Ints(idxs)
-	return g.pick(idxs)
-}
-
-func (g *Graph) pick(idxs []int) []Edge {
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(idxs))
-	for i, idx := range idxs {
-		out[i] = g.edges[idx]
-	}
-	return out
+	return dst
 }

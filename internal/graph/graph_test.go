@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -320,12 +321,23 @@ func TestEdgesOfDoc(t *testing.T) {
 	c, _ := fixture(t)
 	g := folded(c, DiscoverOptions{IDRefAttrs: []string{"bordering"}})
 	// doc2 (sea): 2 outgoing + 1 incoming (from ph).
-	es := g.EdgesOfDoc(2)
+	es := g.EdgesOfDoc(nil, 2)
 	if len(es) != 3 {
 		t.Errorf("EdgesOfDoc(sea) = %d, want 3", len(es))
 	}
-	if g.EdgesOfDoc(99) != nil {
+	if g.EdgesOfDoc(nil, 99) != nil {
 		t.Error("unknown doc should have no edges")
+	}
+	if !slices.Equal(edgeStrings(es), edgeStrings(edgesOfDocOracle(g, 2))) {
+		t.Errorf("EdgesOfDoc(sea) = %q, want the oracle's %q", edgeStrings(es), edgeStrings(edgesOfDocOracle(g, 2)))
+	}
+	// With warm scratch a call allocates nothing: no set, no new slice.
+	if raceEnabled {
+		return
+	}
+	scratch := g.EdgesOfDoc(nil, 2)
+	if allocs := testing.AllocsPerRun(100, func() { scratch = g.EdgesOfDoc(scratch[:0], 2) }); allocs != 0 {
+		t.Errorf("EdgesOfDoc with warm scratch: %v allocs per call, want 0", allocs)
 	}
 }
 

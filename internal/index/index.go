@@ -196,6 +196,10 @@ type Index struct {
 	dead          *store.Tombstones
 	shardDead     []bool                  // aligned with shards
 	deadPathCount map[pathdict.PathID]int // dead-node count per path
+
+	// cache holds this generation's term answers (termcache.go). It is the
+	// index's only mutable state, and is internally synchronized.
+	cache *termCache
 }
 
 // Build constructs both indexes over the collection, sharding the scan
@@ -454,7 +458,7 @@ func (acc *shardAcc) bumpPathTerm(term string, p pathdict.PathID) {
 //
 //seda:constructor
 func newIndex(col *store.Collection, shards []*Shard) *Index {
-	ix := &Index{col: col, shards: shards}
+	ix := &Index{col: col, shards: shards, cache: newTermCache(termCacheBudget)}
 	if len(shards) == 1 {
 		sh := shards[0]
 		ix.terms = sh.terms

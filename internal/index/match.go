@@ -14,8 +14,10 @@ import (
 )
 
 // Match is one node satisfying a query term, with its content score.
-// Ref.Dewey is read-only: it may alias the index's posting and node-list
-// storage (capacity-capped, so an append copies).
+// Matches returned by MatchTerm and MatchTermShard are read-only: the
+// lists are shared through the index's term cache with every later
+// caller asking for the same term, and Ref.Dewey points into the cached
+// entry's storage (capacity-capped, so an append copies).
 type Match struct {
 	Ref   xmldoc.NodeRef
 	Path  pathdict.PathID
@@ -24,7 +26,9 @@ type Match struct {
 
 // MatchTerm returns all nodes satisfying the query term per Definition 3:
 // content(n) satisfies the search expression and the context matches the
-// node's name or full path. Results are in (doc, Dewey) order.
+// node's name or full path. Results are in (doc, Dewey) order. The
+// returned list is read-only: with one shard it is the cached list itself
+// (see MatchTermShard).
 //
 // The evaluation scatters across the index's shards and concatenates the
 // per-shard results; shard ranges are disjoint and increasing, so the
@@ -52,6 +56,20 @@ func (ix *Index) MatchTerm(t query.Term) ([]Match, error) {
 // frequencies, corpus size), so per-shard scores are independent of the
 // shard layout.
 //
+// The answer is cached on the index (termcache.go), keyed on the term's
+// canonical rendering and the shard: a term already answered on this
+// generation is returned without evaluating it again, and concurrent
+// callers of one uncached term share one evaluation. The returned list is
+// therefore shared and read-only; callers that reorder or trim it copy
+// first. Errors are not cached.
+func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
+	ix.shards[s].fetches.Add(1)
+	return ix.cache.match(ix, t, s)
+}
+
+// evalTermShard evaluates the term on shard s, uncached; the result is
+// freshly allocated.
+//
 // Candidate generation works on the shard's node index: the deepest nodes
 // whose subtree covers a conjunctive clause of the expression (an
 // SLCA-style computation on Dewey ids) are "anchors"; anchors are then
@@ -64,8 +82,7 @@ func (ix *Index) MatchTerm(t query.Term) ([]Match, error) {
 // each clause's SLCA output is already in that order, so a single-clause
 // term with an empty context needs no sort at all; otherwise one
 // sort-unique after lifting replaces any keyed set.
-func (ix *Index) MatchTermShard(t query.Term, s int) ([]Match, error) {
-	ix.shards[s].fetches.Add(1)
+func (ix *Index) evalTermShard(t query.Term, s int) ([]Match, error) {
 	if fulltext.OpenMatch(t.Search) {
 		// The expression can match content containing no positive term, so
 		// anchors cannot enumerate candidates; scan by context instead.

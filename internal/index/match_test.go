@@ -407,8 +407,8 @@ func checkMatchOracle(ix *Index, term query.Term) error {
 }
 
 // The oracle's query space: every search form MatchTerm treats
-// differently (word, conjunction, disjunction, phrase, negation, prefix,
-// match-all) crossed with tag, path, disjunctive and tag-prefix contexts.
+// differently (word, conjunction, disjunction, phrase, negation, a
+// negated group, prefix, match-all) crossed with tag, path, disjunctive and tag-prefix contexts.
 // The vocabulary holds mixed-case and punctuated spellings of its words,
 // so normalization is checked end to end.
 var (
@@ -417,6 +417,7 @@ var (
 	oracleSearches = []string{
 		"red", "red green", "red OR green", `"red green"`,
 		"red AND NOT blue", "g*", "red (green OR gold)", "*", "NOT red",
+		"NOT (red AND green)", "NOT red AND green",
 	}
 	oracleContexts = []string{"*", "a", "b", "c", "a|b", "/a/b", "/a/b/c", "b*"}
 )

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -24,13 +23,13 @@ import (
 // from its contents, so the accounting is deterministic across runs and
 // the budget bounds the heap it names.
 //
-// Locking: one mutex guards the run map, the LRU list and the totals. A
-// miss inserts a pending entry and reads and decodes outside the lock;
-// concurrent fetches of the same run wait on that entry rather than
-// read it again (per-run singleflight). Decoded runs are immutable, so a
+// The runs live in one byteLRU (lru.go), which also gives the per-run
+// singleflight: concurrent fetches of the same run wait for the first
+// one's read rather than read it again. Decoded runs are immutable, so a
 // reader keeps a consistent view of a run the pager drops meanwhile.
 type Pager struct {
 	budget int64 // resident budget in bytes; always > 0
+	runs   *byteLRU[runKey, decodedRun]
 
 	pageIns   atomic.Uint64
 	evictions atomic.Uint64
@@ -39,12 +38,6 @@ type Pager struct {
 	// metrics, when set, mirrors the pager's activity into the shared
 	// obs families (nil until the serving tier installs them).
 	metrics atomic.Pointer[PagingMetrics]
-
-	mu       sync.Mutex
-	entries  map[runKey]*runEntry // guarded by mu: resident and pending runs
-	lru      runEntry             // guarded by mu: sentinel; lru.next is the most recently used run
-	used     int64                // guarded by mu: decoded bytes of resident runs
-	resident int                  // guarded by mu: resident run count
 }
 
 // runKey names one run of one shard.
@@ -53,30 +46,20 @@ type runKey struct {
 	i  int
 }
 
-// runEntry is one run in the pager: pending while its first fetcher
-// reads it (ready open, not linked), then resident (linked into the LRU
-// list) until dropped. The decoded fields are written once, before ready
-// is closed, and never again.
-type runEntry struct {
-	key        runKey
-	prev, next *runEntry // LRU links, nil while pending or once dropped
-	ready      chan struct{}
-	postings   []Posting
-	nodes      []xmldoc.NodeRef
-	cost       int64
-	err        error
+// decodedRun is one decoded run: a posting list or a node list.
+type decodedRun struct {
+	postings []Posting
+	nodes    []xmldoc.NodeRef
 }
 
 // NewPager returns a pager enforcing the given resident budget in bytes.
 // A budget <= 0 returns nil (paging disabled).
-//
-//seda:nolock: p is freshly constructed here and unshared until returned
 func NewPager(budget int64) *Pager {
 	if budget <= 0 {
 		return nil
 	}
-	p := &Pager{budget: budget, entries: make(map[runKey]*runEntry)}
-	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p := &Pager{budget: budget}
+	p.runs = newByteLRU[runKey, decodedRun](budget, p.resized)
 	return p
 }
 
@@ -88,17 +71,25 @@ func (p *Pager) Budget() int64 { return p.budget }
 // resident at attach time, and on replacement the old set gives those
 // bytes back so a re-adopted engine is not counted twice.
 func (p *Pager) SetMetrics(m *PagingMetrics) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.metrics.Swap(m)
-	if old == m {
-		return
-	}
-	if old != nil {
-		old.ResidentBytes.Add(-float64(p.used))
-	}
-	if m != nil {
-		m.ResidentBytes.Add(float64(p.used))
+	p.runs.withUsed(func(used int64) {
+		old := p.metrics.Swap(m)
+		if old == m {
+			return
+		}
+		if old != nil {
+			old.ResidentBytes.Add(-float64(used))
+		}
+		if m != nil {
+			m.ResidentBytes.Add(float64(used))
+		}
+	})
+}
+
+// resized mirrors a change of the resident bytes into the gauge; the run
+// cache calls it under its lock.
+func (p *Pager) resized(delta int64) {
+	if m := p.metrics.Load(); m != nil {
+		m.ResidentBytes.Add(float64(delta))
 	}
 }
 
@@ -127,60 +118,15 @@ func (p *Pager) evicted(n int) {
 // read, verified and decoded once however many goroutines ask for it at
 // the same time. A failed fetch caches nothing; the next one retries.
 func (p *Pager) run(sh *Shard, i int) ([]Posting, []xmldoc.NodeRef, error) {
-	k := runKey{sh, i}
-	p.mu.Lock()
-	if e, ok := p.entries[k]; ok {
-		if e.next != nil { // resident
-			p.unlinkLocked(e)
-			p.pushFrontLocked(e)
-			ps, refs := e.postings, e.nodes
-			p.mu.Unlock()
-			return ps, refs, nil
+	r, g, err := p.runs.get(runKey{sh, i}, func() (decodedRun, int64, error) {
+		ps, refs, err := p.fetch(sh, i)
+		if err != nil {
+			return decodedRun{}, 0, err
 		}
-		ready := e.ready
-		p.mu.Unlock()
-		<-ready
-		return e.postings, e.nodes, e.err
-	}
-	e := &runEntry{key: k, ready: make(chan struct{})}
-	p.entries[k] = e
-	p.mu.Unlock()
-
-	ps, refs, err := p.fetch(sh, i)
-	var cost int64
-	if err == nil {
-		cost = runCost(ps, refs)
-	}
-
-	p.mu.Lock()
-	if err != nil {
-		delete(p.entries, k)
-		e.err = err
-		p.mu.Unlock()
-		close(e.ready)
-		return nil, nil, err
-	}
-	e.postings, e.nodes, e.cost = ps, refs, cost
-	p.pushFrontLocked(e)
-	p.used += e.cost
-	p.resident++
-	freed, dropped := e.cost, 0
-	for p.used > p.budget && p.lru.prev != e {
-		v := p.lru.prev
-		p.unlinkLocked(v)
-		delete(p.entries, v.key)
-		p.used -= v.cost
-		p.resident--
-		freed -= v.cost
-		dropped++
-	}
-	if m := p.metrics.Load(); m != nil {
-		m.ResidentBytes.Add(float64(freed))
-	}
-	p.mu.Unlock()
-	close(e.ready)
-	p.evicted(dropped)
-	return ps, refs, nil
+		return decodedRun{ps, refs}, runCost(ps, refs), nil
+	})
+	p.evicted(g.dropped)
+	return r.postings, r.nodes, err
 }
 
 // fetch reads, verifies and decodes run i of sh, metering the disk read
@@ -202,18 +148,6 @@ func (p *Pager) fetch(sh *Shard, i int) ([]Posting, []xmldoc.NodeRef, error) {
 		m.PageInSeconds.ObserveDuration(time.Since(start))
 	}
 	return ps, refs, nil
-}
-
-// pushFrontLocked links e as the most recently used run.
-func (p *Pager) pushFrontLocked(e *runEntry) {
-	e.prev, e.next = &p.lru, p.lru.next
-	e.prev.next, e.next.prev = e, e
-}
-
-// unlinkLocked removes e from the LRU list.
-func (p *Pager) unlinkLocked(e *runEntry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
 }
 
 // runCost is a decoded run's heap footprint: its slice backing arrays and
@@ -256,10 +190,7 @@ func (p *Pager) Stats() PagerStats {
 		Evictions: p.evictions.Load(),
 		DiskReads: p.diskReads.Load(),
 	}
-	p.mu.Lock()
-	st.ResidentBytes = p.used
-	st.Resident = p.resident
-	p.mu.Unlock()
+	st.ResidentBytes, st.Resident = p.runs.stats()
 	return st
 }
 

@@ -137,6 +137,7 @@ func (ix *Index) maskTombstones() *Index {
 		dead:          dead,
 		shardDead:     shardDead,
 		deadPathCount: deadPathCount,
+		cache:         newTermCache(termCacheBudget),
 	}
 }
 

@@ -51,8 +51,11 @@ func (c Context) IsEmpty() bool { return len(c.Atoms) == 0 }
 
 // String renders the context; "*" for the empty context.
 func (c Context) String() string {
-	if c.IsEmpty() {
+	switch len(c.Atoms) {
+	case 0:
 		return "*"
+	case 1:
+		return c.Atoms[0].String()
 	}
 	parts := make([]string, len(c.Atoms))
 	for i, a := range c.Atoms {
@@ -158,9 +161,12 @@ type Term struct {
 	Search  fulltext.Expr
 }
 
-// String renders the term as "(context, search)".
+// String renders the term as "(context, search)". The rendering is
+// canonical — parsing it back yields the same term (FuzzParseQuery) — so
+// the index keys its term cache on it; it is built without fmt, in one
+// allocation for a single-atom context.
 func (t Term) String() string {
-	return fmt.Sprintf("(%s, %s)", t.Context.String(), t.Search.String())
+	return "(" + t.Context.String() + ", " + t.Search.String() + ")"
 }
 
 // NewTerm builds a term from textual components.

@@ -48,6 +48,11 @@ type serverMetrics struct {
 	// resident engines have no pager and never touch it.
 	paging *index.PagingMetrics
 
+	// terms is the shared term-cache metric set (seda_term_cache_*); the
+	// registry installs it on every adopted engine and derived generations
+	// inherit it.
+	terms *index.TermCacheMetrics
+
 	requests *obs.CounterVec   // seda_http_requests_total{endpoint,code}
 	duration *obs.HistogramVec // seda_http_request_duration_seconds{endpoint}
 	inflight *obs.Gauge        // seda_http_inflight_requests
@@ -65,6 +70,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		reg:    reg,
 		search: topk.NewMetrics(reg),
 		paging: index.NewPagingMetrics(reg),
+		terms:  index.NewTermCacheMetrics(reg),
 	}
 
 	m.requests = reg.NewCounterVec("seda_http_requests_total",

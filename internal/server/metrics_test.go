@@ -90,10 +90,15 @@ func TestMetricsExposition(t *testing.T) {
 		"seda_engine_phase_seconds",
 		"seda_uptime_seconds",
 		"seda_build_info",
+		"seda_term_cache_hits_total",
+		"seda_term_cache_misses_total",
 	} {
 		if _, ok := after[fam]; !ok {
 			t.Errorf("family %q missing from /metrics", fam)
 		}
+	}
+	if got := sampleValue(c, after, "seda_term_cache_misses_total", nil); got == 0 {
+		t.Error("term_cache_misses_total = 0 after a search evaluated its terms")
 	}
 
 	if got := sampleValue(c, after, "seda_topk_searches_total", nil); got != 1 {
@@ -298,6 +303,9 @@ func TestStatsBuildInfo(t *testing.T) {
 		}
 		if fetches == 0 {
 			t.Errorf("%s shard fetch counters all zero after a search", path)
+		}
+		if tc := stats.Collections[0].TermCache; tc == nil || tc.Misses == 0 || tc.Entries == 0 || tc.Budget == 0 {
+			t.Errorf("%s term_cache = %+v after a search, want its budget and the evaluated terms", path, tc)
 		}
 	}
 }

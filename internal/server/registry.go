@@ -227,6 +227,7 @@ type Registry struct {
 	// Observers installed by SetObservers before serving; read-only after.
 	searchMetrics *topk.Metrics
 	pagingMetrics *index.PagingMetrics
+	termMetrics   *index.TermCacheMetrics
 	onOp          func(op string, phases map[string]time.Duration)
 }
 
@@ -235,18 +236,20 @@ type Registry struct {
 // (ingest generations inherit it, keeping search counters monotonic
 // across generation swaps); paging is the shared shard-paging metric set
 // installed on every adopted engine's pager (a no-op for fully resident
-// engines); onOp receives per-layer wall times after each engine
-// lifecycle operation ("build", "load", "ingest", "save"). Any may be
-// nil. Call once, before serving — like EnableSnapshots, it is not safe
-// to race with request traffic.
-func (r *Registry) SetObservers(search *topk.Metrics, paging *index.PagingMetrics, onOp func(op string, phases map[string]time.Duration)) {
+// engines); terms is the shared term-cache metric set, installed on every
+// adopted engine's index and inherited like search; onOp receives
+// per-layer wall times after each engine lifecycle operation ("build",
+// "load", "ingest", "save"). Any may be nil. Call once, before serving —
+// like EnableSnapshots, it is not safe to race with request traffic.
+func (r *Registry) SetObservers(search *topk.Metrics, paging *index.PagingMetrics, terms *index.TermCacheMetrics, onOp func(op string, phases map[string]time.Duration)) {
 	r.searchMetrics = search
 	r.pagingMetrics = paging
+	r.termMetrics = terms
 	r.onOp = onOp
 }
 
 // observeEngine wires a freshly adopted or derived engine into the
-// observers: it installs the shared search metric set and reports the
+// observers: it installs the shared metric sets and reports the
 // engine's BuildTimings as the op's phases — the key equal to the op
 // becomes the "total" phase, "<op>-layer" keys lose their prefix, and
 // bare layer keys (a from-source build's "index"/"graph"/"dataguide")
@@ -257,6 +260,9 @@ func (r *Registry) observeEngine(eng *core.Engine, op string) {
 	}
 	if r.pagingMetrics != nil {
 		eng.SetPagingMetrics(r.pagingMetrics)
+	}
+	if r.termMetrics != nil {
+		eng.SetTermCacheMetrics(r.termMetrics)
 	}
 	if r.onOp == nil {
 		return
@@ -627,6 +633,24 @@ type RegistryInfo struct {
 	// Paging reports the engine's run-cache accounting; absent for fully
 	// resident engines (no budget configured).
 	Paging *PagingInfo `json:"paging,omitempty"`
+	// TermCache reports the current generation's term cache; absent until
+	// the engine is built or loaded.
+	TermCache *TermCacheInfo `json:"term_cache,omitempty"`
+}
+
+// TermCacheInfo is one engine generation's term-cache accounting on the
+// wire. Budget is the fixed per-generation byte budget, Bytes the charged
+// footprint of the cached (term, shard) answers and Entries their count.
+// Hits counts per-shard term fetches answered from the cache since the
+// generation was built, Misses those that evaluated the term; the
+// seda_term_cache_*_total counters carry the same counts across
+// generations.
+type TermCacheInfo struct {
+	Budget  int64  `json:"budget_bytes"`
+	Bytes   int64  `json:"bytes"`
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
 }
 
 // PagingInfo is one paged engine's residency accounting on the wire.
@@ -726,6 +750,8 @@ func (r *Registry) List() []RegistryInfo {
 					DiskReads:     ps.DiskReads,
 				}
 			}
+			tc := eng.TermCacheStats()
+			info.TermCache = &TermCacheInfo{Budget: tc.Budget, Bytes: tc.Bytes, Entries: tc.Entries, Hits: tc.Hits, Misses: tc.Misses}
 		}
 		out = append(out, info)
 	}

@@ -191,10 +191,10 @@ func New(opts Options) *Server {
 		reqPrefix: newRequestPrefix(),
 	}
 	s.metrics = newServerMetrics(s)
-	// The registry installs the shared search and paging metric sets on
-	// every engine it adopts and reports lifecycle phase timings back into
-	// the same exposition registry.
-	reg.SetObservers(s.metrics.search, s.metrics.paging, s.metrics.observeEngineOp)
+	// The registry installs the shared search, paging and term-cache
+	// metric sets on every engine it adopts and reports lifecycle phase
+	// timings back into the same exposition registry.
+	reg.SetObservers(s.metrics.search, s.metrics.paging, s.metrics.terms, s.metrics.observeEngineOp)
 	s.slowLog = opts.SlowQueryLog
 	if s.slowLog == nil {
 		s.slowLog = opts.AccessLog

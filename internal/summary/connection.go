@@ -99,6 +99,7 @@ func (s *Summarizer) Connections(results []topk.Result) []Connection {
 		pa, pb pathdict.PathID
 	}
 	agg := make(map[pairKey][]Connection)
+	var edges []graph.Edge // scratch for support
 	for _, r := range results {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
@@ -113,7 +114,7 @@ func (s *Summarizer) Connections(results []topk.Result) []Connection {
 					agg[k] = cands
 				}
 				// Attribute this instance pair to the matching candidate.
-				s.support(agg[k], r, i, j)
+				s.support(&edges, agg[k], r, i, j)
 			}
 		}
 	}
@@ -204,8 +205,9 @@ func (s *Summarizer) candidates(pa, pb pathdict.PathID) []Connection {
 }
 
 // support attributes one result tuple's (i, j) node pair to the candidate
-// connection it instantiates.
-func (s *Summarizer) support(cands []Connection, r topk.Result, i, j int) {
+// connection it instantiates. edges is the caller's scratch for the link
+// edges of the first node's document.
+func (s *Summarizer) support(edges *[]graph.Edge, cands []Connection, r topk.Result, i, j int) {
 	a, b := r.Nodes[i], r.Nodes[j]
 	if a.Doc == b.Doc {
 		l := dewey.LCA(a.Dewey, b.Dewey)
@@ -224,7 +226,8 @@ func (s *Summarizer) support(cands []Connection, r topk.Result, i, j int) {
 		if cands[x].Kind != LinkEdge {
 			continue
 		}
-		for _, e := range s.g.EdgesOfDoc(a.Doc) {
+		*edges = s.g.EdgesOfDoc((*edges)[:0], a.Doc)
+		for _, e := range *edges {
 			touchesA := e.From.Doc == a.Doc && e.From.Dewey.IsAncestorOrSelf(a.Dewey) ||
 				e.To.Doc == a.Doc && e.To.Dewey.IsAncestorOrSelf(a.Dewey)
 			touchesB := e.From.Doc == b.Doc && e.From.Dewey.IsAncestorOrSelf(b.Dewey) ||

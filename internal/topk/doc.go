@@ -11,15 +11,19 @@
 // fetched from the index by a (term × shard) scatter over at most
 // Options.Parallelism goroutines, gathered per term in shard order, so each
 // list is in (doc, Dewey) order, and merged k-way into per-document runs
-// (no map, no copy). Candidate units (documents, or pairs of link-joined
-// documents per Definition 4) are then scanned sequentially in decreasing
-// order of an upper score bound, into one bounded min-heap of size K, in
-// waves whose boundaries double geometrically (1, 2, 4, 8, … units); the
-// scan stops at the first wave barrier where the k-th best score reaches
-// the next unit's bound — the TA termination condition. Early waves (1-2
-// units) keep the check as eager as a unit-at-a-time TA loop and late
-// waves amortize it; the wave boundaries decide which units get scanned,
-// and so how exact ties at the threshold resolve (below).
+// (no map). The lists are the index's cached term answers, shared with
+// every other search on the generation and read-only: a document's run
+// longer than the Options.PerDocPerTerm beam is copied into per-search
+// scratch and sorted there, never in place. Candidate units (documents,
+// or pairs of link-joined documents per Definition 4) are then scanned
+// sequentially in decreasing order of an upper score bound, into one
+// bounded min-heap of size K, in waves whose boundaries double
+// geometrically (1, 2, 4, 8, … units); the scan stops at the first wave
+// barrier where the k-th best score reaches the next unit's bound — the
+// TA termination condition. Early waves (1-2 units) keep the check as
+// eager as a unit-at-a-time TA loop and late waves amortize it; the wave
+// boundaries decide which units get scanned, and so how exact ties at
+// the threshold resolve (below).
 //
 // The only concurrency inside a search is the fetch scatter, and it is
 // schedule-independent: every task writes its own slot and the gather
@@ -53,7 +57,9 @@
 // and graph must not be mutated while searches run — the engine layer
 // guarantees this by making both immutable per generation (incremental
 // ingest derives a new index and graph rather than touching the ones a
-// live Searcher reads).
+// live Searcher reads). The index's term cache is the one piece of state
+// searches share; it is internally synchronized, and what it hands out is
+// never written.
 //
 // The package is annotated //seda:hot: sedalint's nilgate analyzer
 // enforces the nil-gated observability contract on every hot path here.

@@ -156,8 +156,8 @@ func (s *Searcher) SearchStats(q query.Query, opts Options) ([]Result, Stats, er
 
 // fetchMatches evaluates every query term against the index, scattering
 // (term × shard) evaluations across at most parallelism goroutines (the
-// index is immutable after Build, so evaluations share no mutable state)
-// and gathering per term in shard order — shard ranges are disjoint and
+// index is immutable but for its internally synchronized term cache) and
+// gathering per term in shard order — shard ranges are disjoint and
 // increasing, so the concatenation is MatchTerm's exact answer. Errors
 // surface in (term, shard) order so the reported failure is deterministic.
 func (s *Searcher) fetchMatches(q query.Query, parallelism int) ([][]index.Match, error) {
@@ -216,29 +216,43 @@ func (s *Searcher) fetchMatches(q query.Query, parallelism int) ([][]index.Match
 
 // docGroups is the document-at-a-time view of the per-term match lists:
 // the documents that can take part in a tuple, ascending, each with one
-// run per term into that term's list. Runs index the lists in place, so
-// grouping copies no match.
+// run per term. A run within the beam indexes its term's list in place; a
+// longer one is copied into the search's own beams scratch, sorted and
+// cut there, because the lists are the index's shared, read-only cached
+// answers.
 type docGroups struct {
 	matches [][]index.Match
 	docs    []xmldoc.DocID
-	runs    []termRun // runs[g*m+i]: document g's run of term i
+	runs    []termRun     // runs[g*m+i]: document g's run of term i
+	beams   []index.Match // the cut runs, each sorted by descending score
 }
 
-// termRun is matches[i][lo:hi] for one document: its beam for term i, and
-// the best score in it (0 when the run is empty; scores are non-negative).
+// termRun is one document's beam for term i, and the best score in it (0
+// when the run is empty; scores are non-negative): beams[lo:hi] when cut
+// is set, else matches[i][lo:hi].
 type termRun struct {
 	lo, hi int
 	best   float64
+	cut    bool
 }
 
 func (gs *docGroups) run(g, i int) termRun { return gs.runs[g*len(gs.matches)+i] }
+
+// matchesOf returns the matches of term i's run r.
+func (gs *docGroups) matchesOf(i int, r termRun) []index.Match {
+	if r.cut {
+		return gs.beams[r.lo:r.hi]
+	}
+	return gs.matches[i][r.lo:r.hi]
+}
 
 // groupByDoc merges the per-term match lists, each already in (doc, Dewey)
 // order, into document groups in one k-way pass. A document keeps its runs
 // when it matches every term, or, with pairs set, when a link edge touches
 // it and may still pair it with another document; any other document
 // cannot take part in a tuple and is dropped. A run longer than beam is cut
-// to its beam strongest matches, sorted in place by descending score.
+// to its beam strongest matches, sorted by descending score in the beams
+// scratch.
 func (s *Searcher) groupByDoc(matches [][]index.Match, beam int, pairs bool) docGroups {
 	m := len(matches)
 	gs := docGroups{matches: matches}
@@ -268,23 +282,28 @@ func (s *Searcher) groupByDoc(matches [][]index.Match, beam int, pairs bool) doc
 			continue
 		}
 		for i := range cur {
-			cur[i] = beamRun(matches[i], cur[i], beam)
+			cur[i] = gs.beamRun(i, cur[i], beam)
 		}
 		gs.docs = append(gs.docs, doc)
 		gs.runs = append(gs.runs, cur...)
 	}
 }
 
-// beamRun cuts r to its beam strongest matches and records its best score.
-// Only a run longer than the beam is sorted: below it, the order inside a
-// run changes no result, because the heap's order is total.
-func beamRun(ms []index.Match, r termRun, beam int) termRun {
-	run := ms[r.lo:r.hi]
-	if len(run) > beam {
-		slices.SortFunc(run, func(a, b index.Match) int { return cmp.Compare(b.Score, a.Score) })
-		r.hi = r.lo + beam
+// beamRun cuts term i's run r to its beam strongest matches and records
+// its best score. Only a run longer than the beam is sorted: below it, the
+// order inside a run changes no result, because the heap's order is
+// total. The sort runs on a copy in gs.beams, never on the shared list;
+// the copy keeps the list's order, so the sort's outcome, ties included,
+// is the one an in-place sort would give.
+func (gs *docGroups) beamRun(i int, r termRun, beam int) termRun {
+	if r.hi-r.lo > beam {
+		lo := len(gs.beams)
+		gs.beams = append(gs.beams, gs.matches[i][r.lo:r.hi]...)
+		slices.SortFunc(gs.beams[lo:], func(a, b index.Match) int { return cmp.Compare(b.Score, a.Score) })
+		gs.beams = gs.beams[:lo+beam]
+		r = termRun{lo: lo, hi: lo + beam, cut: true}
 	}
-	for _, mt := range ms[r.lo:r.hi] {
+	for _, mt := range gs.matchesOf(i, r) {
 		r.best = max(r.best, mt.Score)
 	}
 	return r
@@ -365,7 +384,9 @@ func (gs *docGroups) compareUnits(u, v candUnit) int {
 }
 
 // rank runs the TA loop over matches, one (doc, Dewey)-ordered list per
-// term. It owns the lists: runs longer than the beam are sorted in place.
+// term. The lists are read-only — with one shard they are the index's
+// cached answers — so rank never writes into them: a run longer than the
+// beam is sorted in a copy (docGroups.beamRun).
 func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats) {
 	pairs := !opts.DisableCrossDoc
 	gs := s.groupByDoc(matches, opts.PerDocPerTerm, pairs)
@@ -413,7 +434,24 @@ func (s *Searcher) rank(matches [][]index.Match, opts Options) ([]Result, Stats)
 		tr.EarlyTerminated = stats.EarlyTerminated
 		tr.KthScore, _ = sc.heap.kth()
 	}
-	return sc.heap.sorted(), stats
+	return ownRefs(sc.heap.sorted()), stats
+}
+
+// ownRefs copies the results' Dewey ids into one slab of their own. The
+// match lists they come from are the index's cached answers; a result a
+// session holds must not keep a cached entry's storage alive after the
+// cache drops it.
+func ownRefs(rs []Result) []Result {
+	xmldoc.OwnDeweys(func(yield func(*xmldoc.NodeRef) bool) {
+		for _, x := range rs {
+			for i := range x.Nodes {
+				if !yield(&x.Nodes[i]) {
+					return
+				}
+			}
+		}
+	})
+	return rs
 }
 
 // scanner enumerates the tuples of candidate units into the top-k heap. It
@@ -505,7 +543,7 @@ func (sc *scanner) extend(u candUnit, i int, content float64, span int) {
 			continue
 		}
 		r := sc.gs.run(g, i)
-		for _, mt := range sc.gs.matches[i][r.lo:r.hi] {
+		for _, mt := range sc.gs.matchesOf(i, r) {
 			sc.tuple[i] = mt
 			s := span
 			if sc.tree {

@@ -469,3 +469,58 @@ func TestPropTopKAgainstBruteForce(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSearchLeavesCachedListsUntouched: the per-term lists a search ranks
+// are the index's cached answers, shared with every later search. A run
+// longer than the PerDocPerTerm beam is cut by sorting it by score; that
+// must happen in a copy, leaving every cached list exactly as the index
+// produced it. The fixture's first <a> holds more words than the second,
+// so it scores lower and sorting its document's run would swap the two.
+func TestSearchLeavesCachedListsUntouched(t *testing.T) {
+	c := store.NewCollection()
+	for i, d := range []string{
+		`<r><a>x one two three four</a><a>x</a><b>y</b><b>y y</b></r>`,
+		`<r><a>x</a><b>y</b></r>`,
+	} {
+		if _, err := c.AddXML(fmt.Sprintf("d%d", i), []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := index.Build(c)
+	q := query.MustParse(`(a, x) AND (b, y)`)
+	cached := make([][]index.Match, len(q.Terms))
+	before := make([][]index.Match, len(q.Terms))
+	for i, term := range q.Terms {
+		ms, err := ix.MatchTermShard(term, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached[i] = ms
+		for _, m := range ms {
+			m.Ref.Dewey = slices.Clone(m.Ref.Dewey)
+			before[i] = append(before[i], m)
+		}
+	}
+	if cached[0][0].Ref.Doc != cached[0][1].Ref.Doc || cached[0][0].Score >= cached[0][1].Score {
+		t.Fatalf("fixture: want an over-beam run in ascending score order, got %+v", cached[0])
+	}
+	rs, err := New(ix, nil).Search(q, Options{K: 3, PerDocPerTerm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) == 0 {
+		t.Fatal("no results")
+	}
+	for i, term := range q.Terms {
+		if !reflect.DeepEqual(cached[i], before[i]) {
+			t.Errorf("term %d: search rewrote the cached list:\n got %+v\nwant %+v", i, cached[i], before[i])
+		}
+		again, err := ix.MatchTermShard(term, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[0] != &cached[i][0] {
+			t.Errorf("term %d: the list searched was not the cached one", i)
+		}
+	}
+}

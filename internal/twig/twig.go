@@ -97,7 +97,8 @@ func (e *Evaluator) ComputeAll(p Plan) ([]Tuple, error) {
 		twigResults[ti] = e.evalTwig(tw, p, matches)
 	}
 	// Join twigs along cross-twig link connections.
-	return e.joinTwigs(p, twigs, twigResults, cross)
+	ts, err := e.joinTwigs(p, twigs, twigResults, cross)
+	return ownRefs(ts), err
 }
 
 func (e *Evaluator) termMatches(p Plan) ([][]index.Match, error) {
@@ -335,6 +336,7 @@ func (e *Evaluator) joinTwigs(p Plan, twigs []twigSpec, results [][]Tuple, cross
 		}
 	}
 	// Fold twigs one by one into partial tuples.
+	var edges []graph.Edge // scratch for linkConnSatisfied
 	partial := make([]Tuple, 0, len(results[0]))
 	for _, t := range results[0] {
 		full := Tuple{Nodes: make([]xmldoc.NodeRef, m), Paths: make([]pathdict.PathID, m)}
@@ -358,7 +360,7 @@ func (e *Evaluator) joinTwigs(p Plan, twigs []twigSpec, results [][]Tuple, cross
 				for _, c := range cross {
 					ta, tb := twigOf[c.TermA], twigOf[c.TermB]
 					if (ta == ti && included[tb]) || (tb == ti && included[ta]) {
-						if !e.linkConnSatisfied(c, cand.Nodes[c.TermA], cand.Nodes[c.TermB]) {
+						if !e.linkConnSatisfied(&edges, c, cand.Nodes[c.TermA], cand.Nodes[c.TermB]) {
 							ok = false
 							break
 						}
@@ -381,8 +383,10 @@ func (e *Evaluator) joinTwigs(p Plan, twigs []twigSpec, results [][]Tuple, cross
 
 // linkConnSatisfied checks a chosen link connection: a graph edge of the
 // connection's kind and label between ancestors-or-self of the two nodes.
-func (e *Evaluator) linkConnSatisfied(c summary.Connection, a, b xmldoc.NodeRef) bool {
-	for _, edge := range e.g.EdgesOfDoc(a.Doc) {
+// edges is the caller's scratch for a's link edges.
+func (e *Evaluator) linkConnSatisfied(edges *[]graph.Edge, c summary.Connection, a, b xmldoc.NodeRef) bool {
+	*edges = e.g.EdgesOfDoc((*edges)[:0], a.Doc)
+	for _, edge := range *edges {
 		if edge.Kind != c.Link.Kind || edge.Label != c.Link.Label {
 			continue
 		}
@@ -411,6 +415,7 @@ func (e *Evaluator) ComputeNaive(p Plan) ([]Tuple, error) {
 	dict := e.ix.Collection().Dict()
 	m := len(p.Terms)
 	var out []Tuple
+	var edges []graph.Edge // scratch for linkConnSatisfied
 	tuple := make([]index.Match, m)
 	var rec func(i int)
 	rec = func(i int) {
@@ -436,7 +441,7 @@ func (e *Evaluator) ComputeNaive(p Plan) ([]Tuple, error) {
 						ok = false
 						break
 					}
-				} else if !e.linkConnSatisfied(c, a.Ref, b.Ref) {
+				} else if !e.linkConnSatisfied(&edges, c, a.Ref, b.Ref) {
 					ok = false
 					break
 				}
@@ -448,7 +453,24 @@ func (e *Evaluator) ComputeNaive(p Plan) ([]Tuple, error) {
 	}
 	rec(0)
 	sortTuples(out)
-	return out, nil
+	return ownRefs(out), nil
+}
+
+// ownRefs copies the tuples' Dewey ids into one slab of their own. The
+// match lists they come from are the index's cached answers; a tuple a
+// session holds must not keep a cached entry's storage alive after the
+// cache drops it.
+func ownRefs(ts []Tuple) []Tuple {
+	xmldoc.OwnDeweys(func(yield func(*xmldoc.NodeRef) bool) {
+		for _, x := range ts {
+			for i := range x.Nodes {
+				if !yield(&x.Nodes[i]) {
+					return
+				}
+			}
+		}
+	})
+	return ts
 }
 
 func sortTuples(ts []Tuple) {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"strings"
 
 	"seda/internal/dewey"
@@ -65,6 +66,23 @@ type NodeRef struct {
 
 // String renders a NodeRef like "n3@1.2.2.1".
 func (r NodeRef) String() string { return fmt.Sprintf("n%d@%s", r.Doc, r.Dewey) }
+
+// OwnDeweys moves the Dewey ids of the refs that refs yields into one
+// slab of their own, each capped at its length, so they keep alive none of
+// the storage they were copied from: results hold a node's id without
+// pinning an index's posting or cache storage. refs is ranged over twice
+// and must yield the same refs both times.
+func OwnDeweys(refs iter.Seq[*NodeRef]) {
+	n := 0
+	for r := range refs {
+		n += len(r.Dewey)
+	}
+	slab := make(dewey.ID, n)
+	for r := range refs {
+		k := copy(slab, r.Dewey)
+		r.Dewey, slab = slab[:k:k], slab[k:]
+	}
+}
 
 // Less orders NodeRefs by (doc, document order).
 func (r NodeRef) Less(o NodeRef) bool {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"seda/internal/dewey"
 	"seda/internal/pathdict"
@@ -280,5 +281,32 @@ func TestNodeRefOrdering(t *testing.T) {
 	}
 	if a.String() != "n1@1.2" {
 		t.Errorf("String = %q", a.String())
+	}
+}
+
+// TestOwnDeweys: the refs' ids move, unchanged, into one slab laid out in
+// yield order, each capped at its length, sharing nothing with the ids
+// they were copied from.
+func TestOwnDeweys(t *testing.T) {
+	src := dewey.ID{1, 2, 3, 1, 4}
+	refs := []NodeRef{{Doc: 0, Dewey: src[:3]}, {Doc: 1}, {Doc: 2, Dewey: src[3:]}}
+	OwnDeweys(func(yield func(*NodeRef) bool) {
+		for i := range refs {
+			if !yield(&refs[i]) {
+				return
+			}
+		}
+	})
+	want := []dewey.ID{{1, 2, 3}, {}, {1, 4}}
+	for i, r := range refs {
+		if !dewey.Equal(r.Dewey, want[i]) || cap(r.Dewey) != len(r.Dewey) {
+			t.Errorf("ref %d = %v (cap %d), want %v capped", i, r.Dewey, cap(r.Dewey), want[i])
+		}
+	}
+	if &refs[0].Dewey[0] == &src[0] || &refs[2].Dewey[0] == &src[3] {
+		t.Error("an id still aliases its source")
+	}
+	if unsafe.Pointer(&refs[2].Dewey[0]) != unsafe.Add(unsafe.Pointer(&refs[0].Dewey[0]), 3*unsafe.Sizeof(refs[0].Dewey[0])) {
+		t.Error("ids are not laid out back to back in one slab")
 	}
 }

@@ -61,7 +61,7 @@ case "$RESP" in
 esac
 
 curl -fsS "$BASE/metrics" | "$WORK/promcheck" -require \
-	seda_topk_searches_total,seda_topk_search_duration_seconds,seda_http_requests_total,seda_http_request_duration_seconds,seda_topk_served_total,seda_engine_phase_seconds,seda_engine_ops_total,seda_sessions_active,seda_build_info,seda_uptime_seconds,seda_paging_pageins_total,seda_paging_evictions_total,seda_paging_resident_bytes,seda_paging_disk_reads_total,seda_paging_disk_read_seconds
+	seda_topk_searches_total,seda_topk_search_duration_seconds,seda_http_requests_total,seda_http_request_duration_seconds,seda_topk_served_total,seda_engine_phase_seconds,seda_engine_ops_total,seda_sessions_active,seda_build_info,seda_uptime_seconds,seda_paging_pageins_total,seda_paging_evictions_total,seda_paging_resident_bytes,seda_paging_disk_reads_total,seda_paging_disk_read_seconds,seda_term_cache_hits_total,seda_term_cache_misses_total
 
 # Disk-backed paging must actually have happened: the traced query above
 # ran against a snapshot-bound engine under a 1-byte budget, so at least
