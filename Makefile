@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRestrictedContent -fuzztime 10s ./internal/fulltext
 	$(GO) test -run '^$$' -fuzz FuzzShardDecode -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzMatchTerm -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz FuzzIndexFold -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzTombstoneDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzGraphFold -fuzztime 10s ./internal/graph
 

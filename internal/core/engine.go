@@ -158,9 +158,7 @@ func NewEngine(col *store.Collection, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: empty collection")
 	}
 	cfg = cfg.resolved()
-	return derive(nil, cfg, step{col: col, index: func(par int) (*index.Index, error) {
-		return index.BuildSharded(col, cfg.Shards, par), nil
-	}})
+	return derive(nil, cfg, step{col: col})
 }
 
 // resolved returns cfg with the construction defaults applied; NewEngine

@@ -51,9 +51,6 @@ type step struct {
 	start time.Time
 	// col is the new generation's collection.
 	col *store.Collection
-	// index derives the new generation's index with the given worker
-	// budget: BuildSharded, Extend, WithTombstones or Compact.
-	index func(par int) (*index.Index, error)
 	// added are the documents col appends to the previous generation's.
 	added []*xmldoc.Document
 }
@@ -68,14 +65,17 @@ type layers struct {
 
 // derive assembles the generation that follows prev (nil for a
 // from-source build) under cfg. The layers run in one order for every
-// op: the index step with the full Parallelism, then the link graph, then
-// the dataguide summary. Both of the latter are order-dependent folds
-// (first-occurrence-wins id tables, §6.1 absorption) with one Extend
-// each, and derive only picks where they start: from prev's layers over
-// the appended documents when nothing died since prev, otherwise from
-// empty layers over the live documents — a deletion cannot be un-folded,
-// and re-folding the live documents in id order reaches exactly the
-// from-scratch state.
+// op: the index with the full Parallelism, then the link graph, then the
+// dataguide summary. Each layer is one fold, and derive only picks
+// where each starts. The index starts from prev's over the
+// appended documents (none for a delete, which only re-masks), or from
+// empty over the whole collection when there is no prev or a compaction
+// renumbered the documents. The graph and the dataguide are
+// order-dependent folds (first-occurrence-wins id tables, §6.1
+// absorption): they start from prev's when nothing died since prev,
+// otherwise from empty over the live documents — a deletion cannot be
+// un-folded, and re-folding the live documents in id order reaches
+// exactly the from-scratch state.
 func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	timings := make(map[string]time.Duration)
 	key := func(layer string) string {
@@ -88,8 +88,15 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 
 	t := time.Now()
 	var err error
-	if l.ix, err = s.index(resolveParallelism(cfg.Parallelism)); err != nil {
-		return nil, err
+	switch par := resolveParallelism(cfg.Parallelism); {
+	case prev == nil:
+		l.ix = index.BuildSharded(s.col, cfg.Shards, par)
+	case s.op == "compact":
+		l.ix = index.BuildSharded(s.col, prev.ix.NumShards(), par)
+	default:
+		if l.ix, err = prev.ix.Extend(s.col, s.added); err != nil {
+			return nil, err
+		}
 	}
 	timings[key("index")] = time.Since(t)
 

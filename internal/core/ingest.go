@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"seda/internal/index"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
@@ -48,8 +47,9 @@ func (e *Engine) AddDocumentsXML(docs []IngestDoc) (*Engine, error) {
 //
 //   - the collection gains the documents and updates its per-path
 //     statistics over copied tables;
-//   - the index scans only the new documents and merges the delta segment
-//     into a copy of the tail shard (the parallel build's merge identity);
+//   - the index scans only the new documents and absorbs the scan into a
+//     copy of the tail shard (the merge that joins a parallel build's
+//     scan chunks);
 //   - the graph discovers links incident to the new documents only,
 //     including old references the new documents finally resolve;
 //   - the dataguide summary absorbs the new documents' profiles,
@@ -84,9 +84,7 @@ func (e *Engine) AddDocuments(docs []*xmldoc.Document) (*Engine, error) {
 // the receiver's collection, possibly masked by the same op. Callers hold
 // ingestMu.
 func (e *Engine) appendGeneration(op string, start time.Time, col *store.Collection, docs []*xmldoc.Document) (*Engine, error) {
-	col = col.Extend(docs)
-	// Extend re-derives the mask from col's tombstones, so one index step
-	// covers an update's masking and its append.
-	return derive(e, e.cfg, step{op: op, start: start, col: col, added: docs,
-		index: func(int) (*index.Index, error) { return e.ix.Extend(col, docs) }})
+	// The index's Extend re-derives the mask from col's tombstones, so one
+	// index step covers an update's masking and its append.
+	return derive(e, e.cfg, step{op: op, start: start, col: col.Extend(docs), added: docs})
 }

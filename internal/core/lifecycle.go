@@ -77,8 +77,7 @@ func (e *Engine) DeleteDocuments(names ...string) (*Engine, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ne, err := derive(e, e.cfg, step{op: "delete", start: t0, col: col,
-		index: func(int) (*index.Index, error) { return e.ix.WithTombstones(col) }})
+	ne, err := derive(e, e.cfg, step{op: "delete", start: t0, col: col})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -114,12 +113,13 @@ func (e *Engine) UpdateDocumentXML(name string, data []byte) (*Engine, error) {
 }
 
 // Compact derives the physically compacted generation: a new collection
-// over the live documents only, renumbered contiguously, with index
-// shards below the first tombstone reused as-is and the rest rebuilt
-// over rebalanced ranges (dead postings dropped, global aggregates
-// re-derived). Errors when the engine carries no tombstones or every
-// document is masked. The compacted engine answers byte-identically to a
-// from-scratch build over the surviving documents.
+// over the live documents only, renumbered contiguously, and an index
+// built afresh over it at the receiver's shard count (dead postings
+// dropped, shard ranges rebalanced). The new shards are resident until a
+// save binds them to its sections, as an ingested tail is. Errors when
+// the engine carries no tombstones or every document is masked. The
+// compacted engine answers byte-identically to a from-scratch build over
+// the surviving documents.
 //
 // BuildTimings records "compact-index", "compact-graph",
 // "compact-dataguide", and the total under "compact".
@@ -133,10 +133,7 @@ func (e *Engine) Compact() (*Engine, error) {
 	if e.col.NumLive() == 0 {
 		return nil, fmt.Errorf("core: cannot compact an engine with no live documents")
 	}
-	t0 := time.Now()
-	col := e.col.Compacted()
-	return derive(e, e.cfg, step{op: "compact", start: t0, col: col,
-		index: func(par int) (*index.Index, error) { return e.ix.Compact(col, par) }})
+	return derive(e, e.cfg, step{op: "compact", start: time.Now(), col: e.col.Compacted()})
 }
 
 // TombstoneStats reports the engine's masking state (zero when

@@ -315,8 +315,8 @@ func TestLifecycleGenerationIsolation(t *testing.T) {
 
 // TestCompactDuringConcurrentQueries: readers pinned to the masked
 // generation keep answering consistently while Compact derives the
-// rewritten engine (run under -race, this is the data-race probe for the
-// kept-shard reuse path).
+// rewritten engine (run under -race, this is the data-race probe for a
+// compaction that reads the collection and layers the readers share).
 func TestCompactDuringConcurrentQueries(t *testing.T) {
 	c := corpusConfigs()[1] // mondial: the link-heavy corpus
 	raw := renderXML(t, c.gen(c.scale))

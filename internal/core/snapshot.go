@@ -25,13 +25,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"seda/internal/dataguide"
 	"seda/internal/graph"
 	"seda/internal/index"
+	"seda/internal/parallel"
 	"seda/internal/pathdict"
 	"seda/internal/snapcodec"
 	"seda/internal/store"
@@ -164,20 +163,15 @@ func SaveEngine(w io.Writer, e *Engine, source string) error {
 
 	sections := make([]snapcodec.Section, len(jobs)+1)
 	sections[0] = snapcodec.Section{Name: secMeta, Payload: meta.Bytes()}
-	encodes := make([]func(), len(jobs))
 	encErrs := make([]error, len(jobs))
-	for i := range jobs {
-		i := i
-		encodes[i] = func() {
-			var sw snapcodec.Writer
-			if err := jobs[i].enc(&sw); err != nil {
-				encErrs[i] = err
-				return
-			}
-			sections[i+1] = snapcodec.Section{Name: jobs[i].name, Payload: sw.Bytes()}
+	parallel.Do(len(jobs), resolveParallelism(e.cfg.Parallelism), func(i int) {
+		var sw snapcodec.Writer
+		if err := jobs[i].enc(&sw); err != nil {
+			encErrs[i] = err
+			return
 		}
-	}
-	runJobs(encodes, resolveParallelism(e.cfg.Parallelism))
+		sections[i+1] = snapcodec.Section{Name: jobs[i].name, Payload: sw.Bytes()}
+	})
 	for i, err := range encErrs {
 		if err != nil {
 			return fmt.Errorf("core: save engine: section %q: %w", jobs[i].name, err)
@@ -535,7 +529,7 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 			dgErr = fmt.Errorf("core: load engine: %w", err)
 		}
 	})
-	runJobs(jobs, resolveParallelism(env.Parallelism))
+	parallel.Do(len(jobs), resolveParallelism(env.Parallelism), func(i int) { jobs[i]() })
 	if gErr != nil {
 		return nil, gErr
 	}
@@ -571,36 +565,6 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 	timings["load"] = time.Since(t0)
 	le.Engine = e
 	return le, nil
-}
-
-// runJobs executes the jobs over at most workers goroutines, in index
-// order when sequential; jobs record their own results and errors.
-func runJobs(jobs []func(), workers int) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			j()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				jobs[i]()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // encodeConfig writes the engine-shaping Config fields (Parallelism is

@@ -3,13 +3,12 @@ package dewey
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Binary codec for Dewey IDs. The encoding is a sequence of unsigned
 // varints, one per component, preceded by a varint length. The codec is used
 // by the store's persistence layer; it is not order-preserving at the byte
-// level (use OrderKey for that).
+// level.
 
 // AppendBinary appends the binary encoding of d to dst and returns the
 // extended slice.
@@ -44,27 +43,4 @@ func DecodeBinary(buf []byte) (ID, int, error) {
 		off += s
 	}
 	return id, off, nil
-}
-
-// OrderKey returns a byte string whose bytewise lexicographic order equals
-// document order of the IDs. Each component is emitted big-endian as 4 bytes
-// with a 0x01 continuation marker so that prefixes sort before extensions.
-func OrderKey(d ID) []byte {
-	k := make([]byte, 0, len(d)*5)
-	for _, c := range d {
-		k = append(k, 0x01)
-		k = binary.BigEndian.AppendUint32(k, c)
-	}
-	return k
-}
-
-// Sort sorts ids in place into document order.
-func Sort(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return Compare(ids[i], ids[j]) < 0 })
-}
-
-// SearchGE returns the index of the first element of the document-ordered
-// slice ids that is >= target, or len(ids) if none.
-func SearchGE(ids []ID, target ID) int {
-	return sort.Search(len(ids), func(i int) bool { return Compare(ids[i], target) >= 0 })
 }

@@ -202,20 +202,6 @@ func TestPropBinaryRoundtrip(t *testing.T) {
 	}
 }
 
-func TestPropOrderKeyPreservesOrder(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := genID(r), genID(r)
-		cmp := Compare(a, b)
-		ka, kb := OrderKey(a), OrderKey(b)
-		bcmp := compareBytes(ka, kb)
-		return sign(cmp) == sign(bcmp)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropLCAIsSharedAncestor(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -250,50 +236,4 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	if _, _, err := DecodeBinary(bomb); err == nil {
 		t.Error("oversized length should fail")
 	}
-}
-
-func TestSortAndSearch(t *testing.T) {
-	ids := []ID{{1, 3}, {1}, {1, 2, 2}, {1, 2}}
-	Sort(ids)
-	want := []string{"1", "1.2", "1.2.2", "1.3"}
-	for i, w := range want {
-		if ids[i].String() != w {
-			t.Fatalf("Sort[%d] = %s, want %s", i, ids[i], w)
-		}
-	}
-	if got := SearchGE(ids, ID{1, 2}); got != 1 {
-		t.Errorf("SearchGE(1.2) = %d", got)
-	}
-	if got := SearchGE(ids, ID{1, 2, 9}); got != 3 {
-		t.Errorf("SearchGE(1.2.9) = %d", got)
-	}
-	if got := SearchGE(ids, ID{9}); got != 4 {
-		t.Errorf("SearchGE(9) = %d", got)
-	}
-}
-
-func sign(x int) int {
-	switch {
-	case x < 0:
-		return -1
-	case x > 0:
-		return 1
-	}
-	return 0
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }

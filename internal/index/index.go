@@ -42,15 +42,18 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"seda/internal/dewey"
 	"seda/internal/fulltext"
+	"seda/internal/parallel"
 	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
@@ -213,139 +216,56 @@ func Build(col *store.Collection) *Index { return BuildSharded(col, 1, 0) }
 // scores — is byte-identical at any shard count and any parallelism.
 func BuildSharded(col *store.Collection, shards, parallelism int) *Index {
 	docs := col.Docs()
-	n := shards
-	if n > len(docs) {
-		n = len(docs)
-	}
-	if n < 1 {
-		n = 1
-	}
+	n := max(min(shards, len(docs)), 1)
 	p := parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p < 1 {
-		p = 1
-	}
+	// At most min(p, n) shard builders run at once, and each splits its
+	// own scan so the total concurrent scanners never exceed p —
+	// Parallelism 1 really is sequential. The per-shard results are
+	// deterministic, so scheduling never shows in the output.
+	builders := min(p, n)
+	scanPar := p / builders
 	parts := make([]*Shard, n)
-	if n == 1 {
-		parts[0] = buildShardRange(docs, 0, p)
-	} else {
-		// Build the shards over a bounded worker pool: at most
-		// min(p, n) shard builders run at once, and each splits its own
-		// scan so the total concurrent scanners never exceed p —
-		// Parallelism 1 really is sequential. The per-shard results are
-		// deterministic, so scheduling never shows in the output.
-		builders := p
-		if builders > n {
-			builders = n
-		}
-		scanPar := p / builders
-		if scanPar < 1 {
-			scanPar = 1
-		}
-		build := func(s int) {
-			lo, hi := s*len(docs)/n, (s+1)*len(docs)/n
-			parts[s] = buildShardRange(docs[lo:hi], lo, scanPar)
-		}
-		if builders == 1 {
-			for s := 0; s < n; s++ {
-				build(s)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < builders; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						s := int(next.Add(1)) - 1
-						if s >= n {
-							return
-						}
-						build(s)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	}
+	parallel.Do(n, builders, func(s int) {
+		lo, hi := s*len(docs)/n, (s+1)*len(docs)/n
+		parts[s] = buildShardRange(docs[lo:hi], lo, scanPar)
+	})
 	return finishIndex(col, parts)
 }
 
 // buildShardRange builds one shard over docs (whose first document has id
-// lo), splitting the scan across at most workers goroutines and merging
-// the partial accumulators in document order, so the shard is
-// byte-identical to a sequential scan.
+// lo), scanning consecutive chunks on at most workers goroutines and
+// absorbing them in document order, so the shard is byte-identical to a
+// sequential scan.
 //
 //seda:constructor
 func buildShardRange(docs []*xmldoc.Document, lo int, workers int) *Shard {
-	w := workers
-	if w > len(docs) {
-		w = len(docs)
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := max(min(workers, len(docs)), 1)
 	accs := make([]*shardAcc, w)
-	if w == 1 {
-		accs[0] = scanDocs(docs)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			a, b := i*len(docs)/w, (i+1)*len(docs)/w
-			wg.Add(1)
-			go func(i, a, b int) {
-				defer wg.Done()
-				accs[i] = scanDocs(docs[a:b])
-			}(i, a, b)
-		}
-		wg.Wait()
-	}
-
-	// Merge in document order, adopting the first accumulator wholesale so
-	// a sequential scan pays no merge cost at all. Accumulators hold
-	// contiguous document ranges, so per-path node lists concatenate back
-	// into (doc, Dewey) order, and per-term posting runs are re-sorted by
-	// normalizePostings anyway.
-	acc := accs[0]
+	parallel.Do(w, w, func(i int) {
+		accs[i] = scanDocs(docs[i*len(docs)/w : (i+1)*len(docs)/w])
+	})
 	for _, a := range accs[1:] {
-		for term, ps := range a.postings {
-			acc.postings[term] = append(acc.postings[term], ps...)
-		}
-		for term, paths := range a.pathTerms {
-			m, ok := acc.pathTerms[term]
-			if !ok {
-				acc.pathTerms[term] = paths
-				continue
-			}
-			for pid, n := range paths {
-				m[pid] += n
-			}
-		}
-		for term, n := range a.termDocFreq {
-			acc.termDocFreq[term] += n // accumulators hold disjoint documents
-		}
-		for pid, refs := range a.pathNodes {
-			if cur, ok := acc.pathNodes[pid]; ok {
-				acc.pathNodes[pid] = append(cur, refs...)
-			} else {
-				acc.pathNodes[pid] = refs
-			}
-		}
+		accs[0].absorb(a)
 	}
-	return acc.finalize(lo, lo+len(docs))
+	return sealShard(lo, lo+len(docs), accs[0])
 }
 
-// shardAcc accumulates the map-backed index structures of one contiguous
-// scan range. Accumulators merge in document order and finalize into an
-// immutable Shard.
+// shardAcc holds the map-backed index structures of a contiguous document
+// range, with every posting list normalized: a scan's output, or a
+// shard's state being extended. A shard is always a base followed by
+// scans of later documents, joined by absorb.
 type shardAcc struct {
 	postings    map[string][]Posting
 	pathTerms   map[string]map[pathdict.PathID]int
 	termDocFreq map[string]int
 	pathNodes   map[pathdict.PathID][]xmldoc.NodeRef
+
+	// owned marks the pathTerms inner maps foldCounts allocated, which
+	// nothing else holds yet.
+	owned map[string]bool
 }
 
 func newShardAcc() *shardAcc {
@@ -357,20 +277,76 @@ func newShardAcc() *shardAcc {
 	}
 }
 
-// finalize normalizes the accumulator's posting lists and seals it into a
-// Shard covering [lo, hi).
-//
-//seda:constructor
-func (acc *shardAcc) finalize(lo, hi int) *Shard {
-	for term, ps := range acc.postings {
-		acc.postings[term] = normalizePostings(ps)
+// absorb appends b, whose documents all follow acc's, to acc. Lists
+// concatenate back into (doc, Dewey) order and stay normalized, since the
+// two sides share no document. Only acc's own maps are written: a list
+// both sides hold becomes a new slice, and counts go through foldCounts,
+// so nothing acc or b shares with a published shard, or with an older
+// generation's globals, is ever written into.
+func (acc *shardAcc) absorb(b *shardAcc) {
+	for term, ps := range b.postings {
+		acc.postings[term] = concat(acc.postings[term], ps)
 	}
-	return sealShard(lo, hi, acc)
+	for p, refs := range b.pathNodes {
+		acc.pathNodes[p] = concat(acc.pathNodes[p], refs)
+	}
+	acc.foldCounts(b, 1)
 }
 
-// sealShard constructs the immutable Shard from already-normalized
-// accumulator maps: the sorted vocabulary and path roster, the summary
-// counts, and the decoded state published as resident.
+// foldCounts adds sign × b's document frequencies and context-index
+// counts to acc's, deleting entries that reach zero; a subtracted b must
+// count a part of acc's documents. Like absorb it writes only acc's own
+// maps: an inner count map only b holds is shared, and one both sides
+// hold is copied the first time, then added to in place.
+func (acc *shardAcc) foldCounts(b *shardAcc, sign int) {
+	for term, n := range b.termDocFreq {
+		addCount(acc.termDocFreq, term, sign*n)
+	}
+	for term, paths := range b.pathTerms {
+		m, ok := acc.pathTerms[term]
+		if !ok {
+			acc.pathTerms[term] = paths
+			delete(acc.owned, term)
+			continue
+		}
+		if !acc.owned[term] {
+			own := make(map[pathdict.PathID]int, len(m)+len(paths))
+			maps.Copy(own, m)
+			m, acc.pathTerms[term] = own, own
+			if acc.owned == nil {
+				acc.owned = make(map[string]bool)
+			}
+			acc.owned[term] = true
+		}
+		for p, n := range paths {
+			addCount(m, p, sign*n)
+		}
+		if len(m) == 0 {
+			delete(acc.pathTerms, term)
+		}
+	}
+}
+
+func addCount[K comparable](m map[K]int, k K, d int) {
+	if n := m[k] + d; n != 0 {
+		m[k] = n
+	} else {
+		delete(m, k)
+	}
+}
+
+// concat returns a followed by b in a new slice, or the non-empty side
+// as-is.
+func concat[S ~[]E, E any](a, b S) S {
+	if len(a) == 0 {
+		return b
+	}
+	return slices.Concat(a, b)
+}
+
+// sealShard constructs the immutable Shard from accumulator maps: the
+// sorted vocabulary and path roster, the summary counts, and the decoded
+// state published as resident.
 //
 //seda:constructor
 func sealShard(lo, hi int, acc *shardAcc) *Shard {
@@ -404,8 +380,9 @@ func sealShard(lo, hi int, acc *shardAcc) *Shard {
 }
 
 // scanDocs runs the single-threaded scan over one contiguous document
-// range. Everything it touches outside its own maps (documents, the path
-// dictionary, the tokenizer) is read-only or internally synchronized.
+// range and normalizes the posting lists it built. Everything it touches
+// outside its own maps (documents, the path dictionary, the tokenizer) is
+// read-only or internally synchronized.
 func scanDocs(docs []*xmldoc.Document) *shardAcc {
 	acc := newShardAcc()
 	lastDocForTerm := make(map[string]xmldoc.DocID)
@@ -437,6 +414,9 @@ func scanDocs(docs []*xmldoc.Document) *shardAcc {
 			return true
 		})
 	}
+	for term, ps := range acc.postings {
+		acc.postings[term] = normalizePostings(ps)
+	}
 	return acc
 }
 
@@ -452,9 +432,10 @@ func (acc *shardAcc) bumpPathTerm(term string, p pathdict.PathID) {
 	m[p]++
 }
 
-// newIndex assembles an Index from finalized shards, deriving the
-// corpus-global aggregates. With a single shard the globals alias the
-// shard's structures — the default layout pays no merge cost or memory.
+// newIndex assembles an Index from shards, deriving the corpus-global
+// aggregates. With a single shard the globals alias the shard's
+// structures — the default layout pays no merge cost or memory; with
+// several, the shards' counts are absorbed into fresh top-level maps.
 //
 //seda:constructor
 func newIndex(col *store.Collection, shards []*Shard) *Index {
@@ -465,23 +446,11 @@ func newIndex(col *store.Collection, shards []*Shard) *Index {
 		ix.termDocFreq = sh.termDocFreq
 		ix.pathTerms = sh.pathTerms
 	} else {
-		ix.termDocFreq = make(map[string]int)
-		ix.pathTerms = make(map[string]map[pathdict.PathID]int)
+		g := &shardAcc{termDocFreq: make(map[string]int), pathTerms: make(map[string]map[pathdict.PathID]int)}
 		for _, sh := range shards {
-			for term, n := range sh.termDocFreq {
-				ix.termDocFreq[term] += n // shards hold disjoint documents
-			}
-			for term, paths := range sh.pathTerms {
-				m, ok := ix.pathTerms[term]
-				if !ok {
-					m = make(map[pathdict.PathID]int, len(paths))
-					ix.pathTerms[term] = m
-				}
-				for pid, n := range paths {
-					m[pid] += n
-				}
-			}
+			g.absorb(&shardAcc{termDocFreq: sh.termDocFreq, pathTerms: sh.pathTerms})
 		}
+		ix.termDocFreq, ix.pathTerms = g.termDocFreq, g.pathTerms
 		ix.terms = make([]string, 0, len(ix.termDocFreq))
 		for t := range ix.termDocFreq {
 			ix.terms = append(ix.terms, t)
@@ -504,7 +473,9 @@ func newIndex(col *store.Collection, shards []*Shard) *Index {
 }
 
 func normalizePostings(ps []Posting) []Posting {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Ref.Less(ps[j].Ref) })
+	slices.SortFunc(ps, func(a, b Posting) int {
+		return cmp.Or(cmp.Compare(a.Ref.Doc, b.Ref.Doc), dewey.Compare(a.Ref.Dewey, b.Ref.Dewey))
+	})
 	out := ps[:0]
 	for _, p := range ps {
 		if len(out) > 0 && out[len(out)-1].Ref.Equal(p.Ref) {
@@ -515,7 +486,7 @@ func normalizePostings(ps []Posting) []Posting {
 		out = append(out, p)
 	}
 	for i := range out {
-		sort.Slice(out[i].Positions, func(a, b int) bool { return out[i].Positions[a] < out[i].Positions[b] })
+		slices.Sort(out[i].Positions)
 	}
 	return out
 }

@@ -2,56 +2,64 @@ package index
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
-	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
 
-// Incremental extension is shard-local: a delta segment over the newly
-// added documents is merged into a copy of the TAIL shard only — the
-// other shards are shared with the receiver untouched, so the ingest cost
-// scales with the tail shard's vocabulary, not the corpus's. This reuses
-// the scan machinery of BuildSharded — the new documents are scanned
-// exactly like one more contiguous accumulator — and the same merge
-// identity makes the result byte-identical to a from-scratch build: new
+// Extension is the one fold every derived index goes through: a shard is
+// a base followed by scans of later documents, joined by absorb — the
+// same merge that joins a parallel build's scan chunks. Extend absorbs a
+// scan of the newly added documents into a copy of the TAIL shard only;
+// the other shards are shared with the receiver untouched, so the ingest
+// cost scales with the tail shard's vocabulary, not the corpus's. New
 // documents carry strictly larger doc ids, so their normalized postings
-// concatenate after the existing (already normalized) lists in global
-// (doc, Dewey) order.
+// concatenate after the existing lists in global (doc, Dewey) order and
+// the result is byte-identical to a from-scratch build. With no new
+// documents every shard is shared and only the mask is re-derived: that
+// is a delete. A compaction renumbers the documents, so it starts from
+// an empty base: a fresh BuildSharded over the survivors.
 //
 // Note the resulting partition differs from what a fresh BuildSharded
 // over the extended corpus would choose (the tail shard grows; a fresh
 // build rebalances) — which is fine, because every read answer is
-// partition-independent. The corpus-global aggregates are re-derived from
-// the shards by the same fold construction uses.
+// partition-independent. The corpus-global aggregates and the tombstone
+// mask are re-derived from the shards by finishIndex.
 
 // Extend returns a new Index over col covering the receiver's documents
-// plus newDocs. col must be the extended collection (see store.Extend)
-// and newDocs its appended suffix, in order. The receiver is not
-// modified and remains valid for concurrent readers: the tail shard's
-// changed posting lists, context-index entries, and per-path node lists
-// are fresh slices or maps, unchanged ones — and every non-tail shard —
-// are shared. The new tail carries no pager and no backing ref (its
-// encoding differs from any stored section): the caller attaches the
-// receiver's pager to the result, and the next save re-binds it.
+// plus newDocs. col must be the receiver's collection extended by newDocs
+// (see store.Extend), or carrying more tombstones (see
+// store.WithTombstones), or both. The receiver is not modified and
+// remains valid for concurrent readers: the tail shard's changed posting
+// lists, context-index entries, and per-path node lists are fresh slices
+// or maps, unchanged ones — and every non-tail shard — are shared. A new
+// tail carries no pager and no backing ref (its encoding differs from any
+// stored section): the caller attaches the receiver's pager to the
+// result, and the next save re-binds it.
 func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Index, error) {
-	delta := scanDocs(newDocs)
-	tail := ix.shards[len(ix.shards)-1]
-	shards := make([]*Shard, len(ix.shards))
-	copy(shards, ix.shards)
-	nt, err := tail.extend(delta, col.NumDocs())
-	if err != nil {
-		return nil, err
+	if col.NumDocs() != ix.col.NumDocs()+len(newDocs) {
+		return nil, fmt.Errorf("index: extending %d documents by %d into a collection of %d",
+			ix.col.NumDocs(), len(newDocs), col.NumDocs())
 	}
-	shards[len(shards)-1] = nt
+	shards := slices.Clone(ix.shards)
+	if len(newDocs) > 0 {
+		last := len(shards) - 1
+		tail, err := shards[last].extend(scanDocs(newDocs), col.NumDocs())
+		if err != nil {
+			return nil, err
+		}
+		shards[last] = tail
+	}
 	return finishIndex(col, shards), nil
 }
 
-// extend merges a delta accumulator into a copy of the shard, extending
-// its range to [sh.lo, hi). A receiver served by runs is decoded whole
-// from its section for the merge — the only whole-shard decode a paged
-// engine makes — and the receiver keeps no copy of the result. The error
-// is a failure to re-read that section.
+// extend absorbs a scan of later documents into a copy of the shard,
+// extending its range to [sh.lo, hi). A receiver served by runs is
+// decoded whole from its section for the merge — the only whole-shard
+// decode a paged engine makes — and the receiver keeps no copy of the
+// result. The error is a failure to re-read that section.
 //
 //seda:constructor
 func (sh *Shard) extend(delta *shardAcc, hi int) (*Shard, error) {
@@ -69,63 +77,11 @@ func (sh *Shard) extend(delta *shardAcc, hi int) (*Shard, error) {
 		}
 	}
 	acc := &shardAcc{
-		postings:    make(map[string][]Posting, len(old.postings)+len(delta.postings)),
-		pathTerms:   make(map[string]map[pathdict.PathID]int, len(sh.pathTerms)),
-		termDocFreq: make(map[string]int, len(sh.termDocFreq)+len(delta.termDocFreq)),
-		pathNodes:   make(map[pathdict.PathID][]xmldoc.NodeRef, len(old.pathNodes)),
+		postings:    maps.Clone(old.postings),
+		pathTerms:   maps.Clone(sh.pathTerms),
+		termDocFreq: maps.Clone(sh.termDocFreq),
+		pathNodes:   maps.Clone(old.pathNodes),
 	}
-	for t, ps := range old.postings {
-		acc.postings[t] = ps
-	}
-	for t, m := range sh.pathTerms {
-		acc.pathTerms[t] = m
-	}
-	for t, n := range sh.termDocFreq {
-		acc.termDocFreq[t] = n
-	}
-	for p, refs := range old.pathNodes {
-		acc.pathNodes[p] = refs
-	}
-
-	for term, ps := range delta.postings {
-		dp := normalizePostings(ps)
-		if cur, ok := acc.postings[term]; ok {
-			merged := make([]Posting, 0, len(cur)+len(dp))
-			merged = append(merged, cur...)
-			merged = append(merged, dp...)
-			acc.postings[term] = merged
-		} else {
-			acc.postings[term] = dp
-		}
-	}
-	for term, paths := range delta.pathTerms {
-		cur, ok := acc.pathTerms[term]
-		if !ok {
-			acc.pathTerms[term] = paths
-			continue
-		}
-		m := make(map[pathdict.PathID]int, len(cur)+len(paths))
-		for p, n := range cur {
-			m[p] = n
-		}
-		for p, n := range paths {
-			m[p] += n
-		}
-		acc.pathTerms[term] = m
-	}
-	for term, n := range delta.termDocFreq {
-		acc.termDocFreq[term] += n // new documents are disjoint from old ones
-	}
-	for p, refs := range delta.pathNodes {
-		if cur, ok := acc.pathNodes[p]; ok {
-			merged := make([]xmldoc.NodeRef, 0, len(cur)+len(refs))
-			merged = append(merged, cur...)
-			merged = append(merged, refs...)
-			acc.pathNodes[p] = merged
-		} else {
-			acc.pathNodes[p] = refs
-		}
-	}
-
+	acc.absorb(delta)
 	return sealShard(sh.lo, hi, acc), nil
 }

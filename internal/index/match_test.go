@@ -452,7 +452,7 @@ func maskEveryThird(tb testing.TB, ix *Index) *Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mix, err := ix.WithTombstones(mc)
+	mix, err := ix.Extend(mc, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,10 +4,16 @@
 // Shards are physical: they keep every posting, node list, and summary
 // count they were built with, because they are shared across generations
 // and persisted verbatim in snapshots. Masking is a property of the Index
-// view assembled over them — finishIndex re-derives the corpus-global
-// aggregates by the usual shard fold and then subtracts the dead
-// documents' contributions (computed by scanning exactly the dead
-// documents, so the cost is proportional to what died, not the corpus):
+// view assembled over them. Every construction path ends in finishIndex,
+// which folds the shards' counts into the corpus-global aggregates and
+// then subtracts the dead documents' contributions by the same signed
+// count fold (foldCounts), computed by scanning exactly the dead
+// documents, so the cost is proportional to what died, not the corpus. A
+// delete is therefore an Extend with no new documents: every shard is
+// shared and only this view is re-derived. Compaction is the physical
+// counterpart, a fresh BuildSharded over the renumbered survivors.
+//
+// The masked view differs from the physical one in that:
 //
 //   - the vocabulary, document frequencies (the IDF input), and the
 //     Figure-8 context index drop terms and paths with no live
@@ -26,7 +32,7 @@
 package index
 
 import (
-	"fmt"
+	"maps"
 
 	"seda/internal/pathdict"
 	"seda/internal/store"
@@ -61,51 +67,14 @@ func (ix *Index) maskTombstones() *Index {
 		deadDocs = append(deadDocs, ix.col.Doc(id))
 	}
 	// The dead documents' exact index contributions, via the same scan
-	// that built the shards.
+	// that built the shards, subtracted by the same count fold.
 	delta := scanDocs(deadDocs)
-
-	tdf := make(map[string]int, len(ix.termDocFreq))
-	for t, n := range ix.termDocFreq {
-		tdf[t] = n
-	}
-	for t, d := range delta.termDocFreq {
-		if live := tdf[t] - d; live > 0 {
-			tdf[t] = live
-		} else {
-			delete(tdf, t)
-		}
-	}
-	terms := make([]string, 0, len(tdf))
+	live := &shardAcc{termDocFreq: maps.Clone(ix.termDocFreq), pathTerms: maps.Clone(ix.pathTerms)}
+	live.foldCounts(delta, -1)
+	terms := make([]string, 0, len(live.termDocFreq))
 	for _, t := range ix.terms {
-		if tdf[t] > 0 {
+		if live.termDocFreq[t] > 0 {
 			terms = append(terms, t)
-		}
-	}
-
-	pt := make(map[string]map[pathdict.PathID]int, len(ix.pathTerms))
-	for t, m := range ix.pathTerms {
-		pt[t] = m
-	}
-	for t, dm := range delta.pathTerms {
-		cur, ok := pt[t]
-		if !ok {
-			continue
-		}
-		nm := make(map[pathdict.PathID]int, len(cur))
-		for p, n := range cur {
-			nm[p] = n
-		}
-		for p, n := range dm {
-			if live := nm[p] - n; live > 0 {
-				nm[p] = live
-			} else {
-				delete(nm, p)
-			}
-		}
-		if len(nm) == 0 {
-			delete(pt, t)
-		} else {
-			pt[t] = nm
 		}
 	}
 
@@ -131,28 +100,14 @@ func (ix *Index) maskTombstones() *Index {
 		col:           ix.col,
 		shards:        ix.shards,
 		terms:         terms,
-		termDocFreq:   tdf,
-		pathTerms:     pt,
+		termDocFreq:   live.termDocFreq,
+		pathTerms:     live.pathTerms,
 		allPaths:      all,
 		dead:          dead,
 		shardDead:     shardDead,
 		deadPathCount: deadPathCount,
 		cache:         newTermCache(termCacheBudget),
 	}
-}
-
-// WithTombstones derives the masked index for col — a collection over the
-// receiver's exact document-id space that carries (additional)
-// tombstones. The shards are shared untouched; only the global aggregates
-// and the masking state are rebuilt. This is the index step of
-// core.Engine.DeleteDocuments.
-//
-//seda:constructor
-func (ix *Index) WithTombstones(col *store.Collection) (*Index, error) {
-	if err := validateShards(col, ix.shards); err != nil {
-		return nil, err
-	}
-	return finishIndex(col, ix.shards), nil
 }
 
 // livePostings filters postings of masked documents out of ps, which must
@@ -202,69 +157,11 @@ func (ix *Index) liveRefs(s int, refs []xmldoc.NodeRef) []xmldoc.NodeRef {
 	return out
 }
 
-// Compact builds the index for compacted — the renumbered survivor
-// collection derived from the receiver's (masked) collection by
-// store.Compacted. Shards lying wholly below the first tombstone cover
-// documents whose ids the renumbering preserves, so they are reused
-// as-is; the rest of the document range is rebuilt from the survivor
-// documents over evenly rebalanced ranges (the tombstone-heavy and
-// skew-prone part of the layout). parallelism bounds the scan workers per
-// rebuilt shard.
-//
-// The result is unmasked and answers byte-identically to a from-scratch
-// BuildSharded over compacted (answers are partition-independent; the
-// shard equivalence tests in internal/core pin that).
-//
-//seda:constructor
-func (ix *Index) Compact(compacted *store.Collection, parallelism int) (*Index, error) {
-	dead := ix.col.Tombstones()
-	if dead.Len() == 0 {
-		return nil, fmt.Errorf("index: compacting an index without tombstones")
-	}
-	if compacted.Tombstones().Len() != 0 {
-		return nil, fmt.Errorf("index: compaction target still carries tombstones")
-	}
-	if compacted.NumDocs() != ix.col.NumLive() {
-		return nil, fmt.Errorf("index: compaction target has %d documents, want %d survivors",
-			compacted.NumDocs(), ix.col.NumLive())
-	}
-	firstDead := int(dead.IDs()[0])
-	var kept []*Shard
-	for _, sh := range ix.shards {
-		if sh.hi > firstDead {
-			break
-		}
-		kept = append(kept, sh)
-	}
-	lo := 0
-	if len(kept) > 0 {
-		lo = kept[len(kept)-1].hi
-	}
-	docs := compacted.Docs()
-	remaining := len(docs) - lo
-	shards := append(make([]*Shard, 0, len(ix.shards)), kept...)
-	if remaining > 0 {
-		slots := len(ix.shards) - len(kept)
-		if slots < 1 {
-			slots = 1
-		}
-		if slots > remaining {
-			slots = remaining
-		}
-		for s := 0; s < slots; s++ {
-			a, b := lo+s*remaining/slots, lo+(s+1)*remaining/slots
-			shards = append(shards, buildShardRange(docs[a:b], a, parallelism))
-		}
-	}
-	return finishIndex(compacted, shards), nil
-}
-
 // TombstoneStats reports the masking state for observability surfaces.
 type TombstoneStats struct {
 	// Docs is the document-id space size; Dead the masked count.
 	Docs, Dead int
-	// MaskedShards counts shards whose range overlaps the tombstone set
-	// (the shards a compaction would rewrite).
+	// MaskedShards counts shards whose range overlaps the tombstone set.
 	MaskedShards int
 }
 

@@ -3,8 +3,6 @@ package rel
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // AggFn is an aggregate function name.
@@ -165,34 +163,4 @@ func (t *Table) GroupBy(keyCols []string, aggs []AggSpec) (*Table, error) {
 		return nil, err
 	}
 	return sorted, nil
-}
-
-// ParseAgg parses "SUM(percentage)" style aggregate specs.
-func ParseAgg(s string) (AggSpec, error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return AggSpec{}, fmt.Errorf("rel: bad aggregate %q", s)
-	}
-	fn := AggFn(strings.ToUpper(strings.TrimSpace(s[:open])))
-	col := strings.TrimSpace(s[open+1 : len(s)-1])
-	switch fn {
-	case Sum, Count, Avg, Min, Max:
-	default:
-		return AggSpec{}, fmt.Errorf("rel: unknown aggregate %q", fn)
-	}
-	if col == "" {
-		return AggSpec{}, fmt.Errorf("rel: empty aggregate column in %q", s)
-	}
-	return AggSpec{Fn: fn, Col: col}, nil
-}
-
-// SortKeys returns the group keys of a table sorted — a helper for stable
-// test assertions.
-func SortKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -195,21 +195,6 @@ func TestGroupByNullsAndStrings(t *testing.T) {
 	}
 }
 
-func TestParseAgg(t *testing.T) {
-	a, err := ParseAgg("SUM(percentage)")
-	if err != nil || a.Fn != Sum || a.Col != "percentage" {
-		t.Errorf("ParseAgg = %+v, %v", a, err)
-	}
-	if _, err := ParseAgg("avg( pct )"); err != nil {
-		t.Errorf("lowercase agg: %v", err)
-	}
-	for _, bad := range []string{"", "SUM", "SUM()", "FOO(x)", "SUM(x"} {
-		if _, err := ParseAgg(bad); err == nil {
-			t.Errorf("ParseAgg(%q): want error", bad)
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	tb := sample()
 	s := tb.String()

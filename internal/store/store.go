@@ -176,15 +176,6 @@ func (c *Collection) PathDocFreq(p pathdict.PathID) int { return c.pathDocFreq[p
 // across the collection (the count SEDA stores per path, §5).
 func (c *Collection) PathOccurrences(p pathdict.PathID) int { return c.pathOcc[p] }
 
-// Ancestor returns the ancestor node of ref at the given Dewey level, or
-// nil.
-func (c *Collection) Ancestor(ref xmldoc.NodeRef, level int) *xmldoc.Node {
-	if level <= 0 || level > ref.Dewey.Level() {
-		return nil
-	}
-	return c.Node(xmldoc.NodeRef{Doc: ref.Doc, Dewey: ref.Dewey.Prefix(level)})
-}
-
 // Stats summarizes the collection.
 type Stats struct {
 	NumDocs  int
@@ -245,7 +236,3 @@ func (c *Collection) Verify() error {
 	}
 	return nil
 }
-
-// DeweyLevelOf is a small helper for packages that need the level of a ref
-// without resolving the node.
-func DeweyLevelOf(ref xmldoc.NodeRef) int { return ref.Dewey.Level() }

@@ -84,14 +84,6 @@ func TestNodeResolution(t *testing.T) {
 	if c.Content(xmldoc.NodeRef{Doc: 0, Dewey: dewey.ID{1, 9}}) != "" {
 		t.Error("dangling node content should be empty")
 	}
-	// Ancestor access.
-	anc := c.Ancestor(ref, 2)
-	if anc == nil || anc.Tag != "c" {
-		t.Errorf("Ancestor level 2 = %+v", anc)
-	}
-	if c.Ancestor(ref, 5) != nil || c.Ancestor(ref, 0) != nil {
-		t.Error("out-of-range ancestor should be nil")
-	}
 }
 
 func TestAddXMLErrors(t *testing.T) {

@@ -11,7 +11,6 @@ package store
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"seda/internal/pathdict"
 	"seda/internal/snapcodec"
@@ -273,11 +272,6 @@ func (c *Collection) AttachTombstones(dead *Tombstones) (*Collection, error) {
 // Tombstones returns the collection's tombstone set (nil when unmasked).
 func (c *Collection) Tombstones() *Tombstones { return c.dead }
 
-// Alive reports whether id names a live (unmasked, in-range) document.
-func (c *Collection) Alive(id xmldoc.DocID) bool {
-	return int(id) >= 0 && int(id) < len(c.docs) && !c.dead.Has(id)
-}
-
 // NumLive returns the number of live documents (NumDocs minus tombstones).
 func (c *Collection) NumLive() int { return len(c.docs) - c.dead.Len() }
 
@@ -295,18 +289,6 @@ func (c *Collection) LiveDocs() []*xmldoc.Document {
 		}
 	}
 	return out
-}
-
-// LiveNames returns the names of the live documents, sorted. Lifecycle
-// operations address documents by name (stable across compaction), so
-// this is the deletable surface.
-func (c *Collection) LiveNames() []string {
-	names := make([]string, 0, c.NumLive())
-	for _, d := range c.LiveDocs() {
-		names = append(names, d.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // LiveIDsByName returns the ids of live documents named name, ascending.

@@ -30,7 +30,7 @@ func TestSearchMaskedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := ix.WithTombstones(mc)
+	mix, err := ix.Extend(mc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

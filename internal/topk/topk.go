@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"seda/internal/dewey"
 	"seda/internal/graph"
 	"seda/internal/index"
+	"seda/internal/parallel"
 	"seda/internal/pathdict"
 	"seda/internal/query"
 	"seda/internal/xmldoc"
@@ -165,32 +164,9 @@ func (s *Searcher) fetchMatches(q query.Query, parallelism int) ([][]index.Match
 	nTasks := len(q.Terms) * nsh
 	parts := make([][]index.Match, nTasks) // task (i, sh) at i*nsh+sh
 	errs := make([]error, nTasks)
-	workers := parallelism
-	if workers > nTasks {
-		workers = nTasks
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= nTasks {
-						return
-					}
-					parts[t], errs[t] = s.ix.MatchTermShard(q.Terms[t/nsh], t%nsh)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for t := 0; t < nTasks; t++ {
-			parts[t], errs[t] = s.ix.MatchTermShard(q.Terms[t/nsh], t%nsh)
-		}
-	}
+	parallel.Do(nTasks, parallelism, func(t int) {
+		parts[t], errs[t] = s.ix.MatchTermShard(q.Terms[t/nsh], t%nsh)
+	})
 	for t, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("topk: term %d: %w", t/nsh, err)
