@@ -225,11 +225,13 @@ func (e *Engine) Collection() *store.Collection { return e.col }
 // Index returns the full-text indexes.
 func (e *Engine) Index() *index.Index { return e.ix }
 
-// NumShards returns the number of horizontal index shards.
+// NumShards returns the number of horizontal index shards: the base
+// shards and the segments ingests appended after them.
 func (e *Engine) NumShards() int { return e.ix.NumShards() }
 
 // ShardStats reports per-shard document, term, posting, and byte counts
-// in shard order (the /debug/stats surface).
+// in shard order, the segments after the base shards (the /debug/stats
+// surface).
 func (e *Engine) ShardStats() []index.ShardStats { return e.ix.ShardStats() }
 
 // Graph returns the data graph overlay.

@@ -67,10 +67,10 @@ type layers struct {
 // from-source build) under cfg. The layers run in one order for every
 // op: the index with the full Parallelism, then the link graph, then the
 // dataguide summary. Each layer is one fold, and derive only picks
-// where each starts. The index starts from prev's over the
-// appended documents (none for a delete, which only re-masks), or from
-// empty over the whole collection when there is no prev or a compaction
-// renumbered the documents. The graph and the dataguide are
+// where each starts. The index starts from prev's, appending a segment
+// over the appended documents (none for a delete, which only masks), or
+// from empty over the whole collection at the configured shard count
+// when there is no prev or a compaction renumbered the documents. The graph and the dataguide are
 // order-dependent folds (first-occurrence-wins id tables, §6.1
 // absorption): they start from prev's when nothing died since prev,
 // otherwise from empty over the live documents — a deletion cannot be
@@ -89,10 +89,10 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	t := time.Now()
 	var err error
 	switch par := resolveParallelism(cfg.Parallelism); {
-	case prev == nil:
+	case prev == nil, s.op == "compact":
+		// A compaction lays out the configured base again, folding the
+		// segments ingests appended into it.
 		l.ix = index.BuildSharded(s.col, cfg.Shards, par)
-	case s.op == "compact":
-		l.ix = index.BuildSharded(s.col, prev.ix.NumShards(), par)
 	default:
 		if l.ix, err = prev.ix.Extend(s.col, s.added); err != nil {
 			return nil, err

@@ -47,9 +47,9 @@ func (e *Engine) AddDocumentsXML(docs []IngestDoc) (*Engine, error) {
 //
 //   - the collection gains the documents and updates its per-path
 //     statistics over copied tables;
-//   - the index scans only the new documents and absorbs the scan into a
-//     copy of the tail shard (the merge that joins a parallel build's
-//     scan chunks);
+//   - the index scans only the new documents and seals the scan as a
+//     segment appended after the existing shards, which it shares (see
+//     index.Extend for how segments merge);
 //   - the graph discovers links incident to the new documents only,
 //     including old references the new documents finally resolve;
 //   - the dataguide summary absorbs the new documents' profiles,

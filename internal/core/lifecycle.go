@@ -9,8 +9,12 @@
 // top-k match fetches, SLCA anchors, context scans, phrase intersection,
 // summary and cube folds — consults the mask, so the documents vanish
 // from answers while sessions pinned to older generations keep a
-// consistent view. Because a document died, derive re-folds the link
-// graph and dataguide summary over the survivors.
+// consistent view. The index's share of a delete is the newly dead
+// documents' counts, scanned once and subtracted where the global
+// aggregates are read (see internal/index/tombstones.go); an update adds
+// the replacement as a segment in the same step. Because a document
+// died, derive re-folds the link graph and dataguide summary over the
+// survivors.
 //
 // The re-fold is deliberate, not a missing optimization. Under §6.1 a
 // later document joins the FIRST guide containing it, else the best
@@ -23,7 +27,8 @@
 //
 // Compaction is the physical counterpart: it rewrites the masked
 // generation into an unmasked one — dead postings dropped, survivors
-// renumbered contiguously, skewed shard ranges rebalanced — with answers
+// renumbered contiguously, the segments ingests appended folded back
+// into the configured base shards — with answers
 // byte-identical to a from-scratch build over the survivors (the
 // equivalence the lifecycle suite pins on every corpus).
 
@@ -114,9 +119,10 @@ func (e *Engine) UpdateDocumentXML(name string, data []byte) (*Engine, error) {
 
 // Compact derives the physically compacted generation: a new collection
 // over the live documents only, renumbered contiguously, and an index
-// built afresh over it at the receiver's shard count (dead postings
-// dropped, shard ranges rebalanced). The new shards are resident until a
-// save binds them to its sections, as an ingested tail is. Errors when
+// built afresh over it at the configured shard count (dead postings
+// dropped, segments folded into the base shards). The new shards are
+// resident until a save binds them to its sections, as a new segment is.
+// Errors when
 // the engine carries no tombstones or every document is masked. The
 // compacted engine answers byte-identically to a from-scratch build over
 // the surviving documents.

@@ -60,8 +60,8 @@ func TestShardEquivalence(t *testing.T) {
 				t.Errorf("snapshot-loaded 4-shard engine diverges\n--- 1-shard ---\n%s\n--- loaded ---\n%s", want, got)
 			}
 
-			// Incremental ingest: the tail shard re-extends; every other
-			// shard is untouched.
+			// Incremental ingest: a segment is appended; every base shard
+			// is untouched.
 			incr := incrementalEngine(t, raw, cfg4, len(raw)*3/5, 2)
 			if got := mustCanonical(t, incr, queries); got != want {
 				t.Errorf("4-shard engine after ingest diverges\n--- 1-shard ---\n%s\n--- ingested ---\n%s", want, got)
@@ -70,9 +70,9 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardLocalIngestRouting: an ingest must grow only the tail shard —
-// the non-tail shards' stats (and hence their structures) are identical
-// before and after.
+// TestShardLocalIngestRouting: an ingest must leave every base shard's
+// stats (and hence its structures) as they were, and append a segment
+// over exactly the added documents.
 func TestShardLocalIngestRouting(t *testing.T) {
 	c := corpusConfigs()[0]
 	raw := renderXML(t, c.gen(c.scale))
@@ -88,20 +88,17 @@ func TestShardLocalIngestRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := next.ShardStats()
-	if len(after) != 3 {
-		t.Fatalf("ingested engine has %d shards, want 3", len(after))
+	if len(after) != 4 {
+		t.Fatalf("ingested engine has %d shards, want 3 and a segment", len(after))
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if after[i] != before[i] {
-			t.Errorf("non-tail shard %d changed across ingest: before %+v, after %+v", i, before[i], after[i])
+			t.Errorf("base shard %d changed across ingest: before %+v, after %+v", i, before[i], after[i])
 		}
 	}
-	tail := after[2]
-	if tail.Docs != before[2].Docs+2 {
-		t.Errorf("tail shard has %d docs, want %d", tail.Docs, before[2].Docs+2)
-	}
-	if tail.Hi != next.Collection().NumDocs() {
-		t.Errorf("tail shard ends at %d, want %d", tail.Hi, next.Collection().NumDocs())
+	seg := after[3]
+	if !seg.Segment || seg.Lo != before[2].Hi || seg.Hi != next.Collection().NumDocs() {
+		t.Errorf("segment %+v, want one over [%d, %d)", seg, before[2].Hi, next.Collection().NumDocs())
 	}
 }
 

@@ -54,7 +54,8 @@ const (
 	secPathdict   = "pathdict"
 	secCollection = "collection"
 	secGraph      = "graph"
-	secIndexShard = "index."     // one section per shard ("index.0", …)
+	secIndexShard = "index."     // one section per base shard ("index.0", …)
+	secSegment    = "segment."   // one section per segment ("segment.0", …); absent when none
 	secDataguide  = "dataguide"  // required: every engine carries one
 	secTombstones = "tombstones" // deletion mask; absent when unmasked
 )
@@ -153,9 +154,8 @@ func SaveEngine(w io.Writer, e *Engine, source string) error {
 		jobs = append(jobs, job{secTombstones, infallible(dead.Encode)})
 	}
 	for s := 0; s < e.ix.NumShards(); s++ {
-		s := s
 		jobs = append(jobs, job{
-			name: fmt.Sprintf("%s%d", secIndexShard, s),
+			name: shardSection(e.ix, s),
 			enc:  func(w *snapcodec.Writer) error { return e.ix.EncodeShard(w, s) },
 		})
 	}
@@ -233,6 +233,15 @@ func SaveEngineFile(path string, e *Engine, source string) error {
 	return nil
 }
 
+// shardSection names shard s's section: "index.<s>" for a base shard,
+// "segment.<n>" for the n-th segment.
+func shardSection(ix *index.Index, s int) string {
+	if b := ix.NumBaseShards(); s >= b {
+		return fmt.Sprintf("%s%d", secSegment, s-b)
+	}
+	return fmt.Sprintf("%s%d", secIndexShard, s)
+}
+
 // rebindBacking points every index shard at its section inside the
 // snapshot at path. The file is opened once: the handle the framing is
 // scanned through (ScanSections skips payloads) becomes the Backing, so
@@ -250,11 +259,17 @@ func rebindBacking(path string, e *Engine) {
 	}
 	b := index.NewBacking(f)
 	for _, sec := range sections {
-		if !strings.HasPrefix(sec.Name, secIndexShard) {
+		var s int
+		switch {
+		case strings.HasPrefix(sec.Name, secIndexShard):
+			s, err = strconv.Atoi(sec.Name[len(secIndexShard):])
+		case strings.HasPrefix(sec.Name, secSegment):
+			s, err = strconv.Atoi(sec.Name[len(secSegment):])
+			s += e.ix.NumBaseShards()
+		default:
 			continue
 		}
-		s, err := strconv.Atoi(sec.Name[len(secIndexShard):])
-		if err != nil || s < 0 || s >= e.ix.NumShards() {
+		if err != nil || s < 0 || s >= e.ix.NumShards() || shardSection(e.ix, s) != sec.Name {
 			continue
 		}
 		// A size mismatch (BindBacking rejects it) leaves that shard on its
@@ -460,20 +475,26 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 		}
 	}
 
-	// The index's shard roster: index.0 … index.N-1. The full Sections are
-	// kept — their Offset/Size/CRC become the shards' backing refs when the
-	// snapshot file is the paging backstore.
-	var shardSections []snapcodec.Section
-	for {
-		s, ok := byName[fmt.Sprintf("%s%d", secIndexShard, len(shardSections))]
-		if !ok {
-			break
+	// The index's shard roster: index.0 … index.N-1, then segment.0 …
+	// segment.M-1. The full Sections are kept — their Offset/Size/CRC
+	// become the shards' backing refs when the snapshot file is the paging
+	// backstore.
+	roster := func(prefix string) []snapcodec.Section {
+		var out []snapcodec.Section
+		for {
+			s, ok := byName[fmt.Sprintf("%s%d", prefix, len(out))]
+			if !ok {
+				return out
+			}
+			out = append(out, s)
 		}
-		shardSections = append(shardSections, s)
 	}
-	if len(shardSections) == 0 {
+	shardSections := roster(secIndexShard)
+	nbase := len(shardSections)
+	if nbase == 0 {
 		return nil, fmt.Errorf("core: load engine: %w: missing section %q", snapcodec.ErrCorrupt, secIndexShard+"0")
 	}
+	shardSections = append(shardSections, roster(secSegment)...)
 
 	// The remaining layers depend only on the collection, so they decode
 	// concurrently: the graph, every index shard, and the dataguide set
@@ -542,7 +563,7 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 		return nil, dgErr
 	}
 	t := time.Now()
-	ix, err := index.FromShards(col, shards)
+	ix, err := index.FromShards(col, shards[:nbase], shards[nbase:])
 	if err != nil {
 		return nil, fmt.Errorf("core: load engine: %w: %v", snapcodec.ErrCorrupt, err)
 	}
@@ -553,10 +574,11 @@ func loadEngine(data []byte, b *index.Backing, want *Config, source string, env 
 	timings["load-index"] = ixTime
 	timings["load-dataguide"] = dgTime
 
-	// The engine keeps the snapshot's shard layout; recording it in the
-	// config means a re-save (or a registry re-persist after ingest)
-	// preserves the layout. The environment fields are the caller's.
-	storedCfg.Shards = ix.NumShards()
+	// The engine keeps the snapshot's shard layout; recording its base
+	// shard count in the config means a compaction, a re-save or a
+	// registry re-persist after ingest preserves the layout. The
+	// environment fields are the caller's.
+	storedCfg.Shards = ix.NumBaseShards()
 	storedCfg.Parallelism = env.Parallelism
 	storedCfg.ResidentBudget = env.ResidentBudget
 	le.Config = storedCfg

@@ -35,6 +35,17 @@ func TestSnapshotFrameLayout(t *testing.T) {
 			return ne
 		}, []string{"meta", "pathdict", "collection", "graph", "tombstones", "index.0", "dataguide"})
 	})
+	t.Run("segmented", func(t *testing.T) {
+		// An ingest appends a segment, saved as "segment.<n>" after the
+		// base shards' index.<n> sections.
+		testSnapshotFrameLayout(t, Config{}, func(e *Engine) *Engine {
+			ne, err := e.AddDocumentsXML([]IngestDoc{{Name: "c.xml", XML: []byte(`<lab id="l3"><name>gamma</name></lab>`)}})
+			if err != nil {
+				t.Fatalf("AddDocumentsXML: %v", err)
+			}
+			return ne
+		}, []string{"meta", "pathdict", "collection", "graph", "index.0", "segment.0", "dataguide"})
+	})
 }
 
 func testSnapshotFrameLayout(t *testing.T, cfg Config, mutate func(*Engine) *Engine, wantSections []string) {

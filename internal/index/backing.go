@@ -119,7 +119,7 @@ func (ix *Index) BindBacking(s int, ref *BackingRef) error {
 
 // section reads the shard's whole section payload, CRC-verified, for the
 // two paths that need every run of a shard served by runs: a save splicing
-// its lazy block, and an ingest extending it.
+// its lazy block, and a segment merge decoding it.
 func (sh *Shard) section() ([]byte, error) {
 	start := time.Now()
 	payload, err := sh.backing.Load().payload()

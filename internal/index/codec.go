@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"seda/internal/dewey"
@@ -650,13 +651,18 @@ func (sh *Shard) decodeRefDelta(r *snapcodec.Reader, prevDoc int, prevID dewey.I
 	return doc, id, nil
 }
 
-// FromShards assembles an Index over col from decoded shards, which must
-// form a contiguous document-order partition of the collection.
-func FromShards(col *store.Collection, shards []*Shard) (*Index, error) {
-	if err := validateShards(col, shards); err != nil {
+// FromShards assembles an Index over col from decoded shards: the base
+// shards, then the segments. Together they must form a contiguous
+// document-order partition of the collection, with at least one base
+// shard.
+func FromShards(col *store.Collection, base, segs []*Shard) (*Index, error) {
+	if len(base) == 0 {
+		return nil, fmt.Errorf("index: no base shards")
+	}
+	if err := validateShards(col, slices.Concat(base, segs)); err != nil {
 		return nil, err
 	}
-	return finishIndex(col, shards), nil
+	return finishIndex(col, base, segs), nil
 }
 
 // encodeContextIndex writes the context index with gap-coded path ids

@@ -229,7 +229,7 @@ func TestRunCacheConcurrentLookups(t *testing.T) {
 	ix, p, _, _ := bindFixture(t)
 	sh := ix.shards[0]
 	_, resident := buildFixture(t)
-	terms := resident.terms
+	terms := resident.baseTerms
 	paths := resident.shards[0].pathIDs
 	wantPostings := make(map[string][]Posting, len(terms))
 	for _, term := range terms {

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,12 +31,21 @@ var (
 // masked collection renders exactly like one built over its survivors.
 func foldAnswers(t *testing.T, ix *Index) string {
 	t.Helper()
+	out, err := renderAnswers(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// renderAnswers is foldAnswers for callers off the test's goroutine.
+func renderAnswers(ix *Index) (string, error) {
 	rank := make(map[xmldoc.DocID]int)
 	for i, d := range ix.col.LiveDocs() {
 		rank[d.ID] = i
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "terms %q\nall %v\n", ix.terms, ix.AllPaths())
+	fmt.Fprintf(&b, "terms %q\nall %v\n", ix.vocab(""), ix.AllPaths())
 	for _, w := range foldWords {
 		fmt.Fprintf(&b, "word %s df %d paths %v\n", w, ix.DocFreq(w), ix.PathsForExpr(fulltext.Word{Term: w}))
 	}
@@ -50,7 +60,7 @@ func foldAnswers(t *testing.T, ix *Index) string {
 			}
 			ms, err := ix.MatchTerm(term)
 			if err != nil {
-				t.Fatalf("MatchTerm(%s): %v", term, err)
+				return "", fmt.Errorf("MatchTerm(%s): %w", term, err)
 			}
 			fmt.Fprintf(&b, "match %s:", term)
 			for _, m := range ms {
@@ -59,7 +69,47 @@ func foldAnswers(t *testing.T, ix *Index) string {
 			b.WriteByte('\n')
 		}
 	}
-	return b.String()
+	return b.String(), nil
+}
+
+// checkLayout asserts the merge policy's bounds on ix: at most
+// log2(d)+1 segments over the d documents they hold, and likewise for the
+// dead parts over the masked documents.
+func checkLayout(t *testing.T, ix *Index, ops []string) {
+	t.Helper()
+	docs := 0
+	for _, sh := range ix.shards[ix.base:] {
+		docs += sh.Docs()
+	}
+	if n := len(ix.shards) - ix.base; ix.base < 1 || n > bits.Len(uint(docs)) {
+		t.Fatalf("after %v: %d base shards and %d segments over %d documents", ops, ix.base, n, docs)
+	}
+	if n := len(ix.deadParts); n > bits.Len(uint(ix.dead.Len())) {
+		t.Fatalf("after %v: %d dead parts over %d documents", ops, n, ix.dead.Len())
+	}
+}
+
+// reload round-trips ix through its shard encodings, as a snapshot save
+// and load does: the base shards decode resident, the segments are
+// served by runs from a file, so a later merge decodes them from it.
+func reload(t *testing.T, ix *Index) *Index {
+	t.Helper()
+	shards := make([]*Shard, ix.NumShards())
+	for s, enc := range encodedShards(t, ix) {
+		var ref *BackingRef
+		if s >= ix.base {
+			ref, _ = backedRef(t, enc)
+		}
+		var err error
+		if shards[s], err = DecodeShard(snapcodec.NewReader(enc), ix.col, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := FromShards(ix.col, shards[:ix.base], shards[ix.base:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // encodedShards returns the EncodeShard bytes of each of ix's shards.
@@ -88,17 +138,21 @@ func firstDiff(got, want string) string {
 }
 
 // FuzzIndexFold drives an index through a fuzz-chosen sequence of
-// document adds, deletes, updates and compactions. corpus draws the
-// documents (see byteSource); script's first byte picks one to three
+// document adds, deletes, updates, compactions and reloads. corpus draws
+// the documents (see byteSource); script's first byte picks one to three
 // shards and one to three scan workers, and each later byte one step: its
 // low two bits the operation, the next five its operand, and the top bit
 // whether the step first branches back to an earlier generation, to
-// derive from it a second time. After every step the derived index must
-// answer exactly like a from-scratch build over its live documents, and
-// each of its shards must encode exactly like a sequential scan of the
-// shard's document range. At the end every generation must still encode
-// to the bytes, and render the answers, it had when it was derived: no
-// step may write into state another generation shares.
+// derive from it a second time. An add of operand 28 or more is a run of
+// 8 to 32 single-document adds, enough for segment merges to cascade; an
+// operand of 16 or more turns a compaction into a reload through the
+// shard codec. After every step the derived index must answer exactly
+// like a from-scratch build over its live documents, each of its shards
+// must encode exactly like a sequential scan of the shard's document
+// range, and the segments and dead parts must stay within the merge
+// policy's bound. At the end every generation must still encode to the
+// bytes, and render the answers, it had when it was derived: no step may
+// write into state another generation shares.
 func FuzzIndexFold(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 0, 5, 0, 3, 7, 0, 1, 1, 2, 0, 1, 2, 1, 1, 3}, []byte{3, 0, 1, 2, 3, 4, 0x81, 3})
@@ -114,6 +168,11 @@ func FuzzIndexFold(f *testing.F) {
 	// have spare capacity, so appending into a shared list shows.
 	f.Add([]byte{0x1, 0xc8, 0x7a, 0x32, 0x18, 0xdd, 0x11, 0x95, 0xc5, 0x9f, 0x64, 0xd0, 0xbc, 0x3c, 0xe8, 0xb7, 0x25, 0x80, 0xfe, 0x38, 0xe6, 0xdb, 0xf1, 0x18, 0x1e, 0x0, 0x90, 0xe5, 0xc6, 0xd1, 0x62, 0xdf}, []byte{0x3, 0xb7, 0x45, 0xed})
 	f.Add([]byte{0x33, 0xec, 0x79, 0x8, 0x47, 0x81, 0x4e, 0x3d, 0xe0, 0x2e, 0x2a, 0x56, 0xe0, 0x8c, 0x48, 0x59, 0xa0, 0x38, 0x4, 0xda, 0x8, 0xda, 0x2, 0xe4, 0xfe, 0x80, 0x6c, 0x80, 0xe7, 0xf7, 0xb0, 0xd2, 0x43, 0x9b, 0x23, 0x48, 0xa7, 0x4e}, []byte{0x4, 0x94, 0xa2, 0xa3, 0x84, 0xc8})
+	// Runs of single-document adds that cascade segment merges, around a
+	// reload that leaves the segments served by runs, deletes, an update
+	// and a compaction back to the base layout.
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4}, []byte{2, 0x7c, 0x43, 0x70, 0x41, 0x6d, 0x02, 0x78, 0x07, 0x74, 0x03})
+	f.Add([]byte("segments merge while generations branch"), []byte{0, 0x78, 0x05, 0x7c, 0x43, 0x82, 0x70, 0x09, 0x03, 0x74})
 	f.Fuzz(func(t *testing.T, corpus, script []byte) {
 		r := rand.New(&byteSource{b: corpus})
 		var layout byte
@@ -149,6 +208,7 @@ func FuzzIndexFold(f *testing.F) {
 			if want := foldAnswers(t, BuildSharded(col.Compacted(), 1, 1)); answers != want {
 				t.Fatalf("after %v: derived index differs from a build over the live documents: %s", ops, firstDiff(answers, want))
 			}
+			checkLayout(t, ix, ops)
 			enc := encodedShards(t, ix)
 			for s, sh := range ix.shards {
 				var w snapcodec.Writer
@@ -173,6 +233,16 @@ func FuzzIndexFold(f *testing.F) {
 			live := col.LiveDocs()
 			var err error
 			switch {
+			case op == 0 && arg >= 28: // a run of single-document adds
+				for range (arg - 27) * 8 {
+					docs := []*xmldoc.Document{newDoc("")}
+					col = col.Extend(docs)
+					if ix, err = ix.Extend(col, docs); err != nil {
+						break
+					}
+					checkLayout(t, ix, ops)
+				}
+				ops = append(ops, fmt.Sprintf("add %d one by one", (arg-27)*8))
 			case op == 0 || op < 3 && len(live) < 2: // add
 				docs := make([]*xmldoc.Document, 1+arg%3)
 				for i := range docs {
@@ -200,12 +270,13 @@ func FuzzIndexFold(f *testing.F) {
 				col = col.Extend(docs)
 				ix, err = ix.Extend(col, docs)
 				ops = append(ops, fmt.Sprintf("update %d", old.ID))
-			case col.Tombstones().Len() > 0: // compact
+			case arg < 16 && col.Tombstones().Len() > 0: // compact
 				col = col.Compacted()
-				ix = BuildSharded(col, ix.NumShards(), par)
+				ix = BuildSharded(col, shards, par)
 				ops = append(ops, "compact")
 			default:
-				ops = append(ops, "no-op")
+				ix = reload(t, ix)
+				ops = append(ops, "reload")
 			}
 			if err != nil {
 				t.Fatalf("after %v: %v", ops, err)

@@ -19,18 +19,22 @@
 // # Sharding
 //
 // An Index is horizontally fragmented into one or more Shards, each a
-// self-contained node+context index over a contiguous run of documents
-// (deterministic partition by document order: shard s of N covers
-// [s·D/N, (s+1)·D/N)). Per-node structures — posting lists and per-path
-// node lists — live only in their shard; query evaluation scatters across
+// self-contained node+context index over a contiguous run of documents.
+// A build lays out the base shards by a deterministic partition in
+// document order (shard s of N covers [s·D/N, (s+1)·D/N)); an ingest
+// appends a segment, a small shard over just the added documents (see
+// ingest.go). Per-node structures — posting lists and per-path node
+// lists — live only in their shard; query evaluation scatters across
 // shards (MatchTermShard) and gathers by concatenation, which preserves
 // global (doc, Dewey) order because shard ranges are disjoint and
-// increasing. Small corpus-global aggregates — the sorted vocabulary,
-// document frequencies (the IDF input, which must be global for scores to
-// be shard-count-independent), the merged context index, and the sorted
-// path list — are derived from the shards at construction and shared by
-// every read path. With one shard (the default) the globals alias the
-// shard's own maps, so the single-shard layout costs nothing extra.
+// increasing. The corpus-global aggregates — the vocabulary, document
+// frequencies (the IDF input, which must be global for scores to be
+// shard-count-independent), and the merged context index — are derived
+// from the base shards at construction; segments and the tombstone mask
+// are added and subtracted where they are read (DocFreq, vocab,
+// contextPaths), so no write copies a corpus-sized map. With one base
+// shard (the default) the aggregates alias the shard's own maps, so the
+// single-shard layout costs nothing extra.
 //
 // Every read answer is byte-identical at any shard count; the shard
 // equivalence tests in internal/core pin this.
@@ -69,9 +73,9 @@ type Posting struct {
 // Shard is one horizontal fragment of an Index: a self-contained node and
 // context index over the contiguous document range [lo, hi). Shards are
 // immutable once built and opaque outside this package; they are created
-// by BuildSharded, DecodeShard, and the shard-local ingest path. Non-tail
-// shards are shared between engine generations by incremental ingest, so
-// the immutability contract is enforced by sedalint (genimmutable).
+// by BuildSharded, DecodeShard, and the segments of the ingest path.
+// Shards are shared between engine generations, so the immutability
+// contract is enforced by sedalint (genimmutable).
 //
 //seda:immutable
 type Shard struct {
@@ -184,21 +188,25 @@ func (sh *Shard) run(i int) ([]Posting, []xmldoc.NodeRef, error) {
 type Index struct {
 	col    *store.Collection
 	shards []*Shard // contiguous, in document order; len >= 1
+	// base counts the leading shards a build or a load laid out; the rest
+	// are segments appended by Extend (see ingest.go).
+	base int
 
-	// Corpus-global aggregates derived from the shards. With a single
-	// shard they alias the shard's own structures. On a masked index they
-	// describe the LIVE corpus (see tombstones.go).
-	terms       []string                           // sorted term list for prefix scans
-	termDocFreq map[string]int                     // # live docs containing term, for IDF
-	pathTerms   map[string]map[pathdict.PathID]int // Fig. 8 context index (content terms + tag names)
-	allPaths    []pathdict.PathID                  // every distinct live path, sorted by string
+	// Aggregates of the base shards, physical: segments and the mask are
+	// applied where they are read. With a single base shard they alias
+	// the shard's own structures.
+	baseTerms     []string                           // sorted term list for prefix scans
+	baseDocFreq   map[string]int                     // # docs containing term, for IDF
+	basePathTerms map[string]map[pathdict.PathID]int // Fig. 8 context index (content terms + tag names)
+
+	allPaths []pathdict.PathID // every distinct live path, sorted by string
 
 	// Masking state, all nil on an unmasked index (see tombstones.go).
 	// Shard-level structures stay physical; these route read paths through
 	// the live-filter only where a shard's range overlaps the dead set.
-	dead          *store.Tombstones
-	shardDead     []bool                  // aligned with shards
-	deadPathCount map[pathdict.PathID]int // dead-node count per path
+	dead      *store.Tombstones
+	shardDead []bool   // aligned with shards
+	deadParts []*tally // the dead documents' counts, newest last
 
 	// cache holds this generation's term answers (termcache.go). It is the
 	// index's only mutable state, and is internally synchronized.
@@ -232,7 +240,7 @@ func BuildSharded(col *store.Collection, shards, parallelism int) *Index {
 		lo, hi := s*len(docs)/n, (s+1)*len(docs)/n
 		parts[s] = buildShardRange(docs[lo:hi], lo, scanPar)
 	})
-	return finishIndex(col, parts)
+	return finishIndex(col, parts, nil)
 }
 
 // buildShardRange builds one shard over docs (whose first document has id
@@ -370,7 +378,7 @@ func sealShard(lo, hi int, acc *shardAcc) *Shard {
 	for p := range acc.pathNodes {
 		sh.pathIDs = append(sh.pathIDs, p)
 	}
-	sort.Slice(sh.pathIDs, func(i, j int) bool { return sh.pathIDs[i] < sh.pathIDs[j] })
+	slices.Sort(sh.pathIDs)
 	sh.pathCounts = make([]int, len(sh.pathIDs))
 	for i, p := range sh.pathIDs {
 		sh.pathCounts[i] = len(acc.pathNodes[p])
@@ -432,44 +440,54 @@ func (acc *shardAcc) bumpPathTerm(term string, p pathdict.PathID) {
 	m[p]++
 }
 
-// newIndex assembles an Index from shards, deriving the corpus-global
-// aggregates. With a single shard the globals alias the shard's
-// structures — the default layout pays no merge cost or memory; with
-// several, the shards' counts are absorbed into fresh top-level maps.
+// newIndex assembles the unmasked Index over base followed by segs,
+// deriving the base aggregates and the path list. With a single base
+// shard the aggregates alias the shard's structures — the default layout
+// pays no merge cost or memory; with several, the shards' counts are
+// absorbed into fresh top-level maps.
 //
 //seda:constructor
-func newIndex(col *store.Collection, shards []*Shard) *Index {
-	ix := &Index{col: col, shards: shards, cache: newTermCache(termCacheBudget)}
-	if len(shards) == 1 {
-		sh := shards[0]
-		ix.terms = sh.terms
-		ix.termDocFreq = sh.termDocFreq
-		ix.pathTerms = sh.pathTerms
+func newIndex(col *store.Collection, base, segs []*Shard) *Index {
+	ix := &Index{col: col, shards: slices.Concat(base, segs), base: len(base), cache: newTermCache(termCacheBudget)}
+	if len(base) == 1 {
+		sh := base[0]
+		ix.baseTerms = sh.terms
+		ix.baseDocFreq = sh.termDocFreq
+		ix.basePathTerms = sh.pathTerms
 	} else {
 		g := &shardAcc{termDocFreq: make(map[string]int), pathTerms: make(map[string]map[pathdict.PathID]int)}
-		for _, sh := range shards {
+		for _, sh := range base {
 			g.absorb(&shardAcc{termDocFreq: sh.termDocFreq, pathTerms: sh.pathTerms})
 		}
-		ix.termDocFreq, ix.pathTerms = g.termDocFreq, g.pathTerms
-		ix.terms = make([]string, 0, len(ix.termDocFreq))
-		for t := range ix.termDocFreq {
-			ix.terms = append(ix.terms, t)
-		}
-		sort.Strings(ix.terms)
+		ix.baseDocFreq, ix.basePathTerms = g.termDocFreq, g.pathTerms
+		ix.baseTerms = slices.Sorted(maps.Keys(ix.baseDocFreq))
 	}
 
-	seen := make(map[pathdict.PathID]struct{})
-	for _, sh := range shards {
-		for _, p := range sh.pathIDs { // resident roster: assembling never pages
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
-				ix.allPaths = append(ix.allPaths, p)
-			}
-		}
+	var paths []pathdict.PathID
+	for _, sh := range ix.shards {
+		paths = append(paths, sh.pathIDs...) // resident roster: assembling never pages
 	}
-	dict := col.Dict()
-	sort.Slice(ix.allPaths, func(i, j int) bool { return dict.Path(ix.allPaths[i]) < dict.Path(ix.allPaths[j]) })
+	slices.Sort(paths)
+	ix.allPaths = sortByPath(col.Dict(), slices.Compact(paths))
 	return ix
+}
+
+// sortByPath sorts ps by path string in place, fetching each string from
+// the dictionary once, and returns it.
+func sortByPath(dict *pathdict.Dict, ps []pathdict.PathID) []pathdict.PathID {
+	type keyed struct {
+		s string
+		p pathdict.PathID
+	}
+	ks := make([]keyed, len(ps))
+	for i, p := range ps {
+		ks[i] = keyed{dict.Path(p), p}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.s, b.s) })
+	for i, k := range ks {
+		ps[i] = k.p
+	}
+	return ps
 }
 
 func normalizePostings(ps []Posting) []Posting {
@@ -494,8 +512,13 @@ func normalizePostings(ps []Posting) []Posting {
 // Collection returns the indexed collection.
 func (ix *Index) Collection() *store.Collection { return ix.col }
 
-// NumShards returns the number of document-range shards.
+// NumShards returns the number of document-range shards, base shards and
+// segments together.
 func (ix *Index) NumShards() int { return len(ix.shards) }
+
+// NumBaseShards returns the number of base shards: the layout a build or
+// a load chose, before the segments ingests appended.
+func (ix *Index) NumBaseShards() int { return ix.base }
 
 // ShardStats describes one shard for observability surfaces
 // (/debug/stats, the bench/ layer metrics).
@@ -517,6 +540,8 @@ type ShardStats struct {
 	// Fetches counts term-match evaluations (scatter tasks) served by the
 	// shard since build or load — the scatter-fanout view of query load.
 	Fetches uint64
+	// Segment marks a shard an ingest appended after the base layout.
+	Segment bool
 }
 
 // stats reads entirely from the resident summary and the cached encoded
@@ -533,11 +558,12 @@ func (sh *Shard) stats() ShardStats {
 }
 
 // ShardStats reports per-shard document, term, posting, and byte counts
-// in shard order.
+// in shard order: the base shards, then the segments.
 func (ix *Index) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(ix.shards))
 	for i, sh := range ix.shards {
 		out[i] = sh.stats()
+		out[i].Segment = i >= ix.base
 	}
 	return out
 }
@@ -549,8 +575,9 @@ func (ix *Index) ShardStats() []ShardStats {
 func (ix *Index) lookupPrefixShard(s int, prefix string) ([]Posting, error) {
 	sh := ix.shards[s]
 	var lists [][]Posting
-	for i := sort.SearchStrings(sh.terms, prefix); i < len(sh.terms) && strings.HasPrefix(sh.terms[i], prefix); i++ {
-		ps, err := sh.postings(sh.terms[i])
+	lo, hi := prefixRange(sh.terms, prefix)
+	for _, term := range sh.terms[lo:hi] {
+		ps, err := sh.postings(term)
 		if err != nil {
 			return nil, err
 		}
@@ -663,9 +690,85 @@ func mergePositions(dst, src []int32) []int32 {
 	return out
 }
 
-// DocFreq returns the number of documents containing term (corpus-global —
-// it feeds IDF, so scores are independent of the shard layout).
-func (ix *Index) DocFreq(term string) int { return ix.termDocFreq[term] }
+// DocFreq returns the number of live documents containing term
+// (corpus-global — it feeds IDF, so scores are independent of the shard
+// layout): the base count, plus each segment's, minus each dead part's.
+func (ix *Index) DocFreq(term string) int {
+	n := ix.baseDocFreq[term]
+	for _, sh := range ix.shards[ix.base:] {
+		n += sh.termDocFreq[term]
+	}
+	for _, d := range ix.deadParts {
+		n -= d.termDocFreq[term]
+	}
+	return n
+}
+
+// vocab returns the live vocabulary's terms starting with prefix, in
+// sorted order: the terms of the base and the segments whose live
+// document frequency is positive. An index with neither segments nor a
+// mask answers with a subslice of the base vocabulary, which callers must
+// not modify.
+func (ix *Index) vocab(prefix string) []string {
+	lo, hi := prefixRange(ix.baseTerms, prefix)
+	if ix.base == len(ix.shards) && ix.deadParts == nil {
+		return ix.baseTerms[lo:hi:hi]
+	}
+	out := slices.Clone(ix.baseTerms[lo:hi])
+	for _, sh := range ix.shards[ix.base:] {
+		lo, hi := prefixRange(sh.terms, prefix)
+		out = append(out, sh.terms[lo:hi]...)
+	}
+	slices.Sort(out)
+	return slices.DeleteFunc(slices.Compact(out), func(t string) bool { return ix.DocFreq(t) <= 0 })
+}
+
+// prefixRange returns the bounds of the run of sorted terms that start
+// with prefix.
+func prefixRange(sorted []string, prefix string) (lo, hi int) {
+	lo = sort.SearchStrings(sorted, prefix)
+	hi = lo
+	for hi < len(sorted) && strings.HasPrefix(sorted[hi], prefix) {
+		hi++
+	}
+	return lo, hi
+}
+
+// contextPaths returns the live path counts of the context-index terms w
+// selects — the term itself, or every term it prefixes — summed: the
+// base's and the segments' counts minus the dead parts', without the
+// paths no live occurrence is left at. The result is fresh.
+func (ix *Index) contextPaths(w fulltext.Word) map[pathdict.PathID]int {
+	out := make(map[pathdict.PathID]int, len(ix.basePathTerms[w.Term]))
+	add := func(pathTerms map[string]map[pathdict.PathID]int, sign int) {
+		if !w.Prefix {
+			for p, c := range pathTerms[w.Term] {
+				out[p] += sign * c
+			}
+			return
+		}
+		// The context index holds the node vocabulary and the tag names,
+		// so one scan of its terms covers both.
+		for term, paths := range pathTerms {
+			if strings.HasPrefix(term, w.Term) {
+				for p, c := range paths {
+					out[p] += sign * c
+				}
+			}
+		}
+	}
+	add(ix.basePathTerms, 1)
+	for _, sh := range ix.shards[ix.base:] {
+		add(sh.pathTerms, 1)
+	}
+	for _, d := range ix.deadParts {
+		add(d.pathTerms, -1)
+	}
+	if ix.deadParts != nil {
+		maps.DeleteFunc(out, func(_ pathdict.PathID, n int) bool { return n == 0 })
+	}
+	return out
+}
 
 // pathCountAt returns the number of the shard's nodes at path p, answered
 // from the resident roster (never pages).
@@ -678,17 +781,20 @@ func (sh *Shard) pathCountAt(p pathdict.PathID) int {
 }
 
 // nodesAtPathLen is the number of live nodes at path p across all shards;
-// it reads only the resident roster (and, when masked, the dead path
-// counts).
+// it reads only the resident roster (and, when masked, the dead parts'
+// path counts).
 func (ix *Index) nodesAtPathLen(p pathdict.PathID) int {
 	n := 0
 	for _, sh := range ix.shards {
 		n += sh.pathCountAt(p)
 	}
-	return n - ix.deadPathCount[p]
+	for _, d := range ix.deadParts {
+		n -= d.pathCount[p]
+	}
+	return n
 }
 
-// AllPaths returns every distinct path of the collection, sorted by string
+// AllPaths returns every distinct path with a live node, sorted by string
 // form. The returned slice must not be modified.
 func (ix *Index) AllPaths() []pathdict.PathID { return ix.allPaths }
 
@@ -701,26 +807,7 @@ func (ix *Index) AllPaths() []pathdict.PathID { return ix.allPaths }
 func (ix *Index) PathsForExpr(e fulltext.Expr) map[pathdict.PathID]int {
 	switch t := e.(type) {
 	case fulltext.Word:
-		if t.Prefix {
-			out := make(map[pathdict.PathID]int)
-			lo := sort.SearchStrings(ix.terms, t.Term)
-			for i := lo; i < len(ix.terms) && strings.HasPrefix(ix.terms[i], t.Term); i++ {
-				for p, c := range ix.pathTerms[ix.terms[i]] {
-					out[p] += c
-				}
-			}
-			// Tag names may not appear in ix.terms (node index); scan the
-			// context index for prefix matches too.
-			for term, paths := range ix.pathTerms {
-				if strings.HasPrefix(term, t.Term) && !hasString(ix.terms, term) {
-					for p, c := range paths {
-						out[p] += c
-					}
-				}
-			}
-			return out
-		}
-		return copyPathCounts(ix.pathTerms[t.Term])
+		return ix.contextPaths(t)
 	case fulltext.Phrase:
 		return ix.intersectPaths(wordExprs(t.TermsSeq))
 	case fulltext.And:
@@ -782,11 +869,6 @@ func copyPathCounts(m map[pathdict.PathID]int) map[pathdict.PathID]int {
 		out[k] = v
 	}
 	return out
-}
-
-func hasString(sorted []string, s string) bool {
-	i := sort.SearchStrings(sorted, s)
-	return i < len(sorted) && sorted[i] == s
 }
 
 // validateShards checks that shards form a contiguous document-order

@@ -203,13 +203,13 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(mustDecoded(t, par.shards[0]).postings, mustDecoded(t, seq.shards[0]).postings) {
 			t.Errorf("parallelism %d: postings differ", p)
 		}
-		if !reflect.DeepEqual(par.terms, seq.terms) {
+		if !reflect.DeepEqual(par.baseTerms, seq.baseTerms) {
 			t.Errorf("parallelism %d: term lists differ", p)
 		}
-		if !reflect.DeepEqual(par.pathTerms, seq.pathTerms) {
+		if !reflect.DeepEqual(par.basePathTerms, seq.basePathTerms) {
 			t.Errorf("parallelism %d: context index differs", p)
 		}
-		if !reflect.DeepEqual(par.termDocFreq, seq.termDocFreq) {
+		if !reflect.DeepEqual(par.baseDocFreq, seq.baseDocFreq) {
 			t.Errorf("parallelism %d: doc frequencies differ", p)
 		}
 		if !reflect.DeepEqual(mustDecoded(t, par.shards[0]).pathNodes, mustDecoded(t, seq.shards[0]).pathNodes) {
@@ -236,19 +236,19 @@ func TestBuildShardedMatchesSingleShard(t *testing.T) {
 		if got := sharded.NumShards(); got != wantShards {
 			t.Fatalf("shards %d: NumShards = %d, want %d", n, got, wantShards)
 		}
-		if !reflect.DeepEqual(sharded.terms, one.terms) {
+		if !reflect.DeepEqual(sharded.baseTerms, one.baseTerms) {
 			t.Errorf("shards %d: term lists differ", n)
 		}
-		if !reflect.DeepEqual(sharded.termDocFreq, one.termDocFreq) {
+		if !reflect.DeepEqual(sharded.baseDocFreq, one.baseDocFreq) {
 			t.Errorf("shards %d: doc frequencies differ", n)
 		}
-		if !reflect.DeepEqual(sharded.pathTerms, one.pathTerms) {
+		if !reflect.DeepEqual(sharded.basePathTerms, one.basePathTerms) {
 			t.Errorf("shards %d: context index differs", n)
 		}
 		if !reflect.DeepEqual(sharded.allPaths, one.allPaths) {
 			t.Errorf("shards %d: path orders differ", n)
 		}
-		for _, term := range one.terms {
+		for _, term := range one.baseTerms {
 			if !reflect.DeepEqual(termPostings(t, sharded, term), termPostings(t, one, term)) {
 				t.Errorf("shards %d: postings of %q differ", n, term)
 			}

@@ -4,84 +4,147 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 
+	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
 
-// Extension is the one fold every derived index goes through: a shard is
-// a base followed by scans of later documents, joined by absorb — the
-// same merge that joins a parallel build's scan chunks. Extend absorbs a
-// scan of the newly added documents into a copy of the TAIL shard only;
-// the other shards are shared with the receiver untouched, so the ingest
-// cost scales with the tail shard's vocabulary, not the corpus's. New
-// documents carry strictly larger doc ids, so their normalized postings
-// concatenate after the existing lists in global (doc, Dewey) order and
-// the result is byte-identical to a from-scratch build. With no new
-// documents every shard is shared and only the mask is re-derived: that
-// is a delete. A compaction renumbers the documents, so it starts from
-// an empty base: a fresh BuildSharded over the survivors.
+// Segments: an ingest writes at the cost of the documents it adds. Extend
+// seals a scan of the added documents as a segment, a small immutable
+// shard appended after the receiver's shards, which it shares untouched.
+// New documents carry strictly larger doc ids, so the segment's normalized
+// postings follow every existing list in global (doc, Dewey) order and
+// the index answers byte-identically to a from-scratch build. With no new
+// documents every shard is shared and only the mask grows: that is a
+// delete (see tombstones.go).
 //
-// Note the resulting partition differs from what a fresh BuildSharded
-// over the extended corpus would choose (the tail shard grows; a fresh
-// build rebalances) — which is fine, because every read answer is
-// partition-independent. The corpus-global aggregates and the tombstone
-// mask are re-derived from the shards by finishIndex.
+// Segments merge by absorb, the join of a parallel build's scan chunks,
+// under a log-structured policy: while the second-newest segment holds at
+// most mergeRatio times the newest one's documents, the two are folded
+// into one. Each segment is then more than mergeRatio times the next, so
+// an index carries at most log2(d)+1 segments over d ingested documents,
+// and each document is re-absorbed O(log d) times over its life. The base
+// shards are never merged: a compaction rebuilds the base from the
+// survivors, with no segments (BuildSharded).
+
+// mergeRatio is the segment merge policy's size ratio (see above).
+const mergeRatio = 2
 
 // Extend returns a new Index over col covering the receiver's documents
 // plus newDocs. col must be the receiver's collection extended by newDocs
 // (see store.Extend), or carrying more tombstones (see
 // store.WithTombstones), or both. The receiver is not modified and
-// remains valid for concurrent readers: the tail shard's changed posting
-// lists, context-index entries, and per-path node lists are fresh slices
-// or maps, unchanged ones — and every non-tail shard — are shared. A new
-// tail carries no pager and no backing ref (its encoding differs from any
-// stored section): the caller attaches the receiver's pager to the
-// result, and the next save re-binds it.
+// remains valid for concurrent readers: its shards are shared, and a
+// merge reads the segments it folds without writing them. A new segment
+// carries no pager and no backing ref: the caller attaches the receiver's
+// pager to the result, and the next save binds it. The error is a failure
+// to re-read the section of a merged segment served by runs.
+//
+//seda:constructor
 func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Index, error) {
 	if col.NumDocs() != ix.col.NumDocs()+len(newDocs) {
 		return nil, fmt.Errorf("index: extending %d documents by %d into a collection of %d",
 			ix.col.NumDocs(), len(newDocs), col.NumDocs())
 	}
-	shards := slices.Clone(ix.shards)
+	next := *ix
+	next.col, next.cache = col, newTermCache(termCacheBudget)
 	if len(newDocs) > 0 {
-		last := len(shards) - 1
-		tail, err := shards[last].extend(scanDocs(newDocs), col.NumDocs())
+		seg := sealShard(ix.col.NumDocs(), col.NumDocs(), scanDocs(newDocs))
+		segs, err := pushPart(ix.shards[ix.base:], seg, (*Shard).Docs, mergeShards)
 		if err != nil {
 			return nil, err
 		}
-		shards[last] = tail
+		next.shards = slices.Concat(ix.shards[:ix.base], segs)
+		next.allPaths = ix.withPaths(seg.pathIDs)
 	}
-	return finishIndex(col, shards), nil
+	next.mask()
+	return &next, nil
 }
 
-// extend absorbs a scan of later documents into a copy of the shard,
-// extending its range to [sh.lo, hi). A receiver served by runs is
-// decoded whole from its section for the merge — the only whole-shard
-// decode a paged engine makes — and the receiver keeps no copy of the
-// result. The error is a failure to re-read that section.
-//
-//seda:constructor
-func (sh *Shard) extend(delta *shardAcc, hi int) (*Shard, error) {
-	old := sh.data.Load()
-	if old == nil {
-		lazy, err := sh.section()
+// pushPart returns parts with p appended, then folds the newest two parts
+// while the older holds at most mergeRatio times the newer's size. parts'
+// backing array is never written.
+func pushPart[T any](parts []T, p T, size func(T) int, merge func(a, b T) (T, error)) ([]T, error) {
+	out := append(slices.Clip(parts), p)
+	for n := len(out); n >= 2 && size(out[n-2]) <= mergeRatio*size(out[n-1]); n = len(out) {
+		m, err := merge(out[n-2], out[n-1])
 		if err != nil {
 			return nil, err
 		}
-		// The bytes may have changed since load (CRC collisions are
-		// possible against a non-cryptographic checksum), so a decode
-		// failure is an error, not an invariant violation.
-		if old, err = sh.decodeLazy(lazy); err != nil {
-			return nil, fmt.Errorf("index: extending shard [%d,%d): %w", sh.lo, sh.hi, err)
-		}
+		out = append(out[:n-2], m)
+	}
+	return out, nil
+}
+
+// mergeShards returns the shard over a's documents followed by b's,
+// absorbing b into a copy of a. Neither is written; a segment served by
+// runs is decoded whole from its section for the merge.
+//
+//seda:constructor
+func mergeShards(a, b *Shard) (*Shard, error) {
+	ad, err := a.decoded()
+	if err != nil {
+		return nil, err
+	}
+	bd, err := b.decoded()
+	if err != nil {
+		return nil, err
 	}
 	acc := &shardAcc{
-		postings:    maps.Clone(old.postings),
-		pathTerms:   maps.Clone(sh.pathTerms),
-		termDocFreq: maps.Clone(sh.termDocFreq),
-		pathNodes:   maps.Clone(old.pathNodes),
+		postings:    maps.Clone(ad.postings),
+		pathTerms:   maps.Clone(a.pathTerms),
+		termDocFreq: maps.Clone(a.termDocFreq),
+		pathNodes:   maps.Clone(ad.pathNodes),
 	}
-	acc.absorb(delta)
-	return sealShard(sh.lo, hi, acc), nil
+	acc.absorb(&shardAcc{postings: bd.postings, pathTerms: b.pathTerms, termDocFreq: b.termDocFreq, pathNodes: bd.pathNodes})
+	return sealShard(a.lo, b.hi, acc), nil
+}
+
+// decoded returns the shard's whole decoded state: the resident maps, or
+// a decode of its section for a shard served by runs, which the shard
+// keeps no copy of. Callers must not write into it.
+func (sh *Shard) decoded() (*shardData, error) {
+	if d := sh.data.Load(); d != nil {
+		return d, nil
+	}
+	lazy, err := sh.section()
+	if err != nil {
+		return nil, err
+	}
+	// The bytes may have changed since load (CRC collisions are possible
+	// against a non-cryptographic checksum), so a decode failure is an
+	// error, not an invariant violation.
+	d, err := sh.decodeLazy(lazy)
+	if err != nil {
+		return nil, fmt.Errorf("index: decoding shard [%d,%d): %w", sh.lo, sh.hi, err)
+	}
+	return d, nil
+}
+
+// withPaths returns the receiver's path list with the paths of added that
+// it lacks inserted in string order. Most ingests add no new path, and
+// then the list is shared.
+func (ix *Index) withPaths(added []pathdict.PathID) []pathdict.PathID {
+	var fresh []pathdict.PathID
+	for _, p := range added {
+		if ix.nodesAtPathLen(p) == 0 {
+			fresh = append(fresh, p)
+		}
+	}
+	if len(fresh) == 0 {
+		return ix.allPaths
+	}
+	dict := ix.col.Dict()
+	all := ix.allPaths
+	out := make([]pathdict.PathID, 0, len(all)+len(fresh))
+	i := 0
+	for _, p := range sortByPath(dict, fresh) {
+		s := dict.Path(p)
+		j := i + sort.Search(len(all)-i, func(k int) bool { return dict.Path(all[i+k]) > s })
+		out = append(append(out, all[i:j]...), p)
+		i = j
+	}
+	return append(out, all[i:]...)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"seda/internal/dewey"
 	"seda/internal/fulltext"
@@ -309,14 +308,9 @@ func (ix *Index) newScorer(e fulltext.Expr) scorer {
 	for i, tq := range tqs {
 		st := scoredTerm{term: tq.Term, prefix: tq.Prefix}
 		if tq.Prefix {
-			lo := sort.SearchStrings(ix.terms, tq.Term)
-			hi := lo
-			for hi < len(ix.terms) && hasPrefix(ix.terms[hi], tq.Term) {
-				hi++
-			}
-			st.expansions = ix.terms[lo:hi]
+			st.expansions = ix.vocab(tq.Term)
 		}
-		df := float64(ix.termDocFreq[tq.Term])
+		df := float64(ix.DocFreq(tq.Term))
 		if df == 0 {
 			df = 1
 		}
@@ -352,8 +346,6 @@ func (sc scorer) score(content *fulltext.Content) float64 {
 	}
 	return s / (1 + 0.3*math.Log(1+float64(content.Len())))
 }
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 // dnfClauses flattens the positive structure of an expression into
 // conjunctive clauses of index probes (a shallow DNF): each clause is a set

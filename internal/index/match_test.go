@@ -352,7 +352,9 @@ func sameRefs(a []Match, b []xmldoc.NodeRef) bool {
 // referenceScore is the content score as a per-candidate computation —
 // the terms and prefix expansions re-derived for every node — kept as the
 // oracle for the scorer MatchTermShard sets up once per call. Scores must
-// agree bit for bit.
+// agree bit for bit. ix must be a one-shard build over the live
+// documents, whose base vocabulary and document frequencies are the live
+// ones.
 func referenceScore(ix *Index, e fulltext.Expr, content *fulltext.Content) float64 {
 	tqs := fulltext.Terms(e)
 	if len(tqs) == 0 {
@@ -364,14 +366,14 @@ func referenceScore(ix *Index, e fulltext.Expr, content *fulltext.Content) float
 		tf := float64(content.TermFreq(tq.Term))
 		if tq.Prefix {
 			tf = 0
-			for i := sort.SearchStrings(ix.terms, tq.Term); i < len(ix.terms) && strings.HasPrefix(ix.terms[i], tq.Term); i++ {
-				tf += float64(content.TermFreq(ix.terms[i]))
+			for i := sort.SearchStrings(ix.baseTerms, tq.Term); i < len(ix.baseTerms) && strings.HasPrefix(ix.baseTerms[i], tq.Term); i++ {
+				tf += float64(content.TermFreq(ix.baseTerms[i]))
 			}
 		}
 		if tf == 0 {
 			continue
 		}
-		df := float64(ix.termDocFreq[tq.Term])
+		df := float64(ix.baseDocFreq[tq.Term])
 		if df == 0 {
 			df = 1
 		}
@@ -393,12 +395,13 @@ func checkMatchOracle(ix *Index, term query.Term) error {
 	if want := naiveMatch(ix.col, term); !sameRefs(got, want) {
 		return fmt.Errorf("term %s\n got=%v\nwant=%v", term, got, want)
 	}
+	live := BuildSharded(ix.col.Compacted(), 1, 1)
 	for _, m := range got {
 		node := ix.col.Node(m.Ref)
 		if m.Path != node.Path {
 			return fmt.Errorf("term %s: %v has path %d, node has %d", term, m.Ref, m.Path, node.Path)
 		}
-		want := referenceScore(ix, term.Search, fulltext.NewContent(node.Content()))
+		want := referenceScore(live, term.Search, fulltext.NewContent(node.Content()))
 		if math.Float64bits(m.Score) != math.Float64bits(want) {
 			return fmt.Errorf("term %s: %v scores %v, reference %v", term, m.Ref, m.Score, want)
 		}

@@ -114,20 +114,20 @@ func testShardCodecRoundTrip(t *testing.T, shards int) {
 	}
 
 	// The corpus-global views FromShards re-derives from decoded shards.
-	got, err := FromShards(col, decoded)
+	got, err := FromShards(col, decoded, nil)
 	if err != nil {
 		t.Fatalf("FromShards: %v", err)
 	}
-	if !reflect.DeepEqual(got.terms, ix.terms) {
+	if !reflect.DeepEqual(got.baseTerms, ix.baseTerms) {
 		t.Errorf("%d shards: vocabulary differs after decode", shards)
 	}
-	for _, term := range ix.terms {
+	for _, term := range ix.baseTerms {
 		if got.DocFreq(term) != ix.DocFreq(term) {
 			t.Errorf("%d shards: DocFreq mismatch for %q", shards, term)
 		}
 	}
-	for term := range ix.pathTerms {
-		if !reflect.DeepEqual(got.pathTerms[term], ix.pathTerms[term]) {
+	for term := range ix.basePathTerms {
+		if !reflect.DeepEqual(got.basePathTerms[term], ix.basePathTerms[term]) {
 			t.Errorf("%d shards: context index mismatch for %q", shards, term)
 		}
 	}

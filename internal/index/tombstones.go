@@ -4,14 +4,17 @@
 // Shards are physical: they keep every posting, node list, and summary
 // count they were built with, because they are shared across generations
 // and persisted verbatim in snapshots. Masking is a property of the Index
-// view assembled over them. Every construction path ends in finishIndex,
-// which folds the shards' counts into the corpus-global aggregates and
-// then subtracts the dead documents' contributions by the same signed
-// count fold (foldCounts), computed by scanning exactly the dead
-// documents, so the cost is proportional to what died, not the corpus. A
-// delete is therefore an Extend with no new documents: every shard is
-// shared and only this view is re-derived. Compaction is the physical
-// counterpart, a fresh BuildSharded over the renumbered survivors.
+// view assembled over them. The view carries the dead documents' counts
+// as tallies — document frequencies, context-index counts and per-path
+// node counts, found by the same scan that builds shards — which the
+// read paths subtract (DocFreq, vocab, contextPaths, nodesAtPathLen).
+// Each generation scans only the documents that died since the one it
+// derives from, and pushes their tally onto its predecessor's under the
+// segments' log-structured merge policy (see ingest.go), so a delete
+// scans what died, not the corpus or the dead set. A delete is therefore
+// an Extend with no new documents: every shard is shared and only this
+// view grows. Compaction is the physical counterpart, a fresh
+// BuildSharded over the renumbered survivors.
 //
 // The masked view differs from the physical one in that:
 //
@@ -33,80 +36,99 @@ package index
 
 import (
 	"maps"
+	"slices"
 
 	"seda/internal/pathdict"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
 
-// finishIndex assembles the Index over shards and applies the collection's
-// tombstone mask, if any. Every construction path — build, extend,
-// snapshot load — funnels through here so a masked collection can never
-// yield an unmasked index.
+// finishIndex assembles the Index over the base shards followed by segs
+// and applies the collection's tombstone mask, if any. Every construction
+// path — build, extend, snapshot load — masks its collection's tombstones,
+// so a masked collection can never yield an unmasked index.
 //
 //seda:constructor
-func finishIndex(col *store.Collection, shards []*Shard) *Index {
-	return newIndex(col, shards).maskTombstones()
+func finishIndex(col *store.Collection, base, segs []*Shard) *Index {
+	ix := newIndex(col, base, segs)
+	ix.mask()
+	return ix
 }
 
-// maskTombstones returns the receiver when its collection has no
-// tombstones; otherwise it derives the masked view. The receiver must
-// carry freshly folded (unmasked) global aggregates — i.e. come straight
-// from newIndex. Shard maps are never mutated (with one shard the globals
-// alias them), so every subtraction is copy-on-write.
+// tally is the count-only share of a set of documents in the global
+// aggregates: what a masked index subtracts for its dead documents.
+//
+//seda:immutable
+type tally struct {
+	docs        int
+	termDocFreq map[string]int
+	pathTerms   map[string]map[pathdict.PathID]int
+	pathCount   map[pathdict.PathID]int // nodes per path
+}
+
+// tallyOf returns the tally of docs.
 //
 //seda:constructor
-func (ix *Index) maskTombstones() *Index {
+func tallyOf(docs []*xmldoc.Document) *tally {
+	acc := scanDocs(docs)
+	t := &tally{docs: len(docs), termDocFreq: acc.termDocFreq, pathTerms: acc.pathTerms, pathCount: make(map[pathdict.PathID]int, len(acc.pathNodes))}
+	for p, refs := range acc.pathNodes {
+		t.pathCount[p] = len(refs)
+	}
+	return t
+}
+
+// mergeTallies returns the tally of a's documents and b's together,
+// writing neither.
+//
+//seda:constructor
+func mergeTallies(a, b *tally) (*tally, error) {
+	acc := &shardAcc{termDocFreq: maps.Clone(a.termDocFreq), pathTerms: maps.Clone(a.pathTerms)}
+	acc.foldCounts(&shardAcc{termDocFreq: b.termDocFreq, pathTerms: b.pathTerms}, 1)
+	t := &tally{docs: a.docs + b.docs, termDocFreq: acc.termDocFreq, pathTerms: acc.pathTerms, pathCount: maps.Clone(a.pathCount)}
+	for p, n := range b.pathCount {
+		t.pathCount[p] += n
+	}
+	return t, nil
+}
+
+// mask brings the masking state of ix, an index under construction, up to
+// its collection's tombstones. ix carries the state of the generation it
+// derives from (none for a build or a load): only the documents that died
+// since are scanned, their tally is pushed onto the dead parts, and the
+// paths left without a live node leave allPaths.
+//
+//seda:constructor
+func (ix *Index) mask() {
 	dead := ix.col.Tombstones()
 	if dead.Len() == 0 {
-		return ix
+		return
 	}
-	deadIDs := dead.IDs()
-	deadDocs := make([]*xmldoc.Document, 0, len(deadIDs))
-	for _, id := range deadIDs {
-		deadDocs = append(deadDocs, ix.col.Doc(id))
-	}
-	// The dead documents' exact index contributions, via the same scan
-	// that built the shards, subtracted by the same count fold.
-	delta := scanDocs(deadDocs)
-	live := &shardAcc{termDocFreq: maps.Clone(ix.termDocFreq), pathTerms: maps.Clone(ix.pathTerms)}
-	live.foldCounts(delta, -1)
-	terms := make([]string, 0, len(live.termDocFreq))
-	for _, t := range ix.terms {
-		if live.termDocFreq[t] > 0 {
-			terms = append(terms, t)
+	var newly []*xmldoc.Document
+	for _, id := range dead.IDs() {
+		if !ix.dead.Has(id) {
+			newly = append(newly, ix.col.Doc(id))
 		}
 	}
-
-	deadPathCount := make(map[pathdict.PathID]int, len(delta.pathNodes))
-	for p, refs := range delta.pathNodes {
-		deadPathCount[p] = len(refs)
-	}
-	all := make([]pathdict.PathID, 0, len(ix.allPaths))
-	for _, p := range ix.allPaths {
-		// ix is still unmasked here, so nodesAtPathLen sums the physical
-		// roster counts.
-		if ix.nodesAtPathLen(p)-deadPathCount[p] > 0 {
-			all = append(all, p)
-		}
-	}
-
-	shardDead := make([]bool, len(ix.shards))
+	ix.dead = dead
+	ix.shardDead = make([]bool, len(ix.shards))
 	for i, sh := range ix.shards {
-		shardDead[i] = dead.AnyInRange(sh.lo, sh.hi)
+		ix.shardDead[i] = dead.AnyInRange(sh.lo, sh.hi)
 	}
-
-	return &Index{
-		col:           ix.col,
-		shards:        ix.shards,
-		terms:         terms,
-		termDocFreq:   live.termDocFreq,
-		pathTerms:     live.pathTerms,
-		allPaths:      all,
-		dead:          dead,
-		shardDead:     shardDead,
-		deadPathCount: deadPathCount,
-		cache:         newTermCache(termCacheBudget),
+	if len(newly) == 0 {
+		return
+	}
+	t := tallyOf(newly)
+	// Merging tallies cannot fail.
+	ix.deadParts, _ = pushPart(ix.deadParts, t, func(t *tally) int { return t.docs }, mergeTallies)
+	gone := make(map[pathdict.PathID]bool)
+	for p := range t.pathCount {
+		if ix.nodesAtPathLen(p) == 0 {
+			gone[p] = true
+		}
+	}
+	if len(gone) > 0 {
+		ix.allPaths = slices.DeleteFunc(slices.Clone(ix.allPaths), func(p pathdict.PathID) bool { return gone[p] })
 	}
 }
 

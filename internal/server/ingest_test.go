@@ -50,6 +50,13 @@ func TestIngestEndpoint(t *testing.T) {
 	if !strings.Contains(tk.Results[0].Nodes[0].Text, "gamma") {
 		t.Fatalf("unexpected hit: %+v", tk.Results[0])
 	}
+
+	// /debug/stats lists the appended document's segment after the base.
+	var stats statsResponse
+	c.call("GET", "/debug/stats", nil, http.StatusOK, &stats)
+	if sh := stats.Collections[0].Shards; len(sh) != 2 || sh[0].Segment || !sh[1].Segment || sh[1].Lo != 2 || sh[1].Hi != 3 {
+		t.Errorf("shards after ingest = %+v, want the base over [0, 2) and a segment over [2, 3)", sh)
+	}
 }
 
 func TestIngestErrors(t *testing.T) {

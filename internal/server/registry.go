@@ -689,6 +689,8 @@ type ShardInfo struct {
 	// shard since it was built or loaded (runtime state, not persisted) —
 	// uneven numbers across shards reveal a skewed document partition.
 	Fetches uint64 `json:"fetches"`
+	// Segment marks a shard an ingest appended after the base layout.
+	Segment bool `json:"segment,omitempty"`
 }
 
 // StateCounts tallies registered collections by build state, for the
@@ -737,7 +739,7 @@ func (r *Registry) List() []RegistryInfo {
 				info.Shards = append(info.Shards, ShardInfo{
 					Lo: st.Lo, Hi: st.Hi, Docs: st.Docs,
 					Terms: st.Terms, Postings: st.Postings, Bytes: st.Bytes,
-					Resident: st.Resident, Fetches: st.Fetches,
+					Resident: st.Resident, Fetches: st.Fetches, Segment: st.Segment,
 				})
 			}
 			if ps, ok := eng.PagerStats(); ok {

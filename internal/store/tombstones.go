@@ -73,15 +73,22 @@ func (t *Tombstones) IDs() []xmldoc.DocID {
 	return out
 }
 
-// AnyInRange reports whether any masked id falls in [lo, hi).
+// AnyInRange reports whether any masked id falls in [lo, hi). It tests a
+// bitmap word at a time.
 func (t *Tombstones) AnyInRange(lo, hi int) bool {
-	if t == nil || t.n == 0 || hi <= lo {
+	if t == nil || t.n == 0 {
 		return false
 	}
-	for i := lo; i < hi; i++ {
-		if t.Has(xmldoc.DocID(i)) {
+	lo, hi = max(lo, 0), min(hi, len(t.bits)*64)
+	for lo < hi {
+		word := t.bits[lo>>6] >> (uint(lo) & 63)
+		if n := hi - lo; n < 64 {
+			word &= 1<<uint(n) - 1
+		}
+		if word != 0 {
 			return true
 		}
+		lo = (lo>>6 + 1) << 6
 	}
 	return false
 }

@@ -36,6 +36,18 @@ func TestTombstonesSet(t *testing.T) {
 	if !s.AnyInRange(0, 2) || s.AnyInRange(2, 5) || !s.AnyInRange(100, 200) {
 		t.Error("AnyInRange boundaries wrong")
 	}
+	// Every range across the word boundaries agrees with a scan of Has.
+	for lo := -1; lo < 200; lo++ {
+		for hi := lo - 1; hi < 200; hi++ {
+			want := false
+			for id := lo; id < hi; id++ {
+				want = want || s.Has(xmldoc.DocID(id))
+			}
+			if got := s.AnyInRange(lo, hi); got != want {
+				t.Fatalf("AnyInRange(%d, %d) = %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
 
 	// With is copy-on-write: the original set must not change.
 	s2 := s.With([]xmldoc.DocID{2})
