@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIndexFold -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzTombstoneDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzGraphFold -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzDataguideFold -fuzztime 10s ./internal/dataguide
 
 # Known-vulnerability scan. Skips with a notice when govulncheck is not
 # on PATH (the tool needs a network fetch to install; CI installs it).

@@ -59,7 +59,7 @@ func main() {
 		len(dg.Guides), col.NumDocs(), dg.Stats().Reduction)
 	for _, g := range dg.Guides[:min(5, len(dg.Guides))] {
 		first := dict.Path(g.Paths()[0])
-		fmt.Printf("  guide %2d: %3d paths, %4d docs (root %s)\n", g.ID, g.Size(), len(g.Docs), first)
+		fmt.Printf("  guide %2d: %3d paths, %4d docs (root %s)\n", g.ID, g.Size(), g.NumDocs(), first)
 	}
 }
 

@@ -66,16 +66,16 @@ type layers struct {
 // derive assembles the generation that follows prev (nil for a
 // from-source build) under cfg. The layers run in one order for every
 // op: the index with the full Parallelism, then the link graph, then the
-// dataguide summary. Each layer is one fold, and derive only picks
-// where each starts. The index starts from prev's, appending a segment
-// over the appended documents (none for a delete, which only masks), or
-// from empty over the whole collection at the configured shard count
-// when there is no prev or a compaction renumbered the documents. The graph and the dataguide are
-// order-dependent folds (first-occurrence-wins id tables, §6.1
-// absorption): they start from prev's when nothing died since prev,
-// otherwise from empty over the live documents — a deletion cannot be
-// un-folded, and re-folding the live documents in id order reaches
-// exactly the from-scratch state.
+// dataguide summary. Each layer is a base plus segments and one fold,
+// and derive only picks where each starts: from empty over the whole
+// collection when there is no prev or a compaction renumbered the
+// documents (the index at the configured shard count), otherwise from
+// prev's layer, whose Extend folds the appended documents as a segment
+// and handles the documents col masks since prev. The index only masks
+// those; the graph and the dataguide, order-dependent folds
+// (first-occurrence-wins id tables, §6.1 absorption), re-fold from the
+// oldest segment holding one, or from empty when one sits in the base
+// (see internal/graph/fold.go and internal/dataguide/fold.go).
 func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	timings := make(map[string]time.Duration)
 	key := func(layer string) string {
@@ -100,11 +100,14 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	}
 	timings[key("index")] = time.Since(t)
 
-	g := graph.New(s.col, cfg.Discover, cfg.ValueLinks)
-	dg := &dataguide.Set{Threshold: cfg.DataguideThreshold}
-	docs := s.col.LiveDocs()
-	if prev != nil && s.col.Tombstones().Len() == prev.col.Tombstones().Len() {
-		g, dg, docs = prev.g, prev.dg, s.added
+	var g *graph.Graph
+	var dg *dataguide.Set
+	docs := s.added
+	if prev == nil || s.op == "compact" {
+		g, dg = graph.New(s.col, cfg.Discover, cfg.ValueLinks), &dataguide.Set{Threshold: cfg.DataguideThreshold}
+		docs = s.col.LiveDocs()
+	} else {
+		g, dg = prev.g, prev.dg
 	}
 	t = time.Now()
 	l.g = g.Extend(s.col, docs)

@@ -50,10 +50,11 @@ func (e *Engine) AddDocumentsXML(docs []IngestDoc) (*Engine, error) {
 //   - the index scans only the new documents and seals the scan as a
 //     segment appended after the existing shards, which it shares (see
 //     index.Extend for how segments merge);
-//   - the graph discovers links incident to the new documents only,
-//     including old references the new documents finally resolve;
-//   - the dataguide summary absorbs the new documents' profiles,
-//     continuing the §6.1 fold;
+//   - the graph appends a segment of the links incident to the new
+//     documents only, including old references the new documents
+//     finally resolve (see graph.Graph.Extend);
+//   - the dataguide summary appends a segment absorbing the new
+//     documents' profiles, continuing the §6.1 fold;
 //   - the catalog, entity registry, search metrics and pager are shared
 //     with the receiver.
 //

@@ -12,18 +12,23 @@
 // consistent view. The index's share of a delete is the newly dead
 // documents' counts, scanned once and subtracted where the global
 // aggregates are read (see internal/index/tombstones.go); an update adds
-// the replacement as a segment in the same step. Because a document
-// died, derive re-folds the link graph and dataguide summary over the
-// survivors.
+// the replacement as a segment in the same step.
 //
-// The re-fold is deliberate, not a missing optimization. Under §6.1 a
-// later document joins the FIRST guide containing it, else the best
-// overlap, both judged against path sets that earlier documents grew; so
-// subtracting a deleted document's paths (even as per-path counts) cannot
-// undo the choices it steered, and the result would drift from the
-// from-scratch build the lifecycle suite pins. The bitset fold re-derives
-// a Mondial-sized summary in a few milliseconds, which leaves delta
-// machinery nothing to win.
+// The link graph and the dataguide summary cannot subtract a document:
+// under §6.1 a later document joins the FIRST guide containing it, else
+// the best overlap, both judged against path sets earlier documents
+// grew, so removing a document's paths (even as per-path counts) cannot
+// undo the choices it steered, and the first-occurrence id table cannot
+// forget an owner. Both are kept as a base plus segments, though, and
+// both are left folds in id order, so the state of the segments before
+// the oldest one holding a newly dead document depends on those
+// segments' documents only. A delete or update therefore drops the
+// segments from there on and re-folds their live documents, with the
+// update's replacement, as one new segment on top of the kept prefix —
+// exactly the from-scratch fold over the survivors, at the cost of the
+// documents ingested since that segment began. A dead base document
+// re-folds from empty (see internal/graph/fold.go and
+// internal/dataguide/fold.go).
 //
 // Compaction is the physical counterpart: it rewrites the masked
 // generation into an unmasked one — dead postings dropped, survivors

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"seda/internal/datagen"
-	"seda/internal/xmldoc"
 )
 
 // TestSegmentsCompactToConfiguredShards: ingests append segments, and a
@@ -99,13 +98,11 @@ func TestSegmentsCompactToConfiguredShards(t *testing.T) {
 	}
 }
 
-// TestWriteCostFlatInCorpus: the index writes at the cost of the
-// document. The collection and index steps of one single-document ingest,
-// one update and one delete — the steps derive takes for them — allocate
-// less than 1.5 times as much on Mondial at scale 0.5 (the
-// lifecycle.churn corpus) as at scale 0.125. The graph and dataguide
-// steps are left out: an update or a delete re-folds both over the live
-// documents (see generation.go), which costs the corpus.
+// TestWriteCostFlatInCorpus: a write costs the document, not the corpus.
+// One single-document ingest, one update and one delete through the
+// engine — collection, index, link graph and dataguide summary, the
+// steps derive takes for them — allocate less than 1.5 times as much on
+// Mondial at scale 0.5 (the lifecycle.churn corpus) as at scale 0.125.
 func TestWriteCostFlatInCorpus(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -115,35 +112,21 @@ func TestWriteCostFlatInCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, ix := eng.col, eng.ix
-		var revs [2][]*xmldoc.Document
-		for i := range revs {
-			d, err := xmldoc.Parse(fmt.Appendf(nil, `<city id="w1" country="c001"><name>zqwrite rev%d</name></city>`, i+1), col.Dict())
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Name = "w.xml"
-			revs[i] = []*xmldoc.Document{d}
-		}
-		mask := func() {
-			if col, err = col.WithTombstones(col.LiveIDsByName("w.xml")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		extend := func(docs []*xmldoc.Document) {
-			col = col.Extend(docs)
-			if ix, err = ix.Extend(col, docs); err != nil {
-				t.Fatal(err)
-			}
+		rev := func(i int) []byte {
+			return fmt.Appendf(nil, `<city id="w1" country="c001"><name>zqwrite rev%d</name></city>`, i)
 		}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		extend(revs[0]) // ingest
-		mask()          // update
-		extend(revs[1])
-		mask() // delete
-		extend(nil)
+		if eng, err = eng.AddDocumentsXML([]IngestDoc{{Name: "w.xml", XML: rev(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err = eng.UpdateDocumentXML("w.xml", rev(2)); err != nil {
+			t.Fatal(err)
+		}
+		if eng, _, err = eng.DeleteDocuments("w.xml"); err != nil {
+			t.Fatal(err)
+		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -7,7 +7,6 @@ import (
 	"seda/internal/pathdict"
 	"seda/internal/snapcodec"
 	"seda/internal/store"
-	"seda/internal/xmldoc"
 )
 
 // Binary codec (engine snapshots). The summary persists in full — guides
@@ -25,9 +24,10 @@ func (s *Set) Encode(w *snapcodec.Writer) {
 	w.Int(codecVersion)
 	w.F64(s.Threshold)
 	w.Int(len(s.Guides))
-	for _, g := range s.Guides {
-		w.Int(len(g.Docs))
-		for _, d := range g.Docs {
+	docs := s.GuideDocs()
+	for i, g := range s.Guides {
+		w.Int(len(docs[i]))
+		for _, d := range docs[i] {
 			w.Int(int(d))
 		}
 		for _, set := range [][]pathdict.PathID{g.Paths(), g.repeatable.ids()} { // ascending
@@ -37,8 +37,9 @@ func (s *Set) Encode(w *snapcodec.Writer) {
 			}
 		}
 	}
-	w.Int(len(s.Links))
-	for _, l := range s.Links {
+	links := s.Links()
+	w.Int(len(links))
+	for _, l := range links {
 		w.Int(l.FromGuide)
 		w.Int(l.ToGuide)
 		w.Int(int(l.FromPath))
@@ -50,16 +51,21 @@ func (s *Set) Encode(w *snapcodec.Writer) {
 }
 
 // Decode reads a summary previously written by Encode, re-binding it to
-// col. The document→guide assignment is reconstructed from the guides'
-// document lists.
+// col, as one base part. The document→guide assignment is reconstructed
+// from the guides' document lists, and the base's link tally from the
+// links.
 //
 //seda:constructor
 func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 	if v := r.Int(); r.Err() == nil && v != codecVersion {
 		return nil, fmt.Errorf("dataguide: unsupported codec version %d", v)
 	}
-	s := &Set{col: col, Threshold: r.F64(), docGuide: make(map[xmldoc.DocID]int)}
+	s := &Set{col: col, Threshold: r.F64()}
 	numDocs, numPaths := col.NumDocs(), col.Dict().NumPaths()
+	base := &part{guideOf: make([]int32, numDocs), tally: make(map[Link]int)}
+	for i := range base.guideOf {
+		base.guideOf[i] = -1
+	}
 	numGuides := r.Count(3)
 	for i := 0; i < numGuides; i++ {
 		g := &Guide{ID: i}
@@ -69,14 +75,14 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 			if r.Err() != nil {
 				break
 			}
-			if d >= numDocs {
+			if d < 0 || d >= numDocs {
 				return nil, fmt.Errorf("dataguide: decode: guide %d names document %d of %d", i, d, numDocs)
 			}
-			if _, dup := s.docGuide[xmldoc.DocID(d)]; dup {
+			if base.guideOf[d] >= 0 {
 				return nil, fmt.Errorf("dataguide: decode: document %d assigned to two guides", d)
 			}
-			s.docGuide[xmldoc.DocID(d)] = i
-			g.Docs = append(g.Docs, xmldoc.DocID(d))
+			base.guideOf[d] = int32(i)
+			g.docs++
 		}
 		var err error
 		if g.size, err = decodePaths(r, &g.paths, numPaths); err != nil {
@@ -87,6 +93,7 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 		}
 		s.Guides = append(s.Guides, g)
 	}
+	var links []Link
 	numLinks := r.Count(7) // two guide ids, two path ids, kind, empty label, count
 	for i := 0; i < numLinks; i++ {
 		l := Link{
@@ -104,11 +111,17 @@ func Decode(r *snapcodec.Reader, col *store.Collection) (*Set, error) {
 		if l.FromGuide >= len(s.Guides) || l.ToGuide >= len(s.Guides) {
 			return nil, fmt.Errorf("dataguide: decode: link %d names guide %d/%d of %d", i, l.FromGuide, l.ToGuide, len(s.Guides))
 		}
-		s.Links = append(s.Links, l)
+		links = append(links, l)
+		key := l
+		key.Count = 0
+		base.tally[key] += l.Count
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dataguide: decode: %w", err)
 	}
+	base.guides = s.Guides
+	s.parts = []*part{base}
+	s.links.Store(&links)
 	return s, nil
 }
 

@@ -50,7 +50,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Guides[i].Paths(), s.Guides[i].Paths()) {
 			t.Errorf("guide %d path set mismatch", i)
 		}
-		if !reflect.DeepEqual(got.Guides[i].Docs, s.Guides[i].Docs) {
+		if !reflect.DeepEqual(got.GuideDocs()[i], s.GuideDocs()[i]) || got.Guides[i].NumDocs() != s.Guides[i].NumDocs() {
 			t.Errorf("guide %d doc list mismatch", i)
 		}
 		for _, p := range s.Guides[i].Paths() {
@@ -64,8 +64,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Errorf("doc %d assigned to different guide", doc.ID)
 		}
 	}
-	if !reflect.DeepEqual(got.Links, s.Links) {
-		t.Errorf("links mismatch:\n got %v\nwant %v", got.Links, s.Links)
+	if !reflect.DeepEqual(got.Links(), s.Links()) {
+		t.Errorf("links mismatch:\n got %v\nwant %v", got.Links(), s.Links())
 	}
 	if err := got.CoverageInvariant(); err != nil {
 		t.Errorf("coverage invariant after decode: %v", err)
@@ -84,18 +84,19 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecManyMinimalLinks(t *testing.T) {
 	col, s := codecFixture(t)
 	p := s.Guides[0].Paths()[0]
-	s.Links = nil
+	var links []Link
 	for i := 0; i < 50; i++ {
-		s.Links = append(s.Links, Link{FromPath: p, ToPath: p, Label: "", Count: 1})
+		links = append(links, Link{FromPath: p, ToPath: p, Label: "", Count: 1})
 	}
+	s.links.Store(&links)
 	var w snapcodec.Writer
 	s.Encode(&w)
 	got, err := Decode(snapcodec.NewReader(w.Bytes()), col)
 	if err != nil {
 		t.Fatalf("Decode rejected minimal links: %v", err)
 	}
-	if len(got.Links) != len(s.Links) {
-		t.Errorf("links = %d, want %d", len(got.Links), len(s.Links))
+	if len(got.Links()) != len(s.Links()) {
+		t.Errorf("links = %d, want %d", len(got.Links()), len(s.Links()))
 	}
 }
 

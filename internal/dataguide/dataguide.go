@@ -2,10 +2,8 @@ package dataguide
 
 import (
 	"fmt"
-	"maps"
 	"math/bits"
-	"slices"
-	"sort"
+	"sync/atomic"
 
 	"seda/internal/graph"
 	"seda/internal/pathdict"
@@ -79,14 +77,16 @@ func (s *pathSet) union(o pathSet) int {
 	return added
 }
 
-// Guide is one merged dataguide: a path set plus the documents it
-// summarizes and per-path occurrence facts needed by connection discovery.
-// Immutable once its Set is published (sedalint genimmutable).
+// Guide is one merged dataguide: a path set plus per-path occurrence
+// facts needed by connection discovery, and the number of documents it
+// summarizes (which ones is the Set's document assignment, see
+// Set.GuideDocs). Immutable once its Set is published (sedalint
+// genimmutable): a later fold that changes it works on a copy.
 //
 //seda:immutable
 type Guide struct {
 	ID    int
-	Docs  []xmldoc.DocID
+	docs  int // documents assigned to the guide
 	paths pathSet
 	size  int // |paths|, kept by the fold
 	// repeatable marks paths that can occur more than once under a single
@@ -94,6 +94,9 @@ type Guide struct {
 	// discovery uses it to find alternative join points (§6).
 	repeatable pathSet
 }
+
+// NumDocs returns the number of documents the guide summarizes.
+func (g *Guide) NumDocs() int { return g.docs }
 
 // Paths returns the guide's path set as a sorted slice.
 func (g *Guide) Paths() []pathdict.PathID { return g.paths.ids() }
@@ -155,17 +158,21 @@ type Link struct {
 	Count              int
 }
 
-// Set is the dataguide summary of one collection. Immutable once built
-// (sedalint genimmutable): ingest continues the §6.1 fold over a deep
-// copy, never over a published Set.
+// Set is the dataguide summary of one collection: a base followed by
+// segments, oldest first, each the part one fold added (see fold.go).
+// Guides is the guide list as of the newest part. Immutable once built
+// (sedalint genimmutable): a later fold shares the parts and guides it
+// does not change and copies the guides it does, so a published Set is
+// never written.
 //
 //seda:immutable
 type Set struct {
 	col       *store.Collection
 	Threshold float64
 	Guides    []*Guide
-	docGuide  map[xmldoc.DocID]int
-	Links     []Link
+	parts     []*part
+	// links caches Links, merged on the first call.
+	links atomic.Pointer[[]Link]
 }
 
 // Stats summarizes a built Set in the shape of the paper's Table 1.
@@ -186,13 +193,28 @@ func (s *Set) Stats() Stats {
 	return st
 }
 
-// GuideOf returns the guide summarizing doc, or nil.
+// GuideOf returns the guide summarizing doc, or nil. It reads the base
+// and then the segments.
 func (s *Set) GuideOf(doc xmldoc.DocID) *Guide {
-	i, ok := s.docGuide[doc]
+	i, ok := guideIn(s.parts, doc)
 	if !ok {
 		return nil
 	}
 	return s.Guides[i]
+}
+
+// GuideDocs returns, per guide id, the documents assigned to the guide in
+// ascending id order — the order the fold absorbed them in.
+func (s *Set) GuideDocs() [][]xmldoc.DocID {
+	out := make([][]xmldoc.DocID, len(s.Guides))
+	for _, p := range s.parts {
+		for i, gi := range p.guideOf {
+			if gi >= 0 {
+				out[gi] = append(out[gi], p.lo+xmldoc.DocID(i))
+			}
+		}
+	}
+	return out
 }
 
 // GuidesContaining returns the guides whose path set includes p.
@@ -211,114 +233,6 @@ func (s *Set) GuidesContaining(p pathdict.PathID) []*Guide {
 // Extend.
 func Build(col *store.Collection, g *graph.Graph, threshold float64) (*Set, error) {
 	return (&Set{Threshold: threshold}).Extend(col, g, col.LiveDocs())
-}
-
-// Extend returns the summary of col, which must hold every document the
-// receiver summarizes plus docs, the live documents to absorb now, in id
-// order — absorption order determines guide merging. The §6.1 merge is a
-// left fold, so continuing it over appended documents yields exactly the
-// summary one fold over the extended collection would, with no
-// re-profiling of old documents. The receiver is deep-copied first —
-// guides, repeatability marks and document assignments — so readers of
-// its generation are undisturbed. A non-nil data graph (the one already
-// derived for col) is aggregated into cross-guide Links, so the
-// connection summary can propose IDREF/XLink/value relationships (§6.1:
-// "a set of links between the dataguides corresponding to the external
-// edges between documents"); the links are recomputed whole because new
-// edges can touch old documents.
-//
-//seda:constructor
-func (s *Set) Extend(col *store.Collection, g *graph.Graph, docs []*xmldoc.Document) (*Set, error) {
-	if s.Threshold < 0 || s.Threshold > 1 {
-		return nil, fmt.Errorf("dataguide: threshold %v outside [0,1]", s.Threshold)
-	}
-	ns := &Set{
-		col:       col,
-		Threshold: s.Threshold,
-		docGuide:  make(map[xmldoc.DocID]int, len(s.docGuide)+len(docs)),
-		Guides:    make([]*Guide, len(s.Guides)),
-	}
-	maps.Copy(ns.docGuide, s.docGuide)
-	for i, gd := range s.Guides {
-		ng := *gd
-		ng.Docs = slices.Clone(gd.Docs)
-		ng.paths = slices.Clone(gd.paths)
-		ng.repeatable = slices.Clone(gd.repeatable)
-		ns.Guides[i] = &ng
-	}
-	for _, doc := range docs {
-		ns.absorb(doc.ID, docProfile(doc))
-	}
-	if g != nil {
-		ns.buildLinks(g)
-	}
-	return ns, nil
-}
-
-// profile is one document's path set, its size, and its repeatability
-// marks: the unit the §6.1 fold absorbs.
-type profile struct {
-	paths, rep pathSet
-	size       int
-}
-
-// docProfile extracts a document's profile.
-//
-//seda:constructor
-func docProfile(doc *xmldoc.Document) profile {
-	var pr profile
-	var sib pathSet // child paths seen under the current node
-	doc.Walk(func(n *xmldoc.Node) bool {
-		if pr.paths.add(n.Path) {
-			pr.size++
-		}
-		if len(n.Children) > 1 {
-			for _, c := range n.Children {
-				if !sib.add(c.Path) {
-					pr.rep.add(c.Path)
-				}
-			}
-			for _, c := range n.Children {
-				sib[c.Path>>6] = 0
-			}
-		}
-		return true
-	})
-	return pr
-}
-
-// absorb merges one document profile into the guide set following §6.1:
-// the first guide containing every document path absorbs it unchanged;
-// otherwise the guide with the strictly best overlap at or above the
-// threshold merges it; otherwise it starts a new guide.
-//
-//seda:constructor
-func (s *Set) absorb(doc xmldoc.DocID, pr profile) {
-	bestIdx, bestOverlap := -1, 0.0
-	for i, g := range s.Guides {
-		common := pr.paths.common(g.paths)
-		if common == pr.size {
-			// Subset or equal: no further processing needed.
-			g.Docs = append(g.Docs, doc)
-			g.repeatable.union(pr.rep)
-			s.docGuide[doc] = i
-			return
-		}
-		if ov := overlap(common, pr.size, g.size); ov > bestOverlap {
-			bestIdx, bestOverlap = i, ov
-		}
-	}
-	if bestIdx >= 0 && bestOverlap >= s.Threshold && s.Threshold > 0 {
-		g := s.Guides[bestIdx]
-		g.size += g.paths.union(pr.paths)
-		g.repeatable.union(pr.rep)
-		g.Docs = append(g.Docs, doc)
-		s.docGuide[doc] = bestIdx
-		return
-	}
-	g := &Guide{ID: len(s.Guides), Docs: []xmldoc.DocID{doc}, paths: pr.paths, size: pr.size, repeatable: pr.rep}
-	s.Guides = append(s.Guides, g)
-	s.docGuide[doc] = g.ID
 }
 
 // overlap implements the paper's metric.
@@ -347,55 +261,11 @@ func Overlap(a, b []pathdict.PathID) float64 {
 	return overlap(sa.common(sb), sa.common(sa), sb.common(sb))
 }
 
-//seda:constructor
-func (s *Set) buildLinks(g *graph.Graph) {
-	// A Link without its Count is the aggregation key.
-	agg := make(map[Link]int)
-	for _, e := range g.Edges() {
-		fg, okF := s.docGuide[e.From.Doc]
-		tg, okT := s.docGuide[e.To.Doc]
-		if !okF || !okT {
-			continue
-		}
-		agg[Link{FromGuide: fg, ToGuide: tg, FromPath: s.col.PathOf(e.From), ToPath: s.col.PathOf(e.To), Kind: e.Kind, Label: e.Label}]++
-	}
-	for l, n := range agg {
-		l.Count = n
-		s.Links = append(s.Links, l)
-	}
-	// The sort is a total order: the input comes off a map, so any tie left
-	// to the aggregation order would make Links — and the connection
-	// summaries derived from them — nondeterministic across builds (and
-	// break the incremental-vs-scratch equivalence invariant).
-	sort.Slice(s.Links, func(i, j int) bool {
-		a, b := s.Links[i], s.Links[j]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.FromGuide != b.FromGuide {
-			return a.FromGuide < b.FromGuide
-		}
-		if a.ToGuide != b.ToGuide {
-			return a.ToGuide < b.ToGuide
-		}
-		if a.FromPath != b.FromPath {
-			return a.FromPath < b.FromPath
-		}
-		if a.ToPath != b.ToPath {
-			return a.ToPath < b.ToPath
-		}
-		return a.Kind < b.Kind
-	})
-}
-
 // LinksBetween returns the aggregated link edges connecting two paths (in
 // either direction), used by the connection summary.
 func (s *Set) LinksBetween(a, b pathdict.PathID) []Link {
 	var out []Link
-	for _, l := range s.Links {
+	for _, l := range s.Links() {
 		if (l.FromPath == a && l.ToPath == b) || (l.FromPath == b && l.ToPath == a) {
 			out = append(out, l)
 		}

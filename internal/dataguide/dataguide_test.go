@@ -40,7 +40,7 @@ func TestSubsetAbsorption(t *testing.T) {
 	if len(s.Guides) != 1 {
 		t.Fatalf("guides = %d, want 1 (subsets absorb)", len(s.Guides))
 	}
-	if got := len(s.Guides[0].Docs); got != 3 {
+	if got := s.Guides[0].NumDocs(); got != 3 {
 		t.Errorf("guide docs = %d", got)
 	}
 	if err := s.CoverageInvariant(); err != nil {
@@ -295,10 +295,10 @@ func TestLinksAcrossGuides(t *testing.T) {
 	if len(s.Guides) != 2 {
 		t.Fatalf("guides = %d", len(s.Guides))
 	}
-	if len(s.Links) != 1 {
-		t.Fatalf("links = %d, want 1", len(s.Links))
+	if len(s.Links()) != 1 {
+		t.Fatalf("links = %d, want 1", len(s.Links()))
 	}
-	l := s.Links[0]
+	l := s.Links()[0]
 	dict := c.Dict()
 	if dict.Path(l.FromPath) != "/sea" || dict.Path(l.ToPath) != "/country" {
 		t.Errorf("link endpoints: %s -> %s", dict.Path(l.FromPath), dict.Path(l.ToPath))
@@ -406,10 +406,11 @@ func assertMatchesReference(t *testing.T, s *Set, docs []*xmldoc.Document) {
 	if len(s.Guides) != len(want) {
 		t.Fatalf("threshold %v: %d guides, reference %d", s.Threshold, len(s.Guides), len(want))
 	}
+	assigned := s.GuideDocs()
 	for i, g := range s.Guides {
 		r := want[i]
-		if g.ID != i || !reflect.DeepEqual(g.Docs, r.docs) {
-			t.Fatalf("threshold %v guide %d: id %d docs %v, reference docs %v", s.Threshold, i, g.ID, g.Docs, r.docs)
+		if g.ID != i || !reflect.DeepEqual(assigned[i], r.docs) || g.NumDocs() != len(r.docs) {
+			t.Fatalf("threshold %v guide %d: id %d docs %v (%d), reference docs %v", s.Threshold, i, g.ID, assigned[i], g.NumDocs(), r.docs)
 		}
 		if got, ref := g.Paths(), slices.Sorted(maps.Keys(r.paths)); !reflect.DeepEqual(got, ref) || g.Size() != len(ref) {
 			t.Fatalf("threshold %v guide %d: paths %v (size %d), reference %v", s.Threshold, i, got, g.Size(), ref)

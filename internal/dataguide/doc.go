@@ -23,17 +23,22 @@
 //
 // Because the merge is a left fold over documents in id order, one
 // function derives every summary: Set.Extend continues the fold over the
-// given documents against a deep copy of the receiver's guide set. A
-// build is the empty Set's Extend over the whole collection (Build), an
-// ingest the previous summary's Extend over the appended documents, and
-// both reach exactly the summary one fold over the collection would (the
-// ingest equivalence invariant; see internal/core/generation.go).
+// given documents, as a segment on top of the receiver's base and
+// segments that copies only the guides it changes. A build is the empty
+// Set's Extend over the whole collection (Build), an ingest the previous
+// summary's Extend over the appended documents, a delete or update the
+// previous summary's Extend re-folding from the oldest segment holding a
+// newly dead document, and each reaches exactly the summary one fold over
+// the live documents would (the ingest and lifecycle equivalence
+// invariants; see fold.go and internal/core/generation.go).
 //
 // # Concurrency
 //
-// A Set is immutable once Extend returns, and all read methods
-// are then safe for concurrent use. Extend never modifies its receiver —
-// it returns a new Set for the new engine generation, leaving readers of
-// the old one undisturbed. Construction is sequential in document order
-// because merge results are order-sensitive.
+// A Set is immutable once Extend returns, and all read methods are then
+// safe for concurrent use (Links merges on its first call behind an
+// atomic pointer). Extend never modifies its receiver — it returns a new
+// Set for the new engine generation, sharing the receiver's parts and
+// unchanged guides, so readers of the old one are undisturbed.
+// Construction is sequential in document order because merge results
+// are order-sensitive.
 package dataguide

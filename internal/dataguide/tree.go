@@ -17,7 +17,7 @@ func (g *Guide) TreeString(dict *pathdict.Dict) string {
 	// Sort by full string so parents precede children and siblings group.
 	sort.Slice(paths, func(i, j int) bool { return dict.Path(paths[i]) < dict.Path(paths[j]) })
 	var b strings.Builder
-	fmt.Fprintf(&b, "guide %d: %d paths, %d docs\n", g.ID, len(paths), len(g.Docs))
+	fmt.Fprintf(&b, "guide %d: %d paths, %d docs\n", g.ID, len(paths), g.docs)
 	for _, p := range paths {
 		depth := dict.Depth(p)
 		mark := ""
@@ -49,7 +49,7 @@ func (s *Set) Summary() string {
 		}
 		sort.Strings(names)
 		fmt.Fprintf(&b, "  guide %3d: %4d paths %5d docs  %s\n",
-			g.ID, g.Size(), len(g.Docs), strings.Join(names, " "))
+			g.ID, g.Size(), g.docs, strings.Join(names, " "))
 	}
 	return b.String()
 }

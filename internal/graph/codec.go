@@ -8,11 +8,12 @@ import (
 	"seda/internal/xmldoc"
 )
 
-// Binary codec (engine snapshots). Only the link-edge list is persisted.
-// Decode replays AddEdge, which rebuilds the per-document edge indexes
-// and re-validates that every endpoint still resolves in the decoded
-// collection (a structural integrity check on the snapshot). The fold
-// state is not persisted: the decoded graph's first Extend rebuilds it.
+// Binary codec (engine snapshots). Only the link-edge list is persisted,
+// layer by layer. Decode replays AddEdge into one base, which rebuilds
+// the per-document edge indexes and re-validates that every endpoint
+// still resolves in the decoded collection (a structural integrity check
+// on the snapshot). The fold state is not persisted: the decoded graph's
+// first Extend rebuilds it.
 
 // codecVersion is the layer format version written by Encode.
 const codecVersion = 1
@@ -20,14 +21,16 @@ const codecVersion = 1
 // Encode appends the graph overlay to w in its versioned binary form.
 func (g *Graph) Encode(w *snapcodec.Writer) {
 	w.Int(codecVersion)
-	w.Int(len(g.edges))
-	for _, e := range g.edges {
-		w.Int(int(e.From.Doc))
-		w.Dewey(e.From.Dewey)
-		w.Int(int(e.To.Doc))
-		w.Dewey(e.To.Dewey)
-		w.Byte(byte(e.Kind))
-		w.String(e.Label)
+	w.Int(g.NumEdges())
+	for _, l := range g.layers {
+		for _, e := range l.edges {
+			w.Int(int(e.From.Doc))
+			w.Dewey(e.From.Dewey)
+			w.Int(int(e.To.Doc))
+			w.Dewey(e.To.Dewey)
+			w.Byte(byte(e.Kind))
+			w.String(e.Label)
+		}
 	}
 }
 
@@ -41,7 +44,7 @@ func Decode(r *snapcodec.Reader, col *store.Collection, opts DiscoverOptions, sp
 		return nil, fmt.Errorf("graph: unsupported codec version %d", v)
 	}
 	g := New(col, opts, specs)
-	g.state = nil
+	g.layers = []*layer{newLayer(0, xmldoc.DocID(col.NumDocs()), nil)} // it covers col even without edges
 	numEdges := r.Count(7)
 	for i := 0; i < numEdges; i++ {
 		from := xmldoc.NodeRef{Doc: xmldoc.DocID(r.Int()), Dewey: r.Dewey()}

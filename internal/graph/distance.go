@@ -63,7 +63,12 @@ func (g *Graph) PairDistance(a, b xmldoc.NodeRef, maxLinkHops int) int {
 // TreeOnly reports whether no link edge touches doc, so that every
 // distance from one of its nodes is the tree distance.
 func (g *Graph) TreeOnly(doc xmldoc.DocID) bool {
-	return len(g.outByDoc[doc]) == 0 && len(g.inByDoc[doc]) == 0
+	for _, l := range g.layers {
+		if len(l.outByDoc[doc]) > 0 || len(l.inByDoc[doc]) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // portalState identifies a Dijkstra vertex: a node reached having crossed

@@ -154,17 +154,41 @@ func referenceEdges(docs []*xmldoc.Document, dict *pathdict.Dict) []string {
 	return out
 }
 
-// FuzzGraphFold checks link derivation against a brute-force oracle: the
+// foldGen is one generation of a FuzzGraphFold script: its collection,
+// its graph, and the sorted reference edges over its live documents.
+type foldGen struct {
+	col  *store.Collection
+	g    *Graph
+	want []string
+}
+
+// FuzzGraphFold checks link derivation against a brute-force oracle. The
 // one-shot fold over a collection yields exactly the reference edge list
-// (same order, which the snapshot bytes depend on), and folding the same
-// documents in fuzz-chosen batches — optionally through an Encode/Decode
-// round trip between batches, which drops the retained fold state —
-// yields the same edge multiset.
+// (same order, which the snapshot bytes depend on). A script then derives
+// generations from a base over the first documents: each script byte
+// adds documents, deletes or updates a live one, or forks two children
+// (an add and a delete) off one parent, and its high bit round-trips the
+// result through the codec, which drops the retained fold state. Every
+// generation, checked when it is made and again when the script ends,
+// holds exactly the reference edge multiset over its live documents —
+// deriving a generation must not disturb its parent or a sibling.
 func FuzzGraphFold(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 1, 0, 1, 1, 2, 0, 1, 1, 1, 1, 1, 2, 2, 1, 3, 0, 2, 4}, []byte{2, 1})
 	f.Add([]byte{3, 1, 2, 5, 1, 2, 1, 2, 2, 2, 2, 3, 3, 1, 0, 4, 2, 5, 1, 2, 1, 1}, []byte{1, 0x81, 1})
 	f.Add([]byte("links and values"), []byte{0x83})
-	f.Fuzz(func(t *testing.T, data, batching []byte) {
+	// <r id="a"/> then <r refs="a a"/>: the base owner of "a" dies after a
+	// segment defined "a" again, so the duplicate becomes the owner.
+	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{0, 4, 1, 0x80})
+	// The same two documents the other way round: a segment document
+	// resolves the base's dangling reference and is deleted, then
+	// another one defines the id again.
+	f.Add([]byte{1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0}, []byte{0, 0, 5, 4})
+	// <s><v>1</v><v>1</v></s>: a value self-join within and across
+	// documents, through an add, a fork, an update and a delete.
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 2, 0, 0, 0}, []byte{0, 0, 3, 2, 1})
+	// A base-document delete after two segments exist.
+	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{1, 4, 0, 1})
+	f.Fuzz(func(t *testing.T, data, script []byte) {
 		xmls := foldCorpus(data)
 
 		whole := store.NewCollection()
@@ -180,69 +204,107 @@ func FuzzGraphFold(f *testing.F) {
 		}
 		checkEdgesOfDoc(t, oneShot, whole)
 
-		// Batches: each batching byte takes 1+b%4 documents; its high bit
-		// round-trips the graph through the codec before the next batch.
+		// The base folds the first 1+script[0]%n documents; later documents
+		// cycle through the corpus, so ids are defined again and again.
+		next := len(xmls)
+		if len(script) > 0 {
+			next = 1 + int(script[0])%len(xmls)
+			script = script[1:]
+		}
 		col := store.NewCollection()
-		g := New(col, DiscoverOptions{}, foldSpecs)
-		for start, bi := 0, 0; start < len(xmls); bi++ {
-			var b byte
-			if bi < len(batching) {
-				b = batching[bi]
+		for i, x := range xmls[:next] {
+			if _, err := col.AddXML(fmt.Sprintf("d%d", i), []byte(x)); err != nil {
+				t.Fatal(err)
 			}
-			end := min(len(xmls), start+1+int(b%4))
+		}
+		var gens []foldGen
+		check := func(col *store.Collection, g *Graph) foldGen {
+			t.Helper()
+			gen := foldGen{col: col, g: g, want: slices.Sorted(slices.Values(referenceEdges(col.LiveDocs(), col.Dict())))}
+			checkGen(t, gen)
+			gens = append(gens, gen)
+			return gen
+		}
+		cur := check(col, folded(col, DiscoverOptions{}, foldSpecs...))
+
+		add := func(p foldGen, n int) foldGen {
 			var docs []*xmldoc.Document
-			for i := start; i < end; i++ {
-				d, err := xmldoc.Parse([]byte(xmls[i]), col.Dict())
+			for range n {
+				d, err := xmldoc.Parse([]byte(xmls[next%len(xmls)]), p.col.Dict())
 				if err != nil {
 					t.Fatal(err)
 				}
-				d.Name = fmt.Sprintf("d%d", i)
+				d.Name = fmt.Sprintf("d%d", next)
+				next++
 				docs = append(docs, d)
 			}
-			col = col.Extend(docs)
-			g = g.Extend(col, docs)
-			if b&0x80 != 0 {
-				var w snapcodec.Writer
-				g.Encode(&w)
-				var err error
-				if g, err = Decode(snapcodec.NewReader(w.Bytes()), col, DiscoverOptions{}, foldSpecs); err != nil {
-					t.Fatal(err)
+			col := p.col.Extend(docs)
+			return check(col, p.g.Extend(col, docs))
+		}
+		// kill masks p's i-th live document, if it has any, and appends n
+		// documents in the same step.
+		kill := func(p foldGen, i, n int) foldGen {
+			live := p.col.LiveDocs()
+			if len(live) == 0 {
+				return add(p, max(n, 1))
+			}
+			col, err := p.col.WithTombstones([]xmldoc.DocID{live[i%len(live)].ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return add(foldGen{col: col, g: p.g}, n)
+		}
+		for _, b := range script[:min(len(script), 24)] { // the oracle is cubic
+			arg := int(b>>2) & 0x1f
+			switch b & 3 {
+			case 0:
+				cur = add(cur, 1+arg%3)
+			case 1:
+				cur = kill(cur, arg, 0)
+			case 2:
+				cur = kill(cur, arg, 1)
+			case 3:
+				a, d := add(cur, 1), kill(cur, arg, 0)
+				if cur = a; arg&1 == 1 {
+					cur = d
 				}
 			}
-			start = end
+			if b&0x80 != 0 {
+				var w snapcodec.Writer
+				cur.g.Encode(&w)
+				g, err := Decode(snapcodec.NewReader(w.Bytes()), cur.col, DiscoverOptions{}, foldSpecs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur = check(cur.col, g)
+			}
 		}
-		got := edgeStrings(g.Edges())
-		slices.Sort(got)
-		sorted := slices.Sorted(slices.Values(want))
-		if !slices.Equal(got, sorted) {
-			t.Fatalf("batched fold edge multiset\n got %q\nwant %q", got, sorted)
+		for _, gen := range gens {
+			checkGen(t, gen)
 		}
-		checkEdgesOfDoc(t, g, col)
 	})
 }
 
-// edgesOfDocOracle is EdgesOfDoc's former body: collect the indexes of
-// both of doc's edge lists through a set, sort them, and copy the edges
-// out.
+// checkGen compares gen's graph with its reference edge multiset and its
+// per-document edge lists with the oracle.
+func checkGen(t *testing.T, gen foldGen) {
+	t.Helper()
+	got := edgeStrings(gen.g.Edges())
+	slices.Sort(got)
+	if !slices.Equal(got, gen.want) {
+		t.Fatalf("edge multiset over %d live documents\n got %q\nwant %q", gen.col.NumLive(), got, gen.want)
+	}
+	checkEdgesOfDoc(t, gen.g, gen.col)
+}
+
+// edgesOfDocOracle filters the edges touching doc out of Edges, keeping
+// their order.
 func edgesOfDocOracle(g *Graph, doc xmldoc.DocID) []Edge {
-	seen := make(map[int]struct{})
-	var idxs []int
-	for _, i := range g.outByDoc[doc] {
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idxs = append(idxs, i)
-		}
-	}
-	for _, i := range g.inByDoc[doc] {
-		if _, ok := seen[i]; !ok {
-			seen[i] = struct{}{}
-			idxs = append(idxs, i)
-		}
-	}
-	slices.Sort(idxs)
 	var out []Edge
-	for _, i := range idxs {
-		out = append(out, g.edges[i])
+	for _, e := range g.Edges() {
+		if e.From.Doc == doc || e.To.Doc == doc {
+			out = append(out, e)
+		}
 	}
 	return out
 }

@@ -54,29 +54,22 @@ type Edge struct {
 	Label    string
 }
 
-// Graph is the link-edge overlay of a collection. Derive it with one
-// fold, Extend; reads are then safe for concurrent use. Published graphs
-// are shared across engine generations, so writes outside the fold and
-// decode paths are sedalint diagnostics (genimmutable).
+// Graph is the link-edge overlay of a collection: a base followed by
+// segments, oldest first, each the layer of edges and fold state one fold
+// added (see fold.go). Derive it with Extend; reads are then safe for
+// concurrent use, and a graph no write derived from is its base alone.
+// Published graphs and their layers are shared across engine generations,
+// so writes outside the fold and decode paths are sedalint diagnostics
+// (genimmutable).
 //
 //seda:immutable
 type Graph struct {
-	col   *store.Collection
-	edges []Edge
-	// outByDoc lists, per document, the edge indexes whose From node lives
-	// in that document, and inByDoc those whose To node does. They are the
-	// only edge indexes: LinkedDocs, EdgesOfDoc and the portal graph read
-	// them.
-	outByDoc map[xmldoc.DocID][]int
-	inByDoc  map[xmldoc.DocID][]int
+	col    *store.Collection
+	layers []*layer
 
 	// opts (resolved) and specs configure the fold.
 	opts  DiscoverOptions
 	specs []ValueLinkSpec
-	// state is the fold's retained state over the documents folded so far
-	// (see fold.go); nil on a decoded graph until its first Extend
-	// rebuilds it.
-	state *foldState
 }
 
 // New returns an overlay for col with no documents folded yet: a
@@ -85,20 +78,15 @@ type Graph struct {
 // specs the value-based relationships joined by every later fold.
 func New(col *store.Collection, opts DiscoverOptions, specs []ValueLinkSpec) *Graph {
 	opts.defaults()
-	return &Graph{
-		col:      col,
-		outByDoc: make(map[xmldoc.DocID][]int),
-		inByDoc:  make(map[xmldoc.DocID][]int),
-		opts:     opts,
-		specs:    specs,
-		state:    newFoldState(len(specs)),
-	}
+	return &Graph{col: col, opts: opts, specs: specs}
 }
 
 // Collection returns the underlying collection.
 func (g *Graph) Collection() *store.Collection { return g.col }
 
-// AddEdge inserts a link edge after validating both endpoints resolve.
+// AddEdge inserts a link edge after validating both endpoints resolve. It
+// writes the newest layer, or a base without fold state on a graph that
+// has none (the decode path).
 //
 //seda:constructor
 func (g *Graph) AddEdge(from, to xmldoc.NodeRef, kind EdgeKind, label string) error {
@@ -108,10 +96,10 @@ func (g *Graph) AddEdge(from, to xmldoc.NodeRef, kind EdgeKind, label string) er
 	if g.col.Node(to) == nil {
 		return fmt.Errorf("graph: dangling target %v", to)
 	}
-	idx := len(g.edges)
-	g.edges = append(g.edges, Edge{From: from, To: to, Kind: kind, Label: label})
-	g.outByDoc[from.Doc] = append(g.outByDoc[from.Doc], idx)
-	g.inByDoc[to.Doc] = append(g.inByDoc[to.Doc], idx)
+	if len(g.layers) == 0 {
+		g.layers = []*layer{newLayer(0, xmldoc.DocID(g.col.NumDocs()), nil)}
+	}
+	g.layers[len(g.layers)-1].add(Edge{From: from, To: to, Kind: kind, Label: label})
 	return nil
 }
 
@@ -120,14 +108,16 @@ func (g *Graph) AddEdge(from, to xmldoc.NodeRef, kind EdgeKind, label string) er
 // It reads doc's own edge lists, so it costs doc's degree.
 func (g *Graph) LinkedDocs(dst []xmldoc.DocID, doc xmldoc.DocID) []xmldoc.DocID {
 	start := len(dst)
-	for _, i := range g.outByDoc[doc] {
-		if d := g.edges[i].To.Doc; d != doc {
-			dst = append(dst, d)
+	for _, l := range g.layers {
+		for _, i := range l.outByDoc[doc] {
+			if d := l.edges[i].To.Doc; d != doc {
+				dst = append(dst, d)
+			}
 		}
-	}
-	for _, i := range g.inByDoc[doc] {
-		if d := g.edges[i].From.Doc; d != doc {
-			dst = append(dst, d)
+		for _, i := range l.inByDoc[doc] {
+			if d := l.edges[i].From.Doc; d != doc {
+				dst = append(dst, d)
+			}
 		}
 	}
 	slices.Sort(dst[start:])
@@ -135,29 +125,47 @@ func (g *Graph) LinkedDocs(dst []xmldoc.DocID, doc xmldoc.DocID) []xmldoc.DocID 
 }
 
 // NumEdges returns the number of link edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int {
+	n := 0
+	for _, l := range g.layers {
+		n += len(l.edges)
+	}
+	return n
+}
 
-// Edges returns all link edges; the slice must not be modified.
-func (g *Graph) Edges() []Edge { return g.edges }
+// Edges returns all link edges, layer by layer; the slice must not be
+// modified. A graph of more than one layer returns a fresh concatenation.
+func (g *Graph) Edges() []Edge {
+	if len(g.layers) == 1 {
+		return g.layers[0].edges
+	}
+	var out []Edge
+	for _, l := range g.layers {
+		out = append(out, l.edges...)
+	}
+	return out
+}
 
 // EdgesOfDoc appends to dst the link edges touching doc (either
-// endpoint), in edge order and each once. doc's two edge lists are both
-// ascending, and an edge sits in both only when both its ends are in doc,
-// so one merge that takes such an edge once needs no set; with a dst of
-// sufficient capacity it allocates nothing.
+// endpoint), in Edges order and each once. Within a layer doc's two edge
+// lists are both ascending, and an edge sits in both only when both its
+// ends are in doc, so one merge that takes such an edge once needs no
+// set; with a dst of sufficient capacity it allocates nothing.
 func (g *Graph) EdgesOfDoc(dst []Edge, doc xmldoc.DocID) []Edge {
-	out, in := g.outByDoc[doc], g.inByDoc[doc]
-	for len(out) > 0 || len(in) > 0 {
-		var i int
-		switch {
-		case len(in) == 0 || len(out) > 0 && out[0] < in[0]:
-			i, out = out[0], out[1:]
-		case len(out) > 0 && out[0] == in[0]:
-			i, out, in = out[0], out[1:], in[1:]
-		default:
-			i, in = in[0], in[1:]
+	for _, l := range g.layers {
+		out, in := l.outByDoc[doc], l.inByDoc[doc]
+		for len(out) > 0 || len(in) > 0 {
+			var i int
+			switch {
+			case len(in) == 0 || len(out) > 0 && out[0] < in[0]:
+				i, out = out[0], out[1:]
+			case len(out) > 0 && out[0] == in[0]:
+				i, out, in = out[0], out[1:], in[1:]
+			default:
+				i, in = in[0], in[1:]
+			}
+			dst = append(dst, l.edges[i])
 		}
-		dst = append(dst, g.edges[i])
 	}
 	return dst
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"seda/internal/pathdict"
+	"seda/internal/segments"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
@@ -21,16 +22,11 @@ import (
 // delete (see tombstones.go).
 //
 // Segments merge by absorb, the join of a parallel build's scan chunks,
-// under a log-structured policy: while the second-newest segment holds at
-// most mergeRatio times the newest one's documents, the two are folded
-// into one. Each segment is then more than mergeRatio times the next, so
-// an index carries at most log2(d)+1 segments over d ingested documents,
-// and each document is re-absorbed O(log d) times over its life. The base
-// shards are never merged: a compaction rebuilds the base from the
-// survivors, with no segments (BuildSharded).
-
-// mergeRatio is the segment merge policy's size ratio (see above).
-const mergeRatio = 2
+// under the log-structured policy of package segments, sized by
+// documents: an index carries at most log2(d)+1 segments over d ingested
+// documents, and each document is re-absorbed O(log d) times over its
+// life. The base shards are never merged: a compaction rebuilds the base
+// from the survivors, with no segments (BuildSharded).
 
 // Extend returns a new Index over col covering the receiver's documents
 // plus newDocs. col must be the receiver's collection extended by newDocs
@@ -52,7 +48,7 @@ func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Ind
 	next.col, next.cache = col, newTermCache(termCacheBudget)
 	if len(newDocs) > 0 {
 		seg := sealShard(ix.col.NumDocs(), col.NumDocs(), scanDocs(newDocs))
-		segs, err := pushPart(ix.shards[ix.base:], seg, (*Shard).Docs, mergeShards)
+		segs, err := segments.Push(ix.shards[ix.base:], seg, (*Shard).Docs, mergeShards)
 		if err != nil {
 			return nil, err
 		}
@@ -61,21 +57,6 @@ func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Ind
 	}
 	next.mask()
 	return &next, nil
-}
-
-// pushPart returns parts with p appended, then folds the newest two parts
-// while the older holds at most mergeRatio times the newer's size. parts'
-// backing array is never written.
-func pushPart[T any](parts []T, p T, size func(T) int, merge func(a, b T) (T, error)) ([]T, error) {
-	out := append(slices.Clip(parts), p)
-	for n := len(out); n >= 2 && size(out[n-2]) <= mergeRatio*size(out[n-1]); n = len(out) {
-		m, err := merge(out[n-2], out[n-1])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out[:n-2], m)
-	}
-	return out, nil
 }
 
 // mergeShards returns the shard over a's documents followed by b's,

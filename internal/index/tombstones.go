@@ -10,7 +10,7 @@
 // read paths subtract (DocFreq, vocab, contextPaths, nodesAtPathLen).
 // Each generation scans only the documents that died since the one it
 // derives from, and pushes their tally onto its predecessor's under the
-// segments' log-structured merge policy (see ingest.go), so a delete
+// segments' log-structured merge policy (package segments), so a delete
 // scans what died, not the corpus or the dead set. A delete is therefore
 // an Extend with no new documents: every shard is shared and only this
 // view grows. Compaction is the physical counterpart, a fresh
@@ -39,6 +39,7 @@ import (
 	"slices"
 
 	"seda/internal/pathdict"
+	"seda/internal/segments"
 	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
@@ -120,7 +121,7 @@ func (ix *Index) mask() {
 	}
 	t := tallyOf(newly)
 	// Merging tallies cannot fail.
-	ix.deadParts, _ = pushPart(ix.deadParts, t, func(t *tally) int { return t.docs }, mergeTallies)
+	ix.deadParts, _ = segments.Push(ix.deadParts, t, func(t *tally) int { return t.docs }, mergeTallies)
 	gone := make(map[pathdict.PathID]bool)
 	for p := range t.pathCount {
 		if ix.nodesAtPathLen(p) == 0 {

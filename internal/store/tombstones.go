@@ -93,6 +93,34 @@ func (t *Tombstones) AnyInRange(lo, hi int) bool {
 	return false
 }
 
+// FirstAdded returns the smallest id masked in the receiver but not in
+// prev, and false when the receiver adds none: the oldest document a
+// later generation's delete or update killed. It compares a bitmap word
+// at a time.
+func (t *Tombstones) FirstAdded(prev *Tombstones) (xmldoc.DocID, bool) {
+	if t.Len() == prev.Len() {
+		return 0, false // tombstones only grow from a generation to the next
+	}
+	old := prev.words()
+	for w, word := range t.words() {
+		if w < len(old) {
+			word &^= old[w]
+		}
+		if word != 0 {
+			return xmldoc.DocID(w*64 + bits.TrailingZeros64(word)), true
+		}
+	}
+	return 0, false
+}
+
+// words returns the bitmap (nil for the empty set).
+func (t *Tombstones) words() []uint64 {
+	if t == nil {
+		return nil
+	}
+	return t.bits
+}
+
 // With returns the union of the receiver and ids; the receiver is never
 // modified. Returns the receiver itself when ids adds nothing.
 //
@@ -285,12 +313,19 @@ func (c *Collection) NumLive() int { return len(c.docs) - c.dead.Len() }
 // LiveDocs returns the live documents in id order. Without tombstones it
 // returns the collection's own slice; either way the result must not be
 // modified.
-func (c *Collection) LiveDocs() []*xmldoc.Document {
-	if c.dead.Len() == 0 {
-		return c.docs
+func (c *Collection) LiveDocs() []*xmldoc.Document { return c.LiveDocsFrom(0) }
+
+// LiveDocsFrom returns the live documents with id lo or above, in id
+// order: the documents a fold restarted at lo covers. Without tombstones
+// in that range it returns a slice of the collection's own; either way
+// the result must not be modified.
+func (c *Collection) LiveDocsFrom(lo xmldoc.DocID) []*xmldoc.Document {
+	tail := c.docs[min(int(lo), len(c.docs)):]
+	if !c.dead.AnyInRange(int(lo), len(c.docs)) {
+		return tail
 	}
-	out := make([]*xmldoc.Document, 0, c.NumLive())
-	for _, d := range c.docs {
+	out := make([]*xmldoc.Document, 0, len(tail))
+	for _, d := range tail {
 		if !c.dead.Has(d.ID) {
 			out = append(out, d)
 		}

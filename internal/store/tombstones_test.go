@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 
 	"seda/internal/snapcodec"
@@ -60,6 +61,25 @@ func TestTombstonesSet(t *testing.T) {
 	// Adding nothing new returns the receiver itself.
 	if s.With([]xmldoc.DocID{5, 1}) != s {
 		t.Error("no-op union should return the receiver")
+	}
+
+	// FirstAdded finds the oldest id a later set adds, in a word the
+	// earlier set lacks too.
+	for _, c := range []struct {
+		t, prev *Tombstones
+		want    xmldoc.DocID
+		ok      bool
+	}{
+		{s, s, 0, false},
+		{nilSet, nilSet, 0, false},
+		{s, nilSet, 1, true},
+		{s2, s, 2, true},
+		{s.With([]xmldoc.DocID{64, 200}), s, 64, true},
+		{NewTombstones([]xmldoc.DocID{3}).With([]xmldoc.DocID{300}), NewTombstones([]xmldoc.DocID{3}), 300, true},
+	} {
+		if got, ok := c.t.FirstAdded(c.prev); got != c.want || ok != c.ok {
+			t.Errorf("FirstAdded(%v over %v) = %d, %v; want %d, %v", c.t.IDs(), c.prev.IDs(), got, ok, c.want, c.ok)
+		}
 	}
 }
 
@@ -189,6 +209,15 @@ func TestWithTombstonesValidation(t *testing.T) {
 	}
 	if masked.NumLive() != 1 || masked.NumDocs() != 2 {
 		t.Errorf("masked: live=%d docs=%d, want 1/2", masked.NumLive(), masked.NumDocs())
+	}
+	for lo, want := range [][]xmldoc.DocID{{1}, {1}, nil, nil} {
+		var got []xmldoc.DocID
+		for _, d := range masked.LiveDocsFrom(xmldoc.DocID(lo)) {
+			got = append(got, d.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("LiveDocsFrom(%d) = %v, want %v", lo, got, want)
+		}
 	}
 
 	// AttachTombstones (snapshot load path) refuses double-masking and

@@ -179,7 +179,7 @@ func (s *Summarizer) candidates(pa, pb pathdict.PathID) []Connection {
 	// relationship between different guide pairs is one user-facing
 	// connection.
 	seenLink := make(map[string]bool)
-	for _, l := range s.dg.Links {
+	for _, l := range s.dg.Links() {
 		var fromDepth, toDepth int
 		switch {
 		case s.dict.IsPrefixOf(l.FromPath, pa) && s.dict.IsPrefixOf(l.ToPath, pb):
