@@ -53,6 +53,11 @@ type step struct {
 	col *store.Collection
 	// added are the documents col appends to the previous generation's.
 	added []*xmldoc.Document
+	// restart is the first document id col renumbers: prev's documents
+	// below it keep their ids, and from it on col holds prev's live
+	// documents renumbered contiguously (a compaction), then added. It is
+	// prev's document count when nothing is renumbered.
+	restart xmldoc.DocID
 }
 
 // layers are the derived data a generation serves.
@@ -67,15 +72,16 @@ type layers struct {
 // from-source build) under cfg. The layers run in one order for every
 // op: the index with the full Parallelism, then the link graph, then the
 // dataguide summary. Each layer is a base plus segments and one fold,
-// and derive only picks where each starts: from empty over the whole
-// collection when there is no prev or a compaction renumbered the
-// documents (the index at the configured shard count), otherwise from
-// prev's layer, whose Extend folds the appended documents as a segment
-// and handles the documents col masks since prev. The index only masks
-// those; the graph and the dataguide, order-dependent folds
-// (first-occurrence-wins id tables, §6.1 absorption), re-fold from the
-// oldest segment holding one, or from empty when one sits in the base
-// (see internal/graph/fold.go and internal/dataguide/fold.go).
+// and derive only picks where each starts: from prev's layer, whose
+// Extend folds the appended documents as a segment, handles the
+// documents col masks since prev, and keeps every part before s.restart
+// when col renumbers; or from empty over the whole collection, the index
+// at the configured shard count, when there is no prev or a renumbering
+// cannot keep the index's base (index.KeepsBase). The index only masks
+// the newly dead documents; the graph and the dataguide, order-dependent
+// folds (first-occurrence-wins id tables, §6.1 absorption), re-fold from
+// the oldest segment holding one or the restart, or from empty when the
+// base does (see internal/graph/fold.go and internal/dataguide/fold.go).
 func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	timings := make(map[string]time.Duration)
 	key := func(layer string) string {
@@ -86,35 +92,34 @@ func derive(prev *Engine, cfg Config, s step) (*Engine, error) {
 	}
 	l := layers{col: s.col}
 
+	from := prev
+	if prev != nil && !prev.ix.KeepsBase(s.restart, cfg.Shards) {
+		from = nil
+	}
 	t := time.Now()
 	var err error
-	switch par := resolveParallelism(cfg.Parallelism); {
-	case prev == nil, s.op == "compact":
-		// A compaction lays out the configured base again, folding the
-		// segments ingests appended into it.
-		l.ix = index.BuildSharded(s.col, cfg.Shards, par)
-	default:
-		if l.ix, err = prev.ix.Extend(s.col, s.added); err != nil {
-			return nil, err
-		}
+	if from == nil {
+		l.ix = index.BuildSharded(s.col, cfg.Shards, resolveParallelism(cfg.Parallelism))
+	} else if l.ix, err = from.ix.Extend(s.col, s.restart, s.added); err != nil {
+		return nil, err
 	}
 	timings[key("index")] = time.Since(t)
 
 	var g *graph.Graph
 	var dg *dataguide.Set
 	docs := s.added
-	if prev == nil || s.op == "compact" {
+	if from == nil {
 		g, dg = graph.New(s.col, cfg.Discover, cfg.ValueLinks), &dataguide.Set{Threshold: cfg.DataguideThreshold}
 		docs = s.col.LiveDocs()
 	} else {
-		g, dg = prev.g, prev.dg
+		g, dg = from.g, from.dg
 	}
 	t = time.Now()
-	l.g = g.Extend(s.col, docs)
+	l.g = g.Extend(s.col, s.restart, docs)
 	timings[key("graph")] = time.Since(t)
 
 	t = time.Now()
-	if l.dg, err = dg.Extend(s.col, l.g, docs); err != nil {
+	if l.dg, err = dg.Extend(s.col, l.g, s.restart, docs); err != nil {
 		return nil, err
 	}
 	timings[key("dataguide")] = time.Since(t)

@@ -87,5 +87,5 @@ func (e *Engine) AddDocuments(docs []*xmldoc.Document) (*Engine, error) {
 func (e *Engine) appendGeneration(op string, start time.Time, col *store.Collection, docs []*xmldoc.Document) (*Engine, error) {
 	// The index's Extend re-derives the mask from col's tombstones, so one
 	// index step covers an update's masking and its append.
-	return derive(e, e.cfg, step{op: op, start: start, col: col.Extend(docs), added: docs})
+	return derive(e, e.cfg, step{op: op, start: start, col: col.Extend(docs), added: docs, restart: xmldoc.DocID(e.col.NumDocs())})
 }

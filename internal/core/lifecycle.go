@@ -31,11 +31,18 @@
 // internal/dataguide/fold.go).
 //
 // Compaction is the physical counterpart: it rewrites the masked
-// generation into an unmasked one — dead postings dropped, survivors
-// renumbered contiguously, the segments ingests appended folded back
-// into the configured base shards — with answers
+// generation into an unmasked one, dead documents dropped and the
+// survivors after the first of them renumbered contiguously, with answers
 // byte-identical to a from-scratch build over the survivors (the
-// equivalence the lifecycle suite pins on every corpus).
+// equivalence the lifecycle suite pins on every corpus). It follows the
+// same restart rule: every layer keeps its parts that end at or before
+// the first dead document, their ids unchanged, and folds the renumbered
+// survivors from the first part it drops as one segment, so compacting
+// documents that died soon after they were ingested costs those
+// documents, not the corpus. Only a dead document in the index's base,
+// or a base laid out at another shard count than the configured one,
+// rebuilds every layer from empty, the index at the configured shard
+// count.
 
 package core
 
@@ -87,7 +94,7 @@ func (e *Engine) DeleteDocuments(names ...string) (*Engine, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ne, err := derive(e, e.cfg, step{op: "delete", start: t0, col: col})
+	ne, err := derive(e, e.cfg, step{op: "delete", start: t0, col: col, restart: xmldoc.DocID(e.col.NumDocs())})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -123,14 +130,17 @@ func (e *Engine) UpdateDocumentXML(name string, data []byte) (*Engine, error) {
 }
 
 // Compact derives the physically compacted generation: a new collection
-// over the live documents only, renumbered contiguously, and an index
-// built afresh over it at the configured shard count (dead postings
-// dropped, segments folded into the base shards). The new shards are
-// resident until a save binds them to its sections, as a new segment is.
-// Errors when
-// the engine carries no tombstones or every document is masked. The
-// compacted engine answers byte-identically to a from-scratch build over
-// the surviving documents.
+// over the live documents only, the survivors after the first dead
+// document renumbered contiguously. Every layer keeps its parts before
+// that document, ids unchanged, and folds the survivors from the first
+// part it drops as one segment; when the index's base holds a dead
+// document, or is laid out at another shard count than the configured
+// one, every layer is rebuilt from empty instead, the index at the
+// configured shard count. The result carries no tombstones. The new
+// shards are resident until a save binds them to its sections, as a new
+// segment is. Errors when the engine carries no tombstones or every
+// document is masked. The compacted engine answers byte-identically to a
+// from-scratch build over the surviving documents.
 //
 // BuildTimings records "compact-index", "compact-graph",
 // "compact-dataguide", and the total under "compact".
@@ -144,7 +154,9 @@ func (e *Engine) Compact() (*Engine, error) {
 	if e.col.NumLive() == 0 {
 		return nil, fmt.Errorf("core: cannot compact an engine with no live documents")
 	}
-	return derive(e, e.cfg, step{op: "compact", start: time.Now(), col: e.col.Compacted()})
+	t0 := time.Now()
+	col, restart := e.col.Compacted()
+	return derive(e, e.cfg, step{op: "compact", start: t0, col: col, restart: restart})
 }
 
 // TombstoneStats reports the engine's masking state (zero when

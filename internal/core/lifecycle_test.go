@@ -100,6 +100,17 @@ type lifeOp struct {
 	kind string // "del", "upd", "add", "compact"
 	doc  int    // del/upd/add: the document (by raw index) addressed
 	src  int    // upd: raw index whose XML becomes the replacement body
+	// as, when set, names the document instead of raw[doc]'s name, so an
+	// add can ingest a copy under a name no base document has.
+	as string
+}
+
+// name returns the name op addresses.
+func (op lifeOp) name(raw []IngestDoc) string {
+	if op.as != "" {
+		return op.as
+	}
+	return raw[op.doc].Name
 }
 
 // applySchedule folds the ops over eng, deriving one generation per op.
@@ -109,11 +120,11 @@ func applySchedule(t *testing.T, eng *Engine, raw []IngestDoc, ops []lifeOp) *En
 		var err error
 		switch op.kind {
 		case "del":
-			eng, _, err = eng.DeleteDocuments(raw[op.doc].Name)
+			eng, _, err = eng.DeleteDocuments(op.name(raw))
 		case "upd":
-			eng, err = eng.UpdateDocumentXML(raw[op.doc].Name, raw[op.src].XML)
+			eng, err = eng.UpdateDocumentXML(op.name(raw), raw[op.src].XML)
 		case "add":
-			eng, err = eng.AddDocumentsXML([]IngestDoc{raw[op.doc]})
+			eng, err = eng.AddDocumentsXML([]IngestDoc{{Name: op.name(raw), XML: raw[op.doc].XML}})
 		case "compact":
 			eng, err = eng.Compact()
 		default:
@@ -144,12 +155,12 @@ func applyModel(raw []IngestDoc, ops []lifeOp) []IngestDoc {
 	for _, op := range ops {
 		switch op.kind {
 		case "del":
-			removeName(raw[op.doc].Name)
+			removeName(op.name(raw))
 		case "upd":
-			removeName(raw[op.doc].Name)
-			model = append(model, IngestDoc{Name: raw[op.doc].Name, XML: raw[op.src].XML})
+			removeName(op.name(raw))
+			model = append(model, IngestDoc{Name: op.name(raw), XML: raw[op.src].XML})
 		case "add":
-			model = append(model, raw[op.doc])
+			model = append(model, IngestDoc{Name: op.name(raw), XML: raw[op.doc].XML})
 		}
 	}
 	return model
@@ -176,6 +187,14 @@ func lifecycleSchedules() []struct {
 		{"interleaved", []lifeOp{
 			{kind: "upd", doc: 2, src: 4}, {kind: "del", doc: 0}, {kind: "compact"},
 			{kind: "del", doc: 3}, {kind: "add", doc: 0},
+		}},
+		// Only documents ingested since the build die, so each compaction
+		// keeps the base and renumbers the segment survivors after it.
+		{"compact-segments", []lifeOp{
+			{kind: "add", doc: 1, as: "seg-a"}, {kind: "add", doc: 2, as: "seg-b"}, {kind: "add", doc: 3, as: "seg-c"},
+			{kind: "upd", as: "seg-b", src: 4}, {kind: "del", as: "seg-a"}, {kind: "del", as: "seg-c"},
+			{kind: "compact"},
+			{kind: "add", doc: 0, as: "seg-d"}, {kind: "del", as: "seg-b"}, {kind: "compact"},
 		}},
 	}
 }

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"seda/internal/datagen"
@@ -98,16 +101,107 @@ func TestSegmentsCompactToConfiguredShards(t *testing.T) {
 	}
 }
 
+// partsOf returns the elements of the slice field name of the struct v
+// points to as addresses, so a test can tell a kept part from a re-folded
+// one: the index's shards, the graph's layers, the dataguide's parts.
+func partsOf(v any, name string) []uintptr {
+	f := reflect.ValueOf(v).Elem().FieldByName(name)
+	out := make([]uintptr, f.Len())
+	for i := range out {
+		out[i] = f.Index(i).Pointer()
+	}
+	return out
+}
+
+// TestCompactKeepsBase: when only documents ingested one at a time since
+// the build have died, a compaction keeps the predecessor's base — its
+// index base shards, graph base layer and dataguide base part, the very
+// same objects — folds the survivors after the first dead document as
+// one segment, leaves at most log2(d)+1 segments over the d ingested
+// documents, and answers like a build over the survivors.
+// TestSegmentsCompactToConfiguredShards covers the rebuild a dead base
+// document forces.
+func TestCompactKeepsBase(t *testing.T) {
+	c := corpusConfigs()[1]
+	raw := renderXML(t, c.gen(c.scale))
+	const ingests = 24
+	if len(raw) < ingests+2 {
+		t.Fatalf("corpus of %d docs too small", len(raw))
+	}
+	cfg := c.cfg
+	cfg.Shards = 2
+	cut := len(raw) - ingests
+	eng := scratchEngine(t, raw[:cut], cfg)
+	live := raw[:cut]
+	for i, d := range raw[cut:] {
+		next, err := eng.AddDocumentsXML([]IngestDoc{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng = next
+		if i%3 == 0 {
+			live = append(live, d)
+			continue
+		}
+		if eng, _, err = eng.DeleteDocuments(d.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compacted, err := eng.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compacted.col.Tombstones().Len() != 0 || compacted.NumLiveDocs() != len(live) {
+		t.Fatalf("compacted engine has %d tombstones and %d live documents, want 0 and %d",
+			compacted.col.Tombstones().Len(), compacted.NumLiveDocs(), len(live))
+	}
+	for _, layer := range []struct {
+		name       string
+		prev, next any
+		field      string
+		base       int
+	}{
+		{"index", eng.ix, compacted.ix, "shards", eng.ix.NumBaseShards()},
+		{"graph", eng.g, compacted.g, "layers", 1},
+		{"dataguide", eng.dg, compacted.dg, "parts", 1},
+	} {
+		prev, next := partsOf(layer.prev, layer.field), partsOf(layer.next, layer.field)
+		if len(next) < layer.base || !slices.Equal(next[:layer.base], prev[:layer.base]) {
+			t.Errorf("%s: the compaction did not keep the predecessor's base", layer.name)
+		}
+		if segs := len(next) - layer.base; segs > bits.Len(ingests) {
+			t.Errorf("%s: %d segments after %d ingests, want at most %d", layer.name, segs, ingests, bits.Len(ingests))
+		}
+	}
+	if n := compacted.ix.NumBaseShards(); n != 2 {
+		t.Errorf("compacted engine has %d base shards, want the configured 2", n)
+	}
+	queries := pickQueries(compacted)
+	if got, want := mustCanonical(t, compacted, queries), mustCanonical(t, scratchEngine(t, live, cfg), queries); got != want {
+		t.Errorf("compacted engine diverges from a build over the survivors\n--- scratch ---\n%s\n--- compacted ---\n%s", want, got)
+	}
+}
+
 // TestWriteCostFlatInCorpus: a write costs the document, not the corpus.
 // One single-document ingest, one update and one delete through the
 // engine — collection, index, link graph and dataguide summary, the
 // steps derive takes for them — allocate less than 1.5 times as much on
-// Mondial at scale 0.5 (the lifecycle.churn corpus) as at scale 0.125.
+// Mondial at scale 0.5 (the lifecycle.churn corpus) as at scale 0.125;
+// and so does the compaction after 30 single-document ingest-and-delete
+// cycles, which keeps the base and drops the segments.
 func TestWriteCostFlatInCorpus(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	cost := func(scale float64) uint64 {
+	allocs := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cost := func(scale float64) (write, compact uint64) {
 		eng, err := NewEngine(datagen.Mondial(scale), Config{Discover: datagen.DiscoverOptionsFor("mondial")})
 		if err != nil {
 			t.Fatal(err)
@@ -115,24 +209,40 @@ func TestWriteCostFlatInCorpus(t *testing.T) {
 		rev := func(i int) []byte {
 			return fmt.Appendf(nil, `<city id="w1" country="c001"><name>zqwrite rev%d</name></city>`, i)
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if eng, err = eng.AddDocumentsXML([]IngestDoc{{Name: "w.xml", XML: rev(1)}}); err != nil {
-			t.Fatal(err)
+		write = allocs(func() {
+			if eng, err = eng.AddDocumentsXML([]IngestDoc{{Name: "w.xml", XML: rev(1)}}); err != nil {
+				t.Fatal(err)
+			}
+			if eng, err = eng.UpdateDocumentXML("w.xml", rev(2)); err != nil {
+				t.Fatal(err)
+			}
+			if eng, _, err = eng.DeleteDocuments("w.xml"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := range 30 {
+			if eng, err = eng.AddDocumentsXML([]IngestDoc{{Name: "w.xml", XML: rev(i)}}); err != nil {
+				t.Fatal(err)
+			}
+			if eng, _, err = eng.DeleteDocuments("w.xml"); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if eng, err = eng.UpdateDocumentXML("w.xml", rev(2)); err != nil {
-			t.Fatal(err)
-		}
-		if eng, _, err = eng.DeleteDocuments("w.xml"); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		compact = allocs(func() {
+			if eng, err = eng.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return write, compact
 	}
-	small, large := cost(0.125), cost(0.5)
-	t.Logf("ingest+update+delete allocate %.0f kB at scale 0.125, %.0f kB at 0.5", float64(small)/1e3, float64(large)/1e3)
-	if ratio := float64(large) / float64(small); ratio >= 1.5 {
+	smallWrite, smallCompact := cost(0.125)
+	largeWrite, largeCompact := cost(0.5)
+	t.Logf("ingest+update+delete allocate %.0f kB at scale 0.125, %.0f kB at 0.5", float64(smallWrite)/1e3, float64(largeWrite)/1e3)
+	t.Logf("a compaction after 30 ingest-and-delete cycles allocates %.0f kB at scale 0.125, %.0f kB at 0.5", float64(smallCompact)/1e3, float64(largeCompact)/1e3)
+	if ratio := float64(largeWrite) / float64(smallWrite); ratio >= 1.5 {
 		t.Errorf("4x the corpus allocates %.2fx per write cycle, want under 1.5x", ratio)
+	}
+	if ratio := float64(largeCompact) / float64(smallCompact); ratio >= 1.5 {
+		t.Errorf("4x the corpus allocates %.2fx per compaction, want under 1.5x", ratio)
 	}
 }

@@ -25,7 +25,7 @@ func codecFixture(t *testing.T) (*store.Collection, *Set) {
 			t.Fatal(err)
 		}
 	}
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, 0, c.LiveDocs())
 	s, err := Build(c, g, 0.40)
 	if err != nil {
 		t.Fatal(err)

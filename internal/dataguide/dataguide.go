@@ -232,7 +232,7 @@ func (s *Set) GuidesContaining(p pathdict.PathID) []*Guide {
 // given overlap threshold (the paper evaluates 0.40): the empty Set's
 // Extend.
 func Build(col *store.Collection, g *graph.Graph, threshold float64) (*Set, error) {
-	return (&Set{Threshold: threshold}).Extend(col, g, col.LiveDocs())
+	return (&Set{Threshold: threshold}).Extend(col, g, 0, col.LiveDocs())
 }
 
 // overlap implements the paper's metric.

@@ -287,7 +287,7 @@ func TestLinksAcrossGuides(t *testing.T) {
 		`<country id="us"><name>United States</name></country>`,
 		`<sea id="pac" bordering="us"><name>Pacific</name></sea>`,
 	)
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, 0, c.LiveDocs())
 	s, err := Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestExtendAndRefoldMatchReference(t *testing.T) {
 			docs = append(docs, d)
 		}
 		col = col.Extend(docs)
-		if s, err = s.Extend(col, nil, docs); err != nil {
+		if s, err = s.Extend(col, nil, xmldoc.DocID(col.NumDocs()-len(docs)), docs); err != nil {
 			t.Fatal(err)
 		}
 	}

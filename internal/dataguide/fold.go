@@ -21,13 +21,15 @@ import (
 // pointers and the guides it touches, not the corpus.
 //
 // A delete re-folds from the oldest segment holding a newly dead
-// document: the segments from there on are dropped and the live documents
-// they covered, with any appended by the same write, are folded as one
-// new segment on top of the kept prefix. §6.1 absorption is a left fold
-// in id order, so the kept prefix's guides depend on its own documents
-// only, and the fold over the survivors is that state followed by the
-// survivors after it — exactly the from-scratch summary. A dead base
-// document restarts the fold from empty over the live documents.
+// document, and a compaction from the oldest holding the first document
+// it renumbers: the segments from there on are dropped and the live
+// documents they covered, with any appended by the same write, are folded
+// as one new segment on top of the kept prefix, whose ids no compaction
+// changes. §6.1 absorption is a left fold in id order, so the kept
+// prefix's guides depend on its own documents only, and the fold over the
+// survivors is that state followed by the survivors after it — exactly
+// the from-scratch summary. A dead or renumbered base document restarts
+// the fold from empty over the live documents.
 //
 // A link is tallied by the part of its edge's later document, which is
 // the document whose fold derived the edge (see the graph's fold), so a
@@ -68,25 +70,28 @@ func guideIn(parts []*part, doc xmldoc.DocID) (int, bool) {
 	return 0, false
 }
 
-// Extend returns the summary of col, which must hold every document the
-// receiver summarizes plus docs, the live documents appended since, in id
-// order — absorption order determines guide merging; col may also mask
-// documents the receiver folded (store.WithTombstones). When nothing
-// died, docs are absorbed as a new segment on top of the receiver's
-// parts; when a segment document died, the fold restarts at the oldest
-// such segment (see above); when a base document died, or the receiver
-// has no parts, the result is one base over col's live documents. Each
-// way it is exactly the summary one fold over col's live documents
-// reaches, with no re-profiling of the documents it keeps. The receiver
-// is not modified and its parts are shared, never appended into. g, the
-// data graph already derived for col, may be nil; its edges are
-// aggregated into cross-guide Links, so the connection summary can
-// propose IDREF/XLink/value relationships (§6.1: "a set of links between
-// the dataguides corresponding to the external edges between
-// documents").
+// Extend returns the summary of col, which must hold the receiver's
+// documents below restart with their ids, and from restart on the
+// receiver's live documents renumbered contiguously (store.Compacted),
+// then docs, the live documents appended since, in id order — absorption
+// order determines guide merging; restart is the receiver's document
+// count when col renumbers none (store.Extend), and col may then mask
+// documents the receiver folded (store.WithTombstones). When nothing died
+// or moved, docs are absorbed as a new segment on top of the receiver's
+// parts; otherwise the fold restarts at the oldest segment holding the
+// renumbered restart or else the oldest newly dead document (see above);
+// when the base holds it, or the receiver has no parts, the result is one
+// base over col's live documents. Each way it is exactly the summary one
+// fold over col's live documents reaches, with no re-profiling of the
+// documents it keeps. The receiver is not modified and its parts are
+// shared, never appended into. g, the data graph already derived for col,
+// may be nil; its edges are aggregated into cross-guide Links, so the
+// connection summary can propose IDREF/XLink/value relationships (§6.1:
+// "a set of links between the dataguides corresponding to the external
+// edges between documents").
 //
 //seda:constructor
-func (s *Set) Extend(col *store.Collection, g *graph.Graph, docs []*xmldoc.Document) (*Set, error) {
+func (s *Set) Extend(col *store.Collection, g *graph.Graph, restart xmldoc.DocID, docs []*xmldoc.Document) (*Set, error) {
 	if s.Threshold < 0 || s.Threshold > 1 {
 		return nil, fmt.Errorf("dataguide: threshold %v outside [0,1]", s.Threshold)
 	}
@@ -94,15 +99,20 @@ func (s *Set) Extend(col *store.Collection, g *graph.Graph, docs []*xmldoc.Docum
 	below, lo := s.parts, xmldoc.DocID(0)
 	if len(below) > 0 {
 		lo = xmldoc.DocID(s.col.NumDocs())
-		if dead, ok := col.Tombstones().FirstAdded(s.col.Tombstones()); ok {
-			k := segments.Keep(below, int(dead), func(p *part) int { return int(p.hi()) })
+		from, ok := restart, restart < lo
+		if !ok {
+			from, ok = col.Tombstones().FirstAdded(s.col.Tombstones())
+		}
+		if ok {
+			k := segments.Keep(below, int(from), func(p *part) int { return int(p.hi()) })
 			if k == 0 {
-				return (&Set{Threshold: s.Threshold}).Extend(col, g, col.LiveDocs())
+				return (&Set{Threshold: s.Threshold}).Extend(col, g, 0, col.LiveDocs())
 			}
 			below, lo = below[:k], below[k].lo
 			docs = col.LiveDocsFrom(lo)
-		} else if len(docs) == 0 {
-			ns.parts, ns.Guides = s.parts, s.Guides
+		}
+		if len(docs) == 0 && int(lo) == col.NumDocs() {
+			ns.parts, ns.Guides = below, below[len(below)-1].guides // they cover col
 			return ns, nil
 		}
 	}

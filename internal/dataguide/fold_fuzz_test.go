@@ -61,12 +61,16 @@ type guideGen struct {
 
 // checkGuideGen compares gen's summary with referenceFold over its live
 // documents guide for guide, and its links with those of a from-scratch
-// build over the same collection.
+// build over the same collection, and checks that its parts cover the
+// collection, so a later delete or compaction can keep them.
 func checkGuideGen(t *testing.T, gen guideGen) {
 	t.Helper()
+	if p := gen.s.parts[len(gen.s.parts)-1]; int(p.hi()) != gen.col.NumDocs() {
+		t.Fatalf("parts end at document %d of %d", p.hi(), gen.col.NumDocs())
+	}
 	live := gen.col.LiveDocs()
 	assertMatchesReference(t, gen.s, live)
-	scratch, err := Build(gen.col, graph.New(gen.col, graph.DiscoverOptions{}, nil).Extend(gen.col, live), gen.s.Threshold)
+	scratch, err := Build(gen.col, graph.New(gen.col, graph.DiscoverOptions{}, nil).Extend(gen.col, 0, live), gen.s.Threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +85,11 @@ func checkGuideGen(t *testing.T, gen guideGen) {
 // FuzzDataguideFold checks the segmented §6.1 fold against referenceFold.
 // A script derives generations from a base over the first documents at a
 // fuzz-chosen threshold: each script byte adds documents, deletes or
-// updates a live one, or forks two children (an add and a delete) off
-// one parent, and its high bit round-trips the summary through the
-// codec, which leaves one base. Every generation, checked when it is made
+// updates a live one, forks two children (an add and a delete) off one
+// parent, or, for operation 3 with an operand of 16 or more, compacts,
+// renumbering the survivors after the first dead document; its high bit
+// round-trips the summary through the codec, which leaves one base.
+// Every generation, checked when it is made
 // and again when the script ends, matches the reference guide for guide
 // and the from-scratch build's links — deriving a generation must not
 // disturb its parent or a sibling.
@@ -94,6 +100,14 @@ func FuzzDataguideFold(f *testing.F) {
 	// link targets dies, a later one is the target again, and after a
 	// codec round trip the base's document dies.
 	f.Add([]byte{2, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0}, []byte{0x01, 4, 5, 0, 0x80, 1, 0})
+	// The same documents: the link's target and source, both segment
+	// documents, die, a compaction keeps the base and renumbers the
+	// survivor after them, and a later add and delete fold on top; then
+	// the base's document dies and a compaction restarts from empty.
+	f.Add([]byte{2, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0}, []byte{0x01, 4, 0, 0x45, 0x45, 0x4b, 0, 0x41, 0x01, 0x43})
+	// A segment's only document dies: the re-fold has no live document
+	// left but must still cover the dead one.
+	f.Add([]byte{2, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0}, []byte{0x01, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		xmls := guideCorpus(data)
 		threshold := 0.4
@@ -110,18 +124,21 @@ func FuzzDataguideFold(f *testing.F) {
 			}
 		}
 		var gens []guideGen
-		derive := func(p guideGen, col *store.Collection, docs []*xmldoc.Document) guideGen {
+		// derive extends p to col, which renumbers p's documents from
+		// restart on, if restart is below p's document count, and appends
+		// docs.
+		derive := func(p guideGen, col *store.Collection, restart xmldoc.DocID, docs []*xmldoc.Document) guideGen {
 			t.Helper()
-			gen := guideGen{col: col, g: p.g.Extend(col, docs)}
+			gen := guideGen{col: col, g: p.g.Extend(col, restart, docs)}
 			var err error
-			if gen.s, err = p.s.Extend(col, gen.g, docs); err != nil {
+			if gen.s, err = p.s.Extend(col, gen.g, restart, docs); err != nil {
 				t.Fatal(err)
 			}
 			checkGuideGen(t, gen)
 			gens = append(gens, gen)
 			return gen
 		}
-		cur := derive(guideGen{col: col, g: graph.New(col, graph.DiscoverOptions{}, nil), s: &Set{Threshold: threshold}}, col, col.LiveDocs())
+		cur := derive(guideGen{col: col, g: graph.New(col, graph.DiscoverOptions{}, nil), s: &Set{Threshold: threshold}}, col, 0, col.LiveDocs())
 
 		add := func(p guideGen, n int) guideGen {
 			var docs []*xmldoc.Document
@@ -134,7 +151,7 @@ func FuzzDataguideFold(f *testing.F) {
 				next++
 				docs = append(docs, d)
 			}
-			return derive(p, p.col.Extend(docs), docs)
+			return derive(p, p.col.Extend(docs), xmldoc.DocID(p.col.NumDocs()), docs)
 		}
 		// kill masks p's i-th live document, if it has any, and appends n
 		// documents in the same step.
@@ -150,6 +167,18 @@ func FuzzDataguideFold(f *testing.F) {
 			p.col = col
 			return add(p, n)
 		}
+		// compact drops p's masked documents, first masking its i-th live
+		// one if none is, and renumbers the survivors after the first.
+		compact := func(p guideGen, i int) guideGen {
+			if p.col.Tombstones().Len() == 0 {
+				p = kill(p, i, 0)
+			}
+			if p.col.Tombstones().Len() == 0 {
+				return p
+			}
+			col, restart := p.col.Compacted()
+			return derive(p, col, restart, nil)
+		}
 		for _, b := range script[:min(len(script), 32)] {
 			arg := int(b>>2) & 0x1f
 			switch b & 3 {
@@ -160,6 +189,10 @@ func FuzzDataguideFold(f *testing.F) {
 			case 2:
 				cur = kill(cur, arg, 1)
 			case 3:
+				if arg >= 16 {
+					cur = compact(cur, arg)
+					break
+				}
 				a, d := add(cur, 1), kill(cur, arg, 0)
 				if cur = a; arg&1 == 1 {
 					cur = d

@@ -23,15 +23,17 @@ import (
 // older value-link endpoints. So an ingest costs the documents it adds.
 //
 // A delete re-folds from the oldest segment holding a newly dead
-// document: the segments from there on are dropped and the live documents
-// they covered, with any appended by the same write, are folded as one
-// new segment on top of the kept prefix. This is not an undo. The id
-// table is first-occurrence-wins and every edge is derived by the later
-// of its two documents, so the kept prefix's state and edges depend on
-// its own documents only, and the fold over the survivors is that state
-// followed by the survivors after it — exactly the from-scratch fold. A
-// dead base document, or a base decoded without fold state, restarts the
-// fold from empty over the live documents.
+// document, and a compaction from the oldest holding the first document
+// it renumbers: the segments from there on are dropped and the live
+// documents they covered, with any appended by the same write, are folded
+// as one new segment on top of the kept prefix, whose ids no compaction
+// changes. This is not an undo. The id table is first-occurrence-wins and
+// every edge is derived by the later of its two documents, so the kept
+// prefix's state and edges depend on its own documents only, and the fold
+// over the survivors is that state followed by the survivors after it —
+// exactly the from-scratch fold. A dead or renumbered base document, or a
+// base decoded without fold state, restarts the fold from empty over the
+// live documents.
 //
 // Segments merge under the policy of package segments, sized by their
 // document-id ranges; the base never merges. Batches reach the same edge
@@ -107,37 +109,45 @@ func (l *layer) add(e Edge) {
 	l.inByDoc[e.To.Doc] = append(l.inByDoc[e.To.Doc], idx)
 }
 
-// Extend returns the graph of col, which must hold every document the
-// receiver folded plus docs, the live documents appended since, in id
-// order (store.Extend guarantees the former); col may also mask
-// documents the receiver folded (store.WithTombstones). When nothing
-// died, docs are folded as a new segment on top of the receiver's layers;
-// when a segment document died, the fold restarts at the oldest such
-// segment (see above); when a base document died, or the receiver has no
-// layers, the result is one base over col's live documents. The receiver
-// is not modified and its layers are shared, never appended into, so
-// every generation derived from it, and readers of its own, are
-// undisturbed. A decoded receiver carries no fold state; the result's
-// base first rebuilds it by folding the base's documents without adding
-// edges, which already exist.
+// Extend returns the graph of col, which must hold the receiver's
+// documents below restart with their ids, and from restart on the
+// receiver's live documents renumbered contiguously (store.Compacted),
+// then docs, the live documents appended since, in id order; restart is
+// the receiver's document count when col renumbers none (store.Extend),
+// and col may then mask documents the receiver folded
+// (store.WithTombstones). When nothing died or moved, docs are folded as
+// a new segment on top of the receiver's layers; otherwise the fold
+// restarts at the oldest segment holding the renumbered restart or else
+// the oldest newly dead document (see above); when the base holds it, or
+// the receiver has no layers, the result is one base over col's live
+// documents. The receiver is not modified and its layers are shared,
+// never appended into, so every generation derived from it, and readers
+// of its own, are undisturbed. A decoded receiver carries no fold state;
+// the result's base first rebuilds it by folding the base's documents
+// without adding edges, which already exist.
 //
 //seda:constructor
-func (g *Graph) Extend(col *store.Collection, docs []*xmldoc.Document) *Graph {
+func (g *Graph) Extend(col *store.Collection, restart xmldoc.DocID, docs []*xmldoc.Document) *Graph {
 	ng := &Graph{col: col, opts: g.opts, specs: g.specs}
 	if len(g.layers) == 0 {
 		ng.layers = []*layer{ng.fold(nil, 0, docs, true)}
 		return ng
 	}
 	below, lo := g.layers, xmldoc.DocID(g.col.NumDocs())
-	if dead, ok := col.Tombstones().FirstAdded(g.col.Tombstones()); ok {
-		k := segments.Keep(below, int(dead), func(l *layer) int { return int(l.hi) })
+	from, ok := restart, restart < lo
+	if !ok {
+		from, ok = col.Tombstones().FirstAdded(g.col.Tombstones())
+	}
+	if ok {
+		k := segments.Keep(below, int(from), func(l *layer) int { return int(l.hi) })
 		if k == 0 {
-			return New(col, g.opts, g.specs).Extend(col, col.LiveDocs())
+			return New(col, g.opts, g.specs).Extend(col, 0, col.LiveDocs())
 		}
 		below, lo = below[:k], below[k].lo
 		docs = col.LiveDocsFrom(lo)
-	} else if len(docs) == 0 {
-		ng.layers = g.layers
+	}
+	if len(docs) == 0 && int(lo) == col.NumDocs() {
+		ng.layers = below // they cover col
 		return ng
 	}
 	if base := below[0]; base.state == nil {

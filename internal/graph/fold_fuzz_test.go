@@ -166,9 +166,11 @@ type foldGen struct {
 // one-shot fold over a collection yields exactly the reference edge list
 // (same order, which the snapshot bytes depend on). A script then derives
 // generations from a base over the first documents: each script byte
-// adds documents, deletes or updates a live one, or forks two children
-// (an add and a delete) off one parent, and its high bit round-trips the
-// result through the codec, which drops the retained fold state. Every
+// adds documents, deletes or updates a live one, forks two children (an
+// add and a delete) off one parent, or, for operation 3 with an operand
+// of 16 or more, compacts, renumbering the survivors after the first
+// dead document; its high bit round-trips the result through the codec,
+// which drops the retained fold state. Every
 // generation, checked when it is made and again when the script ends,
 // holds exactly the reference edge multiset over its live documents —
 // deriving a generation must not disturb its parent or a sibling.
@@ -188,6 +190,14 @@ func FuzzGraphFold(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 2, 0, 0, 0}, []byte{0, 0, 3, 2, 1})
 	// A base-document delete after two segments exist.
 	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{1, 4, 0, 1})
+	// Compactions that renumber only segment documents: the base owner of
+	// "a" survives, a segment copy defining "a" again and a reference to
+	// it die, a later reference is renumbered onto the kept base, and
+	// after more adds another compaction renumbers it again.
+	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{0, 4, 0x45, 0, 0x41, 0x43, 4, 0x47})
+	// A compaction after the base's own document died restarts from
+	// empty, and one after a codec round trip too.
+	f.Add([]byte("compacted links and values"), []byte{1, 0, 1, 0x43, 0x80, 0x01, 0x47})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		xmls := foldCorpus(data)
 
@@ -239,7 +249,7 @@ func FuzzGraphFold(f *testing.F) {
 				docs = append(docs, d)
 			}
 			col := p.col.Extend(docs)
-			return check(col, p.g.Extend(col, docs))
+			return check(col, p.g.Extend(col, xmldoc.DocID(p.col.NumDocs()), docs))
 		}
 		// kill masks p's i-th live document, if it has any, and appends n
 		// documents in the same step.
@@ -254,6 +264,18 @@ func FuzzGraphFold(f *testing.F) {
 			}
 			return add(foldGen{col: col, g: p.g}, n)
 		}
+		// compact drops p's masked documents, first masking its i-th live
+		// one if none is, and renumbers the survivors after the first.
+		compact := func(p foldGen, i int) foldGen {
+			if p.col.Tombstones().Len() == 0 {
+				p = kill(p, i, 0)
+			}
+			if p.col.Tombstones().Len() == 0 {
+				return p
+			}
+			col, restart := p.col.Compacted()
+			return check(col, p.g.Extend(col, restart, nil))
+		}
 		for _, b := range script[:min(len(script), 24)] { // the oracle is cubic
 			arg := int(b>>2) & 0x1f
 			switch b & 3 {
@@ -264,6 +286,10 @@ func FuzzGraphFold(f *testing.F) {
 			case 2:
 				cur = kill(cur, arg, 1)
 			case 3:
+				if arg >= 16 {
+					cur = compact(cur, arg)
+					break
+				}
 				a, d := add(cur, 1), kill(cur, arg, 0)
 				if cur = a; arg&1 == 1 {
 					cur = d
@@ -286,9 +312,13 @@ func FuzzGraphFold(f *testing.F) {
 }
 
 // checkGen compares gen's graph with its reference edge multiset and its
-// per-document edge lists with the oracle.
+// per-document edge lists with the oracle, and checks that its layers
+// cover its collection, so a later delete or compaction can keep them.
 func checkGen(t *testing.T, gen foldGen) {
 	t.Helper()
+	if n := len(gen.g.layers); n > 0 && int(gen.g.layers[n-1].hi) != gen.col.NumDocs() {
+		t.Fatalf("layers end at document %d of %d", gen.g.layers[n-1].hi, gen.col.NumDocs())
+	}
 	got := edgeStrings(gen.g.Edges())
 	slices.Sort(got)
 	if !slices.Equal(got, gen.want) {

@@ -73,7 +73,7 @@ type Graph struct {
 }
 
 // New returns an overlay for col with no documents folded yet: a
-// from-source build is New(col, opts, specs).Extend(col, col.LiveDocs()).
+// from-source build is New(col, opts, specs).Extend(col, 0, col.LiveDocs()).
 // opts names the ID/IDREF/XLink attributes (zero value: defaults) and
 // specs the value-based relationships joined by every later fold.
 func New(col *store.Collection, opts DiscoverOptions, specs []ValueLinkSpec) *Graph {

@@ -38,7 +38,7 @@ func fixture(t testing.TB) (*store.Collection, *Graph) {
 // folded folds every live document of c into an empty graph, as a
 // from-source build does.
 func folded(c *store.Collection, opts DiscoverOptions, specs ...ValueLinkSpec) *Graph {
-	return New(c, opts, specs).Extend(c, c.LiveDocs())
+	return New(c, opts, specs).Extend(c, 0, c.LiveDocs())
 }
 
 func TestDiscoverLinks(t *testing.T) {
@@ -91,7 +91,7 @@ func TestDiscoverDanglingAndDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := c.Extend([]*xmldoc.Document{late})
-	g2 := g.Extend(c2, []*xmldoc.Document{late})
+	g2 := g.Extend(c2, xmldoc.DocID(c.NumDocs()), []*xmldoc.Document{late})
 	got := make([]string, 0, g2.NumEdges())
 	for _, e := range g2.Edges() {
 		got = append(got, fmt.Sprintf("%d->%d %s", e.From.Doc, e.To.Doc, e.Label))

@@ -146,7 +146,9 @@ func firstDiff(got, want string) string {
 // derive from it a second time. An add of operand 28 or more is a run of
 // 8 to 32 single-document adds, enough for segment merges to cascade; an
 // operand of 16 or more turns a compaction into a reload through the
-// shard codec. After every step the derived index must answer exactly
+// shard codec. A compaction keeps the shards before the first dead
+// document when the engine would (KeepsBase), and rebuilds the base
+// otherwise. After every step the derived index must answer exactly
 // like a from-scratch build over its live documents, each of its shards
 // must encode exactly like a sequential scan of the shard's document
 // range, and the segments and dead parts must stay within the merge
@@ -173,6 +175,11 @@ func FuzzIndexFold(f *testing.F) {
 	// and a compaction back to the base layout.
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2, 6, 4}, []byte{2, 0x7c, 0x43, 0x70, 0x41, 0x6d, 0x02, 0x78, 0x07, 0x74, 0x03})
 	f.Add([]byte("segments merge while generations branch"), []byte{0, 0x78, 0x05, 0x7c, 0x43, 0x82, 0x70, 0x09, 0x03, 0x74})
+	// Only segment documents die before each compaction: eight single
+	// adds, two of them deleted and compacted, which keeps the base, then
+	// two more adds, a delete and a compaction that also keeps the
+	// segment the first one folded.
+	f.Add([]byte("only segment documents die"), []byte{0, 0x70, 0x21, 0x1d, 3, 4, 0x21, 3})
 	f.Fuzz(func(t *testing.T, corpus, script []byte) {
 		r := rand.New(&byteSource{b: corpus})
 		var layout byte
@@ -205,7 +212,7 @@ func FuzzIndexFold(f *testing.F) {
 		var ops []string
 		for step := 0; ; step++ {
 			answers := foldAnswers(t, ix)
-			if want := foldAnswers(t, BuildSharded(col.Compacted(), 1, 1)); answers != want {
+			if want := foldAnswers(t, BuildSharded(compacted(col), 1, 1)); answers != want {
 				t.Fatalf("after %v: derived index differs from a build over the live documents: %s", ops, firstDiff(answers, want))
 			}
 			checkLayout(t, ix, ops)
@@ -237,7 +244,7 @@ func FuzzIndexFold(f *testing.F) {
 				for range (arg - 27) * 8 {
 					docs := []*xmldoc.Document{newDoc("")}
 					col = col.Extend(docs)
-					if ix, err = ix.Extend(col, docs); err != nil {
+					if ix, err = extend(ix, col, docs); err != nil {
 						break
 					}
 					checkLayout(t, ix, ops)
@@ -249,7 +256,7 @@ func FuzzIndexFold(f *testing.F) {
 					docs[i] = newDoc("")
 				}
 				col = col.Extend(docs)
-				ix, err = ix.Extend(col, docs)
+				ix, err = extend(ix, col, docs)
 				ops = append(ops, fmt.Sprintf("add %d", len(docs)))
 			case op == 1: // delete one document, or two when arg says so, keeping one alive
 				ids := []xmldoc.DocID{live[arg%len(live)].ID}
@@ -259,7 +266,7 @@ func FuzzIndexFold(f *testing.F) {
 				if col, err = col.WithTombstones(ids); err != nil {
 					t.Fatal(err)
 				}
-				ix, err = ix.Extend(col, nil)
+				ix, err = extend(ix, col, nil)
 				ops = append(ops, fmt.Sprintf("delete %v", ids))
 			case op == 2: // update: mask a document and append its replacement
 				old := live[arg%len(live)]
@@ -268,12 +275,18 @@ func FuzzIndexFold(f *testing.F) {
 				}
 				docs := []*xmldoc.Document{newDoc(old.Name)}
 				col = col.Extend(docs)
-				ix, err = ix.Extend(col, docs)
+				ix, err = extend(ix, col, docs)
 				ops = append(ops, fmt.Sprintf("update %d", old.ID))
-			case arg < 16 && col.Tombstones().Len() > 0: // compact
-				col = col.Compacted()
-				ix = BuildSharded(col, shards, par)
-				ops = append(ops, "compact")
+			case arg < 16 && col.Tombstones().Len() > 0: // compact, as the engine does
+				var restart xmldoc.DocID
+				col, restart = col.Compacted()
+				if ix.KeepsBase(restart, shards) {
+					ix, err = ix.Extend(col, restart, nil)
+					ops = append(ops, fmt.Sprintf("compact from %d", restart))
+				} else {
+					ix = BuildSharded(col, shards, par)
+					ops = append(ops, "compact to a new base")
+				}
 			default:
 				ix = reload(t, ix)
 				ops = append(ops, "reload")

@@ -7,8 +7,22 @@ import (
 
 	"seda/internal/pathdict"
 	"seda/internal/snapcodec"
+	"seda/internal/store"
 	"seda/internal/xmldoc"
 )
+
+// compacted is col's compacted collection, for a build over its live
+// documents.
+func compacted(col *store.Collection) *store.Collection {
+	c, _ := col.Compacted()
+	return c
+}
+
+// extend is Extend of a collection that renumbers nothing: col extends
+// ix's by docs, or masks more of its documents, or both.
+func extend(ix *Index, col *store.Collection, docs []*xmldoc.Document) (*Index, error) {
+	return ix.Extend(col, xmldoc.DocID(ix.col.NumDocs()), docs)
+}
 
 // Most fixtures in this package are resident (no disk backing), so the
 // fallible read accessors cannot actually fail; these helpers unwrap them.

@@ -25,38 +25,70 @@ import (
 // under the log-structured policy of package segments, sized by
 // documents: an index carries at most log2(d)+1 segments over d ingested
 // documents, and each document is re-absorbed O(log d) times over its
-// life. The base shards are never merged: a compaction rebuilds the base
-// from the survivors, with no segments (BuildSharded).
+// life. The base shards are never merged. A compaction keeps every shard
+// that ends at or before the first dead document, ids unchanged, and
+// scans the renumbered survivors from the first dropped shard on as one
+// segment, so it costs the documents since that shard began; only a dead
+// base document, or a base laid out at another shard count, rebuilds the
+// base from the survivors (KeepsBase, BuildSharded).
 
 // Extend returns a new Index over col covering the receiver's documents
-// plus newDocs. col must be the receiver's collection extended by newDocs
-// (see store.Extend), or carrying more tombstones (see
-// store.WithTombstones), or both. The receiver is not modified and
-// remains valid for concurrent readers: its shards are shared, and a
-// merge reads the segments it folds without writing them. A new segment
-// carries no pager and no backing ref: the caller attaches the receiver's
-// pager to the result, and the next save binds it. The error is a failure
-// to re-read the section of a merged segment served by runs.
+// plus newDocs. col holds the receiver's documents below restart with
+// their ids, and from restart on the receiver's live documents renumbered
+// contiguously (store.Compacted), then newDocs; restart is the receiver's
+// document count when col renumbers none, and col may then mask more of
+// the receiver's documents (store.WithTombstones). A renumbering keeps
+// the shards before the oldest one holding restart and scans col's
+// documents from that shard's start as one segment; it must keep the base
+// (KeepsBase). The receiver is not modified and remains valid for
+// concurrent readers: its shards are shared, and a merge reads the
+// segments it folds without writing them. A new segment carries no pager
+// and no backing ref: the caller attaches the receiver's pager to the
+// result, and the next save binds it. The error is a failure to re-read
+// the section of a merged segment served by runs.
 //
 //seda:constructor
-func (ix *Index) Extend(col *store.Collection, newDocs []*xmldoc.Document) (*Index, error) {
-	if col.NumDocs() != ix.col.NumDocs()+len(newDocs) {
-		return nil, fmt.Errorf("index: extending %d documents by %d into a collection of %d",
-			ix.col.NumDocs(), len(newDocs), col.NumDocs())
-	}
+func (ix *Index) Extend(col *store.Collection, restart xmldoc.DocID, newDocs []*xmldoc.Document) (*Index, error) {
 	next := *ix
 	next.col, next.cache = col, newTermCache(termCacheBudget)
+	lo := ix.col.NumDocs()
+	if int(restart) < lo {
+		k := segments.Keep(ix.shards, int(restart), func(sh *Shard) int { return sh.hi })
+		if k < ix.base {
+			return nil, fmt.Errorf("index: renumbering from document %d reaches into the base", restart)
+		}
+		// The kept shards hold no dead document, so the mask starts over.
+		lo, next.shards = ix.shards[k].lo, ix.shards[:k]
+		next.dead, next.shardDead, next.deadParts = nil, nil, nil
+		newDocs = col.Docs()[min(lo, col.NumDocs()):]
+	}
+	if col.NumDocs() != lo+len(newDocs) {
+		return nil, fmt.Errorf("index: extending %d documents by %d into a collection of %d",
+			lo, len(newDocs), col.NumDocs())
+	}
 	if len(newDocs) > 0 {
-		seg := sealShard(ix.col.NumDocs(), col.NumDocs(), scanDocs(newDocs))
-		segs, err := segments.Push(ix.shards[ix.base:], seg, (*Shard).Docs, mergeShards)
+		seg := sealShard(lo, col.NumDocs(), scanDocs(newDocs))
+		segs, err := segments.Push(next.shards[ix.base:], seg, (*Shard).Docs, mergeShards)
 		if err != nil {
 			return nil, err
 		}
-		next.shards = slices.Concat(ix.shards[:ix.base], segs)
+		next.shards = slices.Concat(next.shards[:ix.base], segs)
 		next.allPaths = ix.withPaths(seg.pathIDs)
 	}
 	next.mask()
 	return &next, nil
+}
+
+// KeepsBase reports whether Extend keeps the base shards when col
+// renumbers from restart and the configured layout has shards base shards
+// (0 or 1 meaning one): restart lies past the base, which has that many
+// shards. A restart at or past the receiver's document count renumbers
+// nothing and always keeps the base.
+func (ix *Index) KeepsBase(restart xmldoc.DocID, shards int) bool {
+	if int(restart) >= ix.col.NumDocs() {
+		return true
+	}
+	return ix.base == max(shards, 1) && int(restart) >= ix.shards[ix.base-1].hi
 }
 
 // mergeShards returns the shard over a's documents followed by b's,

@@ -395,7 +395,7 @@ func checkMatchOracle(ix *Index, term query.Term) error {
 	if want := naiveMatch(ix.col, term); !sameRefs(got, want) {
 		return fmt.Errorf("term %s\n got=%v\nwant=%v", term, got, want)
 	}
-	live := BuildSharded(ix.col.Compacted(), 1, 1)
+	live := BuildSharded(compacted(ix.col), 1, 1)
 	for _, m := range got {
 		node := ix.col.Node(m.Ref)
 		if m.Path != node.Path {
@@ -455,7 +455,7 @@ func maskEveryThird(tb testing.TB, ix *Index) *Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mix, err := ix.Extend(mc, nil)
+	mix, err := extend(ix, mc, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

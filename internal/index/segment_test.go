@@ -32,7 +32,7 @@ func TestSegmentGenerationsSearchConcurrently(t *testing.T) {
 	add := func(ix *Index) *Index {
 		docs := newDocs(1)
 		col = col.Extend(docs)
-		next, err := ix.Extend(col, docs)
+		next, err := extend(ix, col, docs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestSegmentGenerationsSearchConcurrently(t *testing.T) {
 		if col, err = col.WithTombstones([]xmldoc.DocID{live[r.Intn(len(live))].ID}); err != nil {
 			t.Fatal(err)
 		}
-		next, err := ix.Extend(col, nil)
+		next, err := extend(ix, col, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestSegmentGenerationsSearchConcurrently(t *testing.T) {
 	if len(ix.shards)-ix.base < 2 || len(ix.deadParts) == 0 {
 		t.Fatalf("the writer left %d segments and %d dead parts; the test wants merges and masks to overlap the reads", len(ix.shards)-ix.base, len(ix.deadParts))
 	}
-	if got, want := foldAnswers(t, ix), foldAnswers(t, BuildSharded(col.Compacted(), 1, 1)); got != want {
+	if got, want := foldAnswers(t, ix), foldAnswers(t, BuildSharded(compacted(col), 1, 1)); got != want {
 		t.Errorf("the newest generation differs from a build over its live documents: %s", firstDiff(got, want))
 	}
 }

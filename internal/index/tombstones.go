@@ -13,8 +13,10 @@
 // segments' log-structured merge policy (package segments), so a delete
 // scans what died, not the corpus or the dead set. A delete is therefore
 // an Extend with no new documents: every shard is shared and only this
-// view grows. Compaction is the physical counterpart, a fresh
-// BuildSharded over the renumbered survivors.
+// view grows. Compaction is the physical counterpart: the shards before
+// the first dead document are kept, the renumbered survivors after them
+// are scanned as one segment, and the view starts over unmasked (see
+// ingest.go).
 //
 // The masked view differs from the physical one in that:
 //

@@ -34,15 +34,16 @@ func Push[T any](parts []T, p T, size func(T) int, merge func(a, b T) (T, error)
 }
 
 // Keep returns how many of parts, a base followed by segments of
-// ascending document ids, a fold keeps when document dead has died since
-// it was folded: the parts before the oldest one holding dead, whose
-// state depends on their own documents only, so the fold restarts at
-// that part. hi returns the end of a part's id range. Keep returns 0 when
-// the base holds dead: the fold restarts from empty.
-func Keep[T any](parts []T, dead int, hi func(T) int) int {
-	k := sort.Search(len(parts), func(i int) bool { return hi(parts[i]) > dead })
+// ascending document ids, a fold keeps when its input changed at document
+// id from since it was folded — the document died, or a compaction
+// renumbered it and every later one: the parts before the oldest one
+// holding from, whose state depends on their own documents only, so the
+// fold restarts at that part. hi returns the end of a part's id range.
+// Keep returns 0 when the base holds from: the fold restarts from empty.
+func Keep[T any](parts []T, from int, hi func(T) int) int {
+	k := sort.Search(len(parts), func(i int) bool { return hi(parts[i]) > from })
 	if k == len(parts) {
-		return 0 // dead lies past every part: nothing is known to be kept
+		return 0 // from lies past every part: nothing is known to be kept
 	}
 	return k
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"seda/internal/core"
 )
 
 // Document lifecycle over the wire: DELETE and PUT on
@@ -264,5 +266,45 @@ func TestDeletePersists(t *testing.T) {
 			t.Fatal("restarted daemon still serves the deleted document")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRegistryEngineDuringLifecycleWrite: while a write holds the entry's
+// build mutex — an ingest, update, delete or compaction in progress —
+// Registry.Engine for the built collection still returns the current
+// generation at once, from the lock-free mirror.
+func TestRegistryEngineDuringLifecycleWrite(t *testing.T) {
+	r := NewRegistry()
+	if err := r.RegisterCollection("c", testCollection(t), core.Config{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Engine("c"); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := r.Update("c", "e.xml", []byte(`<r><v>y</v></r>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.lookup("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.buildMu.Lock()
+	defer e.buildMu.Unlock()
+	got := make(chan *core.Engine, 1)
+	go func() {
+		eng, err := r.Engine("c")
+		if err != nil {
+			t.Error(err)
+		}
+		got <- eng
+	}()
+	select {
+	case eng := <-got:
+		if eng != cur {
+			t.Error("Registry.Engine returned another generation than the current one")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Registry.Engine waited on the build mutex of a built collection")
 	}
 }

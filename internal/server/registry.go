@@ -100,7 +100,14 @@ type regEntry struct {
 	compacting atomic.Bool
 }
 
+// engine returns the entry's current generation. A built entry answers
+// from the lock-free mirror, so a new session or a catalog call never
+// queues behind an ingest, update, delete or compaction holding buildMu;
+// only a cold build single-flights under it.
 func (e *regEntry) engine(r *Registry) (*core.Engine, error) {
+	if eng := e.builtEngine(); eng != nil {
+		return eng, nil
+	}
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	return e.engineLocked(r)

@@ -4,7 +4,8 @@
 // generation marks the document ids dead in a Tombstones set and every
 // read path masks them out. Ids are never reused while the set is live;
 // compaction (internal/core) rewrites the collection without the dead
-// documents and renumbers the survivors contiguously.
+// documents and renumbers the survivors after the first of them
+// contiguously.
 
 package store
 
@@ -344,27 +345,36 @@ func (c *Collection) LiveIDsByName(name string) []xmldoc.DocID {
 	return out
 }
 
-// Compacted returns a new collection over the live documents only,
-// renumbered contiguously in their original relative order. Document
-// shells are cloned (ids change) but node trees and the path dictionary
-// are shared — nodes are immutable, so both generations read the same
-// trees. Statistics are recomputed by the AddDocument walks, which makes
-// the result indistinguishable from a from-scratch collection over the
-// surviving documents.
+// Compacted returns a new collection over the live documents only, and
+// restart, the lowest masked id: the documents before it are shared with
+// their ids unchanged, and the survivors from it on are renumbered
+// contiguously in their original relative order, in new document shells
+// over the same node trees (nodes are immutable, so both generations read
+// the same trees). The per-path statistics and node count are shared as
+// they are, since a masked collection's already count only its live
+// documents; no node is walked. The result is indistinguishable from a
+// from-scratch collection over the surviving documents. The receiver must
+// carry tombstones.
 //
 //seda:constructor
-func (c *Collection) Compacted() *Collection {
+func (c *Collection) Compacted() (*Collection, xmldoc.DocID) {
+	restart, _ := c.dead.FirstAdded(nil) // the lowest masked id
+	docs := c.docs[:restart:restart]
+	if n := c.NumLive(); n > int(restart) {
+		docs = make([]*xmldoc.Document, restart, n)
+		copy(docs, c.docs)
+	}
 	nc := &Collection{
 		dict:        c.dict,
-		docs:        make([]*xmldoc.Document, 0, c.NumLive()),
-		pathDocFreq: make(map[pathdict.PathID]int, len(c.pathDocFreq)),
-		pathOcc:     make(map[pathdict.PathID]int, len(c.pathOcc)),
+		docs:        docs,
+		pathDocFreq: c.pathDocFreq,
+		pathOcc:     c.pathOcc,
+		nodeCount:   c.nodeCount,
 	}
-	for _, d := range c.docs {
-		if c.dead.Has(d.ID) {
-			continue
+	for _, d := range c.docs[restart:] {
+		if !c.dead.Has(d.ID) {
+			nc.docs = append(nc.docs, &xmldoc.Document{ID: xmldoc.DocID(len(nc.docs)), Name: d.Name, Root: d.Root})
 		}
-		nc.AddDocument(&xmldoc.Document{Name: d.Name, Root: d.Root})
 	}
-	return nc
+	return nc, restart
 }

@@ -244,17 +244,24 @@ func TestCompactedRenumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compacted := masked.Compacted()
+	compacted, restart := masked.Compacted()
+	if restart != 1 {
+		t.Errorf("restart = %d, want the first masked id 1", restart)
+	}
 	if compacted.NumDocs() != 2 || compacted.Tombstones().Len() != 0 {
 		t.Fatalf("compacted: docs=%d tombstones=%d", compacted.NumDocs(), compacted.Tombstones().Len())
 	}
-	// Survivors keep their relative order under new contiguous ids, and
-	// share node trees with the original (the shells are clones).
+	// Survivors keep their relative order under new contiguous ids. The
+	// documents before the first dead one are shared as they are; the
+	// later survivors get new shells over the same node trees.
 	if compacted.Doc(0).Name != "doc0" || compacted.Doc(1).Name != "doc2" {
 		t.Errorf("order: %s, %s", compacted.Doc(0).Name, compacted.Doc(1).Name)
 	}
-	if compacted.Doc(1).Root != c.Doc(2).Root {
-		t.Error("compaction copied node trees instead of sharing them")
+	if compacted.Doc(0) != c.Doc(0) {
+		t.Error("compaction copied a document before the first dead one")
+	}
+	if compacted.Doc(1).Root != c.Doc(2).Root || compacted.Doc(1).ID != 1 {
+		t.Error("compaction copied node trees instead of sharing them, or kept the old id")
 	}
 	if c.Doc(2).ID != 2 {
 		t.Error("compaction renumbered the ORIGINAL collection's document")

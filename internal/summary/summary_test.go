@@ -240,7 +240,7 @@ func TestConnectionLinkEdges(t *testing.T) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, 0, c.LiveDocs())
 	dg, err := dataguide.Build(c, g, 0.4)
 	if err != nil {
 		t.Fatal(err)

@@ -30,11 +30,11 @@ func TestSearchMaskedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := ix.Extend(mc, nil)
+	mix, err := ix.Extend(mc, xmldoc.DocID(c.NumDocs()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := graph.New(mc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(mc, mc.LiveDocs())
+	mg := graph.New(mc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(mc, 0, mc.LiveDocs())
 
 	// The scratch side: the three survivors re-added under their own
 	// names (ids renumber, names identify).
@@ -50,7 +50,7 @@ func TestSearchMaskedIndex(t *testing.T) {
 		}
 	}
 	six := index.Build(sc)
-	sg := graph.New(sc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(sc, sc.LiveDocs())
+	sg := graph.New(sc, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(sc, 0, sc.LiveDocs())
 
 	render := func(col *store.Collection, rs []Result) string {
 		var b strings.Builder

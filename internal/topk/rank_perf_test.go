@@ -69,7 +69,7 @@ func TestRankAllocsPinned(t *testing.T) {
 // fresh copy, because rank sorts over-long runs in place.
 func BenchmarkRank(b *testing.B) {
 	col := datagen.WorldFactbook(0.25)
-	g := graph.New(col, graph.DiscoverOptions{}, nil).Extend(col, col.LiveDocs())
+	g := graph.New(col, graph.DiscoverOptions{}, nil).Extend(col, 0, col.LiveDocs())
 	s := New(index.Build(col), g)
 	for _, tc := range []struct{ name, q string }{
 		{"trade", `(*, "United States") AND (trade_country, *) AND (percentage, *)`},

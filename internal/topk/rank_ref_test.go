@@ -219,7 +219,7 @@ func TestRankMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		col, queries := randomLinkedCorpus(r, 8+r.Intn(24))
-		g := graph.New(col, graph.DiscoverOptions{IDRefAttrs: []string{"ref"}}, nil).Extend(col, col.LiveDocs())
+		g := graph.New(col, graph.DiscoverOptions{IDRefAttrs: []string{"ref"}}, nil).Extend(col, 0, col.LiveDocs())
 		for _, shards := range []int{1, 3} {
 			s := New(index.BuildSharded(col, shards, 1), g)
 			for _, qs := range queries {

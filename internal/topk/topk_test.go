@@ -44,7 +44,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, 0, c.LiveDocs())
 	return c, ix, g
 }
 
@@ -298,7 +298,7 @@ func linkedFixture(t testing.TB, pairs int) (*index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"ref"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"ref"}}, nil).Extend(c, 0, c.LiveDocs())
 	return ix, g
 }
 

@@ -39,7 +39,7 @@ func fixture(t testing.TB) (*store.Collection, *index.Index, *graph.Graph) {
 		}
 	}
 	ix := index.Build(c)
-	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, c.LiveDocs())
+	g := graph.New(c, graph.DiscoverOptions{IDRefAttrs: []string{"bordering"}}, nil).Extend(c, 0, c.LiveDocs())
 	return c, ix, g
 }
 
